@@ -9,12 +9,11 @@ Three mappers share one pipeline (calibrate on targets, predict gaze):
           3D eyeball center (rays instead of image points)
 * 3d3d  — rigid rotation + center aligning 3D pupil poses with targets
 
-Hot numeric kernels run under numba when available; set
-``GAZE3D_BACKEND=numpy`` (or ``numba``/``auto``) before import to pick
-the backend explicitly.
+The two Levenberg-Marquardt fits use closed-form Jacobians of their
+residual kernels; everything runs on numpy alone.  ``BACKEND`` names
+that one numeric backend.
 """
 
-from ._kernels import BACKEND
 from .geometry import (
     AngleOutOfRange,
     BehindOrigin,
@@ -111,5 +110,7 @@ from .dataset_io import (
 )
 
 __version__ = "0.1.0"
+
+BACKEND = "numpy"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

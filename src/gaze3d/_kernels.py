@@ -1,15 +1,19 @@
-"""Hot residual kernels for the 3D mapper fits, with two backends.
+"""Residual kernels and their closed-form Jacobians for the 3D mapper fits.
 
-The Levenberg-Marquardt fits evaluate these residuals (2*dim + 1) times
-per iteration for the numeric Jacobian, so they dominate fit time.  Both
-a vectorized numpy implementation and a numba-compiled one are provided;
-selection is automatic (numba when importable) and can be forced with
-the environment variable GAZE3D_BACKEND=numpy|numba.
+Every Levenberg-Marquardt iteration evaluates one residual and one
+Jacobian, plus one residual per rejected damping step.  All kernels are
+vectorized numpy over the calibration samples; cross products are
+written out component by component because `np.cross` costs more in
+dispatch than in arithmetic at these sizes (and gives the same bits).
 
 Parameter layouts (matching the mapper fits):
   2D-to-3D: params[:14] = 7x2 weight matrix row-major, params[14:17] = e
   3D-to-3D: params[:3] = Euler angles (X-then-Y-then-Z), params[3:6] = e
 
+Residuals are r_i = d_i x u(t_i - e) with u(v) = v/|v| (or u(v) = v when
+not normalizing), flattened to (3N,); Jacobians are (3N, dim) with the
+same row order.  For the centre block,
+  dr_i/de = [d_i]x du/dv (-I),   du/dv = (I - v^ v^T)/|v|  (or I).
 Rotation entries are computed inline without range checks: the solver
 wraps angles after every step, but finite differencing probes slightly
 past the [-pi, pi] boundary.
@@ -17,20 +21,19 @@ past the [-pi, pi] boundary.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:   # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
 
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-        return wrap if not (args and callable(args[0])) else args[0]
+def _cross(a, b):
+    """a x b along the last axis of two broadcastable (..., 3) arrays."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def _rotation_entries(a, b, c):
@@ -43,109 +46,105 @@ def _rotation_entries(a, b, c):
             (-ca * sb * cc + sa * sc, ca * sb * sc + sa * cc, ca * cb))
 
 
-def residuals_2d3d_numpy(params, feats, targets, normalize=True):
-    """Cross products g(q w) x (t - e), flattened to (3N,)."""
-    w = params[:14].reshape(7, 2)
-    e = params[14:17]
+def _directions(w, feats):
+    """Polar angles alpha = q w, the gaze directions g(alpha) and the
+    cosine/sine terms their derivatives reuse."""
     alpha = feats @ w
     theta, phi = alpha[:, 0], alpha[:, 1]
-    ct = np.cos(theta)
-    g = np.column_stack((np.sin(theta), ct * np.sin(phi), ct * np.cos(phi)))
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    g = np.empty((len(feats), 3))
+    g[:, 0] = st
+    g[:, 1] = ct * sp
+    g[:, 2] = ct * cp
+    return g, st, ct, sp, cp
+
+
+def _offsets(e, targets, normalize):
+    """v = t - e, or v^ and |v| (as an (N, 1) column) when normalizing."""
     v = targets - e
-    if normalize:
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return np.cross(g, v).ravel()
+    if not normalize:
+        return v, None
+    norm = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    return v / norm, norm
 
 
-def residuals_3d3d_numpy(params, poses, targets, normalize=True):
+def _center_block(jac, d, u, norm):
+    """Fill jac[:, :, -3:] with dr/de for r = d x u(t - e).
+
+    Column k is -(d x e_k - u_k r)/|v|, or -(d x e_k) without
+    normalization, where d x e_x = (0, d_z, -d_y) and so on.
+    """
+    block = jac[:, :, -3:]
+    d0, d1, d2 = d[:, 0], d[:, 1], d[:, 2]
+    block[:, 0, 0] = 0.0
+    block[:, 1, 0] = -d2
+    block[:, 2, 0] = d1
+    block[:, 0, 1] = d2
+    block[:, 1, 1] = 0.0
+    block[:, 2, 1] = -d0
+    block[:, 0, 2] = -d1
+    block[:, 1, 2] = d0
+    block[:, 2, 2] = 0.0
+    if norm is not None:
+        block += _cross(d, u)[:, :, None] * u[:, None, :]
+        block /= norm[:, :, None]
+
+
+def residuals_2d3d(params, feats, targets, normalize=True):
+    """Cross products g(q w) x (t - e), flattened to (3N,)."""
+    g = _directions(params[:14].reshape(7, 2), feats)[0]
+    u, _ = _offsets(params[14:17], targets, normalize)
+    return _cross(g, u).ravel()
+
+
+def jacobian_2d3d(params, feats, targets, normalize=True):
+    """Closed-form (3N, 17) Jacobian of `residuals_2d3d`.
+
+    dr/dW[j, 0] = (dg/dtheta x u) q_j and dr/dW[j, 1] = (dg/dphi x u) q_j,
+    with dg/dtheta = (cos t, -sin t sin p, -sin t cos p) and
+    dg/dphi = (0, cos t cos p, -cos t sin p).
+    """
+    g, st, ct, sp, cp = _directions(params[:14].reshape(7, 2), feats)
+    u, norm = _offsets(params[14:17], targets, normalize)
+    n = len(feats)
+    dg_theta = np.empty((n, 3))
+    dg_theta[:, 0] = ct
+    dg_theta[:, 1] = -st * sp
+    dg_theta[:, 2] = -st * cp
+    dg_phi = np.empty((n, 3))
+    dg_phi[:, 0] = 0.0
+    dg_phi[:, 1] = g[:, 2]
+    dg_phi[:, 2] = -g[:, 1]
+    jac = np.empty((n, 3, 17))
+    jac[:, :, 0:14:2] = _cross(dg_theta, u)[:, :, None] * feats[:, None, :]
+    jac[:, :, 1:14:2] = _cross(dg_phi, u)[:, :, None] * feats[:, None, :]
+    _center_block(jac, g, u, norm)
+    return jac.reshape(3 * n, 17)
+
+
+def residuals_3d3d(params, poses, targets, normalize=True):
     """Cross products (R n) x (t - e), flattened to (3N,)."""
     rot = np.array(_rotation_entries(params[0], params[1], params[2]))
-    e = params[3:6]
-    d = poses @ rot.T
-    v = targets - e
-    if normalize:
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return np.cross(d, v).ravel()
+    u, _ = _offsets(params[3:6], targets, normalize)
+    return _cross(poses @ rot.T, u).ravel()
 
 
-@njit(cache=True)
-def _residuals_2d3d_jit(params, feats, targets, normalize):   # pragma: no cover
-    n = feats.shape[0]
-    out = np.empty(3 * n)
-    e0, e1, e2 = params[14], params[15], params[16]
-    for i in range(n):
-        theta = 0.0
-        phi = 0.0
-        for j in range(7):
-            theta += feats[i, j] * params[2 * j]
-            phi += feats[i, j] * params[2 * j + 1]
-        ct = np.cos(theta)
-        gx = np.sin(theta)
-        gy = ct * np.sin(phi)
-        gz = ct * np.cos(phi)
-        vx = targets[i, 0] - e0
-        vy = targets[i, 1] - e1
-        vz = targets[i, 2] - e2
-        if normalize:
-            inv = 1.0 / np.sqrt(vx * vx + vy * vy + vz * vz)
-            vx *= inv
-            vy *= inv
-            vz *= inv
-        out[3 * i] = gy * vz - gz * vy
-        out[3 * i + 1] = gz * vx - gx * vz
-        out[3 * i + 2] = gx * vy - gy * vx
-    return out
+def jacobian_3d3d(params, poses, targets, normalize=True):
+    """Closed-form (3N, 6) Jacobian of `residuals_3d3d`.
 
-
-@njit(cache=True)
-def _residuals_3d3d_jit(params, poses, targets, normalize):   # pragma: no cover
+    For R = Rx(a) Ry(b) Rz(c), dR/da = [x]x R, dR/db = [Rx y]x R and
+    dR/dc = [Rx Ry z]x R, so d(R n)/da = x x d and so on with d = R n;
+    Rx Ry z is the last column of R.
+    """
+    rot = np.array(_rotation_entries(params[0], params[1], params[2]))
     sa, ca = np.sin(params[0]), np.cos(params[0])
-    sb, cb = np.sin(params[1]), np.cos(params[1])
-    sc, cc = np.sin(params[2]), np.cos(params[2])
-    r00, r01, r02 = cb * cc, -cb * sc, sb
-    r10, r11, r12 = sa * sb * cc + ca * sc, -sa * sb * sc + ca * cc, -sa * cb
-    r20, r21, r22 = -ca * sb * cc + sa * sc, ca * sb * sc + sa * cc, ca * cb
-    e0, e1, e2 = params[3], params[4], params[5]
-    n = poses.shape[0]
-    out = np.empty(3 * n)
-    for i in range(n):
-        nx, ny, nz = poses[i, 0], poses[i, 1], poses[i, 2]
-        dx = r00 * nx + r01 * ny + r02 * nz
-        dy = r10 * nx + r11 * ny + r12 * nz
-        dz = r20 * nx + r21 * ny + r22 * nz
-        vx = targets[i, 0] - e0
-        vy = targets[i, 1] - e1
-        vz = targets[i, 2] - e2
-        if normalize:
-            inv = 1.0 / np.sqrt(vx * vx + vy * vy + vz * vz)
-            vx *= inv
-            vy *= inv
-            vz *= inv
-        out[3 * i] = dy * vz - dz * vy
-        out[3 * i + 1] = dz * vx - dx * vz
-        out[3 * i + 2] = dx * vy - dy * vx
-    return out
-
-
-def residuals_2d3d_numba(params, feats, targets, normalize=True):
-    return _residuals_2d3d_jit(np.ascontiguousarray(params, dtype=np.float64),
-                               feats, targets, normalize)
-
-
-def residuals_3d3d_numba(params, poses, targets, normalize=True):
-    return _residuals_3d3d_jit(np.ascontiguousarray(params, dtype=np.float64),
-                               poses, targets, normalize)
-
-
-def _select_backend():
-    choice = os.environ.get("GAZE3D_BACKEND", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"GAZE3D_BACKEND must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise ImportError("GAZE3D_BACKEND=numba but numba is not importable")
-    if choice in ("numba", "auto") and NUMBA_AVAILABLE:
-        return "numba", residuals_2d3d_numba, residuals_3d3d_numba
-    return "numpy", residuals_2d3d_numpy, residuals_3d3d_numpy
-
-
-BACKEND, residuals_2d3d, residuals_3d3d = _select_backend()
+    axes = np.array(((1.0, 0.0, 0.0), (0.0, ca, sa), rot[:, 2]))
+    u, norm = _offsets(params[3:6], targets, normalize)
+    d = poses @ rot.T
+    n = len(poses)
+    jac = np.empty((n, 3, 6))
+    dd = _cross(axes[:, None, :], d)                 # (angle, sample, xyz)
+    jac[:, :, :3] = _cross(dd, u).transpose(1, 2, 0)
+    _center_block(jac, d, u, norm)
+    return jac.reshape(3 * n, 6)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .eye_simulator import DatasetBundle
 from .geometry import (
+    GeometryError,
     PinholeCamera,
     angle_between,
     back_project,
@@ -126,8 +127,10 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
 
     Evaluates each fit against the test sets of every depth, referencing
     errors to the rig's ground-truth eyeball center.  Failed fits yield
-    explicit `status="failed"` records so aggregate statistics are never
-    silently biased.
+    explicit `status="failed"` records for every test depth, and a test
+    depth the fitted model cannot project (its ray misses a target plane)
+    yields one for that depth alone, so aggregate statistics are never
+    silently biased and one bad prediction never aborts the sweep.
     """
     depths = bundle.depths()
     if k_range is None:
@@ -153,15 +156,20 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
                         raise DegenerateGeometry(
                             f"no usable calibration samples for {mapper}")
                     model = fit_mapper(mapper, samples, config)
-                    for depth in depths:
-                        records.append(evaluate(
-                            mapper, model, bundle.test[depth], reference,
-                            scene_cam, calib_subset=subset, test_depth=depth))
                 except FIT_ERRORS:
-                    for depth in depths:
-                        records.append(ErrorRecord(
-                            mapper=mapper, calib_subset=subset,
-                            test_depth=depth, status="failed"))
+                    model = None
+                for depth in depths:
+                    record = ErrorRecord(mapper=mapper, calib_subset=subset,
+                                         test_depth=depth, status="failed")
+                    if model is not None:
+                        try:
+                            record = evaluate(
+                                mapper, model, bundle.test[depth], reference,
+                                scene_cam, calib_subset=subset,
+                                test_depth=depth)
+                        except GeometryError:
+                            pass   # a target this model cannot project
+                    records.append(record)
     return SweepResult(records=tuple(records))
 
 

@@ -197,6 +197,8 @@ def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
         dim=17,
         residual=lambda x: _kernels.residuals_2d3d(x, feats, targets,
                                                    normalize_residuals),
+        jacobian=lambda x: _kernels.jacobian_2d3d(x, feats, targets,
+                                                  normalize_residuals),
         lower=lower, upper=upper)
     report = solve_lm(problem, x0, settings)
     return Model2Dto3D(weights=report.params[:14].reshape(7, 2),
@@ -230,6 +232,8 @@ def fit_3d_to_3d(calib, normalize_residuals=True,
         dim=6,
         residual=lambda x: _kernels.residuals_3d3d(x, poses, targets,
                                                    normalize_residuals),
+        jacobian=lambda x: _kernels.jacobian_3d3d(x, poses, targets,
+                                                  normalize_residuals),
         lower=lower, upper=upper, wrap_mask=wrap)
     report = solve_lm(problem, x0, settings)
     return Model3Dto3D(angles=report.params[:3], center=report.params[3:6],

@@ -1,9 +1,10 @@
 """Damped (Levenberg-Marquardt) nonlinear least squares.
 
 Small and dense on purpose: the mapper fits have at most 17 parameters
-and a few hundred residuals, so numeric Jacobians and full normal
-equations are entirely adequate.  Cost is the plain sum of squared
-residuals.
+and a few hundred residuals, so full normal equations are adequate.  A
+problem may supply a closed-form Jacobian; otherwise a central-difference
+one is used, at 2*dim + 1 residual evaluations per iteration.  Cost is
+the plain sum of squared residuals.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ class ResidualProblem:
     creating artificial boundary minima.  `lower`/`upper` are optional
     per-parameter box bounds enforced by projection.  The residual
     function must stay finite for in-bounds parameters and tolerate the
-    tiny out-of-bounds excursions of finite differencing.
+    tiny out-of-bounds excursions of finite differencing.  `jacobian`,
+    when given, maps params to the (residual size, dim) matrix of
+    derivatives and replaces `numeric_jacobian` in `solve_lm`.
     """
 
     dim: int
@@ -40,6 +43,7 @@ class ResidualProblem:
     lower: np.ndarray = None
     upper: np.ndarray = None
     wrap_mask: np.ndarray = None
+    jacobian: callable = None
 
     def __post_init__(self):
         for name in ("lower", "upper"):
@@ -57,6 +61,15 @@ class ResidualProblem:
         if not np.all(np.isfinite(r)):
             raise NonFiniteResidual(f"residual not finite at {params}")
         return r
+
+    def evaluate_jacobian(self, params):
+        """The supplied Jacobian at `params`, or the numeric one."""
+        if self.jacobian is None:
+            return numeric_jacobian(self, params)
+        jac = np.asarray(self.jacobian(params), dtype=float)
+        if not np.all(np.isfinite(jac)):
+            raise NonFiniteResidual(f"jacobian not finite at {params}")
+        return jac
 
     def apply_constraints(self, params):
         params = np.array(params, dtype=float)
@@ -144,7 +157,7 @@ def solve_lm(problem: ResidualProblem, initial_params,
     iterations = 0
 
     for iterations in range(1, settings.max_iterations + 1):
-        jac = numeric_jacobian(problem, x)
+        jac = problem.evaluate_jacobian(x)
         grad = jac.T @ r
         if np.max(np.abs(2.0 * grad)) < settings.grad_tol:
             termination = "gradient"

@@ -192,6 +192,21 @@ def test_sweep_records_failed_fits():
         assert r.errors is None and r.mean is None and r.n_targets == 0
 
 
+def test_sweep_records_unprojectable_test_depth():
+    # heavy noise: a 2d3d fit whose rays point away from some test plane
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                            noise_pupil_px=60, noise_pose_deg=2,
+                            noise_target_mm=5)
+    sweep = depth_combination_sweep(bundle, mappers=("2d3d",))
+    assert len(sweep.records) == 21            # 7 subsets x 3 test depths
+    failed = sweep.select(status="failed")
+    assert failed
+    for r in failed:
+        assert r.errors is None and r.mean is None
+    keys = {(r.calib_subset, r.test_depth) for r in sweep.records}
+    assert len(keys) == len(sweep.records)
+
+
 def test_sweep_honours_eye_resolution_from_rig():
     bundle = small_bundle()
     sweep = depth_combination_sweep(bundle, mappers=("2d2d",), k_range=(1,))

@@ -1,15 +1,21 @@
-"""Residual kernels: numpy reference vs numba, and backend selection."""
+"""Residual kernels against direct computation, and their closed-form
+Jacobians against the numeric oracle."""
 
-import os
-import subprocess
-import sys
+import dataclasses
 
 import numpy as np
 import pytest
 
-from gaze3d import _kernels
+from gaze3d import _kernels, mappers
+from gaze3d.eye_simulator import SimRig, TwoSphereEye, synthesize_dataset
 from gaze3d.geometry import rotation_from_angles
-from gaze3d.mappers import polar_to_direction
+from gaze3d.mappers import fit_2d_to_3d, fit_3d_to_3d, polar_to_direction
+from gaze3d.optimizer import (
+    NonFiniteResidual,
+    ResidualProblem,
+    numeric_jacobian,
+    solve_lm,
+)
 
 
 def random_inputs(seed, n=40):
@@ -31,8 +37,8 @@ def test_2d3d_residual_matches_direct_computation():
     params17, _, feats, _, targets = random_inputs(0)
     w = params17[:14].reshape(7, 2)
     e = params17[14:]
-    res = _kernels.residuals_2d3d_numpy(params17, feats, targets,
-                                        normalize=True)
+    res = _kernels.residuals_2d3d(params17, feats, targets,
+                                  normalize=True)
     # per-sample: cross(g(q w), unit(t - e))
     expected = []
     for q, t in zip(feats, targets):
@@ -46,8 +52,8 @@ def test_2d3d_residual_matches_direct_computation():
 def test_2d3d_residual_unnormalized():
     params17, _, feats, _, targets = random_inputs(1)
     w, e = params17[:14].reshape(7, 2), params17[14:]
-    res = _kernels.residuals_2d3d_numpy(params17, feats, targets,
-                                        normalize=False)
+    res = _kernels.residuals_2d3d(params17, feats, targets,
+                                  normalize=False)
     expected = []
     for q, t in zip(feats, targets):
         expected.extend(np.cross(polar_to_direction(q @ w), t - e))
@@ -58,8 +64,8 @@ def test_3d3d_residual_matches_direct_computation():
     _, params6, _, poses, targets = random_inputs(2)
     R = rotation_from_angles(params6[:3])
     e = params6[3:]
-    res = _kernels.residuals_3d3d_numpy(params6, poses, targets,
-                                        normalize=True)
+    res = _kernels.residuals_3d3d(params6, poses, targets,
+                                  normalize=True)
     expected = []
     for n_vec, t in zip(poses, targets):
         d = (t - e) / np.linalg.norm(t - e)
@@ -80,82 +86,73 @@ def test_residual_zero_for_perfect_geometry():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     poses = dirs @ R   # == (R.T @ dir) rows
     params = np.concatenate((angles, e))
-    res = _kernels.residuals_3d3d_numpy(params, poses, targets)
+    res = _kernels.residuals_3d3d(params, poses, targets)
     assert np.abs(res).max() < 1e-12
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_matches_numpy():
+
+
+# ── closed-form Jacobians ────────────────────────────────────────────────
+
+def oracle_inputs(seed, n=40):
+    """Random fit inputs with the Euler angles within 1e-3 of +-pi and the
+    eyeball centre on its +-0.05 m box bound."""
+    params17, _, feats, poses, targets = random_inputs(seed, n)
+    rng = np.random.default_rng(100 + seed)
+    corner = rng.choice((-0.05, 0.05), 3)
+    params17[14:] = corner
+    angles = rng.choice((-1.0, 1.0), 3) * (np.pi - rng.uniform(0, 1e-3, 3))
+    params6 = np.concatenate((angles, corner))
+    return params17, params6, feats, poses, targets
+
+
+@pytest.mark.parametrize("normalize", (True, False))
+def test_jacobians_match_numeric_oracle(normalize):
     for seed in range(5):
-        params17, params6, feats, poses, targets = random_inputs(seed)
-        for normalize in (True, False):
-            a = _kernels.residuals_2d3d_numpy(params17, feats, targets,
-                                              normalize)
-            b = _kernels.residuals_2d3d_numba(params17, feats, targets,
-                                              normalize)
-            assert np.allclose(a, b, atol=1e-12)
-            a = _kernels.residuals_3d3d_numpy(params6, poses, targets,
-                                              normalize)
-            b = _kernels.residuals_3d3d_numba(params6, poses, targets,
-                                              normalize)
-            assert np.allclose(a, b, atol=1e-12)
+        params17, params6, feats, poses, targets = oracle_inputs(seed)
+        for kernel, jacobian, params, inputs in (
+                (_kernels.residuals_2d3d, _kernels.jacobian_2d3d, params17,
+                 feats),
+                (_kernels.residuals_3d3d, _kernels.jacobian_3d3d, params6,
+                 poses)):
+            problem = ResidualProblem(
+                dim=params.size,
+                residual=lambda x: kernel(x, inputs, targets, normalize))
+            expected = numeric_jacobian(problem, params)
+            got = jacobian(params, inputs, targets, normalize)
+            assert got.shape == expected.shape == (3 * len(targets),
+                                                   params.size)
+            assert np.allclose(got, expected, rtol=0, atol=1e-8)
 
 
-def test_backend_reported():
-    assert _kernels.BACKEND in ("numpy", "numba")
-    if _kernels.NUMBA_AVAILABLE and os.environ.get("GAZE3D_BACKEND",
-                                                   "auto") == "auto":
-        assert _kernels.BACKEND == "numba"
+def test_non_finite_jacobian_raises():
+    problem = ResidualProblem(
+        dim=2, residual=lambda x: x - 1.0,
+        jacobian=lambda x: np.array([[1.0, 0.0], [0.0, np.nan]]))
+    with pytest.raises(NonFiniteResidual):
+        solve_lm(problem, np.zeros(2))
 
 
-def _backend_subprocess(value):
-    env = dict(os.environ, GAZE3D_BACKEND=value)
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from gaze3d import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_backend_env_override():
-    out = _backend_subprocess("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_env_rejects_unknown():
-    out = _backend_subprocess("fortran")
-    assert out.returncode != 0
-    assert "GAZE3D_BACKEND" in out.stderr
-
-
-def test_fits_identical_across_backends():
-    # same dataset fitted under both kernel implementations must agree
-    from gaze3d import _kernels as K
-    from gaze3d.eye_simulator import SimRig, TwoSphereEye, synthesize_dataset
-    from gaze3d.mappers import fit_2d_to_3d, fit_3d_to_3d
-
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba not installed")
-    bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, 2.0))
-    samples = bundle.calibration[1.0] + bundle.calibration[2.0]
+@pytest.mark.parametrize("depths", ((1.0, 2.0), (1.5,)))
+def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
+    bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=depths)
+    samples = [s for d in depths for s in bundle.calibration[d]]
     pairs_2d = [(s.pupil_px, s.target) for s in samples]
     pairs_3d = [(s.pupil_pose, s.target) for s in samples]
+    analytic = (fit_2d_to_3d(pairs_2d), fit_3d_to_3d(pairs_3d))
 
-    originals = (K.residuals_2d3d, K.residuals_3d3d)
-    try:
-        results = {}
-        for name, r2, r3 in (("numpy", K.residuals_2d3d_numpy,
-                              K.residuals_3d3d_numpy),
-                             ("numba", K.residuals_2d3d_numba,
-                              K.residuals_3d3d_numba)):
-            K.residuals_2d3d, K.residuals_3d3d = r2, r3
-            results[name] = (fit_2d_to_3d(pairs_2d), fit_3d_to_3d(pairs_3d))
-    finally:
-        K.residuals_2d3d, K.residuals_3d3d = originals
+    def numeric_solve(problem, x0, settings):
+        return solve_lm(dataclasses.replace(problem, jacobian=None), x0,
+                        settings)
 
-    for a, b in zip(results["numpy"], results["numba"]):
-        assert np.allclose(a.center, b.center, atol=1e-10)
-    assert np.allclose(results["numpy"][0].weights,
-                       results["numba"][0].weights, atol=1e-10)
-    assert np.allclose(results["numpy"][1].angles,
-                       results["numba"][1].angles, atol=1e-10)
+    monkeypatch.setattr(mappers, "solve_lm", numeric_solve)
+    numeric = (fit_2d_to_3d(pairs_2d), fit_3d_to_3d(pairs_3d))
+
+    for a, b in zip(analytic, numeric):
+        assert a.report.termination == b.report.termination
+        assert a.report.iterations == b.report.iterations
+        assert np.allclose(a.center, b.center, rtol=0, atol=1e-8)
+    assert np.allclose(analytic[0].weights, numeric[0].weights, rtol=0,
+                       atol=1e-6)
+    assert np.allclose(analytic[1].angles, numeric[1].angles, rtol=0,
+                       atol=1e-6)
