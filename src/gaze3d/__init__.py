@@ -24,9 +24,12 @@ from .geometry import (
     Ray,
     ZeroVector,
     angle_between,
+    angle_between_batch,
     angles_from_rotation,
     back_project,
+    back_project_batch,
     intersect_ray_depth_plane,
+    intersect_ray_depth_plane_batch,
     point_ray_distance,
     project,
     rotation_from_angles,
@@ -80,6 +83,7 @@ from .mappers import (
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
+    predict_rays,
     predict_sample,
 )
 from .evaluation import (

@@ -236,7 +236,7 @@ def cmd_sweep(args) -> int:
     export_results_csv(sweep, out)
     n_failed = len([r for r in sweep.records if r.status != "ok"])
     print(f"wrote {out}: {len(sweep.records)} rows "
-          f"({n_failed} failed fits)")
+          f"({n_failed} failed rows)")
     for mapper in cfg.mappers:
         means = sweep.mean_by_k(mapper)
         summary = " ".join(f"k={k}:{v:.4f}" for k, v in sorted(means.items()))

@@ -10,6 +10,11 @@ origin for real recordings (where the two coincide by assumption; for a
 ray through the scene origin this equals the plain angle between the
 back-projected direction and the target direction).
 
+evaluate scores a whole test set with array operations (predict_rays,
+then the batched plane intersection and angle); angular_error is the
+same metric for one estimate, kept as the scalar reference the batched
+path is tested against.
+
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
 test depths; offset_analysis regroups the single-depth records by signed
@@ -28,8 +33,10 @@ from .geometry import (
     GeometryError,
     PinholeCamera,
     angle_between,
+    angle_between_batch,
     back_project,
     intersect_ray_depth_plane,
+    intersect_ray_depth_plane_batch,
 )
 from .mappers import (
     MAPPER_IDS,
@@ -38,7 +45,8 @@ from .mappers import (
     MappingConfig,
     RankDeficient,
     fit_mapper,
-    predict_sample,
+    predict_rays,
+    predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
 )
 from .optimizer import NonFiniteResidual, SingularNormalEquations
 
@@ -80,11 +88,19 @@ class ErrorRecord:
 def evaluate(mapper_id, model, samples, reference,
              scene_cam: PinholeCamera, calib_subset=(),
              test_depth=None) -> ErrorRecord:
-    """Evaluate a fitted model on a test set; mean and population std."""
+    """Evaluate a fitted model on a test set; mean and population std.
+
+    Scores every target at once: each predicted ray meets its own
+    target's plane z = target[2], and the error is the angle at
+    `reference`, as in angular_error.  Raises the GeometryError of the
+    first target that cannot be projected.
+    """
     if not samples:
         raise ValueError("empty test set")
-    errors = np.array([angular_error(predict_sample(model, s), s.target,
-                                     reference, scene_cam) for s in samples])
+    origins, directions = predict_rays(model, samples, scene_cam)
+    targets = np.array([s.target for s in samples], dtype=float)
+    hits = intersect_ray_depth_plane_batch(origins, directions, targets[:, 2])
+    errors = angle_between_batch(hits - reference, targets - reference)
     return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
                        test_depth=test_depth, errors=errors,
                        mean=float(errors.mean()),
@@ -129,8 +145,9 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     errors to the rig's ground-truth eyeball center.  Failed fits yield
     explicit `status="failed"` records for every test depth, and a test
     depth the fitted model cannot project (its ray misses a target plane)
-    yields one for that depth alone, so aggregate statistics are never
-    silently biased and one bad prediction never aborts the sweep.
+    or with no usable test records yields one for that depth alone, so
+    aggregate statistics are never silently biased and one bad
+    prediction never aborts the sweep.
     """
     depths = bundle.depths()
     if k_range is None:
@@ -143,6 +160,11 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
 
     records = []
     for mapper in mappers:
+        # test records a mapper cannot score (3d3d without a pose) are
+        # dropped, as `gaze3d evaluate` does; an emptied depth fails
+        tests = {d: [s for s in bundle.test[d]
+                     if mapper != "3d3d" or s.pupil_pose is not None]
+                 for d in depths}
         for k in k_range:
             for subset in itertools.combinations(depths, k):
                 samples = _pooled_calibration(bundle, subset)
@@ -161,10 +183,10 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
                 for depth in depths:
                     record = ErrorRecord(mapper=mapper, calib_subset=subset,
                                          test_depth=depth, status="failed")
-                    if model is not None:
+                    if model is not None and tests[depth]:
                         try:
                             record = evaluate(
-                                mapper, model, bundle.test[depth], reference,
+                                mapper, model, tests[depth], reference,
                                 scene_cam, calib_subset=subset,
                                 test_depth=depth)
                         except GeometryError:

@@ -199,3 +199,70 @@ def intersect_ray_depth_plane(ray: Ray, depth: float) -> np.ndarray:
     if lam <= 0:
         raise BehindOrigin(f"plane z={depth} is behind the ray origin")
     return ray.at(lam)
+
+
+# -- batched forms ---------------------------------------------------------
+# Row-wise versions of normalize, back_project, intersect_ray_depth_plane
+# and angle_between over (N, 3) arrays, for scoring a whole test set at
+# once.  Each raises the scalar form's GeometryError subclass when any row
+# is invalid, naming the first such row; the scalar functions stay the
+# reference they are tested against.
+
+def _rows(x, n):
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"expected shape (N, {n}), got {a.shape}")
+    return a
+
+
+def _row_norms(a):
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def normalize_rows(v):
+    """Each row of an (N, 3) array divided by its norm (batched normalize)."""
+    v = _rows(v, 3)
+    norms = _row_norms(v)
+    zero = norms < 1e-15
+    if zero.any():
+        raise ZeroVector("cannot normalize zero-length vector "
+                         f"(row {int(np.argmax(zero))})")
+    return v / norms[:, None]
+
+
+def back_project_batch(cam: PinholeCamera, pixels) -> np.ndarray:
+    """Unit scene-frame directions of the rays from the camera origin
+    (`cam.translation`) through each row of an (N, 2) pixel array."""
+    px = _rows(pixels, 2)
+    d_cam = np.empty((len(px), 3))
+    d_cam[:, :2] = (px - cam.principal) / cam.focal
+    d_cam[:, 2] = 1.0
+    return normalize_rows(d_cam @ cam.rotation.T)
+
+
+def intersect_ray_depth_plane_batch(origins, directions, depths) -> np.ndarray:
+    """Points where rays origins[i] + lambda * directions[i] meet their own
+    planes z = depths[i]; (N, 3) arrays of origins and unit directions."""
+    origins, directions = _rows(origins, 3), _rows(directions, 3)
+    depths = np.asarray(depths, dtype=float)
+    dz = directions[:, 2]
+    parallel = np.abs(dz) < 1e-9
+    if parallel.any():
+        dz = np.where(parallel, 1.0, dz)   # those rows raise below
+    lam = (depths - origins[:, 2]) / dz
+    bad = parallel | (lam <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if parallel[i]:
+            raise ParallelToPlane(f"ray direction has no z component (row {i})")
+        raise BehindOrigin(f"plane z={depths[i]} is behind the ray origin "
+                           f"(row {i})")
+    return origins + lam[:, None] * directions
+
+
+def angle_between_batch(v1, v2) -> np.ndarray:
+    """Angles between the rows of two (N, 3) arrays, degrees in [0, 180]
+    (batched angle_between, same formula)."""
+    u1, u2 = normalize_rows(v1), normalize_rows(v2)
+    return np.degrees(2.0 * np.arctan2(_row_norms(u1 - u2),
+                                       _row_norms(u1 + u2)))

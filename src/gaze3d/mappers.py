@@ -36,7 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .geometry import Ray, normalize, rotation_from_angles
+from .geometry import (
+    PinholeCamera,
+    Ray,
+    back_project_batch,
+    normalize,
+    normalize_rows,
+    rotation_from_angles,
+)
 from .optimizer import FitReport, LMSettings, ResidualProblem, solve_lm
 
 
@@ -68,10 +75,14 @@ def _feature_matrix(pupils_px, resolution):
 
 
 def polar_to_direction(alpha) -> np.ndarray:
-    """g = (sin theta, cos theta sin phi, cos theta cos phi); unit norm."""
-    theta, phi = np.asarray(alpha, dtype=float)
+    """g = (sin theta, cos theta sin phi, cos theta cos phi); unit norm.
+
+    Takes one (theta, phi) pair or an (N, 2) array of them."""
+    alpha = np.asarray(alpha, dtype=float)
+    theta, phi = alpha[..., 0], alpha[..., 1]
     ct = np.cos(theta)
-    return np.array([np.sin(theta), ct * np.sin(phi), ct * np.cos(phi)])
+    return np.stack((np.sin(theta), ct * np.sin(phi), ct * np.cos(phi)),
+                    axis=-1)
 
 
 def direction_to_polar(direction) -> np.ndarray:
@@ -285,3 +296,33 @@ def predict_sample(model, sample) -> GazeEstimate:
     if isinstance(model, Model3Dto3D):
         return predict_3d_to_3d(model, sample.pupil_pose)
     raise TypeError(f"not a mapper model: {type(model).__name__}")
+
+
+def predict_rays(model, samples, scene_cam: PinholeCamera):
+    """Gaze rays of a whole set of records as (N, 3) arrays of origins
+    and unit directions in the scene frame: predict_sample for every
+    record at once, with 2D estimates back-projected through `scene_cam`.
+    The origins array is a read-only broadcast of the one shared origin.
+    """
+    if isinstance(model, Model3Dto3D):
+        missing = [i for i, s in enumerate(samples) if s.pupil_pose is None]
+        if missing:
+            raise ValueError(f"record {missing[0]} has no pupil_pose, "
+                             "which 3d3d prediction needs")
+        poses = np.array([s.pupil_pose for s in samples], dtype=float)
+        origin = model.center
+        directions = normalize_rows(poses @ model.rotation.T)
+    elif isinstance(model, (Model2Dto2D, Model2Dto3D)):
+        pupils = np.array([s.pupil_px for s in samples], dtype=float)
+        out = _feature_matrix(pupils, model.eye_resolution) @ model.weights
+        if isinstance(model, Model2Dto2D):     # scene pixels
+            origin = scene_cam.translation
+            directions = back_project_batch(scene_cam, out)
+        else:                                  # polar angles
+            origin = model.center
+            directions = polar_to_direction(out)
+    else:
+        raise TypeError(f"not a mapper model: {type(model).__name__}")
+    origins = np.broadcast_to(np.asarray(origin, dtype=float),
+                              directions.shape)
+    return origins, directions

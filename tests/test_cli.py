@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gaze3d import cli
+from gaze3d.dataset_io import save_model
+from gaze3d.mappers import Model2Dto3D
 
 
 def run(capsys, *argv):
@@ -121,6 +124,20 @@ def test_evaluate_unknown_depth(dataset, tmp_path, capsys):
     assert "3.0" in stderr
 
 
+def test_evaluate_unprojectable_model_is_one_error_line(dataset, tmp_path,
+                                                        capsys):
+    # every ray of this model points straight back, away from the targets
+    weights = np.zeros((7, 2))
+    weights[0] = (0.0, np.pi)
+    model = tmp_path / "away.json"
+    save_model(Model2Dto3D(weights=weights, center=np.zeros(3),
+                           eye_resolution=np.array([640.0, 360.0])), model)
+    code, stdout, stderr = run(capsys, "evaluate", model, dataset)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: BehindOrigin: plane z=")
+    assert stderr.count("\n") == 1
+
+
 # ── sweep ────────────────────────────────────────────────────────────────
 
 def test_sweep_small(tmp_path, capsys):
@@ -129,9 +146,20 @@ def test_sweep_small(tmp_path, capsys):
                           "--mappers", "2d2d,3d3d", "--seed", "2",
                           "--out", out)
     assert code == 0
-    assert "12 rows (0 failed fits)" in stdout
+    assert "12 rows (0 failed rows)" in stdout
     assert "2d2d mean_deg by depth count: k=1:" in stdout
     assert len(out.read_text().splitlines()) == 1 + 12
+
+
+def test_sweep_summary_counts_failed_rows(tmp_path, capsys):
+    # no fit fails here: the 2d3d fit on depth 2.0 alone cannot project
+    # the targets of two test depths, which makes two failed rows
+    code, stdout, _ = run(capsys, "sweep", "--depths", "1.0,1.5,2.0",
+                          "--mappers", "2d3d", "--noise-px", "60",
+                          "--noise-deg", "2", "--noise-target-mm", "5",
+                          "--seed", "0", "--out", tmp_path / "s.csv")
+    assert code == 0
+    assert "21 rows (2 failed rows)" in stdout
 
 
 # ── selftest ─────────────────────────────────────────────────────────────

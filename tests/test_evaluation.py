@@ -1,9 +1,12 @@
 """Metric semantics and experiment-protocol bookkeeping."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaze3d.dataset_io import DataRecord
 from gaze3d.eye_simulator import (
@@ -13,7 +16,15 @@ from gaze3d.eye_simulator import (
     default_bundle,
     synthesize_dataset,
 )
-from gaze3d.geometry import Ray, normalize, project
+from gaze3d.geometry import (
+    BehindOrigin,
+    ParallelToPlane,
+    PinholeCamera,
+    Ray,
+    normalize,
+    project,
+    rotation_from_angles,
+)
 from gaze3d.evaluation import (
     ErrorRecord,
     angular_error,
@@ -22,7 +33,14 @@ from gaze3d.evaluation import (
     offset_analysis,
     parallax_curves,
 )
-from gaze3d.mappers import GazeEstimate, Model3Dto3D
+from gaze3d.mappers import (
+    MAPPER_IDS,
+    GazeEstimate,
+    Model2Dto3D,
+    Model3Dto3D,
+    fit_mapper,
+    predict_sample,
+)
 
 
 SCENE_CAM = SimRig().scene_camera
@@ -132,6 +150,54 @@ def test_perfect_model_scores_zero():
     assert rec.mean < 1e-9 and rec.std < 1e-9
 
 
+# ── batched evaluate vs the scalar angular_error oracle ──────────────────
+
+POSED_CAM = PinholeCamera(focal=(700.0, 690.0), principal=(640.0, 360.0),
+                          resolution=(1280.0, 720.0),
+                          rotation=rotation_from_angles((0.05, -0.1, 0.2)),
+                          translation=(0.02, -0.01, 0.03))
+
+
+def scalar_errors(model, samples, reference, scene_cam):
+    return [angular_error(predict_sample(model, s), s.target, reference,
+                          scene_cam) for s in samples]
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0, 0.0), (1.0, 0.5, 2.0)],
+                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("mapper", MAPPER_IDS)
+def test_evaluate_matches_scalar_oracle(mapper, noise):
+    px, deg, mm = noise
+    bundle = default_bundle("display", depths=(1.0, 2.0), seed=3,
+                            noise_pupil_px=px, noise_pose_deg=deg,
+                            noise_target_mm=mm)
+    model = fit_mapper(mapper, bundle.calibration[1.0])
+    cams = [bundle.rig.scene_camera] + ([POSED_CAM] if mapper == "2d2d"
+                                        else [])
+    for cam in cams:
+        for depth, samples in bundle.test.items():
+            rec = evaluate(mapper, model, samples, bundle.rig.e_gt, cam)
+            oracle = scalar_errors(model, samples, bundle.rig.e_gt, cam)
+            assert np.allclose(rec.errors, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, error", [((0.0, np.pi), BehindOrigin),
+                                          ((np.pi / 2, 0.0), ParallelToPlane)],
+                         ids=["away", "parallel"])
+def test_unprojectable_rays_raise_on_both_paths(alpha, error):
+    # constant polar angles: every ray points away from (or along) the
+    # target planes in front of the eye
+    weights = np.zeros((7, 2))
+    weights[0] = alpha
+    model = Model2Dto3D(weights=weights, center=np.zeros(3),
+                        eye_resolution=np.array([640.0, 360.0]))
+    samples = default_bundle("display", depths=(1.0,)).test[1.0]
+    with pytest.raises(error):
+        scalar_errors(model, samples, np.zeros(3), SCENE_CAM)
+    with pytest.raises(error):
+        evaluate("2d3d", model, samples, np.zeros(3), SCENE_CAM)
+
+
 # ── sweep ────────────────────────────────────────────────────────────────
 
 def small_bundle(depths=(1.0, 1.5, 2.0), seed=0):
@@ -205,6 +271,63 @@ def test_sweep_records_unprojectable_test_depth():
         assert r.errors is None and r.mean is None
     keys = {(r.calib_subset, r.test_depth) for r in sweep.records}
     assert len(keys) == len(sweep.records)
+
+
+def without_pose(s):
+    return DataRecord(pupil_px=s.pupil_px, pupil_pose=None, target=s.target,
+                      target_px=s.target_px, depth_label=s.depth_label,
+                      role=s.role)
+
+
+def test_sweep_drops_poseless_test_records_for_3d3d():
+    bundle = default_bundle("display", depths=(1.0, 2.0))
+    test = {d: [without_pose(samples[0])] + samples[1:]
+            for d, samples in bundle.test.items()}
+    sweep = depth_combination_sweep(replace(bundle, test=test),
+                                    mappers=("3d3d",))
+    assert len(sweep.records) == 6             # 3 subsets x 2 test depths
+    for r in sweep.records:
+        assert r.status == "ok"
+        assert r.n_targets == len(bundle.test[r.test_depth]) - 1
+
+
+def test_sweep_fails_depth_with_no_usable_test_records():
+    bundle = small_bundle(depths=(1.0, 2.0))
+    test = dict(bundle.test)
+    test[2.0] = [without_pose(s) for s in test[2.0]]
+    sweep = depth_combination_sweep(replace(bundle, test=test),
+                                    mappers=("2d3d", "3d3d"))
+    failed = {(r.mapper, r.test_depth) for r in sweep.select(status="failed")}
+    assert failed == {("3d3d", 2.0)}
+    assert len(sweep.select(status="failed")) == 3
+
+
+FUZZ_DEPTHS = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(noise_px=st.floats(0.0, 80.0), noise_deg=st.floats(0.0, 5.0),
+       noise_mm=st.floats(0.0, 10.0),
+       depths=st.lists(st.sampled_from(FUZZ_DEPTHS), min_size=1, max_size=3,
+                       unique=True),
+       seed=st.integers(0, 2**16),
+       poseless=st.sets(st.integers(0, 15), max_size=16))
+def test_sweep_never_raises_under_noise(noise_px, noise_deg, noise_mm,
+                                        depths, seed, poseless):
+    bundle = default_bundle("display", depths=tuple(depths), seed=seed,
+                            noise_pupil_px=noise_px, noise_pose_deg=noise_deg,
+                            noise_target_mm=noise_mm)
+    test = {d: [without_pose(s) if i in poseless else s
+                for i, s in enumerate(samples)]
+            for d, samples in bundle.test.items()}
+    sweep = depth_combination_sweep(replace(bundle, test=test))
+    k = len(depths)
+    assert len(sweep.records) == len(MAPPER_IDS) * (2 ** k - 1) * k
+    for r in sweep.records:
+        if r.status == "ok":
+            assert np.isfinite(r.mean) and r.n_targets > 0
+        else:
+            assert r.status == "failed" and r.errors is None
 
 
 def test_sweep_honours_eye_resolution_from_rig():

@@ -17,10 +17,14 @@ from gaze3d.geometry import (
     Ray,
     ZeroVector,
     angle_between,
+    angle_between_batch,
     angles_from_rotation,
     back_project,
+    back_project_batch,
     intersect_ray_depth_plane,
+    intersect_ray_depth_plane_batch,
     normalize,
+    normalize_rows,
     point_ray_distance,
     project,
     rotation_from_angles,
@@ -259,3 +263,54 @@ def test_intersect_plane_behind_origin_rejected():
         intersect_ray_depth_plane(ray, 0.5)
     with pytest.raises(BehindOrigin):
         intersect_ray_depth_plane(ray, 1.0)    # lambda == 0 is degenerate too
+
+
+# ── batched forms ────────────────────────────────────────────────────────
+
+def test_batched_forms_match_scalar_row_by_row():
+    cam = PinholeCamera(focal=(700.0, 690.0), principal=(640.0, 360.0),
+                        resolution=(1280.0, 720.0),
+                        rotation=rotation_from_angles((0.05, -0.1, 0.2)),
+                        translation=(0.02, -0.01, 0.03))
+    rng = np.random.default_rng(8)
+    pixels = rng.uniform((0, 0), (1280, 720), size=(20, 2))
+    dirs = back_project_batch(cam, pixels)
+    rays = [back_project(cam, p) for p in pixels]
+    assert np.allclose(dirs, [r.direction for r in rays], rtol=0, atol=1e-15)
+    depths = rng.uniform(0.5, 3.0, 20)
+    origins = np.broadcast_to(cam.translation, (20, 3))
+    hits = intersect_ray_depth_plane_batch(origins, dirs, depths)
+    assert np.allclose(hits, [intersect_ray_depth_plane(r, z)
+                              for r, z in zip(rays, depths)],
+                       rtol=0, atol=1e-14)
+    v1, v2 = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+    v2[0] = 3.0 * v1[0]                                  # exactly 0 degrees
+    angles = angle_between_batch(v1, v2)
+    assert angles[0] == 0.0
+    assert np.allclose(angles, [angle_between(a, b) for a, b in zip(v1, v2)],
+                       rtol=0, atol=1e-12)
+
+
+def test_batched_errors_name_first_bad_row():
+    origins = np.zeros((4, 3))
+    dirs = np.tile((0.0, 0.0, 1.0), (4, 1))
+    depths = np.full(4, 2.0)
+    # row 1 points away from its plane, row 2 is parallel to it: the
+    # first bad row decides the error, as in a row-by-row scalar loop
+    dirs[1], dirs[2] = (0.0, 0.0, -1.0), (1.0, 0.0, 0.0)
+    with pytest.raises(BehindOrigin, match="row 1"):
+        intersect_ray_depth_plane_batch(origins, dirs, depths)
+    dirs[1] = (0.0, 0.0, 1.0)
+    with pytest.raises(ParallelToPlane, match="row 2"):
+        intersect_ray_depth_plane_batch(origins, dirs, depths)
+    with pytest.raises(BehindOrigin, match="row 0"):     # lambda == 0
+        intersect_ray_depth_plane_batch(origins, np.tile((0, 0, 1.0), (4, 1)),
+                                        np.zeros(4))
+    vecs = np.ones((3, 3))
+    vecs[2] = 0.0
+    with pytest.raises(ZeroVector, match="row 2"):
+        normalize_rows(vecs)
+    with pytest.raises(ZeroVector, match="row 2"):
+        angle_between_batch(np.ones((3, 3)), vecs)
+    with pytest.raises(ValueError):
+        back_project_batch(default_cam(), np.zeros((3, 3)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaze3d.eye_simulator import SimRig, TwoSphereEye, synthesize_dataset
+from gaze3d.dataset_io import DataRecord
 from gaze3d.geometry import Ray, point_ray_distance, rotation_from_angles
 from gaze3d.mappers import (
     DEFAULT_EYE_RESOLUTION,
@@ -23,6 +24,7 @@ from gaze3d.mappers import (
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
+    predict_rays,
     predict_sample,
 )
 
@@ -240,3 +242,16 @@ def test_bad_pair_shapes_rejected():
         fit_2d_to_2d([((1.0, 2.0, 3.0), (0.0, 0.0))] * 10)
     with pytest.raises(ValueError):
         fit_3d_to_3d([((0.0, 0.0, 1.0), (0.0, 0.0))] * 5)
+
+
+def test_predict_rays_needs_poses_for_3d3d():
+    bundle, samples = two_depth_samples()
+    model = fit_mapper("3d3d", samples)
+    s = samples[2]
+    poseless = DataRecord(pupil_px=s.pupil_px, pupil_pose=None,
+                          target=s.target, target_px=s.target_px,
+                          depth_label=s.depth_label, role=s.role)
+    with pytest.raises(ValueError, match="record 2"):
+        predict_rays(model, samples[:2] + [poseless], bundle.rig.scene_camera)
+    with pytest.raises(TypeError):
+        predict_rays(object(), samples, bundle.rig.scene_camera)
