@@ -32,7 +32,7 @@ from .dataset_io import (
     save_model,
 )
 from .evaluation import depth_combination_sweep, evaluate
-from .mappers import MAPPER_IDS, Model3Dto3D, fit_mapper
+from .mappers import MAPPER_FIELDS, MAPPER_IDS, fit_mapper, select_records
 from .optimizer import solve_lm
 
 
@@ -153,23 +153,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _filtered_calibration(loaded, mapper, depths):
-    if depths is None:
-        depths = loaded.depths()
-    samples = []
-    for depth in depths:
-        if depth not in loaded.calibration:
-            raise CliUsageError(f"depth {depth} has no calibration records")
-        samples.extend(loaded.calibration[depth])
-    if mapper == "3d3d":
-        samples = [s for s in samples if s.pupil_pose is not None]
-    elif mapper == "2d2d":
-        samples = [s for s in samples if s.target_px is not None]
-    if not samples:
-        raise CliUsageError(f"no usable calibration samples for {mapper}")
-    return samples
-
-
 def cmd_fit(args) -> int:
     cfg = _config_from(args)
     if len(cfg.mappers) != 1:
@@ -180,9 +163,16 @@ def cmd_fit(args) -> int:
     if loaded.missing_pose:
         print(f"warning: {loaded.missing_pose} records lack pupil_pose and "
               "are excluded from 3d3d fitting", file=sys.stderr)
-    samples = _filtered_calibration(loaded, mapper, args.depths)
+    depths = args.depths or loaded.depths()
+    for depth in depths:
+        if depth not in loaded.calibration:
+            raise CliUsageError(f"depth {depth} has no calibration records")
+    samples = select_records(
+        mapper, [s for d in depths for s in loaded.calibration[d]])
+    if not samples:
+        raise CliUsageError(f"no usable calibration samples for {mapper}")
     mapping_cfg = cfg.to_mapping_config(
-        tuple(loaded.bundle.rig.eye_camera.resolution))
+        loaded.bundle.rig.eye_camera.resolution)
     model = fit_mapper(mapper, samples, mapping_cfg)
     out = cfg.out or "model.json"
     save_model(model, out)
@@ -196,17 +186,17 @@ def cmd_evaluate(args) -> int:
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
     depths = args.depths or tuple(sorted(loaded.test))
+    field = MAPPER_FIELDS[model.mapper_id][0]
     records = []
     for depth in depths:
         if depth not in loaded.test:
             raise CliUsageError(f"depth {depth} has no test records")
-        samples = loaded.test[depth]
-        if isinstance(model, Model3Dto3D):
-            usable = [s for s in samples if s.pupil_pose is not None]
-            if len(usable) < len(samples):
-                print(f"warning: depth {depth}: {len(samples) - len(usable)} "
-                      "records lack pupil_pose", file=sys.stderr)
-            samples = usable
+        samples = select_records(model.mapper_id, loaded.test[depth],
+                                 fitting=False)
+        n_dropped = len(loaded.test[depth]) - len(samples)
+        if n_dropped:
+            print(f"warning: depth {depth}: {n_dropped} records lack "
+                  f"{field}", file=sys.stderr)
         if not samples:
             raise CliUsageError(f"depth {depth} has no usable test records")
         records.append(evaluate(model.mapper_id, model, samples, reference,
@@ -231,7 +221,7 @@ def cmd_sweep(args) -> int:
     bundle = cfg.build_bundle()
     sweep = depth_combination_sweep(
         bundle, cfg.mappers,
-        config=cfg.to_mapping_config(tuple(bundle.rig.eye_camera.resolution)))
+        config=cfg.to_mapping_config(bundle.rig.eye_camera.resolution))
     out = cfg.out or "sweep.csv"
     export_results_csv(sweep, out)
     n_failed = len([r for r in sweep.records if r.status != "ok"])

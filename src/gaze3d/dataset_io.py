@@ -30,11 +30,12 @@ import numpy as np
 
 from .eye_simulator import (
     DEFAULT_DEPTHS,
+    DEFAULT_E_GT,
+    GRID_PRESETS,
     DatasetBundle,
     GridSpec,
     SimRig,
     TwoSphereEye,
-    fov_grid_spec,
     synthesize_dataset,
 )
 from .evaluation import SweepResult
@@ -436,13 +437,13 @@ class ExperimentConfig:
     noise_pupil_px: float = 0.0
     noise_pose_deg: float = 0.0
     noise_target_mm: float = 0.0
-    e_gt: tuple = (0.015, 0.035, -0.025)
+    e_gt: tuple = DEFAULT_E_GT
     eye_model_mm: dict = None
     scene_camera: dict = None
     eye_camera: dict = None
     lm: dict = None
-    normalize_residuals: bool = True
-    center_bounds_m: float = 0.05
+    normalize_residuals: bool = MappingConfig.normalize_residuals
+    center_bounds_m: float = MappingConfig.center_bounds_m
     out: str = None
 
     def __post_init__(self):
@@ -460,7 +461,7 @@ class ExperimentConfig:
             if m not in MAPPER_IDS:
                 raise ConfigError(f"unknown mapper {m!r} "
                                   f"(choose from {', '.join(MAPPER_IDS)})")
-        if self.grid_preset not in ("display", "fov"):
+        if self.grid_preset not in GRID_PRESETS:
             raise ConfigError(f"unknown grid_preset {self.grid_preset!r}")
         for name in ("noise_pupil_px", "noise_pose_deg", "noise_target_mm"):
             if getattr(self, name) < 0:
@@ -507,7 +508,7 @@ class ExperimentConfig:
         return TwoSphereEye(**(self.eye_model_mm or {}))
 
     def to_grids(self) -> GridSpec:
-        base = fov_grid_spec() if self.grid_preset == "fov" else GridSpec()
+        base = GRID_PRESETS[self.grid_preset]
         return replace(base, **self.grid) if self.grid else base
 
     def _to_camera(self, d) -> PinholeCamera:
@@ -536,11 +537,7 @@ class ExperimentConfig:
     def to_lm(self) -> LMSettings:
         return LMSettings(**(self.lm or {}))
 
-    def to_mapping_config(self, eye_resolution=None) -> MappingConfig:
-        if eye_resolution is None:
-            eye_resolution = (tuple(self.eye_camera["resolution"])
-                              if self.eye_camera else
-                              tuple(SimRig().eye_camera.resolution))
+    def to_mapping_config(self, eye_resolution) -> MappingConfig:
         return MappingConfig(eye_resolution=tuple(eye_resolution),
                              normalize_residuals=self.normalize_residuals,
                              center_bounds_m=self.center_bounds_m,

@@ -47,6 +47,7 @@ from .mappers import (
     fit_mapper,
     predict_rays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
+    select_records,
 )
 from .optimizer import NonFiniteResidual, SingularNormalEquations
 
@@ -130,13 +131,6 @@ class SweepResult:
                 for k in ks}
 
 
-def _pooled_calibration(bundle: DatasetBundle, subset):
-    samples = []
-    for depth in subset:
-        samples.extend(bundle.calibration[depth])
-    return samples
-
-
 def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
                             k_range=None, config: MappingConfig = None) -> SweepResult:
     """Fit every mapper on every k-subset of calibration depths.
@@ -160,19 +154,16 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
 
     records = []
     for mapper in mappers:
-        # test records a mapper cannot score (3d3d without a pose) are
-        # dropped, as `gaze3d evaluate` does; an emptied depth fails
-        tests = {d: [s for s in bundle.test[d]
-                     if mapper != "3d3d" or s.pupil_pose is not None]
+        # records a mapper cannot use are dropped, as the CLI does; a
+        # depth left with no test records fails
+        calibration = {d: select_records(mapper, bundle.calibration[d])
+                       for d in depths}
+        tests = {d: select_records(mapper, bundle.test.get(d, ()),
+                                   fitting=False)
                  for d in depths}
         for k in k_range:
             for subset in itertools.combinations(depths, k):
-                samples = _pooled_calibration(bundle, subset)
-                # optional channels: drop records a mapper cannot consume
-                if mapper == "3d3d":
-                    samples = [s for s in samples if s.pupil_pose is not None]
-                elif mapper == "2d2d":
-                    samples = [s for s in samples if s.target_px is not None]
+                samples = [s for d in subset for s in calibration[d]]
                 try:
                     if not samples:
                         raise DegenerateGeometry(
@@ -212,8 +203,7 @@ def offset_analysis(sweep: SweepResult, mapper=None) -> list:
     Means average the per-record means; std is the population std of the
     pooled per-target errors.  Pools every mapper unless one is named.
     """
-    singles = [r for r in sweep.records if r.k == 1 and r.status == "ok"
-               and (mapper is None or r.mapper == mapper)]
+    singles = sweep.select(mapper, k=1, status="ok")
     if not singles:
         raise ValueError("sweep contains no successful k=1 records")
     buckets = {}

@@ -85,6 +85,10 @@ def derive_pupil_geometry(eye: TwoSphereEye):
     return offset, math.sqrt(radius_sq)
 
 
+DEFAULT_EYE_RESOLUTION = (640.0, 360.0)
+DEFAULT_E_GT = (0.015, 0.035, -0.025)
+
+
 def _default_scene_camera():
     return PinholeCamera(focal=(720.0, 720.0), principal=(640.0, 360.0),
                          resolution=(1280.0, 720.0))
@@ -94,7 +98,7 @@ def _default_eye_camera(e_gt, forward_m=0.035):
     # 35 mm in front of the eyeball center, facing opposite to the scene
     # camera (a half turn about the vertical axis).
     return PinholeCamera(focal=(620.0, 620.0), principal=(320.0, 180.0),
-                         resolution=(640.0, 360.0),
+                         resolution=DEFAULT_EYE_RESOLUTION,
                          rotation=rotation_from_angles((0.0, np.pi, 0.0)),
                          translation=np.asarray(e_gt) + (0.0, 0.0, forward_m))
 
@@ -111,8 +115,7 @@ class SimRig:
 
     scene_camera: PinholeCamera = field(default_factory=_default_scene_camera)
     eye_camera: PinholeCamera = None
-    e_gt: np.ndarray = field(
-        default_factory=lambda: np.array([0.015, 0.035, -0.025]))
+    e_gt: np.ndarray = DEFAULT_E_GT
     noise_pupil_px: float = 0.0
     noise_pose_deg: float = 0.0
     noise_target_mm: float = 0.0
@@ -137,7 +140,6 @@ class TargetGrid:
     cols: int = 5
     width: float = 1.215
     height: float = 0.687
-    role: str = "calibration"
 
 
 def generate_target_grid(grid: TargetGrid) -> np.ndarray:
@@ -179,17 +181,20 @@ class GridSpec:
     def calibration_grid(self, depth) -> TargetGrid:
         s = self._scale(depth)
         return TargetGrid(depth, self.calib_rows, self.calib_cols,
-                          self.width * s, self.height * s, "calibration")
+                          self.width * s, self.height * s)
 
     def test_grid(self, depth) -> TargetGrid:
         s = self._scale(depth) * self.test_scale
         return TargetGrid(depth, self.test_rows, self.test_cols,
-                          self.width * s, self.height * s, "test")
+                          self.width * s, self.height * s)
 
 
 def fov_grid_spec() -> GridSpec:
     """Constant-visual-angle protocol used by the depth-count sweep."""
     return GridSpec(width=0.50, height=0.2827, scale_with_depth=True)
+
+
+GRID_PRESETS = {"display": GridSpec(), "fov": fov_grid_spec()}
 
 
 DEFAULT_DEPTHS = (1.0, 1.25, 1.5, 1.75, 2.0)
@@ -300,7 +305,7 @@ class DatasetBundle:
 
 def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                        depths=DEFAULT_DEPTHS, grids: GridSpec = None,
-                       roles=("calibration", "test"), seed=0) -> DatasetBundle:
+                       seed=0) -> DatasetBundle:
     """Per depth, one calibration grid set and one test grid set.
 
     Samples are seeded individually from `seed` via spawned
@@ -313,13 +318,12 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     root = np.random.SeedSequence(seed)
     calibration, test = {}, {}
     for depth in depths:
-        per_role = {"calibration": calibration, "test": test}
-        for role in roles:
-            grid = (grids.calibration_grid(depth) if role == "calibration"
-                    else grids.test_grid(depth))
+        for role, group, grid in (
+                ("calibration", calibration, grids.calibration_grid(depth)),
+                ("test", test, grids.test_grid(depth))):
             points = generate_target_grid(grid)
             seeds = root.spawn(len(points))
-            per_role[role][depth] = [
+            group[depth] = [
                 synthesize_sample(rig, eye, pt, np.random.default_rng(s),
                                   depth_label=depth, role=role)
                 for pt, s in zip(points, seeds)]
@@ -337,9 +341,9 @@ def default_bundle(preset="display", depths=DEFAULT_DEPTHS, seed=0,
     where fixed-size grids confound the depth-count effect with the
     shrinking per-plane pupil footprint.
     """
-    if preset not in ("display", "fov"):
+    if preset not in GRID_PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
     rig = SimRig(noise_pupil_px=noise_pupil_px, noise_pose_deg=noise_pose_deg,
                  noise_target_mm=noise_target_mm)
-    grids = fov_grid_spec() if preset == "fov" else GridSpec()
-    return synthesize_dataset(rig, TwoSphereEye(), depths, grids, seed=seed)
+    return synthesize_dataset(rig, TwoSphereEye(), depths,
+                              GRID_PRESETS[preset], seed=seed)

@@ -27,6 +27,11 @@ head-mounted rig: with a single calibration depth the cost is nearly
 flat along the depth axis of e, and the bound keeps that unobservable
 direction from drifting to implausible solutions.  Both choices are
 configurable.
+
+Records: MAPPER_FIELDS names the field of a record each mapper reads and
+the field it fits that to.  pupil_pose and target_px may be missing, so
+select_records keeps the records holding both fields for fitting and
+those holding the first for scoring.
 """
 
 from __future__ import annotations
@@ -36,9 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from .eye_simulator import DEFAULT_EYE_RESOLUTION
 from .geometry import (
     PinholeCamera,
     Ray,
+    ZeroVector,
     back_project_batch,
     normalize,
     normalize_rows,
@@ -56,7 +63,6 @@ class DegenerateGeometry(ValueError):
     targets)."""
 
 
-DEFAULT_EYE_RESOLUTION = (640.0, 360.0)
 DEFAULT_CENTER_BOUND_M = 0.05
 
 
@@ -86,10 +92,17 @@ def polar_to_direction(alpha) -> np.ndarray:
 
 
 def direction_to_polar(direction) -> np.ndarray:
-    """Inverse of polar_to_direction for unit vectors."""
-    d = normalize(direction)
-    return np.array([np.arcsin(np.clip(d[0], -1.0, 1.0)),
-                     np.arctan2(d[1], d[2])])
+    """Inverse of polar_to_direction for unit vectors.
+
+    Takes one direction or an (N, 3) array of them."""
+    d = np.asarray(direction, dtype=float)
+    # dot-product norms as in normalize: same bits alone and as a row
+    norms = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0]
+    if np.any(norms < 1e-15):
+        raise ZeroVector("cannot normalize zero-length vector")
+    d = d / norms
+    return np.stack((np.arcsin(np.clip(d[..., 0], -1.0, 1.0)),
+                     np.arctan2(d[..., 1], d[..., 2])), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,7 @@ def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
 
     # Initialization: e0 = 0 and w0 from the linear regression q -> polar
     # angles of t - e0.
-    alpha = np.array([direction_to_polar(t) for t in targets])
+    alpha = direction_to_polar(targets)
     w0, _, rank, _ = np.linalg.lstsq(feats, alpha, rcond=None)
     if rank < 7:
         raise RankDeficient(f"feature matrix rank {rank} < 7")
@@ -267,35 +280,56 @@ class MappingConfig:
     lm: LMSettings = field(default_factory=LMSettings)
 
 
-MAPPER_IDS = ("2d2d", "2d3d", "3d3d")
+MAPPER_FIELDS = {
+    "2d2d": ("pupil_px", "target_px"),
+    "2d3d": ("pupil_px", "target"),
+    "3d3d": ("pupil_pose", "target"),
+}
+MAPPER_IDS = tuple(MAPPER_FIELDS)
+
+
+def _fields(mapper_id):
+    if mapper_id not in MAPPER_FIELDS:
+        raise ValueError(f"unknown mapper {mapper_id!r}")
+    return MAPPER_FIELDS[mapper_id]
+
+
+def select_records(mapper_id: str, records, fitting=True) -> list:
+    """The records `mapper_id` can use, in order: those holding both its
+    fields for fitting, or its input field for scoring (fitting=False)."""
+    fields = _fields(mapper_id)[:2 if fitting else 1]
+    return [r for r in records
+            if all(getattr(r, f) is not None for f in fields)]
 
 
 def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig()):
-    """Fit one mapper from SimSample-like records."""
+    """Fit one mapper from records holding its fields (see select_records)."""
+    source, target = _fields(mapper_id)
+    pairs = [(getattr(s, source), getattr(s, target)) for s in samples]
     if mapper_id == "2d2d":
-        pairs = [(s.pupil_px, s.target_px) for s in samples]
         return fit_2d_to_2d(pairs, config.eye_resolution)
     if mapper_id == "2d3d":
-        pairs = [(s.pupil_px, s.target) for s in samples]
         return fit_2d_to_3d(pairs, config.eye_resolution,
                             config.normalize_residuals,
                             config.center_bounds_m, config.lm)
-    if mapper_id == "3d3d":
-        pairs = [(s.pupil_pose, s.target) for s in samples]
-        return fit_3d_to_3d(pairs, config.normalize_residuals,
-                            config.center_bounds_m, config.lm)
-    raise ValueError(f"unknown mapper {mapper_id!r}")
+    return fit_3d_to_3d(pairs, config.normalize_residuals,
+                        config.center_bounds_m, config.lm)
+
+
+def _input_field(model):
+    if not isinstance(model, (Model2Dto2D, Model2Dto3D, Model3Dto3D)):
+        raise TypeError(f"not a mapper model: {type(model).__name__}")
+    return MAPPER_FIELDS[model.mapper_id][0]
 
 
 def predict_sample(model, sample) -> GazeEstimate:
     """Predict a gaze estimate for one record, dispatching on model type."""
+    value = getattr(sample, _input_field(model))
     if isinstance(model, Model2Dto2D):
-        return predict_2d_to_2d(model, sample.pupil_px)
+        return predict_2d_to_2d(model, value)
     if isinstance(model, Model2Dto3D):
-        return predict_2d_to_3d(model, sample.pupil_px)
-    if isinstance(model, Model3Dto3D):
-        return predict_3d_to_3d(model, sample.pupil_pose)
-    raise TypeError(f"not a mapper model: {type(model).__name__}")
+        return predict_2d_to_3d(model, value)
+    return predict_3d_to_3d(model, value)
 
 
 def predict_rays(model, samples, scene_cam: PinholeCamera):
@@ -304,25 +338,23 @@ def predict_rays(model, samples, scene_cam: PinholeCamera):
     record at once, with 2D estimates back-projected through `scene_cam`.
     The origins array is a read-only broadcast of the one shared origin.
     """
+    field = _input_field(model)
+    missing = [i for i, s in enumerate(samples) if getattr(s, field) is None]
+    if missing:
+        raise ValueError(f"record {missing[0]} has no {field}, "
+                         f"which {model.mapper_id} prediction needs")
+    inputs = np.array([getattr(s, field) for s in samples], dtype=float)
     if isinstance(model, Model3Dto3D):
-        missing = [i for i, s in enumerate(samples) if s.pupil_pose is None]
-        if missing:
-            raise ValueError(f"record {missing[0]} has no pupil_pose, "
-                             "which 3d3d prediction needs")
-        poses = np.array([s.pupil_pose for s in samples], dtype=float)
         origin = model.center
-        directions = normalize_rows(poses @ model.rotation.T)
-    elif isinstance(model, (Model2Dto2D, Model2Dto3D)):
-        pupils = np.array([s.pupil_px for s in samples], dtype=float)
-        out = _feature_matrix(pupils, model.eye_resolution) @ model.weights
+        directions = normalize_rows(inputs @ model.rotation.T)
+    else:
+        out = _feature_matrix(inputs, model.eye_resolution) @ model.weights
         if isinstance(model, Model2Dto2D):     # scene pixels
             origin = scene_cam.translation
             directions = back_project_batch(scene_cam, out)
         else:                                  # polar angles
             origin = model.center
             directions = polar_to_direction(out)
-    else:
-        raise TypeError(f"not a mapper model: {type(model).__name__}")
     origins = np.broadcast_to(np.asarray(origin, dtype=float),
                               directions.shape)
     return origins, directions

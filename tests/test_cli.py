@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gaze3d import cli
-from gaze3d.dataset_io import save_model
-from gaze3d.mappers import Model2Dto3D
+from gaze3d.dataset_io import load_dataset, save_model
+from gaze3d.evaluation import depth_combination_sweep
+from gaze3d.mappers import MAPPER_IDS, Model2Dto3D
 
 
 def run(capsys, *argv):
@@ -113,6 +114,52 @@ def test_fit_warns_on_missing_pose(dataset, tmp_path, capsys):
                           "--out", model)
     assert code == 1
     assert "no usable calibration samples" in stderr
+
+
+def test_records_missing_one_channel(dataset, tmp_path, capsys):
+    # every third record loses its pose, every fifth its scene pixel
+    lines = dataset.read_text().splitlines()
+    records = [json.loads(s) for s in lines[1:]]
+    for i, r in enumerate(records):
+        if i % 3 == 0:
+            r["pupil_pose"] = None
+        if i % 5 == 1:
+            r["target_px"] = None
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(
+        [lines[0]] + [json.dumps(r, sort_keys=True, separators=(",", ":"))
+                      for r in records]) + "\n")
+    calib = [r for r in records if r["role"] == "calibration"]
+    usable = {"2d2d": [r for r in calib if r["target_px"] is not None],
+              "2d3d": calib,
+              "3d3d": [r for r in calib if r["pupil_pose"] is not None]}
+    assert 0 < len(usable["2d2d"]) < len(calib)
+    assert 0 < len(usable["3d3d"]) < len(calib)
+
+    sweep = depth_combination_sweep(load_dataset(mixed).bundle)
+    for mapper in MAPPER_IDS:
+        model = tmp_path / f"{mapper}.json"
+        code, stdout, _ = run(capsys, "fit", mixed, "--mappers", mapper,
+                              "--out", model)
+        assert code == 0
+        assert f"fitted on {len(usable[mapper])} samples" in stdout
+
+        code, stdout, stderr = run(capsys, "evaluate", model, mixed)
+        assert code == 0
+        n = {float(line.split("test_depth_m=")[1].split()[0]):
+             int(line.split(" n=")[1].split()[0])
+             for line in stdout.splitlines()}
+        for depth, count in n.items():
+            tests = [r for r in records if r["role"] == "test"
+                     and r["depth_label"] == depth]
+            if mapper == "3d3d":   # pose-less records cannot be scored
+                tests = [r for r in tests if r["pupil_pose"] is not None]
+                assert "records lack pupil_pose" in stderr
+            else:                  # scoring never needs target_px
+                assert stderr == ""
+            assert count == len(tests)
+            assert {r.n_targets for r in sweep.records
+                    if r.mapper == mapper and r.test_depth == depth} == {count}
 
 
 def test_evaluate_unknown_depth(dataset, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaze3d.dataset_io import DataRecord
+from gaze3d.dataset_io import DataRecord, load_dataset, save_dataset
 from gaze3d.eye_simulator import (
     DatasetBundle,
     SimRig,
@@ -328,6 +328,17 @@ def test_sweep_never_raises_under_noise(noise_px, noise_deg, noise_mm,
             assert np.isfinite(r.mean) and r.n_targets > 0
         else:
             assert r.status == "failed" and r.errors is None
+
+
+def test_sweep_fails_calibration_depth_without_test_records(tmp_path):
+    bundle = small_bundle(depths=(1.0, 1.5))
+    path = tmp_path / "data.jsonl"
+    save_dataset(replace(bundle, test={1.0: bundle.test[1.0]}), path)
+    sweep = depth_combination_sweep(load_dataset(path).bundle)
+    assert len(sweep.records) == len(MAPPER_IDS) * 3 * 2
+    failed = {(r.mapper, r.test_depth) for r in sweep.select(status="failed")}
+    assert failed == {(m, 1.5) for m in MAPPER_IDS}
+    assert len(sweep.select(status="failed")) == len(MAPPER_IDS) * 3
 
 
 def test_sweep_honours_eye_resolution_from_rig():

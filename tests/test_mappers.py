@@ -68,6 +68,14 @@ def test_polar_roundtrip():
         assert np.isclose(np.linalg.norm(g), 1.0)
         assert np.allclose(polar_to_direction(direction_to_polar(g)), g,
                            atol=1e-12)
+    # (N, 3) arrays, unnormalized: each row gives the bits it gives alone
+    rows = rng.normal(size=(50, 3))
+    alphas = direction_to_polar(rows)
+    assert alphas.shape == (50, 2)
+    assert np.array_equal(alphas, [direction_to_polar(r) for r in rows])
+    assert np.allclose(polar_to_direction(alphas),
+                       rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                       atol=1e-12)
 
 
 def test_gaze_estimate_is_point_xor_ray():
