@@ -160,15 +160,19 @@ def cmd_fit(args) -> int:
                             "--mappers 2d3d")
     mapper = cfg.mappers[0]
     loaded = load_dataset(args.dataset, require_calibration=True)
-    if loaded.missing_pose:
-        print(f"warning: {loaded.missing_pose} records lack pupil_pose and "
-              "are excluded from 3d3d fitting", file=sys.stderr)
     depths = args.depths or loaded.depths()
     for depth in depths:
         if depth not in loaded.calibration:
             raise CliUsageError(f"depth {depth} has no calibration records")
-    samples = select_records(
-        mapper, [s for d in depths for s in loaded.calibration[d]])
+    pooled = [s for d in depths for s in loaded.calibration[d]]
+    samples = select_records(mapper, pooled)
+    n_dropped = len(pooled) - len(samples)
+    if n_dropped:
+        missing = [f for f in MAPPER_FIELDS[mapper]
+                   if any(getattr(s, f) is None for s in pooled)]
+        print(f"warning: {n_dropped} calibration records lack "
+              f"{' or '.join(missing)} and are excluded from {mapper} "
+              "fitting", file=sys.stderr)
     if not samples:
         raise CliUsageError(f"no usable calibration samples for {mapper}")
     mapping_cfg = cfg.to_mapping_config(

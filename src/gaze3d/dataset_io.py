@@ -12,7 +12,15 @@ further line is one record::
 Lengths are meters, image coordinates pixels, angles radians.  Floats
 are serialized with shortest round-trip repr and keys are sorted, so a
 given dataset has exactly one byte representation: identical seeds give
-byte-identical files and a load/save cycle is lossless.
+byte-identical files and a load/save cycle is lossless.  Numeric fields
+hold JSON numbers; numeric strings and booleans are rejected.
+
+Records are parsed per column: load_dataset reads each line with
+json.loads into six field columns, checks every column at once (entry
+counts, numeric types, finiteness, unit poses, roles, positive depths)
+and gives each record row views of one float array per field.  Only if
+a column check fails does it check record by record, in file order, so
+the error names the first bad line.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -39,7 +48,7 @@ from .eye_simulator import (
     synthesize_dataset,
 )
 from .evaluation import SweepResult
-from .geometry import PinholeCamera, rotation_from_angles
+from .geometry import PinholeCamera, dot_norms, rotation_from_angles
 from .mappers import (
     MAPPER_IDS,
     MappingConfig,
@@ -115,6 +124,17 @@ def _camera_from_dict(d, what) -> PinholeCamera:
         raise ParseError(f"bad {what} in header: {err}", line=1) from err
 
 
+# JSON numbers as json.loads returns them; bool (an int subclass) and
+# numeric strings are not numbers here.
+_NUMBER_TYPES = frozenset((int, float))
+_ROLES = ("calibration", "test")
+# the vector fields as (key, length, optional), in the order
+# _check_record checks them
+_VECTOR_FIELDS = (("pupil_px", 2, False), ("pupil_pose", 3, True),
+                  ("target_scene_m", 3, False), ("target_px", 2, True))
+_RECORD_KEYS = tuple(f[0] for f in _VECTOR_FIELDS) + ("depth_label", "role")
+
+
 def _vec(record, key, length, lineno, optional=False):
     value = record.get(key)
     if value is None:
@@ -129,10 +149,99 @@ def _vec(record, key, length, lineno, optional=False):
     if arr.shape != (length,):
         raise ParseError(f"field {key!r} must have {length} entries",
                          line=lineno)
+    for v in value:
+        if type(v) not in _NUMBER_TYPES:
+            raise ParseError(f"field {key!r} is not numeric: {v!r}",
+                             line=lineno)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"field {key!r} contains non-finite values",
                          line=lineno)
     return arr
+
+
+def _check_record(raw, idx):
+    """Parse and check the record on line idx + 2, raising the error
+    load_dataset reports for it.  This is the per-record rule that
+    load_dataset's column checks apply to all records at once; it runs
+    only when those fail, to find and word the first bad record."""
+    lineno = idx + 2
+    if not raw.strip():
+        raise ParseError("blank line inside dataset", line=lineno)
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"bad JSON: {err.msg}", line=lineno) from err
+    if not isinstance(record, dict):
+        raise ParseError("record is not an object", line=lineno)
+    _, pose, _, _ = [_vec(record, key, length, lineno, optional)
+                     for key, length, optional in _VECTOR_FIELDS]
+    if pose is not None:
+        norm = float(np.linalg.norm(pose))
+        if abs(norm - 1.0) > 1e-6:
+            raise UnitViolation(
+                f"record {idx} (line {lineno}): pupil_pose norm "
+                f"{norm:.8g} is not unit", record_index=idx)
+    role = record.get("role")
+    if role not in _ROLES:
+        raise ParseError(f"role must be 'calibration' or 'test', "
+                         f"got {role!r}", line=lineno)
+    depth = record.get("depth_label")
+    if type(depth) not in _NUMBER_TYPES:
+        raise ParseError("missing or non-numeric depth_label", line=lineno)
+    depth = float(depth)
+    if depth <= 0:
+        raise ParseError(f"depth_label must be positive, got {depth}",
+                         line=lineno)
+
+
+def _vector_rows(values, length, optional):
+    """The non-null rows of one vector field as an (M, length) float
+    array, or None unless each is a list of `length` finite JSON numbers
+    (and, for a required field, none is null)."""
+    if optional:
+        values = [v for v in values if v is not None]
+    if (set(map(type, values)) - {list} or set(map(len, values)) - {length}
+            or set(map(type, chain.from_iterable(values))) - _NUMBER_TYPES):
+        return None
+    rows = np.fromiter(chain.from_iterable(values), dtype=float,
+                       count=len(values) * length).reshape(-1, length)
+    return rows if np.isfinite(rows).all() else None
+
+
+def _record_columns(lines):
+    """The six fields of the records on `lines` as columns in
+    _RECORD_KEYS order: vectors as row views of one float array per
+    field (None where an optional field is null), depth labels as floats.
+    None if some record breaks a rule of _check_record."""
+    records = []
+    for raw in lines:
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError:
+            return None
+        if type(record) is not dict:
+            return None
+        records.append(tuple(map(record.get, _RECORD_KEYS)))
+    *vectors, depths, roles = (zip(*records) if records
+                               else [()] * len(_RECORD_KEYS))
+    try:
+        if set(roles) - set(_ROLES) or set(map(type, depths)) - _NUMBER_TYPES:
+            return None
+        depths = np.array(depths, dtype=float)
+        arrays = [_vector_rows(values, length, optional)
+                  for values, (_, length, optional)
+                  in zip(vectors, _VECTOR_FIELDS)]
+    # unhashable roles; ints too large for a float
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (any(rows is None for rows in arrays) or np.any(depths <= 0)
+            or np.any(np.abs(dot_norms(arrays[1]) - 1.0) > 1e-6)):
+        return None
+    columns = []
+    for values, rows in zip(vectors, arrays):
+        rows = iter(rows)
+        columns.append([None if v is None else next(rows) for v in values])
+    return (*columns, depths.tolist(), roles)
 
 
 @dataclass(frozen=True)
@@ -195,13 +304,13 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     for depth in depths:
         for group in (bundle.calibration, bundle.test):
             for s in group.get(depth, []):
-                pose = None if s.pupil_pose is None else _floats(s.pupil_pose)
+                pose = None if s.pupil_pose is None else s.pupil_pose.tolist()
                 target_px = (None if s.target_px is None
-                             else _floats(s.target_px))
+                             else s.target_px.tolist())
                 lines.append(_json_line({
-                    "pupil_px": _floats(s.pupil_px),
+                    "pupil_px": s.pupil_px.tolist(),
                     "pupil_pose": pose,
-                    "target_scene_m": _floats(s.target),
+                    "target_scene_m": s.target.tolist(),
                     "target_px": target_px,
                     "depth_label": float(s.depth_label),
                     "role": s.role,
@@ -258,57 +367,26 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     except (TypeError, ValueError) as err:
         raise ParseError(f"bad rig in header: {err}", line=1) from err
 
+    columns = _record_columns(lines[1:])
+    if columns is None:
+        for idx, raw in enumerate(lines[1:]):
+            _check_record(raw, idx)
+        raise RuntimeError("a record fails the column checks but not "
+                           "_check_record")
     calibration, test = {}, {}
-    missing_pose = 0
-    n_records = 0
-    for idx, raw in enumerate(lines[1:]):
-        lineno = idx + 2
-        if not raw.strip():
-            raise ParseError("blank line inside dataset", line=lineno)
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err.msg}", line=lineno) from err
-        if not isinstance(record, dict):
-            raise ParseError("record is not an object", line=lineno)
-
-        pupil_px = _vec(record, "pupil_px", 2, lineno)
-        pose = _vec(record, "pupil_pose", 3, lineno, optional=True)
-        target = _vec(record, "target_scene_m", 3, lineno)
-        target_px = _vec(record, "target_px", 2, lineno, optional=True)
-        if pose is None:
-            missing_pose += 1
-        else:
-            norm = float(np.linalg.norm(pose))
-            if abs(norm - 1.0) > 1e-6:
-                raise UnitViolation(
-                    f"record {idx} (line {lineno}): pupil_pose norm "
-                    f"{norm:.8g} is not unit", record_index=idx)
-        role = record.get("role")
-        if role not in ("calibration", "test"):
-            raise ParseError(f"role must be 'calibration' or 'test', "
-                             f"got {role!r}", line=lineno)
-        try:
-            depth = float(record["depth_label"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("missing or non-numeric depth_label",
-                             line=lineno) from None
-        if depth <= 0:
-            raise ParseError(f"depth_label must be positive, got {depth}",
-                             line=lineno)
-
+    for pupil_px, pose, target, target_px, depth, role in zip(*columns):
         group = calibration if role == "calibration" else test
         group.setdefault(depth, []).append(DataRecord(
             pupil_px=pupil_px, pupil_pose=pose, target=target,
             target_px=target_px, depth_label=depth, role=role))
-        n_records += 1
 
     if require_calibration and not calibration:
         raise ParseError("dataset contains no calibration records")
     bundle = DatasetBundle(calibration=calibration, test=test,
                            rig=rig, eye=eye)
-    return LoadedDataset(bundle=bundle, source=source, n_records=n_records,
-                         missing_pose=missing_pose)
+    poses = columns[1]
+    return LoadedDataset(bundle=bundle, source=source, n_records=len(poses),
+                         missing_pose=sum(pose is None for pose in poses))
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,10 @@ points on fronto-parallel planes at several depths; for each target the
 eye is rotated about its center so the optical axis passes through the
 target, and the measurement channels (pupil pixel, pupil pose, target
 position) are synthesized, optionally with seeded Gaussian noise.
+
+synthesize_sample simulates one fixation and is the oracle for
+synthesize_dataset, which computes each grid as arrays while every
+sample keeps its own seeded generator, giving the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .geometry import (
     PinholeCamera,
     Ray,
     GeometryError,
+    dot_norms,
     normalize,
     project,
     rotation_from_angles,
@@ -303,6 +308,69 @@ class DatasetBundle:
         return tuple(sorted(self.calibration))
 
 
+def _project_rows(cam: PinholeCamera, points):
+    """project() of each row of an (N, 3) array, with the same bits, and
+    a mask of the rows _checked_project accepts (in front of the camera
+    and inside its image).  The stacked matmul makes one matrix-vector
+    product per row, as world_to_camera does for a single point."""
+    pc = (cam.rotation.T @ (points - cam.translation)[..., None])[..., 0]
+    in_front = pc[:, 2] > 1e-12
+    depth = np.where(in_front, pc[:, 2], 1.0)    # other rows are rejected
+    px = cam.principal + cam.focal * pc[:, :2] / depth[:, None]
+    inside = ~(np.any(px < 0, axis=1) | np.any(px > cam.resolution, axis=1))
+    return px, in_front & inside
+
+
+def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
+                     depth_label, role) -> list:
+    """synthesize_sample for every row of `points`, the i-th with a
+    generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays.
+
+    Gives the same bits as the per-sample calls: each generator draws
+    target, pupil and pose noise in synthesize_sample's order, norms are
+    dot products and projections one matrix-vector product per row.  If
+    a sample cannot be synthesized, synthesize_sample on the first such
+    point raises its exception.
+    """
+    noisy = (rig.noise_target_mm > 0 or rig.noise_pupil_px > 0
+             or rig.noise_pose_deg > 0)
+    rngs = [np.random.default_rng(s) for s in seeds] if noisy else ()
+    targets = points
+    if rig.noise_target_mm > 0:
+        sigma_m = rig.noise_target_mm * 1e-3
+        targets = targets + np.array([r.normal(0.0, sigma_m, 3)
+                                      for r in rngs])
+    offsets = targets - rig.e_gt
+    norms = dot_norms(offsets)
+    degenerate = norms < 1e-12
+    directions = offsets / np.where(degenerate, 1.0, norms)[:, None]
+    offset_m = derive_pupil_geometry(eye)[0] * 1e-3
+    pupil_centers = rig.e_gt + offset_m * directions
+    target_px, target_ok = _project_rows(rig.scene_camera, targets)
+    pupil_px, pupil_ok = _project_rows(rig.eye_camera, pupil_centers)
+    bad = degenerate | ~target_ok | ~pupil_ok
+    if bad.any():
+        i = int(np.argmax(bad))
+        synthesize_sample(rig, eye, points[i], np.random.default_rng(seeds[i]),
+                          depth_label=depth_label, role=role)
+        raise RuntimeError(f"point {i} fails the batched checks but not "
+                           "synthesize_sample")
+    if rig.noise_pupil_px > 0:
+        pupil_px = pupil_px + np.array([r.normal(0.0, rig.noise_pupil_px, 2)
+                                        for r in rngs])
+    poses = (rig.eye_camera.rotation.T @ directions[..., None])[..., 0]
+    if rig.noise_pose_deg > 0:
+        sigma_rad = np.radians(rig.noise_pose_deg)
+        poses = np.array([_deflect(pose, sigma_rad, r)
+                          for pose, r in zip(poses, rngs)])
+    depth_label = float(depth_label)
+    return [SimSample(pupil_px=pp, pupil_pose=pose, target=target,
+                      target_px=tp, depth_label=depth_label, role=role,
+                      gaze=Ray(rig.e_gt.copy(), direction))
+            for pp, pose, target, tp, direction
+            in zip(pupil_px, poses, targets, target_px, directions)]
+
+
 def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                        depths=DEFAULT_DEPTHS, grids: GridSpec = None,
                        seed=0) -> DatasetBundle:
@@ -310,6 +378,9 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
 
     Samples are seeded individually from `seed` via spawned
     SeedSequences, so datasets are reproducible and order-independent.
+    Each grid is synthesized as arrays; the samples are those
+    synthesize_sample gives for each point with its own generator, bit
+    for bit, and synthesize_sample is the oracle the tests hold it to.
     """
     if not depths:
         raise ValueError("depths must be nonempty")
@@ -322,11 +393,9 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                 ("calibration", calibration, grids.calibration_grid(depth)),
                 ("test", test, grids.test_grid(depth))):
             points = generate_target_grid(grid)
-            seeds = root.spawn(len(points))
-            group[depth] = [
-                synthesize_sample(rig, eye, pt, np.random.default_rng(s),
-                                  depth_label=depth, role=role)
-                for pt, s in zip(points, seeds)]
+            group[depth] = _synthesize_grid(rig, eye, points,
+                                            root.spawn(len(points)),
+                                            depth, role)
     return DatasetBundle(calibration=calibration, test=test, rig=rig, eye=eye)
 
 

@@ -219,6 +219,15 @@ def _row_norms(a):
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
+def dot_norms(a):
+    """Norms of the rows of an (..., n) array, each the bits np.linalg.norm
+    gives for that row alone: both take the square root of one dot
+    product (einsum sums in another order and can differ in the last
+    bit)."""
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
 def normalize_rows(v):
     """Each row of an (N, 3) array divided by its norm (batched normalize)."""
     v = _rows(v, 3)

@@ -47,6 +47,7 @@ from .geometry import (
     Ray,
     ZeroVector,
     back_project_batch,
+    dot_norms,
     normalize,
     normalize_rows,
     rotation_from_angles,
@@ -96,11 +97,10 @@ def direction_to_polar(direction) -> np.ndarray:
 
     Takes one direction or an (N, 3) array of them."""
     d = np.asarray(direction, dtype=float)
-    # dot-product norms as in normalize: same bits alone and as a row
-    norms = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0]
+    norms = dot_norms(d)    # as in normalize: same bits alone and as a row
     if np.any(norms < 1e-15):
         raise ZeroVector("cannot normalize zero-length vector")
-    d = d / norms
+    d = d / norms[..., None]
     return np.stack((np.arcsin(np.clip(d[..., 0], -1.0, 1.0)),
                      np.arctan2(d[..., 1], d[..., 2])), axis=-1)
 

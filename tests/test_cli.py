@@ -108,12 +108,15 @@ def test_fit_warns_on_missing_pose(dataset, tmp_path, capsys):
     code, _, stderr = run(capsys, "fit", poseless, "--mappers", "2d2d",
                           "--out", model)
     assert code == 0
-    assert "lack pupil_pose" in stderr
+    assert stderr == ""          # 2d2d does not use the pose
 
     code, _, stderr = run(capsys, "fit", poseless, "--mappers", "3d3d",
                           "--out", model)
     assert code == 1
-    assert "no usable calibration samples" in stderr
+    warning, error = stderr.splitlines()
+    assert warning == ("warning: 50 calibration records lack pupil_pose "
+                       "and are excluded from 3d3d fitting")
+    assert "no usable calibration samples" in error
 
 
 def test_records_missing_one_channel(dataset, tmp_path, capsys):
@@ -139,10 +142,16 @@ def test_records_missing_one_channel(dataset, tmp_path, capsys):
     sweep = depth_combination_sweep(load_dataset(mixed).bundle)
     for mapper in MAPPER_IDS:
         model = tmp_path / f"{mapper}.json"
-        code, stdout, _ = run(capsys, "fit", mixed, "--mappers", mapper,
-                              "--out", model)
+        code, stdout, stderr = run(capsys, "fit", mixed, "--mappers", mapper,
+                                   "--out", model)
         assert code == 0
         assert f"fitted on {len(usable[mapper])} samples" in stdout
+        n_dropped = len(calib) - len(usable[mapper])
+        missing = {"2d2d": "target_px", "3d3d": "pupil_pose"}.get(mapper)
+        assert stderr == (f"warning: {n_dropped} calibration records lack "
+                          f"{missing} and are excluded from {mapper} "
+                          "fitting\n" if n_dropped else "")
+        assert (n_dropped > 0) == (mapper != "2d3d")
 
         code, stdout, stderr = run(capsys, "evaluate", model, mixed)
         assert code == 0

@@ -204,6 +204,138 @@ def test_empty_file_rejected(tmp_path):
         load_dataset(path)
 
 
+def set_fields(path, lineno, **fields):
+    rewrite_line(path, lineno,
+                 lambda s: json.dumps({**json.loads(s), **fields}))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pupil_px", ["369.4", "145.9"], "field 'pupil_px' is not numeric"),
+    ("pupil_px", [True, False], "field 'pupil_px' is not numeric"),
+    ("depth_label", "1.0", "missing or non-numeric depth_label"),
+    ("depth_label", True, "missing or non-numeric depth_label"),
+], ids=["string-pixels", "boolean-pixels", "string-depth", "boolean-depth"])
+def test_strings_and_booleans_are_not_numbers(dataset_path, field, value,
+                                              message):
+    set_fields(dataset_path, 3, **{field: value})
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert err.value.line == 3
+    assert str(err.value).startswith(f"line 3: {message}")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({}, "missing or non-numeric depth_label"),
+    ({"depth_label": 0}, "depth_label must be positive, got 0.0"),
+    ({"depth_label": -1.5}, "depth_label must be positive, got -1.5"),
+], ids=["missing", "zero", "negative"])
+def test_depth_label_missing_or_not_positive(dataset_path, change, message):
+    def edit(s):
+        rec = json.loads(s)
+        del rec["depth_label"]
+        return json.dumps({**rec, **change})
+    rewrite_line(dataset_path, 4, edit)
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == f"line 4: {message}"
+
+
+def test_record_that_is_an_array_rejected(dataset_path):
+    rewrite_line(dataset_path, 3, lambda s: "[1.0, 2.0]")
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == "line 3: record is not an object"
+
+
+@pytest.mark.parametrize("value", [[[1.0, 0.0], [0.0]], [1.0, [0.0, 0.0]]],
+                         ids=["ragged-rows", "nested-entry"])
+def test_ragged_field_rejected(dataset_path, value):
+    set_fields(dataset_path, 3, pupil_pose=value)
+    with pytest.raises(ValueError) as numpy_err:
+        np.asarray(value, dtype=float)
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == ("line 3: field 'pupil_pose' is not numeric: "
+                              f"{numpy_err.value}")
+
+
+def test_earliest_of_two_bad_records_reported(dataset_path):
+    set_fields(dataset_path, 7, pupil_px=["1.0", "2.0"])
+    set_fields(dataset_path, 5, depth_label=-1.0)
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == "line 5: depth_label must be positive, got -1.0"
+
+    # a non-unit pose before a line that is not JSON at all
+    rewrite_line(dataset_path, 9, lambda s: s[:-5])
+    set_fields(dataset_path, 4, pupil_pose=[0.5, 0.5, 0.5])
+    with pytest.raises(UnitViolation) as err:
+        load_dataset(dataset_path)
+    assert err.value.record_index == 2
+    assert str(err.value) == ("record 2 (line 4): pupil_pose norm 0.8660254 "
+                              "is not unit")
+
+
+def test_mixed_null_channels_load_as_none(bundle, dataset_path):
+    n = len(dataset_path.read_text().splitlines()) - 1
+    for i in range(n):
+        lineno = i + 2
+        if i % 3 == 0:
+            set_fields(dataset_path, lineno, pupil_pose=None)
+        if i % 5 == 1:
+            set_fields(dataset_path, lineno, target_px=None)
+    # optional keys may be absent, and integers are numbers
+    rewrite_line(dataset_path, 3, lambda s: json.dumps(
+        {k: v for k, v in json.loads(s).items()
+         if k not in ("pupil_pose", "target_px")}))
+    set_fields(dataset_path, 6, pupil_px=[369, 145])
+    loaded = load_dataset(dataset_path)
+    originals = [s for d in bundle.depths()
+                 for group in (bundle.calibration, bundle.test)
+                 for s in group[d]]
+    restored = [r for d in loaded.depths()
+                for group in (loaded.calibration, loaded.test)
+                for r in group[d]]
+    assert loaded.n_records == len(restored) == len(originals) == n
+    assert loaded.missing_pose == len(range(0, n, 3)) + 1
+    for i, (o, r) in enumerate(zip(originals, restored)):
+        pose_null = i % 3 == 0 or i == 1
+        target_px_null = i % 5 == 1
+        assert (r.pupil_pose is None) == pose_null
+        assert (r.target_px is None) == target_px_null
+        if not pose_null:
+            assert np.array_equal(r.pupil_pose, o.pupil_pose)
+        if not target_px_null:
+            assert np.array_equal(r.target_px, o.target_px)
+        expected_px = (369.0, 145.0) if i == 4 else o.pupil_px
+        assert np.array_equal(r.pupil_px, expected_px)
+        assert r.pupil_px.dtype == np.float64
+        assert np.array_equal(r.target, o.target)
+
+
+def test_noisy_mixed_channel_resave_is_byte_identical(tmp_path):
+    noisy = default_bundle("display", depths=(1.0, 2.0), seed=4,
+                           noise_pupil_px=1.0, noise_pose_deg=0.5,
+                           noise_target_mm=2.0)
+    path = tmp_path / "noisy.jsonl"
+    save_dataset(noisy, path)
+    lines = path.read_text().splitlines()
+    records = [json.loads(s) for s in lines[1:]]
+    for i, rec in enumerate(records):
+        if i % 3 == 0:
+            rec["pupil_pose"] = None
+        if i % 4 == 1:
+            rec["target_px"] = None
+    mixed = "\n".join(lines[:1] + [
+        json.dumps(r, sort_keys=True, separators=(",", ":"))
+        for r in records]) + "\n"
+    path.write_text(mixed)
+    resaved = tmp_path / "resaved.jsonl"
+    loaded = load_dataset(path)
+    save_dataset(loaded.bundle, resaved, source=loaded.source)
+    assert resaved.read_text() == mixed
+
+
 # ── model round trip ─────────────────────────────────────────────────────
 
 def test_model_roundtrip_all_mappers(bundle, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from gaze3d.eye_simulator import (
     DEFAULT_DEPTHS,
+    GRID_PRESETS,
     DegenerateTarget,
     GridSpec,
     NoIntersection,
@@ -24,7 +25,12 @@ from gaze3d.eye_simulator import (
     synthesize_dataset,
     synthesize_sample,
 )
-from gaze3d.geometry import PinholeCamera, angle_between, project
+from gaze3d.geometry import (
+    PinholeCamera,
+    angle_between,
+    project,
+    rotation_from_angles,
+)
 
 
 # ── two-sphere eye ───────────────────────────────────────────────────────
@@ -246,3 +252,93 @@ def test_default_bundle_presets_differ():
 def test_empty_depths_rejected():
     with pytest.raises(ValueError):
         synthesize_dataset(SimRig(), TwoSphereEye(), depths=())
+
+
+# ── batched synthesis against the per-sample oracle ──────────────────────
+
+def per_sample_dataset(rig, eye, depths, grids, seed):
+    """synthesize_dataset's contract, one synthesize_sample per point with
+    the generator of its own spawned seed; raises at the first bad point."""
+    root = np.random.SeedSequence(seed)
+    groups = {"calibration": {}, "test": {}}
+    for depth in sorted(depths):
+        for role, grid in (("calibration", grids.calibration_grid(depth)),
+                           ("test", grids.test_grid(depth))):
+            points = generate_target_grid(grid)
+            groups[role][depth] = [
+                synthesize_sample(rig, eye, pt, np.random.default_rng(s),
+                                  depth_label=depth, role=role)
+                for pt, s in zip(points, root.spawn(len(points)))]
+    return groups
+
+
+def rotated_eye_camera(e_gt=SimRig().e_gt):
+    return PinholeCamera(focal=(600.0, 610.0), principal=(320.0, 180.0),
+                         resolution=(640.0, 360.0),
+                         rotation=rotation_from_angles((0.1, 3.0, -0.05)),
+                         translation=np.asarray(e_gt) + (0.005, -0.004, 0.035))
+
+
+NOISE = dict(noise_pupil_px=1.0, noise_pose_deg=0.5, noise_target_mm=2.0)
+ORACLE_CASES = {
+    "noiseless-display": (SimRig(), GRID_PRESETS["display"]),
+    "noisy-display": (SimRig(**NOISE), GRID_PRESETS["display"]),
+    "fov": (SimRig(), GRID_PRESETS["fov"]),
+    "rotated-eye-camera": (SimRig(eye_camera=rotated_eye_camera(), **NOISE),
+                           GRID_PRESETS["display"]),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_dataset_matches_per_sample_oracle(case):
+    rig, grids = ORACLE_CASES[case]
+    eye, depths = TwoSphereEye(), (1.0, 1.5, 2.0)
+    bundle = synthesize_dataset(rig, eye, depths, grids, seed=5)
+    oracle = per_sample_dataset(rig, eye, depths, grids, seed=5)
+    for role in ("calibration", "test"):
+        got = getattr(bundle, role)
+        assert list(got) == list(oracle[role])
+        for depth, samples in oracle[role].items():
+            assert len(got[depth]) == len(samples)
+            for a, b in zip(got[depth], samples):
+                for name in ("pupil_px", "pupil_pose", "target", "target_px"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert np.array_equal(a.gaze.origin, b.gaze.origin)
+                assert np.array_equal(a.gaze.direction, b.gaze.direction)
+                assert a.depth_label == b.depth_label and a.role == b.role
+
+
+BAD_POINT_CASES = {
+    # the scene camera sits 0.3 m left, so only the last column of each
+    # 2 m wide grid row falls off its image (first bad point: index 4)
+    "target-off-scene-image": (
+        SimRig(scene_camera=PinholeCamera(
+            focal=(720.0, 720.0), principal=(640.0, 360.0),
+            resolution=(1280.0, 720.0), translation=(-0.3, 0.0, 0.0)),
+            **NOISE),
+        GridSpec(width=2.0), TargetNotVisible),
+    "pupil-off-eye-image": (
+        SimRig(eye_camera=PinholeCamera(
+            focal=(2000.0, 2000.0), principal=(320.0, 180.0),
+            resolution=(640.0, 360.0),
+            rotation=rotation_from_angles((0.0, np.pi, 0.0)),
+            translation=SimRig().e_gt + (0.0, 0.0, 0.035))),
+        GridSpec(width=1.2), PupilNotVisible),
+    # the eyeball centre is the middle point of the 5 x 5 grid at 1 m
+    # (no target noise, which would move the point off it)
+    "target-on-e_gt": (SimRig(e_gt=(0.0, 0.0, 1.0), noise_pupil_px=1.0,
+                              noise_pose_deg=0.5),
+                       GridSpec(), DegenerateTarget),
+}
+
+
+@pytest.mark.parametrize("case", BAD_POINT_CASES)
+def test_dataset_raises_what_the_oracle_raises(case):
+    rig, grids, exc = BAD_POINT_CASES[case]
+    eye, depths = TwoSphereEye(), (1.0, 1.5)
+    with pytest.raises(exc) as scalar:
+        per_sample_dataset(rig, eye, depths, grids, seed=2)
+    with pytest.raises(exc) as batched:
+        synthesize_dataset(rig, eye, depths, grids, seed=2)
+    assert type(batched.value) is type(scalar.value)
+    assert str(batched.value) == str(scalar.value)
