@@ -59,10 +59,12 @@ from .optimizer import (
     FitReport,
     LMSettings,
     NonFiniteResidual,
+    ProblemStack,
     ResidualProblem,
     SingularNormalEquations,
     numeric_jacobian,
     solve_lm,
+    solve_lm_stacked,
 )
 from .mappers import (
     MAPPER_IDS,
@@ -78,6 +80,7 @@ from .mappers import (
     fit_2d_to_3d,
     fit_3d_to_3d,
     fit_mapper,
+    fit_mappers,
     polar_to_direction,
     poly_features,
     predict_2d_to_2d,

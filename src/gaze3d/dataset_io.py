@@ -146,6 +146,9 @@ def _vec(record, key, length, lineno, optional=False):
     except (TypeError, ValueError) as err:
         raise ParseError(f"field {key!r} is not numeric: {err}",
                          line=lineno) from err
+    except OverflowError as err:     # a JSON integer beyond float range
+        raise ParseError(f"field {key!r} has a number out of float range",
+                         line=lineno) from err
     if arr.shape != (length,):
         raise ParseError(f"field {key!r} must have {length} entries",
                          line=lineno)
@@ -188,7 +191,14 @@ def _check_record(raw, idx):
     depth = record.get("depth_label")
     if type(depth) not in _NUMBER_TYPES:
         raise ParseError("missing or non-numeric depth_label", line=lineno)
-    depth = float(depth)
+    try:
+        depth = float(depth)
+    except OverflowError as err:
+        raise ParseError("depth_label out of float range",
+                         line=lineno) from err
+    if not np.isfinite(depth):
+        raise ParseError(f"depth_label must be finite, got {depth}",
+                         line=lineno)
     if depth <= 0:
         raise ParseError(f"depth_label must be positive, got {depth}",
                          line=lineno)
@@ -235,6 +245,7 @@ def _record_columns(lines):
     except (TypeError, ValueError, OverflowError):
         return None
     if (any(rows is None for rows in arrays) or np.any(depths <= 0)
+            or not np.isfinite(depths).all()
             or np.any(np.abs(dot_norms(arrays[1]) - 1.0) > 1e-6)):
         return None
     columns = []

@@ -18,7 +18,12 @@ path is tested against.
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
 test depths; offset_analysis regroups the single-depth records by signed
-calibration-to-test depth offset.
+calibration-to-test depth offset.  The sweep fits all subsets of one
+mapper with one fit_mappers call (one lockstep LM solve, see
+gaze3d.optimizer) and scores each fit at all its test depths in one pass
+of evaluate's array path; only if that pass meets a target the model
+cannot project does it score depth by depth, so that just that depth
+fails.
 """
 
 from __future__ import annotations
@@ -39,20 +44,16 @@ from .geometry import (
     intersect_ray_depth_plane_batch,
 )
 from .mappers import (
+    FIT_ERRORS,  # noqa: F401 - re-exported
     MAPPER_IDS,
-    DegenerateGeometry,
     GazeEstimate,
     MappingConfig,
-    RankDeficient,
-    fit_mapper,
+    fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
+    fit_mappers,
     predict_rays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
     select_records,
 )
-from .optimizer import NonFiniteResidual, SingularNormalEquations
-
-FIT_ERRORS = (RankDeficient, DegenerateGeometry, SingularNormalEquations,
-              NonFiniteResidual)
 
 
 def angular_error(estimate: GazeEstimate, target, reference,
@@ -98,14 +99,59 @@ def evaluate(mapper_id, model, samples, reference,
     """
     if not samples:
         raise ValueError("empty test set")
+    return _scored(mapper_id, _target_errors(model, samples, reference,
+                                             scene_cam),
+                   calib_subset, test_depth)
+
+
+def _target_errors(model, samples, reference, scene_cam):
+    """The angular error of every record of `samples` in one pass."""
     origins, directions = predict_rays(model, samples, scene_cam)
     targets = np.array([s.target for s in samples], dtype=float)
     hits = intersect_ray_depth_plane_batch(origins, directions, targets[:, 2])
-    errors = angle_between_batch(hits - reference, targets - reference)
+    return angle_between_batch(hits - reference, targets - reference)
+
+
+def _scored(mapper_id, errors, calib_subset, test_depth):
     return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
                        test_depth=test_depth, errors=errors,
                        mean=float(errors.mean()),
                        std=float(errors.std()))   # population (divide by N)
+
+
+def _score_fit(mapper_id, model, calib_subset, tests, reference,
+               scene_cam) -> list:
+    """ErrorRecords of one fit (a model, or the exception its fit raised)
+    at each depth of `tests` (depth -> test records), all depths scored
+    in one pass."""
+    errors = [()] * len(tests)
+    if not isinstance(model, Exception):
+        sizes = [len(samples) for samples in tests.values()]
+        pooled = [s for samples in tests.values() for s in samples]
+        try:
+            if pooled:
+                errors = np.split(_target_errors(model, pooled, reference,
+                                                 scene_cam),
+                                  np.cumsum(sizes)[:-1])
+        except GeometryError:   # a target this model cannot project
+            errors = [_projectable_errors(model, samples, reference,
+                                          scene_cam)
+                      for samples in tests.values()]
+    return [_scored(mapper_id, e, calib_subset, depth) if len(e) else
+            ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
+                        test_depth=depth, status="failed")
+            for depth, e in zip(tests, errors)]
+
+
+def _projectable_errors(model, samples, reference, scene_cam):
+    """_target_errors, or () if there are no samples or some target
+    cannot be projected."""
+    if not samples:
+        return ()
+    try:
+        return _target_errors(model, samples, reference, scene_cam)
+    except GeometryError:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -161,28 +207,14 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
         tests = {d: select_records(mapper, bundle.test.get(d, ()),
                                    fitting=False)
                  for d in depths}
-        for k in k_range:
-            for subset in itertools.combinations(depths, k):
-                samples = [s for d in subset for s in calibration[d]]
-                try:
-                    if not samples:
-                        raise DegenerateGeometry(
-                            f"no usable calibration samples for {mapper}")
-                    model = fit_mapper(mapper, samples, config)
-                except FIT_ERRORS:
-                    model = None
-                for depth in depths:
-                    record = ErrorRecord(mapper=mapper, calib_subset=subset,
-                                         test_depth=depth, status="failed")
-                    if model is not None and tests[depth]:
-                        try:
-                            record = evaluate(
-                                mapper, model, tests[depth], reference,
-                                scene_cam, calib_subset=subset,
-                                test_depth=depth)
-                        except GeometryError:
-                            pass   # a target this model cannot project
-                    records.append(record)
+        subsets = [subset for k in k_range
+                   for subset in itertools.combinations(depths, k)]
+        models = fit_mappers(mapper, [[s for d in subset
+                                       for s in calibration[d]]
+                                      for subset in subsets], config)
+        for subset, model in zip(subsets, models):
+            records += _score_fit(mapper, model, subset, tests, reference,
+                                  scene_cam)
     return SweepResult(records=tuple(records))
 
 

@@ -134,6 +134,12 @@ class SimRig:
             raise ValueError("eye camera must face the eye "
                              f"(eyeball depth {eye_depth:.3g} <= 0)")
 
+    @property
+    def noisy(self):
+        """Whether any noise sigma is above zero."""
+        return (self.noise_target_mm > 0 or self.noise_pupil_px > 0
+                or self.noise_pose_deg > 0)
+
 
 @dataclass(frozen=True)
 class TargetGrid:
@@ -325,6 +331,7 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
                      depth_label, role) -> list:
     """synthesize_sample for every row of `points`, the i-th with a
     generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays.
+    A noiseless rig draws nothing, so it needs no seeds (None).
 
     Gives the same bits as the per-sample calls: each generator draws
     target, pupil and pose noise in synthesize_sample's order, norms are
@@ -332,9 +339,7 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
     a sample cannot be synthesized, synthesize_sample on the first such
     point raises its exception.
     """
-    noisy = (rig.noise_target_mm > 0 or rig.noise_pupil_px > 0
-             or rig.noise_pose_deg > 0)
-    rngs = [np.random.default_rng(s) for s in seeds] if noisy else ()
+    rngs = [np.random.default_rng(s) for s in seeds] if rig.noisy else ()
     targets = points
     if rig.noise_target_mm > 0:
         sigma_m = rig.noise_target_mm * 1e-3
@@ -351,8 +356,9 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
     bad = degenerate | ~target_ok | ~pupil_ok
     if bad.any():
         i = int(np.argmax(bad))
-        synthesize_sample(rig, eye, points[i], np.random.default_rng(seeds[i]),
-                          depth_label=depth_label, role=role)
+        rng = np.random.default_rng(seeds[i] if rig.noisy else 0)
+        synthesize_sample(rig, eye, points[i], rng, depth_label=depth_label,
+                          role=role)
         raise RuntimeError(f"point {i} fails the batched checks but not "
                            "synthesize_sample")
     if rig.noise_pupil_px > 0:
@@ -377,7 +383,8 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     """Per depth, one calibration grid set and one test grid set.
 
     Samples are seeded individually from `seed` via spawned
-    SeedSequences, so datasets are reproducible and order-independent.
+    SeedSequences, so datasets are reproducible and order-independent
+    (a noiseless rig draws nothing and spawns none).
     Each grid is synthesized as arrays; the samples are those
     synthesize_sample gives for each point with its own generator, bit
     for bit, and synthesize_sample is the oracle the tests hold it to.
@@ -393,9 +400,9 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                 ("calibration", calibration, grids.calibration_grid(depth)),
                 ("test", test, grids.test_grid(depth))):
             points = generate_target_grid(grid)
-            group[depth] = _synthesize_grid(rig, eye, points,
-                                            root.spawn(len(points)),
-                                            depth, role)
+            seeds = root.spawn(len(points)) if rig.noisy else None
+            group[depth] = _synthesize_grid(rig, eye, points, seeds, depth,
+                                            role)
     return DatasetBundle(calibration=calibration, test=test, rig=rig, eye=eye)
 
 

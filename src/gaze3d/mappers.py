@@ -52,7 +52,16 @@ from .geometry import (
     normalize_rows,
     rotation_from_angles,
 )
-from .optimizer import FitReport, LMSettings, ResidualProblem, solve_lm
+from .optimizer import (
+    FitReport,
+    LMSettings,
+    NonFiniteResidual,
+    ProblemStack,
+    ResidualProblem,
+    SingularNormalEquations,
+    solve_lm,
+    solve_lm_stacked,
+)
 
 
 class RankDeficient(ValueError):
@@ -62,6 +71,11 @@ class RankDeficient(ValueError):
 class DegenerateGeometry(ValueError):
     """Calibration geometry cannot constrain the fit (e.g. collinear
     targets)."""
+
+
+# what a fit raises when its samples cannot give a model
+FIT_ERRORS = (RankDeficient, DegenerateGeometry, SingularNormalEquations,
+              NonFiniteResidual)
 
 
 DEFAULT_CENTER_BOUND_M = 0.05
@@ -151,6 +165,8 @@ class Model3Dto3D:
 
 
 def _split_pairs(calib, n_left, n_right):
+    if not len(calib):     # the fits' sample-count checks reject it
+        return np.empty((0, n_left)), np.empty((0, n_right))
     left = np.asarray([np.asarray(a, dtype=float) for a, _ in calib])
     right = np.asarray([np.asarray(b, dtype=float) for _, b in calib])
     if left.ndim != 2 or left.shape[1] != n_left or right.shape[1] != n_right:
@@ -196,12 +212,8 @@ def predict_2d_to_2d(model: Model2Dto2D, p) -> GazeEstimate:
     return GazeEstimate(point=(feats @ model.weights)[0])
 
 
-def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
-                 normalize_residuals=True,
-                 center_bounds=DEFAULT_CENTER_BOUND_M,
-                 settings: LMSettings = LMSettings()) -> Model2Dto3D:
-    """Joint LM fit of polynomial angle weights and eyeball center from
-    (p, t) pairs."""
+def _setup_2d3d(calib, eye_resolution):
+    """Checks and LM start of a 2D-to-3D fit: (features, targets, x0)."""
     pupils, targets = _split_pairs(calib, 2, 3)
     if len(pupils) < 9:
         raise RankDeficient(f"need at least 9 samples, got {len(pupils)}")
@@ -214,21 +226,72 @@ def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
     w0, _, rank, _ = np.linalg.lstsq(feats, alpha, rcond=None)
     if rank < 7:
         raise RankDeficient(f"feature matrix rank {rank} < 7")
-    x0 = np.concatenate((w0.ravel(), np.zeros(3)))
+    return feats, targets, np.concatenate((w0.ravel(), np.zeros(3)))
 
-    lower, upper = _center_box(17, center_bounds)
-    problem = ResidualProblem(
-        dim=17,
-        residual=lambda x: _kernels.residuals_2d3d(x, feats, targets,
-                                                   normalize_residuals),
-        jacobian=lambda x: _kernels.jacobian_2d3d(x, feats, targets,
-                                                  normalize_residuals),
-        lower=lower, upper=upper)
-    report = solve_lm(problem, x0, settings)
-    return Model2Dto3D(weights=report.params[:14].reshape(7, 2),
-                       center=report.params[14:17],
-                       eye_resolution=np.asarray(eye_resolution, dtype=float),
+
+def _setup_3d3d(calib):
+    """Checks and LM start of a 3D-to-3D fit: (unit poses, targets, x0)."""
+    poses, targets = _split_pairs(calib, 3, 3)
+    if len(poses) < 3:
+        raise DegenerateGeometry(f"need at least 3 samples, got {len(poses)}")
+    _check_not_collinear(targets, np.zeros(3))
+    poses = poses / np.linalg.norm(poses, axis=1, keepdims=True)
+    return poses, targets, np.array([0.0, np.pi, 0.0, 0.0, 0.0, 0.0])
+
+
+def _lm_layout(mapper_id):
+    """Residual and Jacobian kernels, dim and wrap mask of an LM fit."""
+    if mapper_id == "2d3d":
+        return _kernels.residuals_2d3d, _kernels.jacobian_2d3d, 17, None
+    return (_kernels.residuals_3d3d, _kernels.jacobian_3d3d, 6,
+            np.array([True, True, True, False, False, False]))
+
+
+def _lm_problem(mapper_id, inputs, targets, normalize, center_bounds):
+    """The ResidualProblem of one 2d3d or 3d3d fit."""
+    residual, jacobian, dim, wrap = _lm_layout(mapper_id)
+    lower, upper = _center_box(dim, center_bounds)
+    return ResidualProblem(
+        dim=dim, residual=lambda x: residual(x, inputs, targets, normalize),
+        jacobian=lambda x: jacobian(x, inputs, targets, normalize),
+        lower=lower, upper=upper, wrap_mask=wrap)
+
+
+def _lm_stack(mapper_id, inputs, targets, normalize, center_bounds):
+    """The ProblemStack of 2d3d or 3d3d fits with equal sample counts,
+    from their inputs and targets stacked on a leading axis."""
+    residual, jacobian, dim, wrap = _lm_layout(mapper_id)
+    lower, upper = _center_box(dim, center_bounds)
+    return ProblemStack(
+        dim=dim, count=len(inputs),
+        residual=lambda members, x: residual(x, inputs[members],
+                                             targets[members], normalize),
+        jacobian=lambda members, x: jacobian(x, inputs[members],
+                                             targets[members], normalize),
+        lower=lower, upper=upper, wrap_mask=wrap)
+
+
+def _lm_model(mapper_id, report, eye_resolution):
+    if mapper_id == "2d3d":
+        return Model2Dto3D(weights=report.params[:14].reshape(7, 2),
+                           center=report.params[14:17],
+                           eye_resolution=np.asarray(eye_resolution,
+                                                     dtype=float),
+                           report=report)
+    return Model3Dto3D(angles=report.params[:3], center=report.params[3:6],
                        report=report)
+
+
+def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
+                 normalize_residuals=True,
+                 center_bounds=DEFAULT_CENTER_BOUND_M,
+                 settings: LMSettings = LMSettings()) -> Model2Dto3D:
+    """Joint LM fit of polynomial angle weights and eyeball center from
+    (p, t) pairs."""
+    feats, targets, x0 = _setup_2d3d(calib, eye_resolution)
+    problem = _lm_problem("2d3d", feats, targets, normalize_residuals,
+                          center_bounds)
+    return _lm_model("2d3d", solve_lm(problem, x0, settings), eye_resolution)
 
 
 def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
@@ -243,25 +306,10 @@ def fit_3d_to_3d(calib, normalize_residuals=True,
                  center_bounds=DEFAULT_CENTER_BOUND_M,
                  settings: LMSettings = LMSettings()) -> Model3Dto3D:
     """LM fit of rotation angles and eyeball center from (n, t) pairs."""
-    poses, targets = _split_pairs(calib, 3, 3)
-    if len(poses) < 3:
-        raise DegenerateGeometry(f"need at least 3 samples, got {len(poses)}")
-    _check_not_collinear(targets, np.zeros(3))
-    poses = poses / np.linalg.norm(poses, axis=1, keepdims=True)
-
-    x0 = np.array([0.0, np.pi, 0.0, 0.0, 0.0, 0.0])
-    lower, upper = _center_box(6, center_bounds)
-    wrap = np.array([True, True, True, False, False, False])
-    problem = ResidualProblem(
-        dim=6,
-        residual=lambda x: _kernels.residuals_3d3d(x, poses, targets,
-                                                   normalize_residuals),
-        jacobian=lambda x: _kernels.jacobian_3d3d(x, poses, targets,
-                                                  normalize_residuals),
-        lower=lower, upper=upper, wrap_mask=wrap)
-    report = solve_lm(problem, x0, settings)
-    return Model3Dto3D(angles=report.params[:3], center=report.params[3:6],
-                       report=report)
+    poses, targets, x0 = _setup_3d3d(calib)
+    problem = _lm_problem("3d3d", poses, targets, normalize_residuals,
+                          center_bounds)
+    return _lm_model("3d3d", solve_lm(problem, x0, settings), None)
 
 
 def predict_3d_to_3d(model: Model3Dto3D, n) -> GazeEstimate:
@@ -314,6 +362,50 @@ def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig())
                             config.center_bounds_m, config.lm)
     return fit_3d_to_3d(pairs, config.normalize_residuals,
                         config.center_bounds_m, config.lm)
+
+
+def fit_mappers(mapper_id: str, sample_sets,
+                config: MappingConfig = MappingConfig()) -> list:
+    """fit_mapper on each of `sample_sets`: per set, its model or the
+    FIT_ERRORS exception fit_mapper raises for it.
+
+    2d3d and 3d3d sets are fitted in one solve_lm_stacked call, sets with
+    equal sample counts in one ProblemStack; each fit takes the steps it
+    takes alone, so its report matches fit_mapper's.  2d2d fits are one
+    least-squares solve per set.
+    """
+    source, target = _fields(mapper_id)
+    pair_sets = [[(getattr(s, source), getattr(s, target)) for s in samples]
+                 for samples in sample_sets]
+    results = [None] * len(pair_sets)
+    groups = {}         # sample count -> [(set index, (inputs, targets, x0))]
+    for i, pairs in enumerate(pair_sets):
+        try:
+            if mapper_id == "2d2d":
+                results[i] = fit_2d_to_2d(pairs, config.eye_resolution)
+                continue
+            setup = (_setup_2d3d(pairs, config.eye_resolution)
+                     if mapper_id == "2d3d" else _setup_3d3d(pairs))
+        except FIT_ERRORS as err:
+            results[i] = err
+            continue
+        groups.setdefault(len(pairs), []).append((i, setup))
+    indices, stacks, starts = [], [], []
+    while groups:       # popped, so each set's arrays go once stacked
+        index, setups = zip(*groups.popitem()[1])
+        inputs, targets, x0 = map(np.stack, zip(*setups))
+        del setups
+        indices.append(index)
+        stacks.append(_lm_stack(mapper_id, inputs, targets,
+                                config.normalize_residuals,
+                                config.center_bounds_m))
+        starts.append(x0)
+    reports = solve_lm_stacked(stacks, starts, config.lm)
+    for index, stack_reports in zip(indices, reports):
+        for i, report in zip(index, stack_reports):
+            results[i] = (report if isinstance(report, Exception) else
+                          _lm_model(mapper_id, report, config.eye_resolution))
+    return results
 
 
 def _input_field(model):

@@ -240,6 +240,23 @@ def test_depth_label_missing_or_not_positive(dataset_path, change, message):
     assert str(err.value) == f"line 4: {message}"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pupil_px", [10 ** 400, 145.9],
+     "field 'pupil_px' has a number out of float range"),
+    ("depth_label", 10 ** 400, "depth_label out of float range"),
+    ("depth_label", float("inf"), "depth_label must be finite, got inf"),
+], ids=["huge-int-pixels", "huge-int-depth", "infinite-depth"])
+def test_numbers_beyond_float_range_rejected(dataset_path, field, value,
+                                             message):
+    # json writes the int as 400 digits and inf as Infinity; loading
+    # either must name the line instead of raising OverflowError or
+    # taking an infinite depth
+    set_fields(dataset_path, 6, **{field: value})
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == f"line 6: {message}"
+
+
 def test_record_that_is_an_array_rejected(dataset_path):
     rewrite_line(dataset_path, 3, lambda s: "[1.0, 2.0]")
     with pytest.raises(ParseError) as err:

@@ -1,6 +1,7 @@
 """Metric semantics and experiment-protocol bookkeeping."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from gaze3d.eye_simulator import (
 )
 from gaze3d.geometry import (
     BehindOrigin,
+    GeometryError,
     ParallelToPlane,
     PinholeCamera,
     Ray,
@@ -26,6 +28,7 @@ from gaze3d.geometry import (
     rotation_from_angles,
 )
 from gaze3d.evaluation import (
+    FIT_ERRORS,
     ErrorRecord,
     angular_error,
     depth_combination_sweep,
@@ -36,10 +39,12 @@ from gaze3d.evaluation import (
 from gaze3d.mappers import (
     MAPPER_IDS,
     GazeEstimate,
+    MappingConfig,
     Model2Dto3D,
     Model3Dto3D,
     fit_mapper,
     predict_sample,
+    select_records,
 )
 
 
@@ -271,6 +276,84 @@ def test_sweep_records_unprojectable_test_depth():
         assert r.errors is None and r.mean is None
     keys = {(r.calib_subset, r.test_depth) for r in sweep.records}
     assert len(keys) == len(sweep.records)
+
+
+def per_depth_oracle(bundle, sweep):
+    """Each sweep record rescored with its own fit_mapper and one
+    evaluate call per test depth: (status, errors) by record key."""
+    config = MappingConfig(
+        eye_resolution=tuple(bundle.rig.eye_camera.resolution))
+    out = {}
+    for mapper, subset in dict.fromkeys((r.mapper, r.calib_subset)
+                                        for r in sweep.records):
+        samples = select_records(mapper, [s for d in subset
+                                          for s in bundle.calibration[d]])
+        try:
+            model = fit_mapper(mapper, samples, config)
+        except FIT_ERRORS:
+            model = None
+        for depth in bundle.depths():
+            tests = select_records(mapper, bundle.test[depth], fitting=False)
+            out[mapper, subset, depth] = ("failed", None)
+            try:
+                if model is not None:
+                    out[mapper, subset, depth] = ("ok", evaluate(
+                        mapper, model, tests, bundle.rig.e_gt,
+                        bundle.rig.scene_camera).errors)
+            except GeometryError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("bundle", [
+    default_bundle("display", depths=(1.0, 1.5, 2.0)),
+    default_bundle("display", depths=(1.0, 1.5, 2.0), seed=4,
+                   noise_pupil_px=1.0, noise_pose_deg=0.5,
+                   noise_target_mm=2.0),
+    default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                   noise_pupil_px=60, noise_pose_deg=2, noise_target_mm=5),
+], ids=["noiseless", "noisy", "unprojectable"])
+def test_sweep_scores_match_per_depth_evaluate(bundle):
+    sweep = depth_combination_sweep(bundle)
+    oracle = per_depth_oracle(bundle, sweep)
+    assert len(oracle) == len(sweep.records) == 63
+    for r in sweep.records:
+        status, errors = oracle[r.mapper, r.calib_subset, r.test_depth]
+        assert r.status == status
+        if status == "ok":
+            assert np.allclose(r.errors, errors, rtol=0, atol=1e-12)
+            assert r.mean == pytest.approx(errors.mean(), rel=0, abs=1e-12)
+
+
+def test_unprojectable_repro_fails_the_same_records():
+    # the 2d3d fit on 2.0 m alone cannot project one target at 1.5 m and
+    # one at 2.0 m; those two records fail and the fit's 1.0 m record and
+    # every other record are scored
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                            noise_pupil_px=60, noise_pose_deg=2,
+                            noise_target_mm=5)
+    sweep = depth_combination_sweep(bundle, mappers=("2d3d",))
+    assert {(r.calib_subset, r.test_depth)
+            for r in sweep.select(status="failed")} == {((2.0,), 1.5),
+                                                        ((2.0,), 2.0)}
+    assert len(sweep.select(status="ok")) == 19
+
+
+def test_sweep_transient_memory_is_bounded():
+    # The sweep's lockstep fits evaluate each stack of equal-size fits at
+    # its own row count.  Padding every fit to the largest calibration
+    # set (five depths) would multiply the rows of the stacked Jacobians;
+    # this bound catches that before the benchmark's peak RSS does.  The
+    # stacks peak at about 1.4 MB, one fit at a time at about 0.4 MB.
+    bundle = default_bundle("display")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        depth_combination_sweep(bundle)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def without_pose(s):

@@ -1,14 +1,22 @@
 """Mapper fits: feature map, polar parameterization, planted-parameter
 recovery, degenerate-input rejection, and dispatch."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from gaze3d.eye_simulator import SimRig, TwoSphereEye, synthesize_dataset
+from gaze3d.eye_simulator import (
+    SimRig,
+    TwoSphereEye,
+    default_bundle,
+    synthesize_dataset,
+)
 from gaze3d.dataset_io import DataRecord
 from gaze3d.geometry import Ray, point_ray_distance, rotation_from_angles
 from gaze3d.mappers import (
     DEFAULT_EYE_RESOLUTION,
+    MAPPER_IDS,
     DegenerateGeometry,
     GazeEstimate,
     MappingConfig,
@@ -19,6 +27,7 @@ from gaze3d.mappers import (
     fit_2d_to_3d,
     fit_3d_to_3d,
     fit_mapper,
+    fit_mappers,
     polar_to_direction,
     poly_features,
     predict_2d_to_2d,
@@ -26,6 +35,7 @@ from gaze3d.mappers import (
     predict_3d_to_3d,
     predict_rays,
     predict_sample,
+    select_records,
 )
 
 
@@ -263,3 +273,67 @@ def test_predict_rays_needs_poses_for_3d3d():
         predict_rays(model, samples[:2] + [poseless], bundle.rig.scene_camera)
     with pytest.raises(TypeError):
         predict_rays(object(), samples, bundle.rig.scene_camera)
+
+
+# ── many sample sets at once ─────────────────────────────────────────────
+
+def subset_sample_sets(bundle, mapper_id):
+    """The pooled calibration records of every subset of the bundle's
+    depths, as the sweep fits them."""
+    depths = bundle.depths()
+    return [select_records(mapper_id, [s for d in subset
+                                       for s in bundle.calibration[d]])
+            for k in range(1, len(depths) + 1)
+            for subset in itertools.combinations(depths, k)]
+
+
+def assert_same_model(model, solo):
+    """Equal parameters (to 1e-9) and, for LM fits, the same iterations,
+    termination and cost-history length."""
+    assert type(model) is type(solo)
+    for name in ("weights", "angles", "center"):
+        if hasattr(solo, name):
+            assert np.allclose(getattr(model, name), getattr(solo, name),
+                               rtol=0, atol=1e-9)
+    if solo.mapper_id != "2d2d":
+        assert model.report.iterations == solo.report.iterations
+        assert model.report.termination == solo.report.termination
+        assert (len(model.report.cost_history)
+                == len(solo.report.cost_history))
+
+
+@pytest.mark.parametrize("bundle", [
+    default_bundle("display"),
+    default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                   noise_pupil_px=1.0, noise_pose_deg=0.5,
+                   noise_target_mm=2.0),
+], ids=["display-5-depths", "noisy-3-depths"])
+@pytest.mark.parametrize("mapper_id", MAPPER_IDS)
+def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
+    config = MappingConfig(
+        eye_resolution=tuple(bundle.rig.eye_camera.resolution))
+    sets = subset_sample_sets(bundle, mapper_id)
+    models = fit_mappers(mapper_id, sets, config)
+    assert len(models) == len(sets) == 2 ** len(bundle.depths()) - 1
+    for samples, model in zip(sets, models):
+        assert_same_model(model, fit_mapper(mapper_id, samples, config))
+
+
+@pytest.mark.parametrize("mapper_id", MAPPER_IDS)
+def test_fit_mappers_returns_each_fit_error(mapper_id):
+    _, samples = two_depth_samples()
+    samples = select_records(mapper_id, samples)
+    # twelve copies of one record with targets along one ray from the
+    # origin: collinear targets (and one pupil position, for 2d2d)
+    s = samples[0]
+    collinear = [DataRecord(pupil_px=s.pupil_px, pupil_pose=s.pupil_pose,
+                            target=s.target * (1.0 + 0.1 * i),
+                            target_px=s.target_px, depth_label=1.0,
+                            role="calibration")
+                 for i in range(12)]
+    sets = [samples, samples[:2], [], collinear, samples[:40]]
+    results = fit_mappers(mapper_id, sets)
+    for i in (1, 2, 3):
+        assert isinstance(results[i], (RankDeficient, DegenerateGeometry))
+    for i in (0, 4):
+        assert_same_model(results[i], fit_mapper(mapper_id, sets[i]))
