@@ -190,6 +190,8 @@ def cmd_evaluate(args) -> int:
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
     depths = args.depths or tuple(sorted(loaded.test))
+    if not depths:
+        raise CliUsageError("dataset has no test records")
     field = MAPPER_FIELDS[model.mapper_id][0]
     records = []
     for depth in depths:
@@ -233,7 +235,9 @@ def cmd_sweep(args) -> int:
           f"({n_failed} failed rows)")
     for mapper in cfg.mappers:
         means = sweep.mean_by_k(mapper)
-        summary = " ".join(f"k={k}:{v:.4f}" for k, v in sorted(means.items()))
+        summary = " ".join(
+            f"k={k}:{means[k]:.4f}" if k in means else f"k={k}:failed"
+            for k in sorted({r.k for r in sweep.select(mapper)}))
         print(f"{mapper} mean_deg by depth count: {summary}")
     return 0
 

@@ -403,27 +403,55 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
 # --------------------------------------------------------------------------
 # fitted models
 
+# per mapper: its model class and the (attribute, file key, shape) of
+# each array it stores
+_MODEL_ARRAYS = {
+    "2d2d": (Model2Dto2D, (("weights", "weights", (7, 2)),
+                           ("eye_resolution", "eye_resolution", (2,)))),
+    "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2)),
+                           ("center", "center_m", (3,)),
+                           ("eye_resolution", "eye_resolution", (2,)))),
+    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,)),
+                           ("center", "center_m", (3,)))),
+}
+
+
 def save_model(model, path) -> None:
     """Serialize a fitted mapper model as a small JSON document."""
-    doc = {"format": MODEL_FORMAT, "mapper": model.mapper_id}
-    if isinstance(model, Model2Dto2D):
-        doc["weights"] = [_floats(row) for row in model.weights]
-        doc["eye_resolution"] = _floats(model.eye_resolution)
-    elif isinstance(model, Model2Dto3D):
-        doc["weights"] = [_floats(row) for row in model.weights]
-        doc["center_m"] = _floats(model.center)
-        doc["eye_resolution"] = _floats(model.eye_resolution)
-    elif isinstance(model, Model3Dto3D):
-        doc["angles_rad"] = _floats(model.angles)
-        doc["center_m"] = _floats(model.center)
-    else:
+    if not isinstance(model, (Model2Dto2D, Model2Dto3D, Model3Dto3D)):
         raise TypeError(f"not a mapper model: {type(model).__name__}")
+    doc = {"format": MODEL_FORMAT, "mapper": model.mapper_id}
+    for attr, key, _ in _MODEL_ARRAYS[model.mapper_id][1]:
+        doc[key] = np.asarray(getattr(model, attr), dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _model_array(doc, key, shape):
+    """The array a model file holds under `key`: `shape` finite JSON
+    numbers, or a ParseError naming the field."""
+    if key not in doc:
+        raise ParseError(f"model file missing field {key!r}")
+    value = doc[key]
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ParseError(f"model field {key!r} is not a numeric array") \
+            from err
+    if arr.shape != shape:
+        raise ParseError(f"model field {key!r} must have shape {shape}, "
+                         f"got {arr.shape}")
+    entries = chain.from_iterable(value) if len(shape) == 2 else value
+    if any(type(v) not in _NUMBER_TYPES for v in entries):
+        raise ParseError(f"model field {key!r} is not numeric")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"model field {key!r} contains non-finite values")
+    return arr
+
+
 def load_model(path):
-    """Inverse of save_model."""
+    """Inverse of save_model; every array is checked for its shape and
+    for finite numeric entries."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -432,23 +460,11 @@ def load_model(path):
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a {MODEL_FORMAT} file")
     mapper = doc.get("mapper")
-    try:
-        if mapper == "2d2d":
-            return Model2Dto2D(
-                weights=np.asarray(doc["weights"], dtype=float),
-                eye_resolution=np.asarray(doc["eye_resolution"], dtype=float))
-        if mapper == "2d3d":
-            return Model2Dto3D(
-                weights=np.asarray(doc["weights"], dtype=float),
-                center=np.asarray(doc["center_m"], dtype=float),
-                eye_resolution=np.asarray(doc["eye_resolution"], dtype=float))
-        if mapper == "3d3d":
-            return Model3Dto3D(
-                angles=np.asarray(doc["angles_rad"], dtype=float),
-                center=np.asarray(doc["center_m"], dtype=float))
-    except KeyError as err:
-        raise ParseError(f"model file missing field {err}") from err
-    raise ParseError(f"unknown mapper {mapper!r}")
+    if mapper not in MAPPER_IDS:        # a tuple: mapper may be unhashable
+        raise ParseError(f"unknown mapper {mapper!r}")
+    cls, arrays = _MODEL_ARRAYS[mapper]
+    return cls(**{attr: _model_array(doc, key, shape)
+                  for attr, key, shape in arrays})
 
 
 # --------------------------------------------------------------------------

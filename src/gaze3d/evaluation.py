@@ -171,10 +171,11 @@ class SweepResult:
         return list(out)
 
     def mean_by_k(self, mapper):
-        """Mean error over all subsets and test depths, per k."""
-        ks = sorted({r.k for r in self.records if r.mapper == mapper})
-        return {k: float(np.mean([r.mean for r in self.select(mapper, k, "ok")]))
-                for k in ks}
+        """Mean error over all ok subsets and test depths, per k; a k with
+        no ok record is left out."""
+        ok = self.select(mapper, status="ok")
+        return {k: float(np.mean([r.mean for r in ok if r.k == k]))
+                for k in sorted({r.k for r in ok})}
 
 
 def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,

@@ -57,9 +57,8 @@ from .optimizer import (
     LMSettings,
     NonFiniteResidual,
     ProblemStack,
-    ResidualProblem,
     SingularNormalEquations,
-    solve_lm,
+    solve_lm,  # noqa: F401 - perfbench traces it here
     solve_lm_stacked,
 )
 
@@ -247,16 +246,6 @@ def _lm_layout(mapper_id):
             np.array([True, True, True, False, False, False]))
 
 
-def _lm_problem(mapper_id, inputs, targets, normalize, center_bounds):
-    """The ResidualProblem of one 2d3d or 3d3d fit."""
-    residual, jacobian, dim, wrap = _lm_layout(mapper_id)
-    lower, upper = _center_box(dim, center_bounds)
-    return ResidualProblem(
-        dim=dim, residual=lambda x: residual(x, inputs, targets, normalize),
-        jacobian=lambda x: jacobian(x, inputs, targets, normalize),
-        lower=lower, upper=upper, wrap_mask=wrap)
-
-
 def _lm_stack(mapper_id, inputs, targets, normalize, center_bounds):
     """The ProblemStack of 2d3d or 3d3d fits with equal sample counts,
     from their inputs and targets stacked on a leading axis."""
@@ -287,11 +276,11 @@ def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
                  center_bounds=DEFAULT_CENTER_BOUND_M,
                  settings: LMSettings = LMSettings()) -> Model2Dto3D:
     """Joint LM fit of polynomial angle weights and eyeball center from
-    (p, t) pairs."""
-    feats, targets, x0 = _setup_2d3d(calib, eye_resolution)
-    problem = _lm_problem("2d3d", feats, targets, normalize_residuals,
-                          center_bounds)
-    return _lm_model("2d3d", solve_lm(problem, x0, settings), eye_resolution)
+    (p, t) pairs: fit_mappers on one set."""
+    return _one_fit(_fit_pair_sets("2d3d", [calib], MappingConfig(
+        eye_resolution=eye_resolution,
+        normalize_residuals=normalize_residuals,
+        center_bounds_m=center_bounds, lm=settings)))
 
 
 def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
@@ -305,11 +294,11 @@ def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
 def fit_3d_to_3d(calib, normalize_residuals=True,
                  center_bounds=DEFAULT_CENTER_BOUND_M,
                  settings: LMSettings = LMSettings()) -> Model3Dto3D:
-    """LM fit of rotation angles and eyeball center from (n, t) pairs."""
-    poses, targets, x0 = _setup_3d3d(calib)
-    problem = _lm_problem("3d3d", poses, targets, normalize_residuals,
-                          center_bounds)
-    return _lm_model("3d3d", solve_lm(problem, x0, settings), None)
+    """LM fit of rotation angles and eyeball center from (n, t) pairs:
+    fit_mappers on one set."""
+    return _one_fit(_fit_pair_sets("3d3d", [calib], MappingConfig(
+        normalize_residuals=normalize_residuals,
+        center_bounds_m=center_bounds, lm=settings)))
 
 
 def predict_3d_to_3d(model: Model3Dto3D, n) -> GazeEstimate:
@@ -350,33 +339,40 @@ def select_records(mapper_id: str, records, fitting=True) -> list:
             if all(getattr(r, f) is not None for f in fields)]
 
 
+def _one_fit(results):
+    """The model of a one-set fit, or the fit error it failed with raised."""
+    [result] = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig()):
-    """Fit one mapper from records holding its fields (see select_records)."""
-    source, target = _fields(mapper_id)
-    pairs = [(getattr(s, source), getattr(s, target)) for s in samples]
-    if mapper_id == "2d2d":
-        return fit_2d_to_2d(pairs, config.eye_resolution)
-    if mapper_id == "2d3d":
-        return fit_2d_to_3d(pairs, config.eye_resolution,
-                            config.normalize_residuals,
-                            config.center_bounds_m, config.lm)
-    return fit_3d_to_3d(pairs, config.normalize_residuals,
-                        config.center_bounds_m, config.lm)
+    """Fit one mapper from records holding its fields (see select_records):
+    fit_mappers on one set, with its fit error raised."""
+    return _one_fit(fit_mappers(mapper_id, [samples], config))
 
 
 def fit_mappers(mapper_id: str, sample_sets,
                 config: MappingConfig = MappingConfig()) -> list:
-    """fit_mapper on each of `sample_sets`: per set, its model or the
-    FIT_ERRORS exception fit_mapper raises for it.
+    """Fit one mapper on each of `sample_sets`: per set, its model or the
+    FIT_ERRORS exception its fit failed with.
 
-    2d3d and 3d3d sets are fitted in one solve_lm_stacked call, sets with
-    equal sample counts in one ProblemStack; each fit takes the steps it
-    takes alone, so its report matches fit_mapper's.  2d2d fits are one
-    least-squares solve per set.
+    This is the one fit path; fit_mapper, fit_2d_to_3d and fit_3d_to_3d
+    are one-set calls of it.  2d3d and 3d3d sets are fitted in one
+    solve_lm_stacked call, sets with equal sample counts in one
+    ProblemStack; each fit takes the steps it takes alone, so its report
+    does not depend on the other sets.  2d2d fits are one least-squares
+    solve per set.
     """
     source, target = _fields(mapper_id)
-    pair_sets = [[(getattr(s, source), getattr(s, target)) for s in samples]
-                 for samples in sample_sets]
+    return _fit_pair_sets(
+        mapper_id, [[(getattr(s, source), getattr(s, target)) for s in samples]
+                    for samples in sample_sets], config)
+
+
+def _fit_pair_sets(mapper_id, pair_sets, config):
+    """fit_mappers on sets of (input, target) pairs."""
     results = [None] * len(pair_sets)
     groups = {}         # sample count -> [(set index, (inputs, targets, x0))]
     for i, pairs in enumerate(pair_sets):

@@ -194,6 +194,33 @@ def test_evaluate_unprojectable_model_is_one_error_line(dataset, tmp_path,
     assert stderr.count("\n") == 1
 
 
+def test_evaluate_rejects_a_non_finite_model(dataset, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
+    doc = json.loads(model.read_text())
+    doc["center_m"][0] = float("nan")
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "evaluate", model, dataset)
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ParseError: model field 'center_m'")
+    assert stderr.count("\n") == 1
+
+
+def test_evaluate_without_test_records(dataset, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
+    calib_only = tmp_path / "calib.jsonl"
+    calib_only.write_text("".join(
+        line for line in dataset.read_text().splitlines(keepends=True)
+        if '"role":"test"' not in line))
+    out = tmp_path / "results.csv"
+    code, stdout, stderr = run(capsys, "evaluate", model, calib_only,
+                               "--out", out)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == ("error: CliUsageError: dataset has no test "
+                      "records\n")
+
+
 # ── sweep ────────────────────────────────────────────────────────────────
 
 def test_sweep_small(tmp_path, capsys):
@@ -216,6 +243,23 @@ def test_sweep_summary_counts_failed_rows(tmp_path, capsys):
                           "--seed", "0", "--out", tmp_path / "s.csv")
     assert code == 0
     assert "21 rows (2 failed rows)" in stdout
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_summary_marks_a_k_without_ok_records(tmp_path, capsys):
+    # six calibration targets per depth: too few for a one-depth 2d2d or
+    # 2d3d fit, enough for two depths and for 3d3d
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depths": [1.0, 2.0],
+                               "grid": {"calib_rows": 2, "calib_cols": 3}}))
+    out = tmp_path / "s.csv"
+    code, stdout, stderr = run(capsys, "sweep", "--config", cfg,
+                               "--out", out)
+    assert code == 0 and stderr == ""
+    assert "18 rows (8 failed rows)" in stdout
+    assert "2d2d mean_deg by depth count: k=1:failed k=2:" in stdout
+    assert "2d3d mean_deg by depth count: k=1:failed k=2:" in stdout
+    assert "3d3d mean_deg by depth count: k=1:0.0000 k=2:" in stdout
 
 
 # ── selftest ─────────────────────────────────────────────────────────────

@@ -22,7 +22,7 @@ from gaze3d.dataset_io import (
 )
 from gaze3d.evaluation import SweepResult, depth_combination_sweep
 from gaze3d.eye_simulator import SimRig, TwoSphereEye, default_bundle, synthesize_dataset
-from gaze3d.mappers import fit_mapper, predict_sample
+from gaze3d.mappers import Model3Dto3D, fit_mapper, predict_sample
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,49 @@ def test_model_file_validation(tmp_path):
     path.write_text(json.dumps({"format": "gaze3d-model/1", "mapper": "5d"}))
     with pytest.raises(ParseError):
         load_model(path)
+    path.write_text(json.dumps({"format": "gaze3d-model/1",
+                                "mapper": ["2d2d"]}))
+    with pytest.raises(ParseError, match="unknown mapper"):
+        load_model(path)
+
+
+def test_model_file_format_is_fixed(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(Model3Dto3D(angles=(0.1, 3.0, -0.2), center=(0.01, 0, -0.02)),
+               path)
+    assert path.read_text() == json.dumps(
+        {"angles_rad": [0.1, 3.0, -0.2], "center_m": [0.01, 0.0, -0.02],
+         "format": "gaze3d-model/1", "mapper": "3d3d"}, indent=2) + "\n"
+    with pytest.raises(TypeError, match="not a mapper model"):
+        save_model(object(), path)
+
+
+@pytest.mark.parametrize("mapper, key, value, message", [
+    ("2d3d", "center_m", [float("nan"), 0.0, 0.0], "non-finite"),
+    ("3d3d", "center_m", [0.0, 0.0, float("inf")], "non-finite"),
+    ("2d3d", "center_m", [0.0, 0.0], r"must have shape \(3,\), got \(2,\)"),
+    ("2d2d", "weights", [[0.0, 0.0]] * 3, r"must have shape \(7, 2\)"),
+    ("2d3d", "weights", [[0.0, 0.0]] * 6 + [[0.0]], "not a numeric array"),
+    ("2d2d", "eye_resolution", "640x360", "not a numeric array"),
+    ("2d3d", "eye_resolution", [640, 10**400], "not a numeric array"),
+    ("3d3d", "angles_rad", ["0.1", 0.0, 0.0], "is not numeric"),
+    ("2d2d", "weights", [[0.0, 0.0]] * 6 + [[True, 0.0]], "is not numeric"),
+    ("3d3d", "angles_rad", None, "missing field"),
+])
+def test_model_arrays_are_checked(bundle, tmp_path, mapper, key, value,
+                                  message):
+    path = tmp_path / "m.json"
+    save_model(fit_mapper(mapper, bundle.calibration[1.0]
+                          + bundle.calibration[1.5]), path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=message) as err:
+        load_model(path)
+    assert repr(key) in str(err.value)
 
 
 # ── results CSV ──────────────────────────────────────────────────────────

@@ -261,6 +261,9 @@ def test_sweep_records_failed_fits():
     assert all(r.mapper == "3d3d" for r in failed) and len(failed) == 21
     for r in failed:
         assert r.errors is None and r.mean is None and r.n_targets == 0
+    # a k with no ok record has no mean
+    assert sweep.mean_by_k("3d3d") == {}
+    assert sorted(sweep.mean_by_k("2d2d")) == [1, 2, 3]
 
 
 def test_sweep_records_unprojectable_test_depth():

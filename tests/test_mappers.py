@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gaze3d import _kernels
 from gaze3d.eye_simulator import (
     SimRig,
     TwoSphereEye,
@@ -15,6 +16,7 @@ from gaze3d.eye_simulator import (
 from gaze3d.dataset_io import DataRecord
 from gaze3d.geometry import Ray, point_ray_distance, rotation_from_angles
 from gaze3d.mappers import (
+    DEFAULT_CENTER_BOUND_M,
     DEFAULT_EYE_RESOLUTION,
     MAPPER_IDS,
     DegenerateGeometry,
@@ -37,6 +39,7 @@ from gaze3d.mappers import (
     predict_sample,
     select_records,
 )
+from gaze3d.optimizer import ResidualProblem, solve_lm
 
 
 def normalized_features(pupils_px, resolution=DEFAULT_EYE_RESOLUTION):
@@ -337,3 +340,47 @@ def test_fit_mappers_returns_each_fit_error(mapper_id):
         assert isinstance(results[i], (RankDeficient, DegenerateGeometry))
     for i in (0, 4):
         assert_same_model(results[i], fit_mapper(mapper_id, sets[i]))
+
+
+# ── the one fit path against solve_lm ────────────────────────────────────
+
+@pytest.mark.parametrize("depths", ((1.5,), (1.0, 2.0)))
+@pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
+def test_one_set_fits_match_solve_lm(mapper_id, depths):
+    """fit_2d_to_3d/fit_3d_to_3d and fit_mapper take the steps of
+    solve_lm on a ResidualProblem of the same kernels, start and box."""
+    bundle = default_bundle("display", depths=depths, seed=0,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    samples = select_records(mapper_id, [s for d in depths
+                                         for s in bundle.calibration[d]])
+    targets = np.array([s.target for s in samples])
+    if mapper_id == "2d3d":
+        inputs = normalized_features([s.pupil_px for s in samples])
+        w0 = np.linalg.lstsq(inputs, direction_to_polar(targets),
+                             rcond=None)[0]
+        x0 = np.concatenate((w0.ravel(), np.zeros(3)))
+        residual, jacobian = _kernels.residuals_2d3d, _kernels.jacobian_2d3d
+        wrap = None
+        model = fit_2d_to_3d([(s.pupil_px, s.target) for s in samples])
+    else:
+        inputs = np.array([s.pupil_pose for s in samples])
+        inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
+        x0 = np.array([0.0, np.pi, 0.0, 0.0, 0.0, 0.0])
+        residual, jacobian = _kernels.residuals_3d3d, _kernels.jacobian_3d3d
+        wrap = [True, True, True, False, False, False]
+        model = fit_3d_to_3d([(s.pupil_pose, s.target) for s in samples])
+    bound = np.concatenate((np.full(x0.size - 3, np.inf),
+                            np.full(3, DEFAULT_CENTER_BOUND_M)))
+    oracle = solve_lm(ResidualProblem(
+        dim=x0.size, residual=lambda x: residual(x, inputs, targets),
+        jacobian=lambda x: jacobian(x, inputs, targets),
+        lower=-bound, upper=bound, wrap_mask=wrap), x0)
+    assert oracle.iterations > 1
+    for fit in (model, fit_mapper(mapper_id, samples)):
+        params = np.concatenate((fit.weights.ravel() if mapper_id == "2d3d"
+                                 else fit.angles, fit.center))
+        assert fit.report.iterations == oracle.iterations
+        assert fit.report.termination == oracle.termination
+        assert len(fit.report.cost_history) == len(oracle.cost_history)
+        assert np.allclose(params, oracle.params, rtol=0, atol=1e-12)
