@@ -79,6 +79,7 @@ from .mappers import (
     fit_2d_to_2d,
     fit_2d_to_3d,
     fit_3d_to_3d,
+    fit_arrays,
     fit_mapper,
     fit_mappers,
     polar_to_direction,
@@ -86,8 +87,10 @@ from .mappers import (
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
+    predict_ray_arrays,
     predict_rays,
     predict_sample,
+    record_arrays,
 )
 from .evaluation import (
     ErrorRecord,

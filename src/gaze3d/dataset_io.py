@@ -403,16 +403,16 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
 # --------------------------------------------------------------------------
 # fitted models
 
-# per mapper: its model class and the (attribute, file key, shape) of
-# each array it stores
+# per mapper: its model class and the (attribute, file key, shape,
+# whether every entry must be positive) of each array it stores
 _MODEL_ARRAYS = {
-    "2d2d": (Model2Dto2D, (("weights", "weights", (7, 2)),
-                           ("eye_resolution", "eye_resolution", (2,)))),
-    "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2)),
-                           ("center", "center_m", (3,)),
-                           ("eye_resolution", "eye_resolution", (2,)))),
-    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,)),
-                           ("center", "center_m", (3,)))),
+    "2d2d": (Model2Dto2D, (("weights", "weights", (7, 2), False),
+                           ("eye_resolution", "eye_resolution", (2,), True))),
+    "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2), False),
+                           ("center", "center_m", (3,), False),
+                           ("eye_resolution", "eye_resolution", (2,), True))),
+    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,), False),
+                           ("center", "center_m", (3,), False))),
 }
 
 
@@ -421,15 +421,16 @@ def save_model(model, path) -> None:
     if not isinstance(model, (Model2Dto2D, Model2Dto3D, Model3Dto3D)):
         raise TypeError(f"not a mapper model: {type(model).__name__}")
     doc = {"format": MODEL_FORMAT, "mapper": model.mapper_id}
-    for attr, key, _ in _MODEL_ARRAYS[model.mapper_id][1]:
+    for attr, key, *_ in _MODEL_ARRAYS[model.mapper_id][1]:
         doc[key] = np.asarray(getattr(model, attr), dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _model_array(doc, key, shape):
+def _model_array(doc, key, shape, positive):
     """The array a model file holds under `key`: `shape` finite JSON
-    numbers, or a ParseError naming the field."""
+    numbers, all above zero if `positive`, or a ParseError naming the
+    field."""
     if key not in doc:
         raise ParseError(f"model file missing field {key!r}")
     value = doc[key]
@@ -446,12 +447,16 @@ def _model_array(doc, key, shape):
         raise ParseError(f"model field {key!r} is not numeric")
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"model field {key!r} contains non-finite values")
+    if positive and np.any(arr <= 0):
+        raise ParseError(f"model field {key!r} must be positive, "
+                         f"got {arr.tolist()}")
     return arr
 
 
 def load_model(path):
     """Inverse of save_model; every array is checked for its shape and
-    for finite numeric entries."""
+    for finite numeric entries, and the eye resolution for positive
+    ones."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -463,8 +468,8 @@ def load_model(path):
     if mapper not in MAPPER_IDS:        # a tuple: mapper may be unhashable
         raise ParseError(f"unknown mapper {mapper!r}")
     cls, arrays = _MODEL_ARRAYS[mapper]
-    return cls(**{attr: _model_array(doc, key, shape)
-                  for attr, key, shape in arrays})
+    return cls(**{attr: _model_array(doc, key, shape, positive)
+                  for attr, key, shape, positive in arrays})
 
 
 # --------------------------------------------------------------------------

@@ -18,12 +18,18 @@ path is tested against.
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
 test depths; offset_analysis regroups the single-depth records by signed
-calibration-to-test depth offset.  The sweep fits all subsets of one
-mapper with one fit_mappers call (one lockstep LM solve, see
-gaze3d.optimizer) and scores each fit at all its test depths in one pass
-of evaluate's array path; only if that pass meets a target the model
-cannot project does it score depth by depth, so that just that depth
-fails.
+calibration-to-test depth offset.  Per mapper, the sweep stacks each
+depth's usable calibration and test records into arrays once, fits all
+subsets from concatenations of those arrays with one fit_arrays call
+(one lockstep LM solve, see gaze3d.optimizer), and scores every ok fit
+at every test depth in one pass: one prediction of all (fit, target)
+rays, one plane intersection, one angle call, and the mean and std of
+each (fit, depth) block along an axis.  Only if that pass meets a target
+some fit cannot project does it score each (fit, depth) alone, so that
+just those records fail.  The records carry the bits evaluate gives for
+the same fit and depth, unless that depth has one usable test record:
+numpy computes a one-row matrix product another way, which can differ
+in the last bit.
 """
 
 from __future__ import annotations
@@ -48,10 +54,12 @@ from .mappers import (
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,
+    fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
-    fit_mappers,
+    predict_ray_arrays,
     predict_rays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
+    record_arrays,
     select_records,
 )
 
@@ -99,59 +107,79 @@ def evaluate(mapper_id, model, samples, reference,
     """
     if not samples:
         raise ValueError("empty test set")
-    return _scored(mapper_id, _target_errors(model, samples, reference,
-                                             scene_cam),
-                   calib_subset, test_depth)
-
-
-def _target_errors(model, samples, reference, scene_cam):
-    """The angular error of every record of `samples` in one pass."""
-    origins, directions = predict_rays(model, samples, scene_cam)
-    targets = np.array([s.target for s in samples], dtype=float)
-    hits = intersect_ray_depth_plane_batch(origins, directions, targets[:, 2])
-    return angle_between_batch(hits - reference, targets - reference)
-
-
-def _scored(mapper_id, errors, calib_subset, test_depth):
+    errors = _target_errors(predict_rays(model, samples, scene_cam),
+                            np.array([s.target for s in samples],
+                                     dtype=float), reference)
+    [scores] = _row_scores(errors[None])
     return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
-                       test_depth=test_depth, errors=errors,
-                       mean=float(errors.mean()),
-                       std=float(errors.std()))   # population (divide by N)
+                       test_depth=test_depth, **scores)
 
 
-def _score_fit(mapper_id, model, calib_subset, tests, reference,
-               scene_cam) -> list:
-    """ErrorRecords of one fit (a model, or the exception its fit raised)
-    at each depth of `tests` (depth -> test records), all depths scored
-    in one pass."""
-    errors = [()] * len(tests)
-    if not isinstance(model, Exception):
-        sizes = [len(samples) for samples in tests.values()]
-        pooled = [s for samples in tests.values() for s in samples]
+def _target_errors(rays, targets, reference):
+    """The angular errors of (..., N, 3) arrays of ray origins and
+    directions against an (N, 3) array of targets, as an (..., N) array,
+    computed row by row."""
+    origins, directions = rays
+    shape = directions.shape[:-1]
+    targets = np.broadcast_to(targets, directions.shape).reshape(-1, 3)
+    hits = intersect_ray_depth_plane_batch(origins.reshape(-1, 3),
+                                           directions.reshape(-1, 3),
+                                           targets[:, 2])
+    return angle_between_batch(hits - reference,
+                               targets - reference).reshape(shape)
+
+
+def _row_scores(errors):
+    """ErrorRecord fields of each row of an (M, N) error array: the row,
+    its mean and its population std (divide by N), taken along the rows
+    (the bits of the 1-D calls)."""
+    means, stds = errors.mean(axis=1).tolist(), errors.std(axis=1).tolist()
+    return [{"errors": row, "mean": mean, "std": std}
+            for row, mean, std in zip(errors, means, stds)]
+
+
+def _score_fits(mapper_id, subsets, models, tests, reference,
+                scene_cam) -> list:
+    """ErrorRecords of every fit of one mapper (a model, or the exception
+    its fit raised) at each depth of `tests` (depth -> scoring arrays of
+    record_arrays), in subset then depth order.
+
+    All ok fits are scored at every depth with test records in one pass:
+    one prediction, one plane intersection and one angle call, then the
+    mean and std of each (fit, depth) block along its rows.  Only if that
+    pass meets a target some fit cannot project is each (fit, depth)
+    scored alone, so that just those records fail.
+    """
+    ok = [i for i, model in enumerate(models)
+          if not isinstance(model, Exception)]
+    scored = [d for d, (inputs, _) in tests.items() if len(inputs)]
+    scores = {}         # (fit index, depth) -> ErrorRecord fields
+    if ok and scored:
         try:
-            if pooled:
-                errors = np.split(_target_errors(model, pooled, reference,
-                                                 scene_cam),
-                                  np.cumsum(sizes)[:-1])
-        except GeometryError:   # a target this model cannot project
-            errors = [_projectable_errors(model, samples, reference,
-                                          scene_cam)
-                      for samples in tests.values()]
-    return [_scored(mapper_id, e, calib_subset, depth) if len(e) else
-            ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
-                        test_depth=depth, status="failed")
-            for depth, e in zip(tests, errors)]
-
-
-def _projectable_errors(model, samples, reference, scene_cam):
-    """_target_errors, or () if there are no samples or some target
-    cannot be projected."""
-    if not samples:
-        return ()
-    try:
-        return _target_errors(model, samples, reference, scene_cam)
-    except GeometryError:
-        return ()
+            errors = _target_errors(
+                predict_ray_arrays([models[i] for i in ok],
+                                   np.concatenate([tests[d][0]
+                                                   for d in scored]),
+                                   scene_cam),
+                np.concatenate([tests[d][1] for d in scored]), reference)
+        except GeometryError:   # a target some fit cannot project
+            for i, d in itertools.product(ok, scored):
+                inputs, targets = tests[d]
+                try:
+                    [scores[i, d]] = _row_scores(_target_errors(
+                        predict_ray_arrays([models[i]], inputs, scene_cam),
+                        targets, reference))
+                except GeometryError:
+                    pass
+        else:
+            stops = np.cumsum([len(tests[d][0]) for d in scored])[:-1]
+            for d, block in zip(scored, np.split(errors, stops, axis=1)):
+                scores.update(zip([(i, d) for i in ok], _row_scores(block)))
+    return [ErrorRecord(mapper=mapper_id, calib_subset=subset,
+                        test_depth=d, **scores[i, d]) if (i, d) in scores
+            else ErrorRecord(mapper=mapper_id, calib_subset=subset,
+                             test_depth=d, status="failed")
+            for i, subset in enumerate(subsets) for d in tests]
 
 
 @dataclass(frozen=True)
@@ -201,21 +229,21 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
 
     records = []
     for mapper in mappers:
-        # records a mapper cannot use are dropped, as the CLI does; a
-        # depth left with no test records fails
-        calibration = {d: select_records(mapper, bundle.calibration[d])
-                       for d in depths}
-        tests = {d: select_records(mapper, bundle.test.get(d, ()),
-                                   fitting=False)
+        # each depth's usable records, as arrays: records a mapper cannot
+        # use are dropped, as the CLI does; a depth left with no test
+        # records fails
+        calibration = {d: record_arrays(mapper, select_records(
+            mapper, bundle.calibration[d])) for d in depths}
+        tests = {d: record_arrays(mapper, select_records(
+            mapper, bundle.test.get(d, ()), fitting=False), fitting=False)
                  for d in depths}
         subsets = [subset for k in k_range
                    for subset in itertools.combinations(depths, k)]
-        models = fit_mappers(mapper, [[s for d in subset
-                                       for s in calibration[d]]
-                                      for subset in subsets], config)
-        for subset, model in zip(subsets, models):
-            records += _score_fit(mapper, model, subset, tests, reference,
-                                  scene_cam)
+        models = fit_arrays(mapper, [
+            tuple(map(np.concatenate, zip(*(calibration[d] for d in subset))))
+            for subset in subsets], config)
+        records += _score_fits(mapper, subsets, models, tests, reference,
+                               scene_cam)
     return SweepResult(records=tuple(records))
 
 

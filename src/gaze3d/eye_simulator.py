@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels import _cross
 from .geometry import (
     PinholeCamera,
     Ray,
@@ -264,6 +265,31 @@ def _deflect(direction, sigma_rad, rng):
             + axis * np.dot(axis, direction) * (1.0 - np.cos(angle)))
 
 
+def _deflect_rows(directions, sigma_rad, rngs):
+    """_deflect of each row of an (N, 3) array with its own generator,
+    with the same draws and bits: each generator draws the row's angle
+    and seed axis (and redraws the axis as _deflect does), then every
+    row is rotated at once.  _cross, dot_norms and the stacked dot give
+    the bits of np.cross, np.linalg.norm and np.dot on one row."""
+    angles = np.empty(len(directions))
+    seed_axes = np.empty(directions.shape)
+    for i, rng in enumerate(rngs):
+        angles[i] = rng.normal(0.0, sigma_rad)
+        seed_axes[i] = rng.normal(size=3)
+    axes = _cross(directions, seed_axes)
+    norms = dot_norms(axes)
+    for i in np.flatnonzero(norms < 1e-12):   # seed happened to be parallel
+        while norms[i] < 1e-12:
+            axes[i] = np.cross(directions[i], rngs[i].normal(size=3))
+            norms[i] = np.linalg.norm(axes[i])
+    axes = axes / norms[:, None]
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    dots = (axes[:, None, :] @ directions[:, :, None])[:, 0]
+    # Rodrigues rotation about each row's axis
+    return (directions * cos + _cross(axes, directions) * sin
+            + axes * dots * (1.0 - cos))
+
+
 def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
                       rng=None, depth_label=None, role="calibration") -> SimSample:
     """Simulate one fixation on `target`.
@@ -366,9 +392,7 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
                                         for r in rngs])
     poses = (rig.eye_camera.rotation.T @ directions[..., None])[..., 0]
     if rig.noise_pose_deg > 0:
-        sigma_rad = np.radians(rig.noise_pose_deg)
-        poses = np.array([_deflect(pose, sigma_rad, r)
-                          for pose, r in zip(poses, rngs)])
+        poses = _deflect_rows(poses, np.radians(rig.noise_pose_deg), rngs)
     depth_label = float(depth_label)
     return [SimSample(pupil_px=pp, pupil_pose=pose, target=target,
                       target_px=tp, depth_label=depth_label, role=role,

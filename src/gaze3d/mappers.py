@@ -31,7 +31,9 @@ configurable.
 Records: MAPPER_FIELDS names the field of a record each mapper reads and
 the field it fits that to.  pupil_pose and target_px may be missing, so
 select_records keeps the records holding both fields for fitting and
-those holding the first for scoring.
+those holding the first for scoring; record_arrays stacks such records
+into the arrays that fit_arrays (the one fit path) and
+predict_ray_arrays take.
 """
 
 from __future__ import annotations
@@ -87,11 +89,13 @@ def poly_features(p) -> np.ndarray:
 
 
 def _feature_matrix(pupils_px, resolution):
+    """Features of (..., 2) pupil pixels, normalized by a resolution
+    that broadcasts against them: a (..., 7) array."""
     res = np.asarray(resolution, dtype=float)
     norm = (np.asarray(pupils_px, dtype=float) - res / 2.0) / (res / 2.0)
-    u, v = norm[:, 0], norm[:, 1]
-    return np.column_stack((np.ones_like(u), u, v, u * v, u * u, v * v,
-                            u * u * v * v))
+    u, v = norm[..., 0], norm[..., 1]
+    return np.stack((np.ones_like(u), u, v, u * v, u * u, v * v,
+                     u * u * v * v), axis=-1)
 
 
 def polar_to_direction(alpha) -> np.ndarray:
@@ -163,20 +167,35 @@ class Model3Dto3D:
         return rotation_from_angles(self.angles)
 
 
-def _split_pairs(calib, n_left, n_right):
-    if not len(calib):     # the fits' sample-count checks reject it
-        return np.empty((0, n_left)), np.empty((0, n_right))
-    left = np.asarray([np.asarray(a, dtype=float) for a, _ in calib])
-    right = np.asarray([np.asarray(b, dtype=float) for _, b in calib])
-    if left.ndim != 2 or left.shape[1] != n_left or right.shape[1] != n_right:
-        raise ValueError("calibration pairs have wrong shapes")
-    return left, right
+def _rows(values, width):
+    """An (N, width) float array of N vectors of `width` entries."""
+    rows = (np.asarray(values, dtype=float) if len(values)
+            else np.empty((0, width)))
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected vectors of {width} entries, "
+                         f"got an array of shape {rows.shape}")
+    return rows
 
 
-def _check_not_collinear(targets, origin):
-    dirs = targets - origin
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    if np.all(np.linalg.norm(np.cross(dirs, dirs[0]), axis=1) < 1e-9):
+def _split_pairs(calib):
+    """The inputs and the targets of (input, target) pairs, as lists."""
+    pairs = list(calib)
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def _check_targets(targets):
+    """Reject targets at the initial eyeball center e0 = 0 (before any
+    division by their distance) or all collinear with it."""
+    norms = np.linalg.norm(targets, axis=1, keepdims=True)
+    coincident = norms[:, 0] < 1e-12
+    if coincident.any():
+        i = int(np.argmax(coincident))
+        raise DegenerateGeometry(f"calibration target {i} at "
+                                 f"{targets[i].tolist()} coincides with the "
+                                 "initial eyeball center")
+    dirs = targets / norms
+    crosses = _kernels._cross(dirs, dirs[0])
+    if np.all(np.linalg.norm(crosses, axis=1) < 1e-9):
         raise DegenerateGeometry("all targets collinear with the initial "
                                  "eyeball center; rays cannot be constrained")
 
@@ -192,8 +211,13 @@ def _center_box(dim, center_bounds):
 
 
 def fit_2d_to_2d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION) -> Model2Dto2D:
-    """Least-squares fit of the 7x2 weight matrix from (p, s) pairs."""
-    pupils, scene = _split_pairs(calib, 2, 2)
+    """Least-squares fit of the 7x2 weight matrix from (p, s) pairs:
+    fit_arrays on one set."""
+    return _one_fit(fit_arrays("2d2d", [_split_pairs(calib)],
+                               MappingConfig(eye_resolution=eye_resolution)))
+
+
+def _fit_2d2d(pupils, scene, eye_resolution):
     if len(pupils) < 7:
         raise RankDeficient(f"need at least 7 samples, got {len(pupils)}")
     feats = _feature_matrix(pupils, eye_resolution)
@@ -211,12 +235,11 @@ def predict_2d_to_2d(model: Model2Dto2D, p) -> GazeEstimate:
     return GazeEstimate(point=(feats @ model.weights)[0])
 
 
-def _setup_2d3d(calib, eye_resolution):
+def _setup_2d3d(pupils, targets, eye_resolution):
     """Checks and LM start of a 2D-to-3D fit: (features, targets, x0)."""
-    pupils, targets = _split_pairs(calib, 2, 3)
     if len(pupils) < 9:
         raise RankDeficient(f"need at least 9 samples, got {len(pupils)}")
-    _check_not_collinear(targets, np.zeros(3))
+    _check_targets(targets)
     feats = _feature_matrix(pupils, eye_resolution)
 
     # Initialization: e0 = 0 and w0 from the linear regression q -> polar
@@ -228,12 +251,11 @@ def _setup_2d3d(calib, eye_resolution):
     return feats, targets, np.concatenate((w0.ravel(), np.zeros(3)))
 
 
-def _setup_3d3d(calib):
+def _setup_3d3d(poses, targets):
     """Checks and LM start of a 3D-to-3D fit: (unit poses, targets, x0)."""
-    poses, targets = _split_pairs(calib, 3, 3)
     if len(poses) < 3:
         raise DegenerateGeometry(f"need at least 3 samples, got {len(poses)}")
-    _check_not_collinear(targets, np.zeros(3))
+    _check_targets(targets)
     poses = poses / np.linalg.norm(poses, axis=1, keepdims=True)
     return poses, targets, np.array([0.0, np.pi, 0.0, 0.0, 0.0, 0.0])
 
@@ -276,11 +298,11 @@ def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
                  center_bounds=DEFAULT_CENTER_BOUND_M,
                  settings: LMSettings = LMSettings()) -> Model2Dto3D:
     """Joint LM fit of polynomial angle weights and eyeball center from
-    (p, t) pairs: fit_mappers on one set."""
-    return _one_fit(_fit_pair_sets("2d3d", [calib], MappingConfig(
-        eye_resolution=eye_resolution,
-        normalize_residuals=normalize_residuals,
-        center_bounds_m=center_bounds, lm=settings)))
+    (p, t) pairs: fit_arrays on one set."""
+    config = MappingConfig(eye_resolution=eye_resolution,
+                           normalize_residuals=normalize_residuals,
+                           center_bounds_m=center_bounds, lm=settings)
+    return _one_fit(fit_arrays("2d3d", [_split_pairs(calib)], config))
 
 
 def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
@@ -295,10 +317,10 @@ def fit_3d_to_3d(calib, normalize_residuals=True,
                  center_bounds=DEFAULT_CENTER_BOUND_M,
                  settings: LMSettings = LMSettings()) -> Model3Dto3D:
     """LM fit of rotation angles and eyeball center from (n, t) pairs:
-    fit_mappers on one set."""
-    return _one_fit(_fit_pair_sets("3d3d", [calib], MappingConfig(
-        normalize_residuals=normalize_residuals,
-        center_bounds_m=center_bounds, lm=settings)))
+    fit_arrays on one set."""
+    config = MappingConfig(normalize_residuals=normalize_residuals,
+                           center_bounds_m=center_bounds, lm=settings)
+    return _one_fit(fit_arrays("3d3d", [_split_pairs(calib)], config))
 
 
 def predict_3d_to_3d(model: Model3Dto3D, n) -> GazeEstimate:
@@ -339,6 +361,21 @@ def select_records(mapper_id: str, records, fitting=True) -> list:
             if all(getattr(r, f) is not None for f in fields)]
 
 
+_WIDTHS = {"pupil_px": 2, "target_px": 2, "pupil_pose": 3, "target": 3}
+
+
+def record_arrays(mapper_id: str, records, fitting=True) -> tuple:
+    """The arrays `mapper_id` fits from `records`, or scores them with
+    (fitting=False): (N, n) arrays of its input field and of the field it
+    fits to, or of the scene targets.  Every record must hold both (see
+    select_records)."""
+    source, target = _fields(mapper_id)
+    if not fitting:
+        target = "target"
+    return tuple(_rows([getattr(r, f) for r in records], _WIDTHS[f])
+                 for f in (source, target))
+
+
 def _one_fit(results):
     """The model of a one-set fit, or the fit error it failed with raised."""
     [result] = results
@@ -358,34 +395,45 @@ def fit_mappers(mapper_id: str, sample_sets,
     """Fit one mapper on each of `sample_sets`: per set, its model or the
     FIT_ERRORS exception its fit failed with.
 
-    This is the one fit path; fit_mapper, fit_2d_to_3d and fit_3d_to_3d
-    are one-set calls of it.  2d3d and 3d3d sets are fitted in one
-    solve_lm_stacked call, sets with equal sample counts in one
-    ProblemStack; each fit takes the steps it takes alone, so its report
-    does not depend on the other sets.  2d2d fits are one least-squares
-    solve per set.
+    Each set's records become arrays once (record_arrays), and the fits
+    run through fit_arrays, the one fit path.
     """
-    source, target = _fields(mapper_id)
-    return _fit_pair_sets(
-        mapper_id, [[(getattr(s, source), getattr(s, target)) for s in samples]
-                    for samples in sample_sets], config)
+    return fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
+                                  for samples in sample_sets], config)
 
 
-def _fit_pair_sets(mapper_id, pair_sets, config):
-    """fit_mappers on sets of (input, target) pairs."""
-    results = [None] * len(pair_sets)
+def fit_arrays(mapper_id: str, array_sets,
+               config: MappingConfig = MappingConfig()) -> list:
+    """Fit one mapper on each of `array_sets`, (inputs, targets) pairs of
+    (N, n) arrays of its two fields (see record_arrays): per set, its
+    model or the FIT_ERRORS exception its fit failed with.  A set whose
+    arrays have other shapes raises ValueError.
+
+    This is the one fit path: fit_mappers, fit_mapper, the pair-based
+    fit_2d_to_2d/fit_2d_to_3d/fit_3d_to_3d and the depth sweep all call
+    it.  2d3d and 3d3d sets are fitted in one solve_lm_stacked call,
+    sets with equal sample counts in one ProblemStack; each fit takes the
+    steps it takes alone, so its report does not depend on the other
+    sets.  2d2d fits are one least-squares solve per set.
+    """
+    widths = [_WIDTHS[f] for f in _fields(mapper_id)]
+    results = [None] * len(array_sets)
     groups = {}         # sample count -> [(set index, (inputs, targets, x0))]
-    for i, pairs in enumerate(pair_sets):
+    for i, arrays in enumerate(array_sets):
+        inputs, targets = map(_rows, arrays, widths)
+        if len(inputs) != len(targets):
+            raise ValueError(f"set {i} has {len(inputs)} inputs but "
+                             f"{len(targets)} targets")
         try:
             if mapper_id == "2d2d":
-                results[i] = fit_2d_to_2d(pairs, config.eye_resolution)
+                results[i] = _fit_2d2d(inputs, targets, config.eye_resolution)
                 continue
-            setup = (_setup_2d3d(pairs, config.eye_resolution)
-                     if mapper_id == "2d3d" else _setup_3d3d(pairs))
+            setup = (_setup_2d3d(inputs, targets, config.eye_resolution)
+                     if mapper_id == "2d3d" else _setup_3d3d(inputs, targets))
         except FIT_ERRORS as err:
             results[i] = err
             continue
-        groups.setdefault(len(pairs), []).append((i, setup))
+        groups.setdefault(len(inputs), []).append((i, setup))
     indices, stacks, starts = [], [], []
     while groups:       # popped, so each set's arrays go once stacked
         index, setups = zip(*groups.popitem()[1])
@@ -423,26 +471,49 @@ def predict_sample(model, sample) -> GazeEstimate:
 def predict_rays(model, samples, scene_cam: PinholeCamera):
     """Gaze rays of a whole set of records as (N, 3) arrays of origins
     and unit directions in the scene frame: predict_sample for every
-    record at once, with 2D estimates back-projected through `scene_cam`.
-    The origins array is a read-only broadcast of the one shared origin.
+    record at once, through predict_ray_arrays.  The origins array is a
+    read-only broadcast of the one shared origin.
     """
     field = _input_field(model)
     missing = [i for i, s in enumerate(samples) if getattr(s, field) is None]
     if missing:
         raise ValueError(f"record {missing[0]} has no {field}, "
                          f"which {model.mapper_id} prediction needs")
-    inputs = np.array([getattr(s, field) for s in samples], dtype=float)
-    if isinstance(model, Model3Dto3D):
-        origin = model.center
-        directions = normalize_rows(inputs @ model.rotation.T)
+    origins, directions = predict_ray_arrays(
+        [model], [getattr(s, field) for s in samples], scene_cam)
+    return origins[0], directions[0]
+
+
+def predict_ray_arrays(models, inputs, scene_cam: PinholeCamera):
+    """Gaze rays of each of `models` (all of one mapper) for every row of
+    an (N, n) array of their input field: (M, N, 3) arrays of origins and
+    unit directions in the scene frame, 2D estimates back-projected
+    through `scene_cam`.  The origins are a read-only broadcast of each
+    model's one origin.  Each model's rays are the bits a call with that
+    model alone gives: every step is row by row or one matrix product per
+    model.
+    """
+    first = models[0]
+    inputs = _rows(inputs, _WIDTHS[_input_field(first)])
+    if any(type(model) is not type(first) for model in models):
+        raise TypeError("models must all be of one mapper")
+    if isinstance(first, Model3Dto3D):
+        origin = np.stack([model.center for model in models])
+        rotations = np.stack([model.rotation for model in models])
+        directions = inputs @ np.swapaxes(rotations, 1, 2)
+        directions = normalize_rows(directions.reshape(-1, 3)).reshape(
+            directions.shape)
     else:
-        out = _feature_matrix(inputs, model.eye_resolution) @ model.weights
-        if isinstance(model, Model2Dto2D):     # scene pixels
-            origin = scene_cam.translation
-            directions = back_project_batch(scene_cam, out)
+        resolutions = np.stack([model.eye_resolution for model in models])
+        out = (_feature_matrix(inputs, resolutions[:, None])
+               @ np.stack([model.weights for model in models]))
+        if isinstance(first, Model2Dto2D):     # scene pixels
+            origin = scene_cam.translation[None]
+            directions = back_project_batch(
+                scene_cam, out.reshape(-1, 2)).reshape(out.shape[:-1] + (3,))
         else:                                  # polar angles
-            origin = model.center
+            origin = np.stack([model.center for model in models])
             directions = polar_to_direction(out)
-    origins = np.broadcast_to(np.asarray(origin, dtype=float),
+    origins = np.broadcast_to(np.asarray(origin, dtype=float)[:, None],
                               directions.shape)
     return origins, directions

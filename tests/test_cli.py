@@ -206,6 +206,61 @@ def test_evaluate_rejects_a_non_finite_model(dataset, tmp_path, capsys):
     assert stderr.count("\n") == 1
 
 
+def test_evaluate_rejects_a_non_positive_eye_resolution(dataset, tmp_path,
+                                                        capsys):
+    # it used to load, and evaluate printed numpy RuntimeWarnings and
+    # mean_deg=nan at every depth
+    model = tmp_path / "model.json"
+    run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
+    doc = json.loads(model.read_text())
+    doc["eye_resolution"] = [0, 360]
+    model.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "evaluate", model, dataset)
+    assert code == 1 and stdout == ""
+    assert stderr == ("error: ParseError: model field 'eye_resolution' must "
+                      "be positive, got [0.0, 360.0]\n")
+
+
+def with_target_at_origin(dataset, tmp_path):
+    """The dataset with the third calibration record at 1.0 m moved onto
+    the initial eyeball center (the scene origin)."""
+    header, *lines = dataset.read_text().splitlines()
+    record = json.loads(lines[2])
+    assert record["role"] == "calibration" and record["depth_label"] == 1.0
+    record["target_scene_m"] = [0.0, 0.0, 0.0]
+    lines[2] = json.dumps(record)
+    path = tmp_path / "origin.jsonl"
+    path.write_text("\n".join([header] + lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("mapper", ["2d3d", "3d3d"])
+def test_fit_rejects_a_target_at_the_initial_eyeball_center(
+        dataset, tmp_path, capsys, mapper):
+    # it used to warn, then fail with ZeroVector (2d3d) or
+    # NonFiniteResidual (3d3d)
+    data = with_target_at_origin(dataset, tmp_path)
+    code, stdout, stderr = run(capsys, "fit", data, "--mappers", mapper,
+                               "--out", tmp_path / "model.json")
+    assert code == 1 and stdout == ""
+    assert stderr == ("error: DegenerateGeometry: calibration target 2 at "
+                      "[0.0, 0.0, 0.0] coincides with the initial eyeball "
+                      "center\n")
+
+
+def test_sweep_fails_the_subsets_holding_a_target_at_the_origin(
+        dataset, tmp_path):
+    # the sweep raised ZeroVector, which is not a fit error
+    sweep = depth_combination_sweep(load_dataset(
+        with_target_at_origin(dataset, tmp_path)).bundle)
+    assert len(sweep.records) == 3 * 3 * 2
+    failed = {(r.mapper, r.calib_subset)
+              for r in sweep.select(status="failed")}
+    assert failed == {(m, s) for m in ("2d3d", "3d3d")
+                      for s in ((1.0,), (1.0, 1.5))}
+    assert len(sweep.select(status="failed")) == 2 * 2 * 2
+
+
 def test_evaluate_without_test_records(dataset, tmp_path, capsys):
     model = tmp_path / "model.json"
     run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)

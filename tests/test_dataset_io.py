@@ -408,6 +408,8 @@ def test_model_file_format_is_fixed(tmp_path):
     ("3d3d", "angles_rad", ["0.1", 0.0, 0.0], "is not numeric"),
     ("2d2d", "weights", [[0.0, 0.0]] * 6 + [[True, 0.0]], "is not numeric"),
     ("3d3d", "angles_rad", None, "missing field"),
+    ("2d3d", "eye_resolution", [0, 360], "must be positive"),
+    ("2d2d", "eye_resolution", [640.0, -360.0], "must be positive"),
 ])
 def test_model_arrays_are_checked(bundle, tmp_path, mapper, key, value,
                                   message):

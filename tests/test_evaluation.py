@@ -27,6 +27,7 @@ from gaze3d.geometry import (
     project,
     rotation_from_angles,
 )
+from gaze3d import evaluation
 from gaze3d.evaluation import (
     FIT_ERRORS,
     ErrorRecord,
@@ -42,7 +43,9 @@ from gaze3d.mappers import (
     MappingConfig,
     Model2Dto3D,
     Model3Dto3D,
+    fit_arrays,
     fit_mapper,
+    fit_mappers,
     predict_sample,
     select_records,
 )
@@ -283,7 +286,8 @@ def test_sweep_records_unprojectable_test_depth():
 
 def per_depth_oracle(bundle, sweep):
     """Each sweep record rescored with its own fit_mapper and one
-    evaluate call per test depth: (status, errors) by record key."""
+    evaluate call per test depth: (status, ErrorRecord or None) by record
+    key."""
     config = MappingConfig(
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
     out = {}
@@ -299,33 +303,104 @@ def per_depth_oracle(bundle, sweep):
             tests = select_records(mapper, bundle.test[depth], fitting=False)
             out[mapper, subset, depth] = ("failed", None)
             try:
-                if model is not None:
+                if model is not None and tests:
                     out[mapper, subset, depth] = ("ok", evaluate(
                         mapper, model, tests, bundle.rig.e_gt,
-                        bundle.rig.scene_camera).errors)
+                        bundle.rig.scene_camera))
             except GeometryError:
                 pass
     return out
 
 
-@pytest.mark.parametrize("bundle", [
-    default_bundle("display", depths=(1.0, 1.5, 2.0)),
-    default_bundle("display", depths=(1.0, 1.5, 2.0), seed=4,
-                   noise_pupil_px=1.0, noise_pose_deg=0.5,
-                   noise_target_mm=2.0),
-    default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
-                   noise_pupil_px=60, noise_pose_deg=2, noise_target_mm=5),
-], ids=["noiseless", "noisy", "unprojectable"])
+def poseless_test_depth_bundle():
+    """Three depths without some poses: no test record at 2.0 m has one,
+    nor the first test record at 1.0 m and every third calibration
+    record at 1.5 m."""
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0))
+    test = dict(bundle.test)
+    test[2.0] = [without_pose(s) for s in test[2.0]]
+    test[1.0] = [without_pose(test[1.0][0])] + test[1.0][1:]
+    calibration = dict(bundle.calibration)
+    calibration[1.5] = [without_pose(s) if i % 3 == 0 else s
+                        for i, s in enumerate(calibration[1.5])]
+    return replace(bundle, test=test, calibration=calibration)
+
+
+# name -> (bundle factory, failed rows of its sweep)
+SWEEP_BUNDLES = {
+    "noiseless": (lambda: default_bundle("display", depths=(1.0, 1.5, 2.0)),
+                  0),
+    "noisy": (lambda: default_bundle("display", depths=(1.0, 1.5, 2.0),
+                                     seed=4, noise_pupil_px=1.0,
+                                     noise_pose_deg=0.5, noise_target_mm=2.0),
+              0),
+    # the 2d3d fit on 2.0 m alone cannot project one target at 1.5 m and
+    # one at 2.0 m (see test_unprojectable_repro_fails_the_same_records)
+    "unprojectable": (lambda: default_bundle(
+        "display", depths=(1.0, 1.5, 2.0), seed=0, noise_pupil_px=60,
+        noise_pose_deg=2, noise_target_mm=5), 2),
+    "display": (lambda: default_bundle("display"), 0),
+    # 3d3d has no test record at 2.0 m: one failed row per subset
+    "poseless-test-depth": (poseless_test_depth_bundle, 7),
+}
+
+
+@pytest.mark.parametrize("bundle", SWEEP_BUNDLES)
 def test_sweep_scores_match_per_depth_evaluate(bundle):
+    """The sweep scores all fits of a mapper in one pass; each record has
+    the bits of evaluate on its own fit and test depth."""
+    make, n_failed = SWEEP_BUNDLES[bundle]
+    bundle = make()
     sweep = depth_combination_sweep(bundle)
     oracle = per_depth_oracle(bundle, sweep)
-    assert len(oracle) == len(sweep.records) == 63
+    n = len(bundle.depths())
+    assert len(oracle) == len(sweep.records) == 3 * (2 ** n - 1) * n
+    assert len(sweep.select(status="failed")) == n_failed
     for r in sweep.records:
-        status, errors = oracle[r.mapper, r.calib_subset, r.test_depth]
+        status, record = oracle[r.mapper, r.calib_subset, r.test_depth]
         assert r.status == status
         if status == "ok":
-            assert np.allclose(r.errors, errors, rtol=0, atol=1e-12)
-            assert r.mean == pytest.approx(errors.mean(), rel=0, abs=1e-12)
+            assert np.array_equal(r.errors, record.errors)
+            assert r.mean == record.mean and r.std == record.std
+
+
+@pytest.mark.parametrize("bundle", ["display", "noisy",
+                                    "poseless-test-depth"])
+def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
+    """The sweep fits each subset from per-depth arrays; its models are
+    those of fit_mappers on the subset's pooled records, bit for bit."""
+    bundle = SWEEP_BUNDLES[bundle][0]()
+    fits = {}
+
+    def recording(mapper, array_sets, config):
+        fits[mapper] = fit_arrays(mapper, array_sets, config)
+        return fits[mapper]
+
+    monkeypatch.setattr(evaluation, "fit_arrays", recording)
+    depth_combination_sweep(bundle)
+    config = MappingConfig(
+        eye_resolution=tuple(bundle.rig.eye_camera.resolution))
+    depths = bundle.depths()
+    for mapper in MAPPER_IDS:
+        pooled = fit_mappers(mapper, [
+            select_records(mapper, [s for d in subset
+                                    for s in bundle.calibration[d]])
+            for k in range(1, len(depths) + 1)
+            for subset in itertools.combinations(depths, k)], config)
+        assert len(fits[mapper]) == len(pooled) == 2 ** len(depths) - 1
+        for model, oracle in zip(fits[mapper], pooled):
+            assert type(model) is type(oracle)
+            for name in ("weights", "angles", "center", "eye_resolution"):
+                if hasattr(oracle, name):
+                    assert np.array_equal(getattr(model, name),
+                                          getattr(oracle, name))
+            if mapper != "2d2d":
+                assert model.report.iterations == oracle.report.iterations
+                assert model.report.termination == oracle.report.termination
+                assert np.array_equal(model.report.params,
+                                      oracle.report.params)
+                assert np.array_equal(model.report.cost_history,
+                                      oracle.report.cost_history)
 
 
 def test_unprojectable_repro_fails_the_same_records():

@@ -17,6 +17,8 @@ from gaze3d.eye_simulator import (
     TargetGrid,
     TargetNotVisible,
     TwoSphereEye,
+    _deflect,
+    _deflect_rows,
     default_bundle,
     derive_pupil_geometry,
     fov_grid_spec,
@@ -28,6 +30,7 @@ from gaze3d.eye_simulator import (
 from gaze3d.geometry import (
     PinholeCamera,
     angle_between,
+    normalize_rows,
     project,
     rotation_from_angles,
 )
@@ -162,6 +165,36 @@ def test_pose_noise_deflects_by_sigma_scale():
         angles.append(angle_between(noisy.pupil_pose, ref.pupil_pose))
     # |N(0, 0.5deg)| has mean sigma*sqrt(2/pi) ~ 0.4deg
     assert 0.25 < np.mean(angles) < 0.55
+
+
+class ScriptedRng:
+    """Stands in for a numpy Generator: normal() hands out `draws` in
+    order, scaled as Generator.normal would."""
+
+    def __init__(self, draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        draw = self.draws.pop(0)
+        return loc + scale * (draw if size is not None else float(draw))
+
+
+def test_batched_deflection_matches_per_sample_with_a_redraw():
+    # the second row's first seed axis is parallel to its direction, so
+    # both forms must redraw it from that row's own generator
+    directions = normalize_rows(np.array([[0.1, -0.2, -1.0],
+                                          [0.0, 0.0, -1.0],
+                                          [0.3, 0.1, -0.9]]))
+    scripts = [[0.3, (0.5, -1.0, 0.2)],
+               [-0.7, (0.0, 0.0, 2.0), (1.0, 0.5, -0.3)],
+               [1.1, (-0.4, 0.9, 0.1)]]
+    sigma = np.radians(0.5)
+    rngs = [ScriptedRng(script) for script in scripts]
+    batched = _deflect_rows(directions, sigma, rngs)
+    assert not any(rng.draws for rng in rngs)
+    for row, direction, script in zip(batched, directions, scripts):
+        assert np.array_equal(row, _deflect(direction, sigma,
+                                            ScriptedRng(script)))
 
 
 def test_pixel_noise_only_touches_pupil_channel():

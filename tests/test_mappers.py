@@ -14,7 +14,12 @@ from gaze3d.eye_simulator import (
     synthesize_dataset,
 )
 from gaze3d.dataset_io import DataRecord
-from gaze3d.geometry import Ray, point_ray_distance, rotation_from_angles
+from gaze3d.geometry import (
+    PinholeCamera,
+    Ray,
+    point_ray_distance,
+    rotation_from_angles,
+)
 from gaze3d.mappers import (
     DEFAULT_CENTER_BOUND_M,
     DEFAULT_EYE_RESOLUTION,
@@ -22,12 +27,14 @@ from gaze3d.mappers import (
     DegenerateGeometry,
     GazeEstimate,
     MappingConfig,
+    Model2Dto2D,
     Model3Dto3D,
     RankDeficient,
     direction_to_polar,
     fit_2d_to_2d,
     fit_2d_to_3d,
     fit_3d_to_3d,
+    fit_arrays,
     fit_mapper,
     fit_mappers,
     polar_to_direction,
@@ -35,8 +42,10 @@ from gaze3d.mappers import (
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
+    predict_ray_arrays,
     predict_rays,
     predict_sample,
+    record_arrays,
     select_records,
 )
 from gaze3d.optimizer import ResidualProblem, solve_lm
@@ -263,6 +272,64 @@ def test_bad_pair_shapes_rejected():
         fit_2d_to_2d([((1.0, 2.0, 3.0), (0.0, 0.0))] * 10)
     with pytest.raises(ValueError):
         fit_3d_to_3d([((0.0, 0.0, 1.0), (0.0, 0.0))] * 5)
+    # the array path checks the arrays it is handed
+    with pytest.raises(ValueError, match="vectors of 2 entries"):
+        fit_arrays("2d3d", [(np.zeros((10, 3)), np.ones((10, 3)))])
+    with pytest.raises(ValueError, match="10 inputs but 9 targets"):
+        fit_arrays("3d3d", [(np.ones((10, 3)), np.ones((9, 3)))])
+
+
+@pytest.mark.parametrize("mapper_id", MAPPER_IDS)
+def test_predict_ray_arrays_rows_are_one_model_calls(mapper_id):
+    """Rays of many models at once have the bits of predict_rays with
+    each model alone, also through a posed scene camera."""
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=1,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    models = [fit_mapper(mapper_id, select_records(
+        mapper_id, bundle.calibration[d])) for d in bundle.depths()]
+    samples = [s for d in bundle.depths() for s in bundle.test[d]]
+    inputs, _ = record_arrays(mapper_id, samples, fitting=False)
+    posed = PinholeCamera(focal=(700.0, 690.0), principal=(640.0, 360.0),
+                          resolution=(1280.0, 720.0),
+                          rotation=rotation_from_angles((0.02, -0.03, 0.01)),
+                          translation=(0.01, -0.02, 0.0))
+    for cam in (bundle.rig.scene_camera, posed):
+        origins, directions = predict_ray_arrays(models, inputs, cam)
+        assert directions.shape == origins.shape == (3, len(samples), 3)
+        for model, o, d in zip(models, origins, directions):
+            one_o, one_d = predict_rays(model, samples, cam)
+            assert np.array_equal(o, one_o) and np.array_equal(d, one_d)
+
+
+def test_predict_ray_arrays_needs_models_of_one_mapper():
+    models = [Model3Dto3D(angles=(0.0, np.pi, 0.0), center=np.zeros(3)),
+              Model2Dto2D(weights=np.zeros((7, 2)),
+                          eye_resolution=np.array([640.0, 360.0]))]
+    with pytest.raises(TypeError, match="one mapper"):
+        predict_ray_arrays(models, np.zeros((2, 3)), SimRig().scene_camera)
+
+
+@pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
+def test_target_at_initial_eyeball_center_is_degenerate(mapper_id):
+    """A calibration target at e0 = 0 is rejected by name before any
+    division by its distance (which used to warn, then raise ZeroVector
+    or NonFiniteResidual)."""
+    _, samples = two_depth_samples()
+    pairs = [(s.pupil_px if mapper_id == "2d3d" else s.pupil_pose, s.target)
+             for s in samples]
+    pairs[5] = (pairs[5][0], np.zeros(3))
+    fit = fit_2d_to_3d if mapper_id == "2d3d" else fit_3d_to_3d
+    with pytest.raises(DegenerateGeometry,
+                       match=r"target 5 at \[0.0, 0.0, 0.0\] coincides"):
+        fit(pairs)
+    records = [DataRecord(pupil_px=s.pupil_px, pupil_pose=s.pupil_pose,
+                          target=np.zeros(3) if i == 5 else s.target,
+                          target_px=s.target_px, depth_label=s.depth_label,
+                          role=s.role) for i, s in enumerate(samples)]
+    bad, good = fit_mappers(mapper_id, [records, samples])
+    assert isinstance(bad, DegenerateGeometry)
+    assert_same_model(good, fit_mapper(mapper_id, samples))
 
 
 def test_predict_rays_needs_poses_for_3d3d():
