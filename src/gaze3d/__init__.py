@@ -59,11 +59,13 @@ from .optimizer import (
     FitReport,
     LMSettings,
     NonFiniteResidual,
+    ProblemBatch,
     ProblemStack,
     ResidualProblem,
     SingularNormalEquations,
     numeric_jacobian,
     solve_lm,
+    solve_lm_batch,
     solve_lm_stacked,
 )
 from .mappers import (

@@ -32,6 +32,8 @@ keep their row with empty error fields.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 
@@ -520,6 +522,12 @@ _GRID_KEYS = {f.name for f in fields(GridSpec)}
 _LM_KEYS = {f.name for f in fields(LMSettings)}
 
 
+def _is_finite(value) -> bool:
+    """Whether `value` is a finite real number (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_keys(d, allowed, where):
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be an object")
@@ -557,12 +565,19 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ConfigError(f"seed must be an integer >= 0, got "
+                              f"{self.seed!r}")
+        depths = self.depths
+        if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
+                or not all(_is_finite(d) and d > 0 for d in depths)):
+            raise ConfigError(f"depths must be a nonempty list of finite "
+                              f"positive meters, got {self.depths!r}")
         object.__setattr__(self, "depths",
                            tuple(float(d) for d in self.depths))
         object.__setattr__(self, "mappers", tuple(self.mappers))
-        if not self.depths or any(d <= 0 for d in self.depths):
-            raise ConfigError("depths must be a nonempty list of positive "
-                              "meters")
         if len(set(self.depths)) != len(self.depths):
             raise ConfigError("depths contains duplicates")
         if not self.mappers:
@@ -574,14 +589,28 @@ class ExperimentConfig:
         if self.grid_preset not in GRID_PRESETS:
             raise ConfigError(f"unknown grid_preset {self.grid_preset!r}")
         for name in ("noise_pupil_px", "noise_pose_deg", "noise_target_mm"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if len(tuple(self.e_gt)) != 3:
-            raise ConfigError("e_gt must have 3 entries")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, "
+                                  f"got {value!r}")
+        bound = self.center_bounds_m
+        if bound is not None and not (_is_finite(bound) and bound >= 0):
+            raise ConfigError(f"center_bounds_m must be a finite number >= 0 "
+                              f"or null (unbounded), got {bound!r}")
+        if len(tuple(self.e_gt)) != 3 or not all(map(_is_finite, self.e_gt)):
+            raise ConfigError(f"e_gt must have 3 finite entries, got "
+                              f"{self.e_gt!r}")
+        if not isinstance(self.normalize_residuals, bool):
+            raise ConfigError(f"normalize_residuals must be true or false, "
+                              f"got {self.normalize_residuals!r}")
         if self.grid is not None:
             _check_keys(self.grid, _GRID_KEYS, "grid")
         if self.lm is not None:
             _check_keys(self.lm, _LM_KEYS, "lm")
+        try:    # built here, so a bad lm block fails before any fit
+            object.__setattr__(self, "_lm", LMSettings(**(self.lm or {})))
+        except ValueError as err:
+            raise ConfigError(f"invalid lm settings: {err}") from None
         if self.eye_model_mm is not None:
             _check_keys(self.eye_model_mm, _EYE_KEYS, "eye_model_mm")
         for name in ("scene_camera", "eye_camera"):
@@ -645,7 +674,7 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
 
     def to_lm(self) -> LMSettings:
-        return LMSettings(**(self.lm or {}))
+        return self._lm
 
     def to_mapping_config(self, eye_resolution) -> MappingConfig:
         return MappingConfig(eye_resolution=tuple(eye_resolution),

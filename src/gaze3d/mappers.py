@@ -58,10 +58,10 @@ from .optimizer import (
     FitReport,
     LMSettings,
     NonFiniteResidual,
-    ProblemStack,
+    ProblemBatch,
     SingularNormalEquations,
     solve_lm,  # noqa: F401 - perfbench traces it here
-    solve_lm_stacked,
+    solve_lm_batch,
 )
 
 
@@ -268,18 +268,41 @@ def _lm_layout(mapper_id):
             np.array([True, True, True, False, False, False]))
 
 
-def _lm_stack(mapper_id, inputs, targets, normalize, center_bounds):
-    """The ProblemStack of 2d3d or 3d3d fits with equal sample counts,
-    from their inputs and targets stacked on a leading axis."""
+def _lm_batch(mapper_id, groups, normalize, center_bounds):
+    """The ProblemBatch of 2d3d or 3d3d fits, from (inputs, targets)
+    arrays of each group of fits with equal sample counts, stacked on a
+    leading axis.  A residual or Jacobian call is one kernel call on the
+    ragged rows of every fit it evaluates (see gaze3d._kernels); a group
+    evaluated whole is passed as it is, and a member's inputs are read
+    once for both damping rungs."""
     residual, jacobian, dim, wrap = _lm_layout(mapper_id)
     lower, upper = _center_box(dim, center_bounds)
-    return ProblemStack(
-        dim=dim, count=len(inputs),
-        residual=lambda members, x: residual(x, inputs[members],
-                                             targets[members], normalize),
-        jacobian=lambda members, x: jacobian(x, inputs[members],
-                                             targets[members], normalize),
-        lower=lower, upper=upper, wrap_mask=wrap)
+
+    def call(kernel, jacobians):
+        def evaluate(members, params):
+            inputs, targets, shapes = [], [], []
+            for g, idx in members:
+                x, t = groups[g]
+                if len(idx) < len(x):
+                    x, t = x[idx], t[idx]
+                inputs.append(x)
+                targets.append(t)
+                shapes.append((len(idx), 3 * x.shape[1]))
+            out = kernel(params, inputs, targets, normalize)
+            parts, start = [], 0
+            for k, m in shapes:     # each group's rows of the ragged result
+                end = start + k * m
+                parts.append(out[start:end].reshape(k, m, dim) if jacobians
+                             else out[..., start:end].reshape(
+                                 out.shape[:-1] + (k, m)))
+                start = end
+            return parts
+        return evaluate
+
+    return ProblemBatch(dim=dim, counts=tuple(len(x) for x, _ in groups),
+                        residual=call(residual, False),
+                        jacobian=call(jacobian, True),
+                        lower=lower, upper=upper, wrap_mask=wrap)
 
 
 def _lm_model(mapper_id, report, eye_resolution):
@@ -411,10 +434,10 @@ def fit_arrays(mapper_id: str, array_sets,
 
     This is the one fit path: fit_mappers, fit_mapper, the pair-based
     fit_2d_to_2d/fit_2d_to_3d/fit_3d_to_3d and the depth sweep all call
-    it.  2d3d and 3d3d sets are fitted in one solve_lm_stacked call,
-    sets with equal sample counts in one ProblemStack; each fit takes the
-    steps it takes alone, so its report does not depend on the other
-    sets.  2d2d fits are one least-squares solve per set.
+    it.  2d3d and 3d3d sets are fitted in one solve_lm_batch call on
+    one ProblemBatch, sets with equal sample counts in one group; each
+    fit takes the steps it takes alone, so its report does not depend on
+    the other sets.  2d2d fits are one least-squares solve per set.
     """
     widths = [_WIDTHS[f] for f in _fields(mapper_id)]
     results = [None] * len(array_sets)
@@ -434,19 +457,19 @@ def fit_arrays(mapper_id: str, array_sets,
             results[i] = err
             continue
         groups.setdefault(len(inputs), []).append((i, setup))
-    indices, stacks, starts = [], [], []
+    indices, arrays, starts = [], [], []
     while groups:       # popped, so each set's arrays go once stacked
         index, setups = zip(*groups.popitem()[1])
         inputs, targets, x0 = map(np.stack, zip(*setups))
         del setups
-        indices.append(index)
-        stacks.append(_lm_stack(mapper_id, inputs, targets,
-                                config.normalize_residuals,
-                                config.center_bounds_m))
+        indices += index
+        arrays.append((inputs, targets))
         starts.append(x0)
-    reports = solve_lm_stacked(stacks, starts, config.lm)
-    for index, stack_reports in zip(indices, reports):
-        for i, report in zip(index, stack_reports):
+    if arrays:
+        batch = _lm_batch(mapper_id, arrays, config.normalize_residuals,
+                          config.center_bounds_m)
+        reports = solve_lm_batch(batch, np.concatenate(starts), config.lm)
+        for i, report in zip(indices, (r for group in reports for r in group)):
             results[i] = (report if isinstance(report, Exception) else
                           _lm_model(mapper_id, report, config.eye_resolution))
     return results

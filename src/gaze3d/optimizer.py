@@ -6,27 +6,32 @@ problem may supply a closed-form Jacobian; otherwise a central-difference
 one is used, at 2*dim + 1 residual evaluations per iteration.  Cost is
 the plain sum of squared residuals.
 
-There is one LM loop, `solve_lm_stacked`, and it advances a batch of
-problems of one dimension in lockstep: at these sizes a fit's time is
+There is one LM loop, `solve_lm_batch`, and it advances a ProblemBatch
+of problems of one dimension in lockstep: at these sizes a fit's time is
 numpy's per-call overhead, which the batch pays once per round instead
-of once per problem.  Problems come in ProblemStacks of equal residual
-length, whose residuals and Jacobians are one kernel call per stack
-(stacks are not padded to one length).  Each problem keeps its own
-damping, acceptance, termination, cost history and error.  A damping
-round solves the normal equations of every problem still searching for
-a step at two rungs of damping, lambda and lambda * damping_up, in one
-stacked np.linalg.solve, evaluates both candidates, and then applies the
+of once per problem.  Problems come in groups of equal residual length,
+and each round is one residual call and at most one Jacobian call for
+every active problem of every group; only the products J^T J, J^T r and
+r . r are one matmul per group (groups are not padded to one length).
+Each problem keeps its own damping, acceptance, termination, cost
+history and error.  A damping round solves the normal equations of every
+problem still searching for a step at two rungs of damping, lambda and
+lambda * damping_up, in one stacked np.linalg.solve, projects both
+candidates onto the constraints and evaluates them, and then applies the
 sequential rule to the rungs in order up to the first that accepts,
 stalls or overflows the damping; so every accepted step is the one the
 problem takes alone (Madsen, Nielsen & Tingleff 2004 describe the
 damping rule).  A problem whose residual or Jacobian goes non-finite, or
 whose normal equations stay singular, fails alone; the others go on.
-`solve_lm` is that loop applied to one problem.
+`solve_lm_stacked` runs that loop on ProblemStacks, one group each, and
+`solve_lm` on one problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,17 +120,43 @@ class ResidualProblem(_Box):
 
 
 @dataclass(frozen=True)
+class ProblemBatch(_Box):
+    """Problems of one dimension in groups, whose residuals and Jacobians
+    are evaluated together: one call each for every group.
+
+    Group g holds `counts[g]` problems of one residual length m_g;
+    problems are numbered group by group.  `residual(members, params)`
+    takes a list of (g, indices) pairs, one for each group evaluated, in
+    group order, with the sorted indices of its members being evaluated,
+    and those members' (..., K, dim) parameters in the same order (leading
+    axes give each member several parameter sets).  It returns, per pair,
+    the (..., k, m_g) residuals.  `jacobian` maps the same pairs and
+    (K, dim) parameters to the (k, m_g, dim) derivatives.  A member they
+    cannot evaluate should get non-finite values, which fail it alone (or
+    reject the step, for a candidate residual); an exception they raise
+    ends the whole solve.  Bounds and wrap mask apply to every problem,
+    as in ResidualProblem.
+    """
+
+    dim: int
+    counts: tuple
+    residual: callable
+    jacobian: callable
+    lower: np.ndarray = None
+    upper: np.ndarray = None
+    wrap_mask: np.ndarray = None
+
+
+@dataclass(frozen=True)
 class ProblemStack(_Box):
     """`count` problems of one dimension and one residual length, whose
-    residuals and Jacobians are evaluated together.
+    residuals and Jacobians are evaluated together: one group of a
+    ProblemBatch, for solve_lm_stacked.
 
     `residual(members, params)` maps an index array of k members and
     their (k, dim) parameters to the (k, m) residuals; `jacobian` maps
-    the same to the (k, m, dim) derivatives.  A member they cannot
-    evaluate should get non-finite values, which fail it alone (or reject
-    the step, for a candidate residual); an exception they raise ends the
-    whole solve.  Bounds and wrap mask apply to every member, as in
-    ResidualProblem.
+    the same to the (k, m, dim) derivatives.  Failures are as in
+    ProblemBatch.
     """
 
     dim: int
@@ -139,6 +170,10 @@ class ProblemStack(_Box):
 
 @dataclass(frozen=True)
 class LMSettings:
+    """Damping, iteration cap and tolerances of an LM solve.  Every value
+    is a finite number > 0, damping_up is > 1 (or a rejected step would
+    never raise the damping) and max_iterations is an integer."""
+
     damping: float = 1e-3
     damping_up: float = 10.0
     damping_down: float = 10.0
@@ -148,10 +183,18 @@ class LMSettings:
     grad_tol: float = 1e-12
 
     def __post_init__(self):
-        vals = (self.damping, self.damping_up, self.damping_down,
-                self.max_iterations, self.step_tol, self.cost_tol, self.grad_tol)
-        if any(v <= 0 for v in vals):
-            raise ValueError("all LM settings must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(f"{f.name} must be a finite number > 0, "
+                                 f"got {value!r}")
+        if self.damping_up <= 1:
+            raise ValueError(f"damping_up must be > 1, got "
+                             f"{self.damping_up!r}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got "
+                             f"{self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -200,56 +243,51 @@ def _solve_stacked(a, b):
 
 
 def _sum_squares(r):
-    """r @ r for each row of a (k, m) array, with the bits of the 1-D
+    """r @ r for each row of an (..., m) array, with the bits of the 1-D
     product."""
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
 
 
-def _by_stack(rows, offsets):
-    """(stack, slice of `rows`) for each stack with rows in the sorted
-    index array `rows`."""
-    cuts = np.searchsorted(rows, offsets).tolist()
-    return [(s, slice(a, b)) for s, (a, b) in enumerate(zip(cuts, cuts[1:]))
-            if b > a]
+def _members(rows, group_start):
+    """(group, member indices) of each group with problems in the sorted
+    index array `rows`, in group order."""
+    cuts = np.searchsorted(rows, group_start).tolist()
+    return [(g, rows[a:b] - group_start[g])
+            for g, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
 
 
-def solve_lm_stacked(stacks, initial_params,
-                     settings: LMSettings = LMSettings()) -> list:
-    """Levenberg-Marquardt with multiplicative damping on every member of
-    every ProblemStack, in lockstep (see the module docs).
+def solve_lm_batch(batch: ProblemBatch, initial_params,
+                   settings: LMSettings = LMSettings()) -> list:
+    """Levenberg-Marquardt with multiplicative damping on every problem of
+    a ProblemBatch, in lockstep (see the module docs).
 
     Steps solve (J^T J + damping*I) dx = -J^T r; a step is accepted only
     if it strictly decreases the cost, so the accepted-cost sequence is
     monotone non-increasing.  A problem terminates on gradient, step
     size, relative cost decrease, or the iteration cap.
 
-    `initial_params[s]` is the (count, dim) start of stacks[s].  Returns,
-    per stack, a list holding each member's FitReport, or the
+    `initial_params` is the (n, dim) start of the n problems in order.
+    Returns, per group, a list holding each member's FitReport, or the
     NonFiniteResidual or SingularNormalEquations it failed with.
     """
-    dim = stacks[0].dim if stacks else 0
-    starts = [np.array(x0, dtype=float) for x0 in initial_params]
-    for stack, x0 in zip(stacks, starts, strict=True):
-        if stack.dim != dim:
-            raise ValueError("stacked problems must share one dimension")
-        if x0.shape != (stack.count, dim):
-            raise ValueError(f"initial params must have shape "
-                             f"({stack.count}, {dim})")
-        if not stack.in_bounds(x0):
-            raise ValueError("initial params violate bounds")
-    counts = [stack.count for stack in stacks]
-    offsets = np.cumsum([0] + counts)
-    n = int(offsets[-1])
-    owner = np.repeat(np.arange(len(stacks)), counts)
-    member = np.arange(n) - offsets[owner]
+    dim = batch.dim
+    group_start = np.cumsum([0] + [int(c) for c in batch.counts])
+    n = int(group_start[-1])
+    x = np.array(initial_params, dtype=float)
+    if x.shape != (n, dim):
+        raise ValueError(f"initial params must have shape ({n}, {dim})")
+    if not batch.in_bounds(x):
+        raise ValueError("initial params violate bounds")
+    owner = np.repeat(np.arange(len(batch.counts)), batch.counts).tolist()
+    member = (np.arange(n) - group_start[owner]).tolist()
 
-    # per problem: params, residuals (one (count, m) array per stack),
+    # per problem: params, residuals (one (count, m) array per group),
     # cost, damping, iterations, history, state and result
-    x = np.concatenate(starts) if stacks else np.empty((0, dim))
-    residuals = [np.asarray(stack.residual(np.arange(stack.count), x0),
-                            dtype=float)
-                 for stack, x0 in zip(stacks, starts)]
-    cost = [c for r in residuals for c in _sum_squares(r).tolist()]
+    everyone = _members(np.arange(n), group_start)
+    residuals = {g: np.array(r, dtype=float) for (g, _), r in zip(
+        everyone, batch.residual(everyone, x) if everyone else ())}
+    cost = [c for g, _ in everyone
+            for c in _sum_squares(residuals[g]).tolist()]
     lam = [settings.damping] * n
     iterations = np.zeros(n, dtype=int)
     histories = [[c] for c in cost]
@@ -270,27 +308,28 @@ def solve_lm_stacked(stacks, initial_params,
         state[i] = _DONE
         results[i] = error
 
-    for s, r in enumerate(residuals):
-        for i in offsets[s] + np.flatnonzero(~np.isfinite(r).all(axis=1)):
+    for g, r in residuals.items():
+        for i in group_start[g] + np.flatnonzero(~np.isfinite(r).all(axis=1)):
             fail(i, NonFiniteResidual(f"residual not finite at {x[i]}"))
 
     while True:
         # start an iteration: Jacobian, gradient and J^T J at x
         start = np.flatnonzero(state == _NEW_ITERATION)
         iterations[start] += 1
-        for s, part in _by_stack(start, offsets):
-            rows = start[part]
-            jac = np.asarray(stacks[s].jacobian(member[rows], x[rows]),
-                             dtype=float)
+        groups = _members(start, group_start)
+        for (g, idx), jac in zip(groups, batch.jacobian(groups, x[start])
+                                 if groups else ()):
             finite = np.isfinite(jac).all(axis=(1, 2))
-            for i in rows[~finite]:
-                fail(i, NonFiniteResidual(f"jacobian not finite at {x[i]}"))
             if not finite.all():
-                rows, jac = rows[finite], jac[finite]
+                for i in group_start[g] + idx[~finite]:
+                    fail(i, NonFiniteResidual(
+                        f"jacobian not finite at {x[i]}"))
+                idx, jac = idx[finite], jac[finite]
+            rows = group_start[g] + idx
             jac_t = np.swapaxes(jac, 1, 2)
-            grad[rows] = (jac_t @ residuals[s][member[rows], :, None])[..., 0]
+            grad[rows] = (jac_t @ residuals[g][idx, :, None])[..., 0]
             jtj[rows] = jac_t @ jac
-            del jac, jac_t     # before the next stack's Jacobian is built
+            del jac, jac_t      # the Jacobians are not kept past this loop
         start = start[state[start] == _NEW_ITERATION]
         flat = np.max(np.abs(2.0 * grad[start]), axis=1,
                       initial=0.0) < settings.grad_tol
@@ -302,59 +341,50 @@ def solve_lm_stacked(stacks, initial_params,
         search = np.flatnonzero(state == _SEARCHING)
         if not search.size:
             break
-        # one damping round: solve and evaluate both rungs of every
-        # searching problem
-        rungs = np.array([lam[i] for i in search])[:, None] * [1.0, up]
+        # one damping round: solve, project and evaluate both rungs of
+        # every searching problem, as (rung, problem) arrays
+        damping = np.array([lam[i] for i in search])
+        rungs = np.stack((damping, damping * up))
         steps = _solve_stacked(
-            jtj[search, None] + rungs[..., None, None] * eye,
-            np.broadcast_to(-grad[search, None], rungs.shape + (dim,)))
+            jtj[search] + rungs[..., None, None] * eye,
+            np.broadcast_to(-grad[search], rungs.shape + (dim,)))
         solvable = np.isfinite(steps).all(axis=-1)
-        steps[~solvable] = 0.0
+        steps[~solvable] = 0.0       # evaluated at x, never taken
         xs = x[search]
-        candidates = np.empty(steps.shape)
-        cost_new = np.full(rungs.shape, np.inf)
-        r_new = {}
-        for s, part in _by_stack(search, offsets):
-            candidates[part] = stacks[s].apply_constraints(xs[part, None]
-                                                           + steps[part])
-            p, rung = np.nonzero(solvable[part])
-            if not p.size:
-                continue
-            p += part.start
-            r = np.asarray(stacks[s].residual(member[search[p]],
-                                              candidates[p, rung]),
-                           dtype=float)
-            c = _sum_squares(r)
-            c[~np.isfinite(r).all(axis=1)] = np.inf
-            cost_new[p, rung] = c
-            r_new.update(zip(zip(p.tolist(), rung.tolist()), r))
-        step_norm = dot_norms(candidates - xs[:, None]).tolist()
+        candidates = batch.apply_constraints(xs + steps)
+        groups = _members(search, group_start)
+        trials = batch.residual(groups, candidates)
+        cost_new = np.concatenate([_sum_squares(r) for r in trials], axis=1)
+        cost_new[~np.isfinite(cost_new)] = np.inf
+        trial_rows = [(r, j) for r in trials for j in range(r.shape[-2])]
+        step_norm = dot_norms(candidates - xs).tolist()
         new_norm = dot_norms(candidates).tolist()
         old_norm = dot_norms(xs).tolist()
+        ok, cost_new = solvable.tolist(), cost_new.tolist()
 
         # the sequential rule, rung by rung, up to the first rung that
         # accepts, stalls or overflows the damping
-        for p, (i, ok, trial) in enumerate(zip(search.tolist(),
-                                               solvable.tolist(),
-                                               cost_new.tolist())):
+        for p, i in enumerate(search.tolist()):
             for rung in (0, 1):
-                if not ok[rung]:
+                if not ok[rung][p]:
                     lam[i] *= up
                     if lam[i] > _MAX_DAMPING:
                         fail(i, SingularNormalEquations(
                             "normal equations unsolvable at maximum damping"))
                         break
                     continue
-                if trial[rung] < cost[i]:
-                    x[i] = candidates[p, rung]
-                    residuals[owner[i]][member[i]] = r_new[p, rung]
-                    prev_cost, cost[i] = cost[i], trial[rung]
-                    histories[i].append(cost[i])
+                trial = cost_new[rung][p]
+                if trial < cost[i]:
+                    x[i] = candidates[rung, p]
+                    r, j = trial_rows[p]
+                    residuals[owner[i]][member[i]] = r[rung, j]
+                    prev_cost, cost[i] = cost[i], trial
+                    histories[i].append(trial)
                     lam[i] = max(lam[i] / down, 1e-15)
-                    if step_norm[p][rung] < settings.step_tol * (
-                            1.0 + new_norm[p][rung]):
+                    if step_norm[rung][p] < settings.step_tol * (
+                            1.0 + new_norm[rung][p]):
                         finish(i, "step")
-                    elif prev_cost - cost[i] < settings.cost_tol * max(
+                    elif prev_cost - trial < settings.cost_tol * max(
                             1.0, prev_cost):
                         finish(i, "cost_decrease")
                     elif iterations[i] == settings.max_iterations:
@@ -363,13 +393,56 @@ def solve_lm_stacked(stacks, initial_params,
                         state[i] = _NEW_ITERATION
                     break
                 lam[i] *= up
-                if lam[i] > _MAX_DAMPING or step_norm[p][rung] < (
+                if lam[i] > _MAX_DAMPING or step_norm[rung][p] < (
                         settings.step_tol * (1.0 + old_norm[p])):
                     finish(i, "step")   # no acceptable step: stalled
                     break
 
-    return [results[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    return [results[a:b] for a, b in zip(group_start[:-1], group_start[1:])]
 
+
+def solve_lm_stacked(stacks, initial_params,
+                     settings: LMSettings = LMSettings()) -> list:
+    """solve_lm_batch on ProblemStacks, each one group; `initial_params[s]`
+    is the (count, dim) start of stacks[s].  The stacks must share one
+    dimension, bounds and wrap mask.  Returns, per stack, its members'
+    FitReports or errors."""
+    if not stacks:
+        return []
+    first = stacks[0]
+    starts = [np.asarray(x0, dtype=float) for x0 in initial_params]
+    for stack, x0 in zip(stacks, starts, strict=True):
+        if stack.dim != first.dim:
+            raise ValueError("stacked problems must share one dimension")
+        if x0.shape != (stack.count, first.dim):
+            raise ValueError(f"initial params must have shape "
+                             f"({stack.count}, {first.dim})")
+        if any(not np.array_equal(getattr(stack, name), getattr(first, name))
+               for name in ("lower", "upper", "wrap_mask")):
+            raise ValueError("stacked problems must share bounds and wrap "
+                             "mask")
+
+    def call(name):
+        def evaluate(members, params):
+            out, start = [], 0
+            for g, idx in members:
+                part = params[..., start:start + len(idx), :]
+                start += len(idx)
+                lead = part.shape[:-2]
+                values = np.asarray(getattr(stacks[g], name)(
+                    np.tile(idx, math.prod(lead)), part.reshape(-1, first.dim)),
+                    dtype=float)
+                out.append(values.reshape(lead + (len(idx),)
+                                          + values.shape[1:]))
+            return out
+        return evaluate
+
+    batch = ProblemBatch(dim=first.dim,
+                         counts=tuple(stack.count for stack in stacks),
+                         residual=call("residual"), jacobian=call("jacobian"),
+                         lower=first.lower, upper=first.upper,
+                         wrap_mask=first.wrap_mask)
+    return solve_lm_batch(batch, np.concatenate(starts), settings)
 
 def solve_lm(problem: ResidualProblem, initial_params,
              settings: LMSettings = LMSettings()) -> FitReport:

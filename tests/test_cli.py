@@ -346,6 +346,21 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
     assert "bogus_key" in stderr
 
 
+@pytest.mark.parametrize("lm", [{"damping": float("nan")},
+                                {"damping_up": 1.0}])
+def test_lm_settings_that_would_hang_a_fit_fail_before_it(lm, tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depths": [1.0, 2.0], "lm": lm}))
+    code, stdout, stderr = run(capsys, "sweep", "--config", cfg,
+                               "--mappers", "2d3d", "--out",
+                               tmp_path / "s.csv")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ConfigError: invalid lm settings: "
+                             + next(iter(lm)))
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_bad_flag_values(tmp_path, capsys):
     code, _, stderr = run(capsys, "simulate", "--depths", "one,two",
                           "--out", tmp_path / "d.jsonl")

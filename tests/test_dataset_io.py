@@ -531,6 +531,38 @@ def test_config_validation():
         ExperimentConfig(scene_camera={"focal": [720, 720]})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("depths", [1.0, float("nan")]), ("depths", [1.0, float("inf")]),
+    ("depths", [True]), ("depths", ["1.0"]), ("depths", 1.0),
+    ("noise_pupil_px", float("nan")), ("noise_pose_deg", float("inf")),
+    ("noise_target_mm", "2"), ("center_bounds_m", -0.05),
+    ("center_bounds_m", float("nan")), ("seed", 1.5), ("seed", True),
+    ("seed", -1), ("e_gt", [float("nan"), 0.0, 0.0]),
+    ("normalize_residuals", "no"),
+])
+def test_config_rejects_non_finite_and_mistyped_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("lm, name", [
+    ({"damping": float("nan")}, "damping"), ({"damping_up": 1}, "damping_up"),
+    ({"damping_up": 0.5}, "damping_up"), ({"damping": "x"}, "damping"),
+    ({"max_iterations": 2.5}, "max_iterations"),
+])
+def test_config_builds_its_lm_settings_at_load(lm, name):
+    with pytest.raises(ConfigError, match=f"lm settings: {name}"):
+        ExperimentConfig.from_dict({"depths": [1.0, 2.0], "lm": lm})
+
+
+def test_config_unbounded_center_stays_valid():
+    cfg = ExperimentConfig(center_bounds_m=None, depths=(1.0, 2.0))
+    assert cfg.to_mapping_config((640, 360)).center_bounds_m is None
+    assert cfg.override(noise_pupil_px=0.5).noise_pupil_px == 0.5
+    with pytest.raises(ConfigError, match="noise_pupil_px"):
+        cfg.override(noise_pupil_px=float("nan"))
+
+
 def test_config_override_skips_none():
     cfg = ExperimentConfig(seed=1).override(seed=None, depths=(1.0, 2.0))
     assert cfg.seed == 1

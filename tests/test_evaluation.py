@@ -27,7 +27,7 @@ from gaze3d.geometry import (
     project,
     rotation_from_angles,
 )
-from gaze3d import evaluation
+from gaze3d import _kernels, evaluation, optimizer
 from gaze3d.evaluation import (
     FIT_ERRORS,
     ErrorRecord,
@@ -438,6 +438,40 @@ def without_pose(s):
     return DataRecord(pupil_px=s.pupil_px, pupil_pose=None, target=s.target,
                       target_px=s.target_px, depth_label=s.depth_label,
                       role=s.role)
+
+
+@pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
+def test_sweep_makes_one_kernel_call_per_damping_round(mapper_id,
+                                                       monkeypatch):
+    """A noisy 3-depth sweep fits sets of 25, 50 and 75 samples in one
+    solve; each damping round (one stacked normal-equation solve) calls
+    the residual kernel and the Jacobian kernel at most once for all of
+    them, plus one residual call to start."""
+    calls, groups = {"residuals": 0, "jacobian": 0, "rounds": 0}, set()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if key != "rounds":
+                groups.add(tuple(sorted({x.shape[1] for x in args[1]})))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for kind in ("residuals", "jacobian"):
+        name = f"{kind}_{mapper_id}"
+        monkeypatch.setattr(_kernels, name,
+                            counted(getattr(_kernels, name), kind))
+    monkeypatch.setattr(optimizer, "_solve_stacked",
+                        counted(optimizer._solve_stacked, "rounds"))
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    sweep = depth_combination_sweep(bundle, (mapper_id,))
+    assert all(r.status == "ok" for r in sweep.records)
+    assert calls["rounds"] > 50
+    assert calls["residuals"] <= calls["rounds"] + 1
+    assert calls["jacobian"] <= calls["rounds"]
+    assert (25, 50, 75) in groups      # the groups went in one call
 
 
 def test_sweep_drops_poseless_test_records_for_3d3d():

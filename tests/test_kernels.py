@@ -146,10 +146,13 @@ def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
         residual, _, dim, wrap = layout(mapper_id)
 
         def jacobian(params, inputs, targets, normalize):
-            return np.array([numeric_jacobian(ResidualProblem(
+            # the ragged layout: groups of fits, each fit's rows in order
+            fits = [(q, t) for group_q, group_t in zip(inputs, targets)
+                    for q, t in zip(group_q, group_t)]
+            return np.concatenate([numeric_jacobian(ResidualProblem(
                 dim=dim, residual=lambda x, q=q, t=t: residual(
                     x, q, t, normalize)), x0)
-                for x0, q, t in zip(params, inputs, targets)])
+                for x0, (q, t) in zip(params, fits, strict=True)])
         return residual, jacobian, dim, wrap
 
     monkeypatch.setattr(mappers, "_lm_layout", numeric_layout)
@@ -163,3 +166,53 @@ def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
                        atol=1e-6)
     assert np.allclose(analytic[1].angles, numeric[1].angles, rtol=0,
                        atol=1e-6)
+
+
+# ── the ragged layout ────────────────────────────────────────────────────
+
+def ragged_inputs(seed, shapes=((3, 25), (1, 9), (2, 40))):
+    """Groups of fits of (count, samples) each: 2d3d and 3d3d params of
+    every fit, each with a second parameter set as the two damping rungs
+    are passed, and each group's features, poses and targets."""
+    fits = [random_inputs(100 * seed + len(shapes) * i + g, n)
+            for g, (k, n) in enumerate(shapes) for i in range(k)]
+    params17, params6 = (np.array([f[j] for f in fits]) for j in (0, 1))
+    cuts = np.cumsum([0] + [k for k, _ in shapes])
+    groups = [tuple(np.array([f[j] for f in fits[a:b]]) for j in (2, 3, 4))
+              for a, b in zip(cuts, cuts[1:])]
+    rng = np.random.default_rng(seed)
+    rungs17, rungs6 = (np.stack((p, p + rng.normal(0, 1e-3, p.shape)))
+                       for p in (params17, params6))
+    return params17, params6, rungs17, rungs6, groups
+
+
+@pytest.mark.parametrize("normalize", (True, False))
+def test_ragged_rows_equal_batched_group_calls(normalize):
+    """One ragged call over groups of different sample counts gives, bit
+    for bit, each group's batched call and each fit's call alone."""
+    for seed in range(3):
+        params17, params6, rungs17, rungs6, groups = ragged_inputs(seed)
+        counts = np.cumsum([0] + [len(g[0]) for g in groups])
+        for kernel, params, rungs, at in (
+                (_kernels.residuals_2d3d, params17, rungs17, 0),
+                (_kernels.jacobian_2d3d, params17, None, 0),
+                (_kernels.residuals_3d3d, params6, rungs6, 1),
+                (_kernels.jacobian_3d3d, params6, None, 1)):
+            inputs = [g[at] for g in groups]
+            targets = [g[2] for g in groups]
+            for p in (params,) if rungs is None else (params, *rungs):
+                ragged = kernel(p, inputs, targets, normalize)
+                batched = [kernel(p[a:b], x, t, normalize) for a, b, x, t
+                           in zip(counts, counts[1:], inputs, targets)]
+                alone = [kernel(p[i], x[j], t[j], normalize)
+                         for a, x, t in zip(counts, inputs, targets)
+                         for j, i in enumerate(range(a, a + len(x)))]
+                assert np.array_equal(ragged, np.concatenate(
+                    [b.reshape((-1,) + b.shape[2:]) for b in batched]))
+                assert np.array_equal(ragged, np.concatenate(alone))
+            if rungs is not None:
+                both = kernel(rungs, inputs, targets, normalize)
+                assert both.shape == (2, ragged.size)
+                for r in (0, 1):
+                    assert np.array_equal(
+                        both[r], kernel(rungs[r], inputs, targets, normalize))

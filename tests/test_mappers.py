@@ -48,7 +48,7 @@ from gaze3d.mappers import (
     record_arrays,
     select_records,
 )
-from gaze3d.optimizer import ResidualProblem, solve_lm
+from gaze3d.optimizer import NonFiniteResidual, ResidualProblem, solve_lm
 
 
 def normalized_features(pupils_px, resolution=DEFAULT_EYE_RESOLUTION):
@@ -407,6 +407,49 @@ def test_fit_mappers_returns_each_fit_error(mapper_id):
         assert isinstance(results[i], (RankDeficient, DegenerateGeometry))
     for i in (0, 4):
         assert_same_model(results[i], fit_mapper(mapper_id, sets[i]))
+
+
+def assert_same_bits(model, solo):
+    """The same parameters, cost-history bytes, iterations and
+    termination."""
+    for name in ("weights", "angles", "center"):
+        if hasattr(solo, name):
+            assert getattr(model, name).tobytes() == getattr(solo,
+                                                             name).tobytes()
+    assert model.report.iterations == solo.report.iterations
+    assert model.report.termination == solo.report.termination
+    assert (model.report.cost_history.tobytes()
+            == solo.report.cost_history.tobytes())
+
+
+@pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
+def test_fit_arrays_fits_each_set_as_alone(mapper_id):
+    """Sets of four sample counts in one lockstep solve (one ragged kernel
+    call per round) give each set's solo fit bit for bit; a set with a NaN
+    input fails alone."""
+    bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    depth = {d: record_arrays(mapper_id, select_records(
+        mapper_id, bundle.calibration[d])) for d in bundle.depths()}
+
+    def pooled(*depths, n=None):
+        return tuple(np.concatenate(a)[:n]
+                     for a in zip(*(depth[d] for d in depths)))
+
+    nan_set = tuple(a.copy() for a in pooled(1.5, 2.0))
+    nan_set[0][7, 1] = np.nan
+    sets = [pooled(1.0), pooled(1.0, 1.5), pooled(1.5, 2.0, n=40),
+            pooled(1.0, 1.5, 2.0), pooled(2.0), pooled(1.0, 2.0, n=40)]
+    if mapper_id == "3d3d":     # a 2d3d set with a NaN fails its set-up
+        sets.insert(2, nan_set)
+    assert len({len(inputs) for inputs, _ in sets}) == 4
+    models = fit_arrays(mapper_id, sets)
+    for arrays, model in zip(sets, models):
+        if arrays is nan_set:
+            assert isinstance(model, NonFiniteResidual)
+            continue
+        assert_same_bits(model, fit_arrays(mapper_id, [arrays])[0])
 
 
 # ── the one fit path against solve_lm ────────────────────────────────────

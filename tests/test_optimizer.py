@@ -150,6 +150,28 @@ def test_settings_validated():
         LMSettings(max_iterations=-1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("damping", np.nan), ("damping", np.inf), ("damping", "x"),
+    ("damping", True), ("damping_down", np.nan), ("step_tol", -np.inf),
+    ("grad_tol", None), ("damping_up", 1.0), ("damping_up", 0.5),
+    ("damping_up", np.nan), ("max_iterations", 2.5),
+    ("max_iterations", True), ("max_iterations", 0),
+])
+def test_settings_that_could_hang_or_uncap_a_fit_are_rejected(name, value):
+    # a NaN damping never exceeds the maximum and a factor <= 1 never
+    # raises it, so a rejected step would retry forever; a fractional cap
+    # is never reached
+    with pytest.raises(ValueError, match=name):
+        LMSettings(**{name: value})
+
+
+def test_integral_settings_of_other_types_are_accepted():
+    settings = LMSettings(damping=1, damping_up=np.float64(2.0),
+                          max_iterations=np.int64(5))
+    report = solve_lm(rosenbrock(), np.array([-1.2, 1.0]), settings)
+    assert report.iterations <= 5
+
+
 # ── lockstep solve ───────────────────────────────────────────────────────
 
 def sequential_lm(problem, x0, settings):
