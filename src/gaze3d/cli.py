@@ -306,6 +306,13 @@ def cmd_selftest(args) -> int:
     check("mini-sweep", len(ok_recs) == len(sweep.records) == 4
           and all(r.mean < 0.5 for r in ok_recs))
 
+    def record_bits(bundle):     # every value of every record, as bytes
+        return [(s.role, float(s.depth_label).hex(),
+                 *(getattr(s, f).tobytes()
+                   for f in ("pupil_px", "pupil_pose", "target", "target_px")))
+                for group in (bundle.calibration, bundle.test)
+                for depth in sorted(group) for s in group[depth]]
+
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
         save_dataset(bundle, a)
@@ -315,7 +322,8 @@ def cmd_selftest(args) -> int:
         loaded = load_dataset(a)
         check("dataset-determinism", same
               and loaded.n_records == _count(bundle.calibration)
-              + _count(bundle.test) and loaded.missing_pose == 0)
+              + _count(bundle.test) and loaded.missing_pose == 0
+              and record_bits(loaded.bundle) == record_bits(bundle))
 
     print("selftest: all checks passed")
     return 0

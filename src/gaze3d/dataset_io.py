@@ -15,12 +15,15 @@ given dataset has exactly one byte representation: identical seeds give
 byte-identical files and a load/save cycle is lossless.  Numeric fields
 hold JSON numbers; numeric strings and booleans are rejected.
 
-Records are parsed per column: load_dataset reads each line with
-json.loads into six field columns, checks every column at once (entry
+Records are parsed per column: load_dataset decodes each line with
+orjson.loads into six field columns, checks every column at once (entry
 counts, numeric types, finiteness, unit poses, roles, positive depths)
-and gives each record row views of one float array per field.  Only if
-a column check fails does it check record by record, in file order, so
-the error names the first bad line.
+and gives each record row views of one float array per field.  A line
+orjson rejects is decoded with json.loads, which sets the grammar: both
+read every number to the same float.  Only if a column check fails does
+it check record by record with json, in file order, so the error names
+the first bad line.  save_dataset refuses a NaN or infinity, which the
+loader would reject, before it opens the file.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -45,6 +48,7 @@ from .eye_simulator import (
     GRID_PRESETS,
     DatasetBundle,
     GridSpec,
+    NoIntersection,
     SimRig,
     TwoSphereEye,
     synthesize_dataset,
@@ -101,6 +105,11 @@ def _floats(x):
 
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# the bytes of _json_line, refusing NaN and infinities as load_dataset does
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   allow_nan=False)
 
 
 # --------------------------------------------------------------------------
@@ -225,12 +234,22 @@ def _record_columns(lines):
     _RECORD_KEYS order: vectors as row views of one float array per
     field (None where an optional field is null), depth labels as floats.
     None if some record breaks a rule of _check_record."""
+    # imported here, so that importing gaze3d and running sweeps, which
+    # decode no dataset, do not load it
+    import orjson
+
     records = []
     for raw in lines:
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
+            record = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            # orjson rejects some lines json accepts (NaN and Infinity,
+            # numbers beyond float range, lone surrogate escapes); json
+            # decides, as _check_record does
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError:
+                return None
         if type(record) is not dict:
             return None
         records.append(tuple(map(record.get, _RECORD_KEYS)))
@@ -252,8 +271,12 @@ def _record_columns(lines):
         return None
     columns = []
     for values, rows in zip(vectors, arrays):
-        rows = iter(rows)
-        columns.append([None if v is None else next(rows) for v in values])
+        if len(rows) == len(values):
+            columns.append(list(rows))
+        else:
+            rows = iter(rows)
+            columns.append([None if v is None else next(rows)
+                            for v in values])
     return (*columns, depths.tolist(), roles)
 
 
@@ -316,18 +339,27 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     depths = sorted(set(bundle.calibration) | set(bundle.test))
     for depth in depths:
         for group in (bundle.calibration, bundle.test):
-            for s in group.get(depth, []):
+            for i, s in enumerate(group.get(depth, [])):
                 pose = None if s.pupil_pose is None else s.pupil_pose.tolist()
                 target_px = (None if s.target_px is None
                              else s.target_px.tolist())
-                lines.append(_json_line({
+                record = {
                     "pupil_px": s.pupil_px.tolist(),
                     "pupil_pose": pose,
                     "target_scene_m": s.target.tolist(),
                     "target_px": target_px,
                     "depth_label": float(s.depth_label),
                     "role": s.role,
-                }))
+                }
+                try:
+                    lines.append(_RECORD_ENCODER.encode(record))
+                except ValueError:      # a NaN or infinity: name it
+                    key = next(k for k, v in record.items()
+                               if v is not None and k != "role"
+                               and not np.isfinite(v).all())
+                    raise ValueError(
+                        f"cannot save {s.role} record {i} at depth {depth}: "
+                        f"field {key!r} contains non-finite values") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -387,11 +419,9 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
         raise RuntimeError("a record fails the column checks but not "
                            "_check_record")
     calibration, test = {}, {}
-    for pupil_px, pose, target, target_px, depth, role in zip(*columns):
-        group = calibration if role == "calibration" else test
-        group.setdefault(depth, []).append(DataRecord(
-            pupil_px=pupil_px, pupil_pose=pose, target=target,
-            target_px=target_px, depth_label=depth, role=role))
+    for record in map(DataRecord, *columns):    # columns in field order
+        group = calibration if record.role == "calibration" else test
+        group.setdefault(record.depth_label, []).append(record)
 
     if require_calibration and not calibration:
         raise ParseError("dataset contains no calibration records")
@@ -605,6 +635,11 @@ class ExperimentConfig:
                               f"got {self.normalize_residuals!r}")
         if self.grid is not None:
             _check_keys(self.grid, _GRID_KEYS, "grid")
+        try:    # built here, so a bad grid fails before any synthesis
+            object.__setattr__(self, "_grids", replace(
+                GRID_PRESETS[self.grid_preset], **(self.grid or {})))
+        except ValueError as err:
+            raise ConfigError(f"invalid grid: {err}") from None
         if self.lm is not None:
             _check_keys(self.lm, _LM_KEYS, "lm")
         try:    # built here, so a bad lm block fails before any fit
@@ -613,6 +648,15 @@ class ExperimentConfig:
             raise ConfigError(f"invalid lm settings: {err}") from None
         if self.eye_model_mm is not None:
             _check_keys(self.eye_model_mm, _EYE_KEYS, "eye_model_mm")
+            for key, value in self.eye_model_mm.items():
+                if not (_is_finite(value) and value > 0):
+                    raise ConfigError(f"eye_model_mm.{key} must be a finite "
+                                      f"number > 0, got {value!r}")
+        try:
+            object.__setattr__(self, "_eye",
+                               TwoSphereEye(**(self.eye_model_mm or {})))
+        except NoIntersection as err:
+            raise ConfigError(f"invalid eye_model_mm: {err}") from None
         for name in ("scene_camera", "eye_camera"):
             cam = getattr(self, name)
             if cam is not None:
@@ -644,11 +688,10 @@ class ExperimentConfig:
     # -- builders ----------------------------------------------------------
 
     def to_eye(self) -> TwoSphereEye:
-        return TwoSphereEye(**(self.eye_model_mm or {}))
+        return self._eye
 
     def to_grids(self) -> GridSpec:
-        base = GRID_PRESETS[self.grid_preset]
-        return replace(base, **self.grid) if self.grid else base
+        return self._grids
 
     def _to_camera(self, d) -> PinholeCamera:
         kwargs = dict(focal=d["focal"], principal=d["principal"],

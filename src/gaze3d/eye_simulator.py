@@ -17,6 +17,7 @@ sample keeps its own seeded generator, giving the same bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,6 +187,23 @@ class GridSpec:
     test_cols: int = 4
     test_scale: float = 0.75
     scale_with_depth: bool = False
+
+    def __post_init__(self):
+        for name in ("calib_rows", "calib_cols", "test_rows", "test_cols"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 2):
+                raise ValueError(f"{name} must be an integer >= 2, "
+                                 f"got {value!r}")
+        for name in ("width", "height", "test_scale"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {value!r}")
+        if not isinstance(self.scale_with_depth, bool):
+            raise ValueError(f"scale_with_depth must be true or false, "
+                             f"got {self.scale_with_depth!r}")
 
     def _scale(self, depth):
         return depth if self.scale_with_depth else 1.0

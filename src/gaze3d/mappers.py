@@ -200,6 +200,17 @@ def _check_targets(targets):
                                  "eyeball center; rays cannot be constrained")
 
 
+def _check_finite(mapper_id, inputs, targets):
+    """Reject a set holding a NaN or infinity, naming the field, before
+    any least-squares solve or LM step sees it."""
+    for name, rows in zip(_fields(mapper_id), (inputs, targets)):
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteResidual(f"{name} of sample {i} is not finite: "
+                                    f"{rows[i].tolist()}")
+
+
 def _center_box(dim, center_bounds):
     if center_bounds is None:
         return None, None
@@ -429,8 +440,9 @@ def fit_arrays(mapper_id: str, array_sets,
                config: MappingConfig = MappingConfig()) -> list:
     """Fit one mapper on each of `array_sets`, (inputs, targets) pairs of
     (N, n) arrays of its two fields (see record_arrays): per set, its
-    model or the FIT_ERRORS exception its fit failed with.  A set whose
-    arrays have other shapes raises ValueError.
+    model or the FIT_ERRORS exception its fit failed with; a set holding a
+    NaN or infinity fails with NonFiniteResidual.  A set whose arrays
+    have other shapes raises ValueError.
 
     This is the one fit path: fit_mappers, fit_mapper, the pair-based
     fit_2d_to_2d/fit_2d_to_3d/fit_3d_to_3d and the depth sweep all call
@@ -448,6 +460,7 @@ def fit_arrays(mapper_id: str, array_sets,
             raise ValueError(f"set {i} has {len(inputs)} inputs but "
                              f"{len(targets)} targets")
         try:
+            _check_finite(mapper_id, inputs, targets)
             if mapper_id == "2d2d":
                 results[i] = _fit_2d2d(inputs, targets, config.eye_resolution)
                 continue

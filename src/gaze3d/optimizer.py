@@ -39,7 +39,8 @@ from .geometry import dot_norms, wrap_angle
 
 
 class NonFiniteResidual(ValueError):
-    """Residual evaluation produced NaN or inf."""
+    """Residual evaluation produced NaN or inf, or a fit's inputs or
+    targets hold one."""
 
 
 class SingularNormalEquations(RuntimeError):

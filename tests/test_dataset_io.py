@@ -2,10 +2,19 @@
 strict experiment configuration."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gaze3d
 from gaze3d.dataset_io import (
     ConfigError,
     ExperimentConfig,
@@ -90,6 +99,159 @@ def test_loaded_dataset_feeds_fits_without_warnings(dataset_path):
     for mapper in ("2d2d", "2d3d", "3d3d"):
         model = fit_mapper(mapper, samples)
         predict_sample(model, loaded.test[1.0][0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pupil_px", np.array([np.nan, 145.0])),
+    ("pupil_pose", np.array([np.inf, 0.0, 0.0])),
+    ("target", np.array([0.1, np.nan, 1.5])),
+    ("target_px", np.array([-np.inf, 300.0])),
+    ("depth_label", np.nan),
+])
+def test_save_rejects_non_finite_values_and_writes_nothing(bundle, tmp_path,
+                                                           field, value):
+    # it used to write NaN or Infinity, which load_dataset rejects
+    samples = list(bundle.calibration[1.5])
+    samples[2] = replace(samples[2], **{field: value})
+    bad = replace(bundle, calibration={**bundle.calibration, 1.5: samples})
+    path = tmp_path / "bad.jsonl"
+    with pytest.raises(ValueError) as err:
+        save_dataset(bad, path)
+    key = "target_scene_m" if field == "target" else field
+    assert str(err.value) == (f"cannot save calibration record 2 at depth "
+                              f"1.5: field {key!r} contains non-finite values")
+    assert not path.exists()
+
+
+# ── dataset decoding ─────────────────────────────────────────────────────
+# load_dataset decodes records with orjson and hands the lines orjson
+# rejects to json; every number must read as json reads it.
+
+def _decimal(sign, whole, fraction, exponent):
+    return f"{sign}{whole}{fraction}{exponent}"
+
+
+_EXPONENTS = st.builds(lambda marker, plus, n: f"{marker}{plus * (n >= 0)}{n}",
+                       st.sampled_from("eE"), st.sampled_from(("", "+")),
+                       st.integers(-330, 310))
+_FRACTIONS = st.builds(lambda zeros, digits: f".{'0' * zeros}{digits}",
+                       st.integers(0, 5), st.integers(0, 10 ** 40))
+# integers up to 10**30 in size, decimals with long mantissas and
+# exponents from -330 to 310, and negative zeros
+_NUMBER_TEXTS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(("-0", "-0.0", "-0e7", "0E-330")),
+    st.builds(_decimal, st.sampled_from(("", "-")),
+              st.one_of(st.just("0"), st.integers(1, 10 ** 26).map(str)),
+              st.one_of(st.just(""), _FRACTIONS),
+              st.one_of(st.just(""), _EXPONENTS)),
+).filter(lambda text: math.isfinite(float(json.loads(text))))
+# pose entries below 0.7 in size, so that a third entry makes a unit pose
+_POSE_TEXTS = st.one_of(
+    st.sampled_from(("0", "-0", "-0.0")),
+    st.builds(_decimal, st.sampled_from(("", "-")), st.just("0"), _FRACTIONS,
+              st.builds(lambda n: f"e{n}", st.integers(-330, 0))),
+).filter(lambda text: abs(float(json.loads(text))) < 0.7)
+
+
+def _bits(texts_or_values):
+    return np.array([float(json.loads(v)) if isinstance(v, str) else v
+                     for v in texts_or_values],
+                    dtype=float).view(np.uint64).tolist()
+
+
+@pytest.fixture(scope="module")
+def header_line(bundle, tmp_path_factory):
+    path = tmp_path_factory.mktemp("header") / "data.jsonl"
+    save_dataset(bundle, path)
+    return path.read_text().splitlines()[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(numbers=st.lists(_NUMBER_TEXTS, min_size=7, max_size=7),
+       pose=st.lists(_POSE_TEXTS, min_size=2, max_size=2),
+       depth=_NUMBER_TEXTS.filter(lambda text: float(json.loads(text)) > 0))
+def test_loader_reads_every_number_as_json_does(header_line, tmp_path_factory,
+                                                numbers, pose, depth):
+    x, y = (float(json.loads(t)) for t in pose)
+    pose = pose + [repr(math.sqrt(1.0 - x * x - y * y))]
+    line = ('{"depth_label":%s,"pupil_pose":[%s,%s,%s],"pupil_px":[%s,%s],'
+            '"role":"calibration","target_px":[%s,%s],'
+            '"target_scene_m":[%s,%s,%s]}' % (depth, *pose, *numbers))
+    path = tmp_path_factory.getbasetemp() / "numbers.jsonl"
+    path.write_text(header_line + "\n" + line + "\n")
+    [records] = load_dataset(path).calibration.values()
+    [record] = records
+    assert _bits([record.depth_label]) == _bits([depth])
+    assert _bits(record.pupil_pose) == _bits(pose)
+    assert _bits(record.pupil_px) == _bits(numbers[:2])
+    assert _bits(record.target_px) == _bits(numbers[2:4])
+    assert _bits(record.target) == _bits(numbers[4:])
+
+
+def _set_text(field, text):
+    """An edit that writes `text` verbatim as a record's `field`."""
+    def edit(s):
+        return json.dumps({**json.loads(s), field: "@"}).replace('"@"', text)
+    return edit
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("pupil_px", "[NaN, 1.0]", "field 'pupil_px' contains non-finite values"),
+    ("target_scene_m", "[0.1, -Infinity, 1.0]",
+     "field 'target_scene_m' contains non-finite values"),
+    ("target_px", "[1e400, 1.0]",
+     "field 'target_px' contains non-finite values"),
+    ("depth_label", "NaN", "depth_label must be finite, got nan"),
+    ("depth_label", "1e400", "depth_label must be finite, got inf"),
+], ids=["nan", "minus-infinity", "overflow", "nan-depth", "overflow-depth"])
+def test_literals_orjson_rejects_give_the_json_errors(dataset_path, field,
+                                                      text, message):
+    rewrite_line(dataset_path, 3, _set_text(field, text))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s[:-1] + ',"note":"\\ud800"}',
+    lambda s: " \t" + s + "  ",
+    lambda s: s[:-1] + ',"pupil_px":[12.5,-3e2],"depth_label":1}',
+], ids=["lone-surrogate-in-unknown-key", "whitespace-padded",
+        "duplicate-keys"])
+def test_lines_orjson_rejects_or_pads_load_as_json_reads_them(dataset_path,
+                                                              edit):
+    rewrite_line(dataset_path, 3, edit)
+    line = dataset_path.read_text().splitlines()[2]
+    expected = json.loads(line)       # json keeps the last duplicate key
+    record = load_dataset(dataset_path).calibration[1.0][1]
+    assert _bits(record.pupil_px) == _bits(expected["pupil_px"])
+    assert _bits(record.pupil_pose) == _bits(expected["pupil_pose"])
+    assert _bits(record.target) == _bits(expected["target_scene_m"])
+    assert _bits(record.target_px) == _bits(expected["target_px"])
+    assert _bits([record.depth_label]) == _bits([expected["depth_label"]])
+
+
+def test_only_dataset_loading_imports_orjson(tmp_path):
+    # sweeps decode no dataset and should not pay orjson's import
+    script = "\n".join((
+        "import sys",
+        "from gaze3d.dataset_io import load_dataset, save_dataset",
+        "from gaze3d.evaluation import depth_combination_sweep",
+        "from gaze3d.eye_simulator import default_bundle",
+        "bundle = default_bundle(depths=(1.0, 2.0))",
+        "depth_combination_sweep(bundle)",
+        "assert 'orjson' not in sys.modules",
+        "save_dataset(bundle, sys.argv[1])",
+        "load_dataset(sys.argv[1])",
+        "assert 'orjson' in sys.modules",
+    ))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "data.jsonl")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ── dataset validation ───────────────────────────────────────────────────
@@ -539,6 +701,12 @@ def test_config_validation():
     ("center_bounds_m", float("nan")), ("seed", 1.5), ("seed", True),
     ("seed", -1), ("e_gt", [float("nan"), 0.0, 0.0]),
     ("normalize_residuals", "no"),
+    ("eye_model_mm", {"eyeball_radius_mm": float("nan")}),
+    ("eye_model_mm", {"corneal_radius_mm": -7.8}),
+    ("eye_model_mm", {"center_separation_mm": "4.7"}),
+    ("eye_model_mm", {"eyeball_radius_mm": 30.0}),
+    ("grid", {"calib_rows": -3}), ("grid", {"test_cols": 2.5}),
+    ("grid", {"width": float("inf")}), ("grid", {"scale_with_depth": 1}),
 ])
 def test_config_rejects_non_finite_and_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -553,6 +721,19 @@ def test_config_rejects_non_finite_and_mistyped_values(key, value):
 def test_config_builds_its_lm_settings_at_load(lm, name):
     with pytest.raises(ConfigError, match=f"lm settings: {name}"):
         ExperimentConfig.from_dict({"depths": [1.0, 2.0], "lm": lm})
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"depths": [1.0, 2.0], "eye_model_mm": {"eyeball_radius_mm": math.nan}},
+     "eye_model_mm.eyeball_radius_mm must be a finite number > 0, got nan"),
+    ({"grid": {"calib_rows": -3}},
+     "invalid grid: calib_rows must be an integer >= 2, got -3"),
+], ids=["eye", "grid"])
+def test_config_checks_eye_and_grid_at_load(config, message):
+    # both used to construct, and failed only at synthesis
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(config)
+    assert str(err.value) == message
 
 
 def test_config_unbounded_center_stays_valid():

@@ -23,6 +23,7 @@ from gaze3d.geometry import (
 from gaze3d.mappers import (
     DEFAULT_CENTER_BOUND_M,
     DEFAULT_EYE_RESOLUTION,
+    MAPPER_FIELDS,
     MAPPER_IDS,
     DegenerateGeometry,
     GazeEstimate,
@@ -450,6 +451,31 @@ def test_fit_arrays_fits_each_set_as_alone(mapper_id):
             assert isinstance(model, NonFiniteResidual)
             continue
         assert_same_bits(model, fit_arrays(mapper_id, [arrays])[0])
+
+
+@pytest.mark.parametrize("side", (0, 1), ids=("input", "target"))
+@pytest.mark.parametrize("mapper_id", MAPPER_IDS)
+def test_a_set_holding_nan_fails_alone(mapper_id, side, capfd):
+    """A NaN in one set's inputs or targets fails that set with an error
+    naming the field, before a least-squares solve or the LM solver sees
+    it (LAPACK would print to stderr and abort every set); the set beside
+    it fits as it does alone."""
+    bundle = default_bundle("display", depths=(1.0, 1.5), seed=0,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    clean, nan_set = (record_arrays(mapper_id, select_records(
+        mapper_id, bundle.calibration[d])) for d in (1.0, 1.5))
+    nan_set[side][7, 1] = np.nan
+    failed, model = fit_arrays(mapper_id, [nan_set, clean])
+    assert isinstance(failed, NonFiniteResidual)
+    field = MAPPER_FIELDS[mapper_id][side]
+    assert str(failed).startswith(f"{field} of sample 7 is not finite: [")
+    solo = fit_arrays(mapper_id, [clean])[0]
+    if mapper_id == "2d2d":
+        assert model.weights.tobytes() == solo.weights.tobytes()
+    else:
+        assert_same_bits(model, solo)
+    assert capfd.readouterr() == ("", "")
 
 
 # ── the one fit path against solve_lm ────────────────────────────────────
