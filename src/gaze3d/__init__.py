@@ -42,6 +42,8 @@ from .eye_simulator import (
     GridSpec,
     NoIntersection,
     PupilNotVisible,
+    RecordViews,
+    SampleColumns,
     SimRig,
     SimSample,
     TargetGrid,
@@ -77,6 +79,7 @@ from .mappers import (
     Model2Dto3D,
     Model3Dto3D,
     RankDeficient,
+    column_arrays,
     direction_to_polar,
     fit_2d_to_2d,
     fit_2d_to_3d,
@@ -93,6 +96,7 @@ from .mappers import (
     predict_rays,
     predict_sample,
     record_arrays,
+    usable_rows,
 )
 from .evaluation import (
     ErrorRecord,

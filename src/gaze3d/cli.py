@@ -17,6 +17,7 @@ single line ``error: <ErrorType>: <message>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -32,7 +33,8 @@ from .dataset_io import (
     save_model,
 )
 from .evaluation import depth_combination_sweep, evaluate
-from .mappers import MAPPER_FIELDS, MAPPER_IDS, fit_mapper, select_records
+from .eye_simulator import SampleColumns
+from .mappers import MAPPER_FIELDS, MAPPER_IDS, fit_mapper, usable_rows
 from .optimizer import solve_lm
 
 
@@ -91,7 +93,10 @@ def _add_flags(sp, *flags):
                         type=float, metavar="F", help="target noise, mm")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = _Parser(prog="gaze3d",
                      description="gaze mapping simulation and evaluation")
     parser.add_argument("--version", action="version",
@@ -101,26 +106,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="synthesize a dataset file")
     _add_flags(p, "config", "seed", "out", "depths", "noise")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit one mapper on a dataset")
     p.add_argument("dataset", metavar="DATASET")
     _add_flags(p, "config", "out", "mappers", "depths")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on test sets")
     p.add_argument("model", metavar="MODEL")
     p.add_argument("dataset", metavar="DATASET")
     _add_flags(p, "depths", "out")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep",
                        help="full depth-combination sweep, exported as CSV")
     _add_flags(p, "config", "seed", "out", "mappers", "depths", "noise")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
 
 
@@ -139,7 +139,7 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _count(groups) -> int:
-    return sum(len(v) for v in groups.values())
+    return sum(map(len, groups.columns.values()))
 
 
 def cmd_simulate(args) -> int:
@@ -161,26 +161,27 @@ def cmd_fit(args) -> int:
     mapper = cfg.mappers[0]
     loaded = load_dataset(args.dataset, require_calibration=True)
     depths = args.depths or loaded.depths()
+    calibration = loaded.calibration.columns
     for depth in depths:
-        if depth not in loaded.calibration:
+        if depth not in calibration:
             raise CliUsageError(f"depth {depth} has no calibration records")
-    pooled = [s for d in depths for s in loaded.calibration[d]]
-    samples = select_records(mapper, pooled)
-    n_dropped = len(pooled) - len(samples)
+    pooled = SampleColumns.concatenate([calibration[d] for d in depths])
+    n_usable = int(usable_rows(mapper, pooled).sum())
+    n_dropped = len(pooled) - n_usable
     if n_dropped:
         missing = [f for f in MAPPER_FIELDS[mapper]
-                   if any(getattr(s, f) is None for s in pooled)]
+                   if not pooled.present(f).all()]
         print(f"warning: {n_dropped} calibration records lack "
               f"{' or '.join(missing)} and are excluded from {mapper} "
               "fitting", file=sys.stderr)
-    if not samples:
+    if not n_usable:
         raise CliUsageError(f"no usable calibration samples for {mapper}")
     mapping_cfg = cfg.to_mapping_config(
         loaded.bundle.rig.eye_camera.resolution)
-    model = fit_mapper(mapper, samples, mapping_cfg)
+    model = fit_mapper(mapper, pooled, mapping_cfg)
     out = cfg.out or "model.json"
     save_model(model, out)
-    print(f"wrote {out}: {mapper} fitted on {len(samples)} samples")
+    print(f"wrote {out}: {mapper} fitted on {n_usable} samples")
     return 0
 
 
@@ -189,24 +190,25 @@ def cmd_evaluate(args) -> int:
     loaded = load_dataset(args.dataset)
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
-    depths = args.depths or tuple(sorted(loaded.test))
+    tests = loaded.test.columns
+    depths = args.depths or tuple(sorted(tests))
     if not depths:
         raise CliUsageError("dataset has no test records")
     field = MAPPER_FIELDS[model.mapper_id][0]
     records = []
     for depth in depths:
-        if depth not in loaded.test:
+        if depth not in tests:
             raise CliUsageError(f"depth {depth} has no test records")
-        samples = select_records(model.mapper_id, loaded.test[depth],
-                                 fitting=False)
-        n_dropped = len(loaded.test[depth]) - len(samples)
+        n_usable = int(usable_rows(model.mapper_id, tests[depth],
+                                   fitting=False).sum())
+        n_dropped = len(tests[depth]) - n_usable
         if n_dropped:
             print(f"warning: depth {depth}: {n_dropped} records lack "
                   f"{field}", file=sys.stderr)
-        if not samples:
+        if not n_usable:
             raise CliUsageError(f"depth {depth} has no usable test records")
-        records.append(evaluate(model.mapper_id, model, samples, reference,
-                                loaded.bundle.rig.scene_camera,
+        records.append(evaluate(model.mapper_id, model, tests[depth],
+                                reference, loaded.bundle.rig.scene_camera,
                                 test_depth=depth))
     ref_name = "e_gt" if loaded.source == "simulated" else "scene_origin"
     for r in records:
@@ -306,12 +308,12 @@ def cmd_selftest(args) -> int:
     check("mini-sweep", len(ok_recs) == len(sweep.records) == 4
           and all(r.mean < 0.5 for r in ok_recs))
 
-    def record_bits(bundle):     # every value of every record, as bytes
-        return [(s.role, float(s.depth_label).hex(),
-                 *(getattr(s, f).tobytes()
-                   for f in ("pupil_px", "pupil_pose", "target", "target_px")))
-                for group in (bundle.calibration, bundle.test)
-                for depth in sorted(group) for s in group[depth]]
+    def column_bits(bundle):     # every column the CLI fits from, as bytes
+        return [(views.role, depth, *(getattr(columns, f).tobytes() for f in (
+                    "pupil_px", "pupil_pose", "target", "target_px",
+                    "depth_label", "has_pose", "has_target_px")))
+                for views in (bundle.calibration, bundle.test)
+                for depth, columns in views.columns.items()]
 
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
@@ -323,7 +325,7 @@ def cmd_selftest(args) -> int:
         check("dataset-determinism", same
               and loaded.n_records == _count(bundle.calibration)
               + _count(bundle.test) and loaded.missing_pose == 0
-              and record_bits(loaded.bundle) == record_bits(bundle))
+              and column_bits(loaded.bundle) == column_bits(bundle))
 
     print("selftest: all checks passed")
     return 0
@@ -332,7 +334,9 @@ def cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up per call, so that a cmd_* replaced after the parser
+        # was built (perfbench traces them) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as err:  # noqa: BLE001 - CLI boundary
         message = " ".join(str(err).split()) or type(err).__name__
         print(f"error: {type(err).__name__}: {message}", file=sys.stderr)

@@ -17,13 +17,16 @@ hold JSON numbers; numeric strings and booleans are rejected.
 
 Records are parsed per column: load_dataset decodes each line with
 orjson.loads into six field columns, checks every column at once (entry
-counts, numeric types, finiteness, unit poses, roles, positive depths)
-and gives each record row views of one float array per field.  A line
-orjson rejects is decoded with json.loads, which sets the grammar: both
-read every number to the same float.  Only if a column check fails does
-it check record by record with json, in file order, so the error names
-the first bad line.  save_dataset refuses a NaN or infinity, which the
-loader would reject, before it opens the file.
+counts, numeric types, finiteness, unit poses, roles, positive depths),
+and groups the rows by (role, depth) with one stable sort, so each
+group keeps file order.  Each group becomes the SampleColumns of a
+DatasetBundle; no record object is built until bundle.calibration or
+bundle.test is indexed.  A line orjson rejects is decoded with
+json.loads, which sets the grammar: both read every number to the same
+float.  Only if a column check fails does it check record by record with
+json, in file order, so the error names the first bad line.
+save_dataset writes each group from its columns, and refuses a NaN or
+infinity, which the loader would reject, before it opens the file.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -38,7 +41,8 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,9 +50,11 @@ from .eye_simulator import (
     DEFAULT_DEPTHS,
     DEFAULT_E_GT,
     GRID_PRESETS,
+    DataRecord,  # noqa: F401 - re-exported: the records of a loaded bundle
     DatasetBundle,
     GridSpec,
     NoIntersection,
+    SampleColumns,
     SimRig,
     TwoSphereEye,
     synthesize_dataset,
@@ -107,11 +113,6 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# the bytes of _json_line, refusing NaN and infinities as load_dataset does
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                   allow_nan=False)
-
-
 # --------------------------------------------------------------------------
 # datasets
 
@@ -144,6 +145,7 @@ _ROLES = ("calibration", "test")
 _VECTOR_FIELDS = (("pupil_px", 2, False), ("pupil_pose", 3, True),
                   ("target_scene_m", 3, False), ("target_px", 2, True))
 _RECORD_KEYS = tuple(f[0] for f in _VECTOR_FIELDS) + ("depth_label", "role")
+_RECORD_FIELDS = itemgetter(*_RECORD_KEYS)
 
 
 def _vec(record, key, length, lineno, optional=False):
@@ -216,44 +218,58 @@ def _check_record(raw, idx):
 
 
 def _vector_rows(values, length, optional):
-    """The non-null rows of one vector field as an (M, length) float
-    array, or None unless each is a list of `length` finite JSON numbers
-    (and, for a required field, none is null)."""
-    if optional:
-        values = [v for v in values if v is not None]
+    """One vector field as an (N, length) float array, NaN rows where an
+    optional field is null, and the mask of the non-null rows; None unless
+    each non-null value is a list of `length` finite JSON numbers (and,
+    for a required field, none is null)."""
+    present = None
+    if optional and None in values:
+        present = np.array([v is not None for v in values], dtype=bool)
+        values = list(compress(values, present))
     if (set(map(type, values)) - {list} or set(map(len, values)) - {length}
             or set(map(type, chain.from_iterable(values))) - _NUMBER_TYPES):
         return None
     rows = np.fromiter(chain.from_iterable(values), dtype=float,
                        count=len(values) * length).reshape(-1, length)
-    return rows if np.isfinite(rows).all() else None
+    if not np.isfinite(rows).all():
+        return None
+    if present is None:
+        return rows, np.ones(len(rows), dtype=bool)
+    full = np.full((len(present), length), np.nan)
+    full[present] = rows
+    return full, present
 
 
 def _record_columns(lines):
-    """The six fields of the records on `lines` as columns in
-    _RECORD_KEYS order: vectors as row views of one float array per
-    field (None where an optional field is null), depth labels as floats.
-    None if some record breaks a rule of _check_record."""
+    """The records on `lines` as arrays in file order: a dict of the
+    SampleColumns fields but gaze (an optional field's null rows NaN) and
+    the mask of test-role rows.  None if some record breaks a rule of
+    _check_record."""
     # imported here, so that importing gaze3d and running sweeps, which
     # decode no dataset, do not load it
     import orjson
 
-    records = []
-    for raw in lines:
-        try:
-            record = orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            # orjson rejects some lines json accepts (NaN and Infinity,
-            # numbers beyond float range, lone surrogate escapes); json
-            # decides, as _check_record does
+    try:    # each record is dropped once its fields are taken
+        fields = list(map(_RECORD_FIELDS, map(orjson.loads, lines)))
+    except (orjson.JSONDecodeError, KeyError, TypeError):
+        # a line orjson rejects, a key left out (a null field may be) or
+        # a record that is not an object: decode line by line
+        fields = []
+        for raw in lines:
             try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
+                record = orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                # orjson rejects some lines json accepts (NaN and
+                # Infinity, numbers beyond float range, lone surrogate
+                # escapes); json decides, as _check_record does
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError:
+                    return None
+            if type(record) is not dict:
                 return None
-        if type(record) is not dict:
-            return None
-        records.append(tuple(map(record.get, _RECORD_KEYS)))
-    *vectors, depths, roles = (zip(*records) if records
+            fields.append(tuple(map(record.get, _RECORD_KEYS)))
+    *vectors, depths, roles = (zip(*fields) if fields
                                else [()] * len(_RECORD_KEYS))
     try:
         if set(roles) - set(_ROLES) or set(map(type, depths)) - _NUMBER_TYPES:
@@ -265,31 +281,39 @@ def _record_columns(lines):
     # unhashable roles; ints too large for a float
     except (TypeError, ValueError, OverflowError):
         return None
-    if (any(rows is None for rows in arrays) or np.any(depths <= 0)
-            or not np.isfinite(depths).all()
-            or np.any(np.abs(dot_norms(arrays[1]) - 1.0) > 1e-6)):
+    if any(a is None for a in arrays):
         return None
-    columns = []
-    for values, rows in zip(vectors, arrays):
-        if len(rows) == len(values):
-            columns.append(list(rows))
-        else:
-            rows = iter(rows)
-            columns.append([None if v is None else next(rows)
-                            for v in values])
-    return (*columns, depths.tolist(), roles)
+    (pupil_px, _), (poses, has_pose), (target, _), (target_px, has_px) = arrays
+    if (np.any(depths <= 0) or not np.isfinite(depths).all()
+            or np.any(np.abs(dot_norms(poses[has_pose]) - 1.0) > 1e-6)):
+        return None
+    columns = dict(pupil_px=pupil_px, pupil_pose=poses, target=target,
+                   target_px=target_px, depth_label=depths,
+                   has_pose=has_pose, has_target_px=has_px)
+    return columns, np.fromiter(map("test".__eq__, roles), dtype=bool,
+                                count=len(roles))
 
 
-@dataclass(frozen=True)
-class DataRecord:
-    """One loaded observation (same measured channels as SimSample)."""
-
-    pupil_px: np.ndarray
-    pupil_pose: np.ndarray
-    target: np.ndarray
-    target_px: np.ndarray
-    depth_label: float
-    role: str
+def _group_columns(columns, is_test):
+    """The rows of _record_columns' arrays grouped by (role, depth) with
+    one stable sort: two dicts, calibration and test, of depth ->
+    SampleColumns, each group in file order and the groups of a role in
+    the order they first appear in the file."""
+    labels, index = np.unique(columns["depth_label"], return_inverse=True)
+    keys = 2 * index + is_test
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    stops = np.append(starts[1:], len(keys)).tolist()
+    columns = {name: rows[order] for name, rows in columns.items()}
+    calibration, test = {}, {}
+    for g in np.argsort(order[starts]).tolist():  # by first appearance
+        start, stop = starts[g], stops[g]
+        key = int(keys[start])
+        group = test if key % 2 else calibration
+        group[float(labels[key // 2])] = SampleColumns(
+            **{name: rows[start:stop] for name, rows in columns.items()})
+    return calibration, test
 
 
 @dataclass(frozen=True)
@@ -313,8 +337,57 @@ class LoadedDataset:
         return self.bundle.depths()
 
 
+# the record keys and the SampleColumns fields they hold, in the order
+# save_dataset checks them for non-finite values
+_SAVED_FIELDS = (("pupil_px", "pupil_px"), ("pupil_pose", "pupil_pose"),
+                 ("target_scene_m", "target"), ("target_px", "target_px"),
+                 ("depth_label", "depth_label"))
+
+
+def _check_saved_finite(columns: SampleColumns, role, depth):
+    """Name the first record of a group, and its first field, holding a
+    NaN or infinity, which load_dataset would reject."""
+    bad = []
+    for _, name in _SAVED_FIELDS:
+        finite = np.isfinite(getattr(columns, name))
+        if finite.ndim == 2:
+            finite = finite.all(axis=1)
+        bad.append(columns.present(name) & ~finite)
+    bad = np.array(bad)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        key = _SAVED_FIELDS[int(np.argmax(bad[:, i]))][0]
+        raise ValueError(f"cannot save {role} record {i} at depth {depth}: "
+                         f"field {key!r} contains non-finite values")
+
+
+def _json_rows(columns: SampleColumns, name):
+    """The JSON text of field `name` of each row, as json writes it: a
+    list of float reprs, or null where the field is missing."""
+    rows = getattr(columns, name)
+    texts = ([f"[{x!r},{y!r}]" for x, y in rows.tolist()] if rows.shape[1] == 2
+             else [f"[{x!r},{y!r},{z!r}]" for x, y, z in rows.tolist()])
+    present = columns.present(name)
+    return texts if present.all() else [
+        text if has else "null" for text, has in zip(texts, present.tolist())]
+
+
+def _record_lines(columns: SampleColumns, role):
+    """The record lines of one (role, depth) group, in row order, as
+    _json_line writes them (sorted keys, float reprs)."""
+    return [f'{{"depth_label":{depth!r},"pupil_pose":{pose},'
+            f'"pupil_px":{pupil_px},"role":"{role}","target_px":{target_px},'
+            f'"target_scene_m":{target}}}'
+            for depth, pose, pupil_px, target_px, target in zip(
+                columns.depth_label.tolist(),
+                *(_json_rows(columns, name) for name in (
+                    "pupil_pose", "pupil_px", "target_px", "target")))]
+
+
 def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
-    """Write a DatasetBundle in the line-delimited format above."""
+    """Write a DatasetBundle in the line-delimited format above, from the
+    SampleColumns of each (role, depth) group: by depth, calibration
+    before test, rows in order."""
     if source not in ("simulated", "recorded"):
         raise ValueError(f"unknown source {source!r}")
     rig, eye = bundle.rig, bundle.eye
@@ -336,30 +409,12 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
                   "target_mm": rig.noise_target_mm},
     }
     lines = [_json_line(header)]
-    depths = sorted(set(bundle.calibration) | set(bundle.test))
-    for depth in depths:
-        for group in (bundle.calibration, bundle.test):
-            for i, s in enumerate(group.get(depth, [])):
-                pose = None if s.pupil_pose is None else s.pupil_pose.tolist()
-                target_px = (None if s.target_px is None
-                             else s.target_px.tolist())
-                record = {
-                    "pupil_px": s.pupil_px.tolist(),
-                    "pupil_pose": pose,
-                    "target_scene_m": s.target.tolist(),
-                    "target_px": target_px,
-                    "depth_label": float(s.depth_label),
-                    "role": s.role,
-                }
-                try:
-                    lines.append(_RECORD_ENCODER.encode(record))
-                except ValueError:      # a NaN or infinity: name it
-                    key = next(k for k, v in record.items()
-                               if v is not None and k != "role"
-                               and not np.isfinite(v).all())
-                    raise ValueError(
-                        f"cannot save {s.role} record {i} at depth {depth}: "
-                        f"field {key!r} contains non-finite values") from None
+    groups = (bundle.calibration.columns, bundle.test.columns)
+    for depth in sorted(set().union(*groups)):
+        for role, columns in zip(_ROLES, (g.get(depth) for g in groups)):
+            if columns is not None:
+                _check_saved_finite(columns, role, depth)
+                lines += _record_lines(columns, role)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -406,30 +461,28 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     if scene_cam is not None:
         rig_kwargs["scene_camera"] = scene_cam
     if header.get("e_gt") is not None:
-        rig_kwargs["e_gt"] = np.asarray(header["e_gt"], dtype=float)
+        rig_kwargs["e_gt"] = header["e_gt"]
     try:
         rig = SimRig(**rig_kwargs)
     except (TypeError, ValueError) as err:
         raise ParseError(f"bad rig in header: {err}", line=1) from err
 
-    columns = _record_columns(lines[1:])
-    if columns is None:
+    parsed = _record_columns(lines[1:])
+    if parsed is None:
         for idx, raw in enumerate(lines[1:]):
             _check_record(raw, idx)
         raise RuntimeError("a record fails the column checks but not "
                            "_check_record")
-    calibration, test = {}, {}
-    for record in map(DataRecord, *columns):    # columns in field order
-        group = calibration if record.role == "calibration" else test
-        group.setdefault(record.depth_label, []).append(record)
+    calibration, test = _group_columns(*parsed)
 
     if require_calibration and not calibration:
         raise ParseError("dataset contains no calibration records")
     bundle = DatasetBundle(calibration=calibration, test=test,
                            rig=rig, eye=eye)
-    poses = columns[1]
-    return LoadedDataset(bundle=bundle, source=source, n_records=len(poses),
-                         missing_pose=sum(pose is None for pose in poses))
+    has_pose = parsed[0]["has_pose"]
+    return LoadedDataset(bundle=bundle, source=source,
+                         n_records=len(has_pose),
+                         missing_pose=int(len(has_pose) - has_pose.sum()))
 
 
 # --------------------------------------------------------------------------

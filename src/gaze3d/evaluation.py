@@ -10,26 +10,27 @@ origin for real recordings (where the two coincide by assumption; for a
 ray through the scene origin this equals the plain angle between the
 back-projected direction and the target direction).
 
-evaluate scores a whole test set with array operations (predict_rays,
-then the batched plane intersection and angle); angular_error is the
-same metric for one estimate, kept as the scalar reference the batched
-path is tested against.
+evaluate scores a whole test set with array operations (the predicted
+rays of its records or SampleColumns rows, then the batched plane
+intersection and angle); angular_error is the same metric for one
+estimate, kept as the scalar reference the batched path is tested
+against.
 
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
 test depths; offset_analysis regroups the single-depth records by signed
-calibration-to-test depth offset.  Per mapper, the sweep stacks each
-depth's usable calibration and test records into arrays once, fits all
-subsets from concatenations of those arrays with one fit_arrays call
-(one lockstep LM solve, see gaze3d.optimizer), and scores every ok fit
-at every test depth in one pass: one prediction of all (fit, target)
-rays, one plane intersection, one angle call, and the mean and std of
-each (fit, depth) block along an axis.  Only if that pass meets a target
-some fit cannot project does it score each (fit, depth) alone, so that
-just those records fail.  The records carry the bits evaluate gives for
-the same fit and depth, unless that depth has one usable test record:
-numpy computes a one-row matrix product another way, which can differ
-in the last bit.
+calibration-to-test depth offset.  Per mapper, the sweep takes each
+depth's usable calibration and test rows from the bundle's SampleColumns
+with a mask (column_arrays), fits all subsets from concatenations of
+those arrays with one fit_arrays call (one lockstep LM solve, see
+gaze3d.optimizer), and scores every ok fit at every test depth in one
+pass: one prediction of all (fit, target) rays, one plane intersection,
+one angle call, and the mean and std of each (fit, depth) block along an
+axis.  Only if that pass meets a target some fit cannot project does it
+score each (fit, depth) alone, so that just those records fail.  The
+records carry the bits evaluate gives for the same fit and depth, unless
+that depth has one usable test record: numpy computes a one-row matrix
+product another way, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eye_simulator import DatasetBundle
+from .eye_simulator import DatasetBundle, SampleColumns
 from .geometry import (
     GeometryError,
     PinholeCamera,
@@ -54,13 +55,12 @@ from .mappers import (
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,
+    column_arrays,
     fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
     predict_ray_arrays,
     predict_rays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
-    record_arrays,
-    select_records,
 )
 
 
@@ -98,19 +98,27 @@ class ErrorRecord:
 def evaluate(mapper_id, model, samples, reference,
              scene_cam: PinholeCamera, calib_subset=(),
              test_depth=None) -> ErrorRecord:
-    """Evaluate a fitted model on a test set; mean and population std.
+    """Evaluate a fitted model on a test set, a list of records holding
+    its input field or the usable rows of a SampleColumns group (see
+    column_arrays); mean and population std.
 
     Scores every target at once: each predicted ray meets its own
     target's plane z = target[2], and the error is the angle at
     `reference`, as in angular_error.  Raises the GeometryError of the
     first target that cannot be projected.
     """
-    if not samples:
-        raise ValueError("empty test set")
-    errors = _target_errors(predict_rays(model, samples, scene_cam),
-                            np.array([s.target for s in samples],
-                                     dtype=float), reference)
-    [scores] = _row_scores(errors[None])
+    if isinstance(samples, SampleColumns):
+        inputs, targets = column_arrays(mapper_id, samples, fitting=False)
+        if not len(inputs):
+            raise ValueError("empty test set")
+        rays = predict_ray_arrays([model], inputs, scene_cam)
+    else:
+        if not samples:
+            raise ValueError("empty test set")
+        origins, directions = predict_rays(model, samples, scene_cam)
+        rays = origins[None], directions[None]
+        targets = np.array([s.target for s in samples], dtype=float)
+    [scores] = _row_scores(_target_errors(rays, targets, reference))
     return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
                        test_depth=test_depth, **scores)
 
@@ -142,9 +150,9 @@ def _score_fits(mapper_id, subsets, models, tests, reference,
                 scene_cam) -> list:
     """ErrorRecords of every fit of one mapper (a model, or the exception
     its fit raised) at each depth of `tests` (depth -> scoring arrays of
-    record_arrays), in subset then depth order.
+    column_arrays), in subset then depth order.
 
-    All ok fits are scored at every depth with test records in one pass:
+    All ok fits are scored at every depth with test samples in one pass:
     one prediction, one plane intersection and one angle call, then the
     mean and std of each (fit, depth) block along its rows.  Only if that
     pass meets a target some fit cannot project is each (fit, depth)
@@ -227,20 +235,21 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     reference = bundle.rig.e_gt
     scene_cam = bundle.rig.scene_camera
 
+    calibration, test = bundle.calibration.columns, bundle.test.columns
+    no_tests = SampleColumns.from_records(())
     records = []
     for mapper in mappers:
-        # each depth's usable records, as arrays: records a mapper cannot
+        # each depth's usable rows, as arrays: samples a mapper cannot
         # use are dropped, as the CLI does; a depth left with no test
-        # records fails
-        calibration = {d: record_arrays(mapper, select_records(
-            mapper, bundle.calibration[d])) for d in depths}
-        tests = {d: record_arrays(mapper, select_records(
-            mapper, bundle.test.get(d, ()), fitting=False), fitting=False)
+        # samples fails
+        fits = {d: column_arrays(mapper, calibration[d]) for d in depths}
+        tests = {d: column_arrays(mapper, test.get(d, no_tests),
+                                  fitting=False)
                  for d in depths}
         subsets = [subset for k in k_range
                    for subset in itertools.combinations(depths, k)]
         models = fit_arrays(mapper, [
-            tuple(map(np.concatenate, zip(*(calibration[d] for d in subset))))
+            tuple(map(np.concatenate, zip(*(fits[d] for d in subset))))
             for subset in subsets], config)
         records += _score_fits(mapper, subsets, models, tests, reference,
                                scene_cam)

@@ -11,14 +11,17 @@ position) are synthesized, optionally with seeded Gaussian noise.
 
 synthesize_sample simulates one fixation and is the oracle for
 synthesize_dataset, which computes each grid as arrays while every
-sample keeps its own seeded generator, giving the same bits.
+sample keeps its own seeded generator, giving the same bits.  A
+DatasetBundle stores each (role, depth) group as one SampleColumns and
+builds the group's records only when they are asked for.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -117,7 +120,8 @@ class SimRig:
     e_gt is the eyeball center in the scene frame (meters); this offset
     from the scene-camera origin is the source of parallax error.  Noise
     sigmas: pupil pixels (px), pupil-pose deflection (degrees), target
-    position (mm); zero disables the channel.
+    position (mm); zero disables the channel.  A non-finite e_gt, or a
+    sigma that is NaN, infinite or negative, raises ValueError naming it.
     """
 
     scene_camera: PinholeCamera = field(default_factory=_default_scene_camera)
@@ -128,7 +132,17 @@ class SimRig:
     noise_target_mm: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "e_gt", np.asarray(self.e_gt, dtype=float))
+        e_gt = np.asarray(self.e_gt, dtype=float)
+        if e_gt.shape != (3,) or not np.isfinite(e_gt).all():
+            raise ValueError(f"e_gt must be 3 finite numbers, got "
+                             f"{e_gt.tolist()}")
+        object.__setattr__(self, "e_gt", e_gt)
+        for name in ("noise_pupil_px", "noise_pose_deg", "noise_target_mm"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {value!r}")
         if self.eye_camera is None:
             object.__setattr__(self, "eye_camera", _default_eye_camera(self.e_gt))
         eye_depth = self.eye_camera.world_to_camera(self.e_gt)[2]
@@ -345,14 +359,170 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
 
 
 @dataclass(frozen=True)
+class DataRecord:
+    """One loaded observation (same measured channels as SimSample)."""
+
+    pupil_px: np.ndarray
+    pupil_pose: np.ndarray
+    target: np.ndarray
+    target_px: np.ndarray
+    depth_label: float
+    role: str
+
+
+# the vector fields of a record and their widths; the optional ones
+# with the SampleColumns mask of the rows holding them
+_WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
+_PRESENCE = {"pupil_pose": "has_pose", "target_px": "has_target_px"}
+
+
+@dataclass(frozen=True)
+class SampleColumns:
+    """The samples of one (role, depth) group as arrays, one row per
+    sample, in order.
+
+    pupil_px (N, 2), pupil_pose (N, 3), target (N, 3) and target_px
+    (N, 2) hold the channels, depth_label (N,) each sample's depth label.
+    pupil_pose and target_px may be missing: has_pose and has_target_px
+    mark the rows holding them, and the other rows hold NaN.  gaze holds
+    the ground-truth gaze directions (N, 3) of simulated samples, and is
+    None otherwise.
+    """
+
+    pupil_px: np.ndarray
+    pupil_pose: np.ndarray
+    target: np.ndarray
+    target_px: np.ndarray
+    depth_label: np.ndarray
+    has_pose: np.ndarray
+    has_target_px: np.ndarray
+    gaze: np.ndarray = None
+
+    def __len__(self):
+        return len(self.depth_label)
+
+    def present(self, name):
+        """The mask of the rows holding field `name`."""
+        mask = _PRESENCE.get(name)
+        return (np.ones(len(self), dtype=bool) if mask is None
+                else getattr(self, mask))
+
+    @classmethod
+    def from_records(cls, records):
+        """The columns of a sequence of records (SimSample or DataRecord),
+        without gaze.  Only pupil_pose and target_px may be None."""
+        records = list(records)
+        columns = {}
+        for name, width in _WIDTHS.items():
+            values = [getattr(r, name) for r in records]
+            present = np.array([v is not None for v in values], dtype=bool)
+            if name not in _PRESENCE and not present.all():
+                raise ValueError(f"record {int(np.argmin(present))} has no "
+                                 f"{name}")
+            rows = np.full((len(values), width), np.nan)
+            if present.any():
+                given = np.asarray([v for v in values if v is not None],
+                                   dtype=float)
+                if given.shape != (len(given), width):
+                    raise ValueError(f"every {name} must have {width} "
+                                     "entries")
+                rows[present] = given
+            columns[name] = rows
+            if name in _PRESENCE:
+                columns[_PRESENCE[name]] = present
+        return cls(depth_label=np.array([float(r.depth_label)
+                                         for r in records]), **columns)
+
+    @classmethod
+    def concatenate(cls, groups):
+        """The rows of each of `groups` in turn, as one SampleColumns
+        without gaze."""
+        return cls(**{f.name: np.concatenate([getattr(g, f.name)
+                                              for g in groups])
+                      for f in fields(cls) if f.name != "gaze"})
+
+    def records(self, role, origin=None):
+        """The samples as records holding row views of the columns:
+        SimSamples, with their ground-truth gaze rays from `origin`, where
+        gaze is held, DataRecords otherwise."""
+        columns = (self.pupil_px,
+                   [p if has else None for p, has
+                    in zip(self.pupil_pose, self.has_pose.tolist())],
+                   self.target,
+                   [p if has else None for p, has
+                    in zip(self.target_px, self.has_target_px.tolist())],
+                   self.depth_label.tolist(), [role] * len(self))
+        if self.gaze is None:
+            return list(map(DataRecord, *columns))
+        return list(map(SimSample, *columns,
+                        [Ray(origin.copy(), d) for d in self.gaze]))
+
+
+class RecordViews(Mapping):
+    """The groups of one role: depth -> list of records, each list built
+    from the group's SampleColumns on first access and kept.  `columns`
+    maps each depth to its SampleColumns, which the batch paths read."""
+
+    def __init__(self, role, columns, origin=None, records=None):
+        self.role = role
+        self.columns = columns
+        self._origin = origin           # of the gaze rays of SimSamples
+        self._records = records or {}
+
+    def __getitem__(self, depth):
+        records = self._records.get(depth)
+        if records is None:
+            records = self._records[depth] = self.columns[depth].records(
+                self.role, self._origin)
+        return records
+
+    def __contains__(self, depth):
+        return depth in self.columns
+
+    def __iter__(self):
+        return iter(self.columns)
+
+    def __len__(self):
+        return len(self.columns)
+
+
+@dataclass(frozen=True)
 class DatasetBundle:
     """Calibration and test samples grouped by depth label, plus the rig
-    and eye that produced them."""
+    and eye that produced them.
 
-    calibration: dict
-    test: dict
+    Each (role, depth) group is stored as one SampleColumns, which the
+    fits, the sweep, the CLI and save_dataset read.  `calibration` and
+    `test` are RecordViews: mappings from depth to a list of records,
+    built on first access, for the one-sample API.  A bundle may be made
+    from mappings of depth to SampleColumns or to lists of records (as
+    dataclasses.replace does with a new `test`); a list of records is
+    stacked into columns once and kept as that group's records.  Editing
+    a returned list does not change the columns: to change a group, make
+    a new bundle with dataclasses.replace.
+    """
+
+    calibration: Mapping
+    test: Mapping
     rig: SimRig
     eye: TwoSphereEye
+
+    def __post_init__(self):
+        for role in ("calibration", "test"):
+            groups = getattr(self, role)
+            if isinstance(groups, RecordViews):
+                if groups.role == role:
+                    continue
+                columns, records = groups.columns, {}
+            else:
+                columns, records = {}, {}
+                for depth, group in groups.items():
+                    if not isinstance(group, SampleColumns):
+                        records[depth] = list(group)
+                        group = SampleColumns.from_records(records[depth])
+                    columns[depth] = group
+            object.__setattr__(self, role, RecordViews(
+                role, columns, self.rig.e_gt, records))
 
     def depths(self):
         return tuple(sorted(self.calibration))
@@ -372,9 +542,10 @@ def _project_rows(cam: PinholeCamera, points):
 
 
 def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
-                     depth_label, role) -> list:
+                     depth_label, role) -> SampleColumns:
     """synthesize_sample for every row of `points`, the i-th with a
-    generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays.
+    generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays
+    and returned as the group's SampleColumns, gaze directions included.
     A noiseless rig draws nothing, so it needs no seeds (None).
 
     Gives the same bits as the per-sample calls: each generator draws
@@ -411,12 +582,12 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
     poses = (rig.eye_camera.rotation.T @ directions[..., None])[..., 0]
     if rig.noise_pose_deg > 0:
         poses = _deflect_rows(poses, np.radians(rig.noise_pose_deg), rngs)
-    depth_label = float(depth_label)
-    return [SimSample(pupil_px=pp, pupil_pose=pose, target=target,
-                      target_px=tp, depth_label=depth_label, role=role,
-                      gaze=Ray(rig.e_gt.copy(), direction))
-            for pp, pose, target, tp, direction
-            in zip(pupil_px, poses, targets, target_px, directions)]
+    present = np.ones(len(points), dtype=bool)
+    return SampleColumns(pupil_px=pupil_px, pupil_pose=poses, target=targets,
+                         target_px=target_px,
+                         depth_label=np.full(len(points), float(depth_label)),
+                         has_pose=present, has_target_px=present,
+                         gaze=directions)
 
 
 def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
@@ -427,9 +598,14 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     Samples are seeded individually from `seed` via spawned
     SeedSequences, so datasets are reproducible and order-independent
     (a noiseless rig draws nothing and spawns none).
-    Each grid is synthesized as arrays; the samples are those
-    synthesize_sample gives for each point with its own generator, bit
-    for bit, and synthesize_sample is the oracle the tests hold it to.
+    Each grid is synthesized as arrays and stored as the SampleColumns of
+    its (role, depth) group: pupil_px (N, 2), pupil_pose (N, 3), target
+    (N, 3), target_px (N, 2), depth labels and the ground-truth gaze
+    directions (N, 3).  The samples are those synthesize_sample gives for
+    each point with its own generator, bit for bit, and synthesize_sample
+    is the oracle the tests hold it to.  Records (SimSamples holding row
+    views of the columns) are built only when bundle.calibration or
+    bundle.test is indexed.
     """
     if not depths:
         raise ValueError("depths must be nonempty")

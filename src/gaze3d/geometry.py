@@ -135,6 +135,11 @@ class PinholeCamera:
         object.__setattr__(self, "resolution", _as_vec(self.resolution, 2))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", _as_vec(self.translation, 3))
+        for name in ("focal", "principal", "resolution", "rotation",
+                     "translation"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
         if np.any(self.focal <= 0):
             raise ValueError("focal lengths must be positive")
         if np.any(self.principal < 0) or np.any(self.principal > self.resolution):

@@ -28,12 +28,14 @@ flat along the depth axis of e, and the bound keeps that unobservable
 direction from drifting to implausible solutions.  Both choices are
 configurable.
 
-Records: MAPPER_FIELDS names the field of a record each mapper reads and
-the field it fits that to.  pupil_pose and target_px may be missing, so
-select_records keeps the records holding both fields for fitting and
-those holding the first for scoring; record_arrays stacks such records
-into the arrays that fit_arrays (the one fit path) and
-predict_ray_arrays take.
+Records and columns: MAPPER_FIELDS names the field of a record each
+mapper reads and the field it fits that to.  pupil_pose and target_px
+may be missing, so a mapper uses the samples holding both fields for
+fitting and those holding the first for scoring.  On a DatasetBundle's
+SampleColumns that rule is a mask (usable_rows) and column_arrays takes
+the masked rows; on a list of records select_records keeps them and
+record_arrays stacks them.  Both give the arrays that fit_arrays (the
+one fit path) and predict_ray_arrays take.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .eye_simulator import DEFAULT_EYE_RESOLUTION
+from .eye_simulator import _WIDTHS, DEFAULT_EYE_RESOLUTION, SampleColumns
 from .geometry import (
     PinholeCamera,
     Ray,
@@ -387,15 +389,28 @@ def _fields(mapper_id):
     return MAPPER_FIELDS[mapper_id]
 
 
+def _needed(mapper_id, fitting):
+    """The fields a sample must hold for `mapper_id` to fit it, or to
+    score it (fitting=False)."""
+    return _fields(mapper_id)[:2 if fitting else 1]
+
+
 def select_records(mapper_id: str, records, fitting=True) -> list:
     """The records `mapper_id` can use, in order: those holding both its
     fields for fitting, or its input field for scoring (fitting=False)."""
-    fields = _fields(mapper_id)[:2 if fitting else 1]
+    fields = _needed(mapper_id, fitting)
     return [r for r in records
             if all(getattr(r, f) is not None for f in fields)]
 
 
-_WIDTHS = {"pupil_px": 2, "target_px": 2, "pupil_pose": 3, "target": 3}
+def usable_rows(mapper_id: str, columns: SampleColumns,
+                fitting=True) -> np.ndarray:
+    """The mask of the rows of `columns` that select_records keeps of
+    the same samples as records."""
+    mask = np.ones(len(columns), dtype=bool)
+    for f in _needed(mapper_id, fitting):
+        mask &= columns.present(f)
+    return mask
 
 
 def record_arrays(mapper_id: str, records, fitting=True) -> tuple:
@@ -410,6 +425,17 @@ def record_arrays(mapper_id: str, records, fitting=True) -> tuple:
                  for f in (source, target))
 
 
+def column_arrays(mapper_id: str, columns: SampleColumns,
+                  fitting=True) -> tuple:
+    """The arrays of record_arrays, taken from the usable rows of one
+    SampleColumns group (see usable_rows) with a mask, as new arrays."""
+    source, target = _fields(mapper_id)
+    if not fitting:
+        target = "target"
+    keep = usable_rows(mapper_id, columns, fitting)
+    return tuple(getattr(columns, f)[keep] for f in (source, target))
+
+
 def _one_fit(results):
     """The model of a one-set fit, or the fit error it failed with raised."""
     [result] = results
@@ -419,8 +445,9 @@ def _one_fit(results):
 
 
 def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig()):
-    """Fit one mapper from records holding its fields (see select_records):
-    fit_mappers on one set, with its fit error raised."""
+    """Fit one mapper from records holding its fields (see select_records)
+    or from the usable rows of a SampleColumns group: fit_mappers on one
+    set, with its fit error raised."""
     return _one_fit(fit_mappers(mapper_id, [samples], config))
 
 
@@ -429,11 +456,14 @@ def fit_mappers(mapper_id: str, sample_sets,
     """Fit one mapper on each of `sample_sets`: per set, its model or the
     FIT_ERRORS exception its fit failed with.
 
-    Each set's records become arrays once (record_arrays), and the fits
-    run through fit_arrays, the one fit path.
+    A set is a list of records, which become arrays once (record_arrays),
+    or a SampleColumns group, whose usable rows are taken (column_arrays);
+    the fits run through fit_arrays, the one fit path.
     """
-    return fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
-                                  for samples in sample_sets], config)
+    return fit_arrays(mapper_id, [
+        column_arrays(mapper_id, samples) if isinstance(samples, SampleColumns)
+        else record_arrays(mapper_id, samples) for samples in sample_sets],
+        config)
 
 
 def fit_arrays(mapper_id: str, array_sets,

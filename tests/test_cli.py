@@ -8,6 +8,7 @@ import pytest
 from gaze3d import cli
 from gaze3d.dataset_io import load_dataset, save_model
 from gaze3d.evaluation import depth_combination_sweep
+from gaze3d.eye_simulator import SampleColumns
 from gaze3d.mappers import MAPPER_IDS, Model2Dto3D
 
 
@@ -169,6 +170,37 @@ def test_records_missing_one_channel(dataset, tmp_path, capsys):
             assert count == len(tests)
             assert {r.n_targets for r in sweep.records
                     if r.mapper == mapper and r.test_depth == depth} == {count}
+
+
+def test_evaluate_rejects_a_dataset_with_a_non_finite_e_gt(dataset, tmp_path,
+                                                           capsys):
+    # it used to load, and evaluate printed mean_deg=nan std_deg=nan at
+    # every depth and exited 0
+    model = tmp_path / "model.json"
+    run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
+    header, *lines = dataset.read_text().splitlines()
+    doc = json.loads(header)
+    doc["e_gt"][0] = float("nan")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines) + "\n")
+    code, stdout, stderr = run(capsys, "evaluate", model, bad)
+    assert code == 1 and stdout == ""
+    assert stderr == ("error: ParseError: line 1: bad rig in header: e_gt "
+                      "must be 3 finite numbers, got [nan, 0.035, -0.025]\n")
+
+
+def test_round_trip_builds_no_records(tmp_path, capsys, monkeypatch):
+    """simulate, fit and evaluate read the bundles' columns: no group's
+    records are built on the way."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("records built")
+    monkeypatch.setattr(SampleColumns, "records", refuse)
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    for argv in (("simulate", "--depths", "1.0,1.5", "--out", data),
+                 ("fit", data, "--mappers", "2d3d", "--out", model),
+                 ("evaluate", model, data, "--out", tmp_path / "r.csv")):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 0, stderr
 
 
 def test_evaluate_unknown_depth(dataset, tmp_path, capsys):
@@ -371,6 +403,37 @@ def test_bad_flag_values(tmp_path, capsys):
     code, _, stderr = run(capsys, "frobnicate")
     assert code == 1
     assert stderr.startswith("error: CliUsageError:")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main builds its parser once per process; calls through it behave
+    as the same calls with a fresh parser each: the same output, the same
+    one-line errors and exit codes, the same files."""
+    def session(out, fresh):
+        out.mkdir()
+        data, model = out / "data.jsonl", out / "model.json"
+        results = []
+        for argv in (("simulate", "--depths", "1.0,1.5", "--seed", "4",
+                      "--out", data),
+                     ("simulate", "--depths", "one,two", "--out", data),
+                     ("fit", data, "--mappers", "2d3d", "--out", model),
+                     ("fit", data, "--mappers", "5d", "--out", model),
+                     ("evaluate", model, data, "--out", out / "r.csv"),
+                     ("frobnicate",)):
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append(tuple(str(x).replace(str(out), "OUT")
+                                 for x in run(capsys, *argv)))
+        return results, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    cli._build_parser.cache_clear()
+    reused = session(tmp_path / "reused", fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = session(tmp_path / "fresh", fresh=True)
+    assert reused == fresh
+    assert [code for code, *_ in reused[0]] == ["0", "1", "0", "1", "0", "1"]
+    assert all(err.startswith("error: CliUsageError:") and err.count("\n") == 1
+               for code, _, err in reused[0] if code == "1")
 
 
 def test_version_flag(capsys):

@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import gaze3d
 from gaze3d.dataset_io import (
     ConfigError,
+    DataRecord,
     ExperimentConfig,
     ParseError,
     SCHEMA_VERSION,
@@ -30,7 +31,14 @@ from gaze3d.dataset_io import (
     save_model,
 )
 from gaze3d.evaluation import SweepResult, depth_combination_sweep
-from gaze3d.eye_simulator import SimRig, TwoSphereEye, default_bundle, synthesize_dataset
+from gaze3d.eye_simulator import (
+    DatasetBundle,
+    SampleColumns,
+    SimRig,
+    TwoSphereEye,
+    default_bundle,
+    synthesize_dataset,
+)
 from gaze3d.mappers import Model3Dto3D, fit_mapper, predict_sample
 
 
@@ -189,6 +197,93 @@ def test_loader_reads_every_number_as_json_does(header_line, tmp_path_factory,
     assert _bits(record.target) == _bits(numbers[4:])
 
 
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_UNIT_POSE = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                       st.floats(0.1, 1.0)).map(
+    lambda v: (np.array(v) / np.linalg.norm(v)).tolist())
+_RECORDS = st.lists(st.fixed_dictionaries({
+    "role": st.sampled_from(("test", "calibration")),
+    "depth_label": st.sampled_from((2.0, 0.5, 1.25, 3, 1.0)),
+    "pupil_px": st.lists(_ANY_FLOAT, min_size=2, max_size=2),
+    "pupil_pose": st.none() | _UNIT_POSE,
+    "target_scene_m": st.lists(_ANY_FLOAT, min_size=3, max_size=3),
+    "target_px": st.none() | st.lists(_ANY_FLOAT, min_size=2, max_size=2),
+}), max_size=40)
+
+
+def _oracle_bundle(lines, rig, eye):
+    """The records of `lines` decoded one by one with json.loads, grouped
+    by role and depth in file order: a record-list DatasetBundle."""
+    groups = {"calibration": {}, "test": {}}
+    for line in lines:
+        r = json.loads(line)
+        groups[r["role"]].setdefault(float(r["depth_label"]), []).append(
+            DataRecord(pupil_px=np.array(r["pupil_px"], dtype=float),
+                       pupil_pose=None if r.get("pupil_pose") is None
+                       else np.array(r["pupil_pose"], dtype=float),
+                       target=np.array(r["target_scene_m"], dtype=float),
+                       target_px=None if r.get("target_px") is None
+                       else np.array(r["target_px"], dtype=float),
+                       depth_label=float(r["depth_label"]), role=r["role"]))
+    return DatasetBundle(rig=rig, eye=eye, **groups)
+
+
+def _field_bits(value):
+    return None if value is None else (value.dtype.str, value.tobytes())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(records=_RECORDS, sort_keys=st.booleans(), leave_out_nulls=st.booleans())
+def test_loaded_columns_equal_a_per_line_json_oracle(
+        header_line, tmp_path_factory, records, sort_keys, leave_out_nulls):
+    """Roles and depths interleaved and out of order, some poses and
+    scene pixels null (or their keys left out): each (role, depth) group's
+    columns and records equal json.loads line by line, in file order, bit
+    for bit, and saving either bundle writes the same bytes."""
+    if leave_out_nulls:
+        records = [{k: v for k, v in r.items() if v is not None}
+                   for r in records]
+    lines = [json.dumps(r, sort_keys=sort_keys) for r in records]
+    path = tmp_path_factory.getbasetemp() / "interleaved.jsonl"
+    path.write_text("\n".join([header_line] + lines) + "\n")
+    loaded = load_dataset(path)
+    oracle = _oracle_bundle(lines, loaded.bundle.rig, loaded.bundle.eye)
+    assert loaded.n_records == len(records)
+    assert loaded.missing_pose == sum(r.get("pupil_pose") is None
+                                      for r in records)
+    for role in ("calibration", "test"):
+        got, want = getattr(loaded.bundle, role), getattr(oracle, role)
+        assert list(got.columns) == list(want.columns)
+        for depth, columns in got.columns.items():
+            assert type(depth) is float
+            for f in fields(SampleColumns):
+                assert (_field_bits(getattr(columns, f.name))
+                        == _field_bits(getattr(want.columns[depth], f.name)))
+            for a, b in zip(got[depth], want[depth], strict=True):
+                assert type(a) is DataRecord
+                assert a.role == b.role == role
+                assert _bits([a.depth_label]) == _bits([b.depth_label])
+                for name in ("pupil_px", "pupil_pose", "target", "target_px"):
+                    assert (_field_bits(getattr(a, name))
+                            == _field_bits(getattr(b, name)))
+    saved, expected = (tmp_path_factory.getbasetemp() / name
+                       for name in ("saved.jsonl", "expected.jsonl"))
+    save_dataset(loaded.bundle, saved)
+    save_dataset(oracle, expected)
+    assert saved.read_bytes() == expected.read_bytes()
+    for line in saved.read_text().splitlines()[1:]:   # as json writes it
+        assert line == json.dumps(json.loads(line), sort_keys=True,
+                                  separators=(",", ":"))
+
+
+def test_save_writes_no_line_for_an_empty_group(bundle, tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_dataset(replace(bundle, test={1.0: [], 1.5: bundle.test[1.5]}), path)
+    loaded = load_dataset(path)
+    assert list(loaded.test) == [1.5]
+    assert loaded.n_records == 2 * 25 + 16
+
+
 def _set_text(field, text):
     """An edit that writes `text` verbatim as a record's `field`."""
     def edit(s):
@@ -261,6 +356,35 @@ def test_schema_version_checked(dataset_path):
                  lambda s: s.replace(SCHEMA_VERSION, "gaze3d/999"))
     with pytest.raises(SchemaVersionMismatch):
         load_dataset(dataset_path)
+
+
+@pytest.mark.parametrize("key, path, value, message", [
+    ("e_gt", (0,), math.nan, "bad rig in header: e_gt must be 3 finite "
+     "numbers, got [nan, 0.035, -0.025]"),
+    ("noise", ("pupil_px",), math.nan, "bad rig in header: noise_pupil_px "
+     "must be a finite number >= 0, got nan"),
+    ("noise", ("pose_deg",), -1.0, "bad rig in header: noise_pose_deg must "
+     "be a finite number >= 0, got -1.0"),
+    ("scene_camera", ("focal", 0), math.nan, "bad scene_camera in header: "
+     "focal must be finite, got [nan, 720.0]"),
+    ("eye_camera", ("translation", 2), math.inf, "bad eye_camera in header: "
+     "translation must be finite, got [0.015, 0.035, inf]"),
+])
+def test_header_with_non_finite_or_negative_rig_values_rejected(
+        dataset_path, key, path, value, message):
+    # a NaN e_gt used to load, and evaluate printed mean_deg=nan
+    def edit(line):
+        header = json.loads(line)
+        *inner, last = path
+        target = header[key]
+        for step in inner:
+            target = target[step]
+        target[last] = value
+        return json.dumps(header)
+    rewrite_line(dataset_path, 1, edit)
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == f"line 1: {message}"
 
 
 def test_header_must_come_first(dataset_path):

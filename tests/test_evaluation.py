@@ -2,7 +2,7 @@
 
 import itertools
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gaze3d.dataset_io import DataRecord, load_dataset, save_dataset
 from gaze3d.eye_simulator import (
     DatasetBundle,
+    SampleColumns,
     SimRig,
     TwoSphereEye,
     default_bundle,
@@ -401,6 +402,32 @@ def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
                                       oracle.report.params)
                 assert np.array_equal(model.report.cost_history,
                                       oracle.report.cost_history)
+
+
+@pytest.mark.parametrize("bundle", ["display", "noisy"])
+def test_column_and_record_list_bundles_sweep_alike(bundle):
+    """A synthesized bundle and the same bundle rebuilt from its
+    record-list dicts hold the same columns and sweep to the same
+    records, bit for bit."""
+    bundle = SWEEP_BUNDLES[bundle][0]()
+    rebuilt = replace(
+        bundle, calibration={d: list(v) for d, v in bundle.calibration.items()},
+        test={d: list(v) for d, v in bundle.test.items()})
+    for role in ("calibration", "test"):
+        columns = getattr(bundle, role).columns
+        assert list(columns) == list(getattr(rebuilt, role).columns)
+        for depth, group in getattr(rebuilt, role).columns.items():
+            assert group.gaze is None
+            for f in fields(SampleColumns):
+                if f.name != "gaze":
+                    assert (getattr(group, f.name).tobytes()
+                            == getattr(columns[depth], f.name).tobytes())
+    sweeps = [depth_combination_sweep(b) for b in (bundle, rebuilt)]
+    for a, b in zip(*(s.records for s in sweeps), strict=True):
+        assert ((a.mapper, a.calib_subset, a.test_depth, a.status)
+                == (b.mapper, b.calib_subset, b.test_depth, b.status))
+        assert a.errors.tobytes() == b.errors.tobytes()
+        assert (a.mean, a.std) == (b.mean, b.std)
 
 
 def test_unprojectable_repro_fails_the_same_records():

@@ -240,6 +240,31 @@ def test_rig_rejects_eye_camera_facing_away():
         SimRig(eye_camera=bad_cam)   # eyeball sits behind it
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"e_gt": (np.nan, 0.035, -0.025)},
+     "e_gt must be 3 finite numbers, got [nan, 0.035, -0.025]"),
+    ({"e_gt": (0.0, np.inf, 0.0)},
+     "e_gt must be 3 finite numbers, got [0.0, inf, 0.0]"),
+    ({"e_gt": (0.0, 0.0)}, "e_gt must be 3 finite numbers, got [0.0, 0.0]"),
+    ({"noise_pupil_px": math.nan},
+     "noise_pupil_px must be a finite number >= 0, got nan"),
+    ({"noise_pupil_px": -1.0},
+     "noise_pupil_px must be a finite number >= 0, got -1.0"),
+    ({"noise_pose_deg": math.inf},
+     "noise_pose_deg must be a finite number >= 0, got inf"),
+    ({"noise_target_mm": -0.5},
+     "noise_target_mm must be a finite number >= 0, got -0.5"),
+    ({"noise_target_mm": "2"},
+     "noise_target_mm must be a finite number >= 0, got '2'"),
+])
+def test_rig_rejects_non_finite_or_negative_values(kwargs, message):
+    # a NaN or negative sigma made `noisy` False, so the data came out
+    # noiseless without a word
+    with pytest.raises(ValueError) as err:
+        SimRig(**kwargs)
+    assert str(err.value) == message
+
+
 # ── datasets ─────────────────────────────────────────────────────────────
 
 def test_dataset_counts_and_labels():

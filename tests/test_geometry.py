@@ -193,6 +193,23 @@ def test_camera_validation():
                       resolution=(1280, 720))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("focal", (np.nan, 720.0)),
+    ("principal", (640.0, np.nan)),
+    ("resolution", (np.inf, 720.0)),
+    ("rotation", np.diag([1.0, np.nan, 1.0])),
+    ("translation", (0.0, np.nan, 0.0)),
+])
+def test_camera_rejects_non_finite_values(field, value):
+    # a NaN focal length or principal point passed the range checks
+    # (nan <= 0 is False)
+    kwargs = dict(focal=(720.0, 720.0), principal=(640.0, 360.0),
+                  resolution=(1280.0, 720.0))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        PinholeCamera(**kwargs)
+
+
 def test_back_project_returns_unit_ray_from_camera_origin():
     cam = default_cam()
     ray = back_project(cam, (800.0, 200.0))
