@@ -62,13 +62,11 @@ from .optimizer import (
     LMSettings,
     NonFiniteResidual,
     ProblemBatch,
-    ProblemStack,
     ResidualProblem,
     SingularNormalEquations,
     numeric_jacobian,
     solve_lm,
     solve_lm_batch,
-    solve_lm_stacked,
 )
 from .mappers import (
     MAPPER_IDS,
@@ -86,14 +84,12 @@ from .mappers import (
     fit_3d_to_3d,
     fit_arrays,
     fit_mapper,
-    fit_mappers,
     polar_to_direction,
     poly_features,
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
     predict_ray_arrays,
-    predict_rays,
     predict_sample,
     record_arrays,
     usable_rows,

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .dataset_io import (
     ExperimentConfig,
+    check_depths,
     export_results_csv,
     load_config,
     load_dataset,
@@ -191,7 +192,8 @@ def cmd_evaluate(args) -> int:
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
     tests = loaded.test.columns
-    depths = args.depths or tuple(sorted(tests))
+    depths = (check_depths(args.depths) if args.depths
+              else tuple(sorted(tests)))
     if not depths:
         raise CliUsageError("dataset has no test records")
     field = MAPPER_FIELDS[model.mapper_id][0]

@@ -451,8 +451,11 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
                  if "scene_camera" in header else None)
     eye_cam = (_camera_from_dict(header["eye_camera"], "eye_camera")
                if "eye_camera" in header else None)
-    eye = TwoSphereEye(**header["eye_model_mm"]) if "eye_model_mm" in header \
-        else TwoSphereEye()
+    try:
+        eye = TwoSphereEye(**header.get("eye_model_mm", {}))
+    except (TypeError, ValueError) as err:
+        raise ParseError(f"bad eye_model_mm in header: {err}",
+                         line=1) from err
     noise = header.get("noise", {})
     rig_kwargs = dict(eye_camera=eye_cam,
                       noise_pupil_px=noise.get("pupil_px", 0.0),
@@ -600,7 +603,7 @@ def export_results_csv(sweep: SweepResult, path) -> None:
 
 _CAMERA_KEYS = {"focal", "principal", "resolution", "rotation_angles",
                 "translation"}
-_EYE_KEYS = {"eyeball_radius_mm", "corneal_radius_mm", "center_separation_mm"}
+_EYE_KEYS = {f.name for f in fields(TwoSphereEye)}
 _GRID_KEYS = {f.name for f in fields(GridSpec)}
 _LM_KEYS = {f.name for f in fields(LMSettings)}
 
@@ -609,6 +612,20 @@ def _is_finite(value) -> bool:
     """Whether `value` is a finite real number (a bool is not one)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def check_depths(depths) -> tuple:
+    """`depths` as a tuple of floats, if it is a nonempty list of finite
+    positive meters without duplicates; a ConfigError otherwise.  The
+    one depth-list rule of configs and of every CLI command."""
+    if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
+            or not all(_is_finite(d) and d > 0 for d in depths)):
+        raise ConfigError(f"depths must be a nonempty list of finite "
+                          f"positive meters, got {depths!r}")
+    depths = tuple(float(d) for d in depths)
+    if len(set(depths)) != len(depths):
+        raise ConfigError("depths contains duplicates")
+    return depths
 
 
 def _check_keys(d, allowed, where):
@@ -653,16 +670,8 @@ class ExperimentConfig:
                 or self.seed < 0):
             raise ConfigError(f"seed must be an integer >= 0, got "
                               f"{self.seed!r}")
-        depths = self.depths
-        if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
-                or not all(_is_finite(d) and d > 0 for d in depths)):
-            raise ConfigError(f"depths must be a nonempty list of finite "
-                              f"positive meters, got {self.depths!r}")
-        object.__setattr__(self, "depths",
-                           tuple(float(d) for d in self.depths))
+        object.__setattr__(self, "depths", check_depths(self.depths))
         object.__setattr__(self, "mappers", tuple(self.mappers))
-        if len(set(self.depths)) != len(self.depths):
-            raise ConfigError("depths contains duplicates")
         if not self.mappers:
             raise ConfigError("mappers must be nonempty")
         for m in self.mappers:
@@ -701,15 +710,13 @@ class ExperimentConfig:
             raise ConfigError(f"invalid lm settings: {err}") from None
         if self.eye_model_mm is not None:
             _check_keys(self.eye_model_mm, _EYE_KEYS, "eye_model_mm")
-            for key, value in self.eye_model_mm.items():
-                if not (_is_finite(value) and value > 0):
-                    raise ConfigError(f"eye_model_mm.{key} must be a finite "
-                                      f"number > 0, got {value!r}")
         try:
             object.__setattr__(self, "_eye",
                                TwoSphereEye(**(self.eye_model_mm or {})))
-        except NoIntersection as err:
+        except NoIntersection as err:   # a ValueError too: caught first
             raise ConfigError(f"invalid eye_model_mm: {err}") from None
+        except ValueError as err:       # the length it names
+            raise ConfigError(f"eye_model_mm.{err}") from None
         for name in ("scene_camera", "eye_camera"):
             cam = getattr(self, name)
             if cam is not None:

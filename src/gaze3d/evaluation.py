@@ -10,11 +10,11 @@ origin for real recordings (where the two coincide by assumption; for a
 ray through the scene origin this equals the plain angle between the
 back-projected direction and the target direction).
 
-evaluate scores a whole test set with array operations (the predicted
-rays of its records or SampleColumns rows, then the batched plane
-intersection and angle); angular_error is the same metric for one
-estimate, kept as the scalar reference the batched path is tested
-against.
+evaluate scores a whole test set, a list of records or a SampleColumns
+group, with array operations: one predict_ray_arrays call for its rays,
+then the batched plane intersection and angle.  angular_error is the
+same metric for one estimate, kept as the scalar reference the batched
+path is tested against.
 
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
@@ -55,11 +55,11 @@ from .mappers import (
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,
+    _sample_arrays,
     column_arrays,
     fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
     predict_ray_arrays,
-    predict_rays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
 )
 
@@ -99,26 +99,20 @@ def evaluate(mapper_id, model, samples, reference,
              scene_cam: PinholeCamera, calib_subset=(),
              test_depth=None) -> ErrorRecord:
     """Evaluate a fitted model on a test set, a list of records holding
-    its input field or the usable rows of a SampleColumns group (see
-    column_arrays); mean and population std.
+    its input field (record_arrays; a record without it raises
+    ValueError) or the usable rows of a SampleColumns group
+    (column_arrays); mean and population std.
 
-    Scores every target at once: each predicted ray meets its own
-    target's plane z = target[2], and the error is the angle at
-    `reference`, as in angular_error.  Raises the GeometryError of the
-    first target that cannot be projected.
+    Scores every target at once: one predict_ray_arrays call, then each
+    predicted ray meets its own target's plane z = target[2], and the
+    error is the angle at `reference`, as in angular_error.  Raises the
+    GeometryError of the first target that cannot be projected.
     """
-    if isinstance(samples, SampleColumns):
-        inputs, targets = column_arrays(mapper_id, samples, fitting=False)
-        if not len(inputs):
-            raise ValueError("empty test set")
-        rays = predict_ray_arrays([model], inputs, scene_cam)
-    else:
-        if not samples:
-            raise ValueError("empty test set")
-        origins, directions = predict_rays(model, samples, scene_cam)
-        rays = origins[None], directions[None]
-        targets = np.array([s.target for s in samples], dtype=float)
-    [scores] = _row_scores(_target_errors(rays, targets, reference))
+    inputs, targets = _sample_arrays(mapper_id, samples, fitting=False)
+    if not len(inputs):
+        raise ValueError("empty test set")
+    [scores] = _row_scores(_target_errors(
+        predict_ray_arrays([model], inputs, scene_cam), targets, reference))
     return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
                        test_depth=test_depth, **scores)
 

@@ -53,16 +53,29 @@ class PupilNotVisible(ValueError):
     """Pupil center projects outside the eye image (or behind the camera)."""
 
 
+def _check_positive(obj, names):
+    """Raise a ValueError naming the first of the `names` attributes of
+    `obj` that is not a finite real number > 0 (a bool is not one)."""
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value <= 0):
+            raise ValueError(f"{name} must be a finite number > 0, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class TwoSphereEye:
     """Anatomical eye model; defaults are the human averages R=11.5,
-    r=7.8, d=4.7 (mm)."""
+    r=7.8, d=4.7 (mm).  Each length must be a finite number > 0
+    (ValueError), and the spheres must intersect (NoIntersection)."""
 
     eyeball_radius_mm: float = 11.5
     corneal_radius_mm: float = 7.8
     center_separation_mm: float = 4.7
 
     def __post_init__(self):
+        _check_positive(self, [f.name for f in fields(self)])
         R, r, d = (self.eyeball_radius_mm, self.corneal_radius_mm,
                    self.center_separation_mm)
         if not (abs(R - r) < d < R + r):
@@ -209,12 +222,7 @@ class GridSpec:
                     or not isinstance(value, numbers.Integral) or value < 2):
                 raise ValueError(f"{name} must be an integer >= 2, "
                                  f"got {value!r}")
-        for name in ("width", "height", "test_scale"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
-                raise ValueError(f"{name} must be a finite number > 0, "
-                                 f"got {value!r}")
+        _check_positive(self, ("width", "height", "test_scale"))
         if not isinstance(self.scale_with_depth, bool):
             raise ValueError(f"scale_with_depth must be true or false, "
                              f"got {self.scale_with_depth!r}")

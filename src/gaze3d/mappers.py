@@ -34,8 +34,11 @@ may be missing, so a mapper uses the samples holding both fields for
 fitting and those holding the first for scoring.  On a DatasetBundle's
 SampleColumns that rule is a mask (usable_rows) and column_arrays takes
 the masked rows; on a list of records select_records keeps them and
-record_arrays stacks them.  Both give the arrays that fit_arrays (the
-one fit path) and predict_ray_arrays take.
+record_arrays stacks them, naming the first record that lacks a field.
+Both give the arrays that fit_arrays (the one fit path) and
+predict_ray_arrays (the one prediction path) take; fit_mapper and
+evaluation.evaluate accept either form of set and choose between the two
+in one place (_sample_arrays).
 """
 
 from __future__ import annotations
@@ -395,6 +398,13 @@ def _needed(mapper_id, fitting):
     return _fields(mapper_id)[:2 if fitting else 1]
 
 
+def _array_fields(mapper_id, fitting):
+    """The input field of `mapper_id` and the field it fits to, or the
+    scene target it is scored against (fitting=False)."""
+    source, target = _fields(mapper_id)
+    return source, target if fitting else "target"
+
+
 def select_records(mapper_id: str, records, fitting=True) -> list:
     """The records `mapper_id` can use, in order: those holding both its
     fields for fitting, or its input field for scoring (fitting=False)."""
@@ -416,24 +426,26 @@ def usable_rows(mapper_id: str, columns: SampleColumns,
 def record_arrays(mapper_id: str, records, fitting=True) -> tuple:
     """The arrays `mapper_id` fits from `records`, or scores them with
     (fitting=False): (N, n) arrays of its input field and of the field it
-    fits to, or of the scene targets.  Every record must hold both (see
-    select_records)."""
-    source, target = _fields(mapper_id)
-    if not fitting:
-        target = "target"
+    fits to, or of the scene targets.  A record lacking either raises
+    ValueError (see select_records)."""
+    fields = _array_fields(mapper_id, fitting)
+    use = "fitting" if fitting else "prediction"
+    for f in fields:
+        missing = [i for i, r in enumerate(records) if getattr(r, f) is None]
+        if missing:
+            raise ValueError(f"record {missing[0]} has no {f}, which "
+                             f"{mapper_id} {use} needs")
     return tuple(_rows([getattr(r, f) for r in records], _WIDTHS[f])
-                 for f in (source, target))
+                 for f in fields)
 
 
 def column_arrays(mapper_id: str, columns: SampleColumns,
                   fitting=True) -> tuple:
     """The arrays of record_arrays, taken from the usable rows of one
     SampleColumns group (see usable_rows) with a mask, as new arrays."""
-    source, target = _fields(mapper_id)
-    if not fitting:
-        target = "target"
     keep = usable_rows(mapper_id, columns, fitting)
-    return tuple(getattr(columns, f)[keep] for f in (source, target))
+    return tuple(getattr(columns, f)[keep]
+                 for f in _array_fields(mapper_id, fitting))
 
 
 def _one_fit(results):
@@ -444,26 +456,20 @@ def _one_fit(results):
     return result
 
 
+def _sample_arrays(mapper_id: str, samples, fitting=True) -> tuple:
+    """The arrays of a list of records (record_arrays) or of the usable
+    rows of a SampleColumns group (column_arrays)."""
+    if isinstance(samples, SampleColumns):
+        return column_arrays(mapper_id, samples, fitting)
+    return record_arrays(mapper_id, samples, fitting)
+
+
 def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig()):
     """Fit one mapper from records holding its fields (see select_records)
-    or from the usable rows of a SampleColumns group: fit_mappers on one
+    or from the usable rows of a SampleColumns group: fit_arrays on one
     set, with its fit error raised."""
-    return _one_fit(fit_mappers(mapper_id, [samples], config))
-
-
-def fit_mappers(mapper_id: str, sample_sets,
-                config: MappingConfig = MappingConfig()) -> list:
-    """Fit one mapper on each of `sample_sets`: per set, its model or the
-    FIT_ERRORS exception its fit failed with.
-
-    A set is a list of records, which become arrays once (record_arrays),
-    or a SampleColumns group, whose usable rows are taken (column_arrays);
-    the fits run through fit_arrays, the one fit path.
-    """
-    return fit_arrays(mapper_id, [
-        column_arrays(mapper_id, samples) if isinstance(samples, SampleColumns)
-        else record_arrays(mapper_id, samples) for samples in sample_sets],
-        config)
+    return _one_fit(fit_arrays(mapper_id, [_sample_arrays(mapper_id, samples)],
+                               config))
 
 
 def fit_arrays(mapper_id: str, array_sets,
@@ -474,7 +480,7 @@ def fit_arrays(mapper_id: str, array_sets,
     NaN or infinity fails with NonFiniteResidual.  A set whose arrays
     have other shapes raises ValueError.
 
-    This is the one fit path: fit_mappers, fit_mapper, the pair-based
+    This is the one fit path: fit_mapper, the pair-based
     fit_2d_to_2d/fit_2d_to_3d/fit_3d_to_3d and the depth sweep all call
     it.  2d3d and 3d3d sets are fitted in one solve_lm_batch call on
     one ProblemBatch, sets with equal sample counts in one group; each
@@ -532,22 +538,6 @@ def predict_sample(model, sample) -> GazeEstimate:
     if isinstance(model, Model2Dto3D):
         return predict_2d_to_3d(model, value)
     return predict_3d_to_3d(model, value)
-
-
-def predict_rays(model, samples, scene_cam: PinholeCamera):
-    """Gaze rays of a whole set of records as (N, 3) arrays of origins
-    and unit directions in the scene frame: predict_sample for every
-    record at once, through predict_ray_arrays.  The origins array is a
-    read-only broadcast of the one shared origin.
-    """
-    field = _input_field(model)
-    missing = [i for i, s in enumerate(samples) if getattr(s, field) is None]
-    if missing:
-        raise ValueError(f"record {missing[0]} has no {field}, "
-                         f"which {model.mapper_id} prediction needs")
-    origins, directions = predict_ray_arrays(
-        [model], [getattr(s, field) for s in samples], scene_cam)
-    return origins[0], directions[0]
 
 
 def predict_ray_arrays(models, inputs, scene_cam: PinholeCamera):

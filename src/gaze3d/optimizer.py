@@ -23,8 +23,8 @@ stalls or overflows the damping; so every accepted step is the one the
 problem takes alone (Madsen, Nielsen & Tingleff 2004 describe the
 damping rule).  A problem whose residual or Jacobian goes non-finite, or
 whose normal equations stay singular, fails alone; the others go on.
-`solve_lm_stacked` runs that loop on ProblemStacks, one group each, and
-`solve_lm` on one problem.
+`solve_lm` runs that loop on one ResidualProblem, the scalar reference
+the fits' batches are tested against.
 """
 
 from __future__ import annotations
@@ -141,27 +141,6 @@ class ProblemBatch(_Box):
 
     dim: int
     counts: tuple
-    residual: callable
-    jacobian: callable
-    lower: np.ndarray = None
-    upper: np.ndarray = None
-    wrap_mask: np.ndarray = None
-
-
-@dataclass(frozen=True)
-class ProblemStack(_Box):
-    """`count` problems of one dimension and one residual length, whose
-    residuals and Jacobians are evaluated together: one group of a
-    ProblemBatch, for solve_lm_stacked.
-
-    `residual(members, params)` maps an index array of k members and
-    their (k, dim) parameters to the (k, m) residuals; `jacobian` maps
-    the same to the (k, m, dim) derivatives.  Failures are as in
-    ProblemBatch.
-    """
-
-    dim: int
-    count: int
     residual: callable
     jacobian: callable
     lower: np.ndarray = None
@@ -402,67 +381,28 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
     return [results[a:b] for a, b in zip(group_start[:-1], group_start[1:])]
 
 
-def solve_lm_stacked(stacks, initial_params,
-                     settings: LMSettings = LMSettings()) -> list:
-    """solve_lm_batch on ProblemStacks, each one group; `initial_params[s]`
-    is the (count, dim) start of stacks[s].  The stacks must share one
-    dimension, bounds and wrap mask.  Returns, per stack, its members'
-    FitReports or errors."""
-    if not stacks:
-        return []
-    first = stacks[0]
-    starts = [np.asarray(x0, dtype=float) for x0 in initial_params]
-    for stack, x0 in zip(stacks, starts, strict=True):
-        if stack.dim != first.dim:
-            raise ValueError("stacked problems must share one dimension")
-        if x0.shape != (stack.count, first.dim):
-            raise ValueError(f"initial params must have shape "
-                             f"({stack.count}, {first.dim})")
-        if any(not np.array_equal(getattr(stack, name), getattr(first, name))
-               for name in ("lower", "upper", "wrap_mask")):
-            raise ValueError("stacked problems must share bounds and wrap "
-                             "mask")
-
-    def call(name):
-        def evaluate(members, params):
-            out, start = [], 0
-            for g, idx in members:
-                part = params[..., start:start + len(idx), :]
-                start += len(idx)
-                lead = part.shape[:-2]
-                values = np.asarray(getattr(stacks[g], name)(
-                    np.tile(idx, math.prod(lead)), part.reshape(-1, first.dim)),
-                    dtype=float)
-                out.append(values.reshape(lead + (len(idx),)
-                                          + values.shape[1:]))
-            return out
-        return evaluate
-
-    batch = ProblemBatch(dim=first.dim,
-                         counts=tuple(stack.count for stack in stacks),
-                         residual=call("residual"), jacobian=call("jacobian"),
-                         lower=first.lower, upper=first.upper,
-                         wrap_mask=first.wrap_mask)
-    return solve_lm_batch(batch, np.concatenate(starts), settings)
-
 def solve_lm(problem: ResidualProblem, initial_params,
              settings: LMSettings = LMSettings()) -> FitReport:
-    """solve_lm_stacked on one problem: its FitReport, or its failure
-    raised (NonFiniteResidual, SingularNormalEquations)."""
+    """solve_lm_batch on one problem, a batch of one group of one: its
+    FitReport, or its failure raised (NonFiniteResidual,
+    SingularNormalEquations)."""
     x = np.asarray(initial_params, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"initial params must have shape ({problem.dim},)")
-    if not problem.in_bounds(x):
-        raise ValueError("initial params violate bounds")
-    stack = ProblemStack(
-        dim=problem.dim, count=1,
-        residual=lambda members, params: np.array(
-            [problem.residual(row) for row in params], dtype=float),
-        jacobian=lambda members, params: problem.evaluate_jacobian(
-            params[0])[None],
+
+    def residual(members, params):
+        values = np.array([problem.residual(row)
+                           for row in params.reshape(-1, problem.dim)],
+                          dtype=float)
+        return [values.reshape(params.shape[:-1] + values.shape[1:])]
+
+    batch = ProblemBatch(
+        dim=problem.dim, counts=(1,), residual=residual,
+        jacobian=lambda members, params: [
+            problem.evaluate_jacobian(params[0])[None]],
         lower=problem.lower, upper=problem.upper,
         wrap_mask=problem.wrap_mask)
-    [[report]] = solve_lm_stacked([stack], [x[None]], settings)
+    [[report]] = solve_lm_batch(batch, x[None], settings)
     if isinstance(report, Exception):
         raise report
     return report

@@ -212,6 +212,20 @@ def test_evaluate_unknown_depth(dataset, tmp_path, capsys):
     assert "3.0" in stderr
 
 
+def test_fit_and_evaluate_reject_duplicate_depths(dataset, tmp_path, capsys):
+    # evaluate used to score and write the repeated depth twice
+    model, out = tmp_path / "model.json", tmp_path / "r.csv"
+    run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
+    for argv in (("fit", dataset, "--mappers", "2d3d", "--depths", "1.0,1.0",
+                  "--out", tmp_path / "m.json"),
+                 ("evaluate", model, dataset, "--depths", "1.0,1.0",
+                  "--out", out)):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: ConfigError: depths contains duplicates\n"
+    assert not out.exists() and not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_unprojectable_model_is_one_error_line(dataset, tmp_path,
                                                         capsys):
     # every ray of this model points straight back, away from the targets

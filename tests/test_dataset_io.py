@@ -387,6 +387,27 @@ def test_header_with_non_finite_or_negative_rig_values_rejected(
     assert str(err.value) == f"line 1: {message}"
 
 
+@pytest.mark.parametrize("eye, message", [
+    ({"eyeball_radius_mm": math.nan},
+     "eyeball_radius_mm must be a finite number > 0, got nan"),
+    ({"eyeball_radius_mm": math.inf},
+     "eyeball_radius_mm must be a finite number > 0, got inf"),
+    ({"corneal_radius_mm": "x"},
+     "corneal_radius_mm must be a finite number > 0, got 'x'"),
+    ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
+    ({"eyeball_radius_mm": 30.0}, "do not intersect"),
+    ([11.5, 7.8, 4.7], "must be a mapping"),
+], ids=["nan", "infinity", "string", "unknown-key", "apart", "list"])
+def test_header_with_a_bad_eye_model_rejected(dataset_path, eye, message):
+    # these used to raise NoIntersection or TypeError, naming no line
+    rewrite_line(dataset_path, 1, lambda line: json.dumps(
+        {**json.loads(line), "eye_model_mm": eye}))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value).startswith("line 1: bad eye_model_mm in header: ")
+    assert message in str(err.value)
+
+
 def test_header_must_come_first(dataset_path):
     lines = dataset_path.read_text().splitlines()
     dataset_path.write_text("\n".join(lines[1:] + lines[:1]) + "\n")

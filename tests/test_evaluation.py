@@ -46,8 +46,8 @@ from gaze3d.mappers import (
     Model3Dto3D,
     fit_arrays,
     fit_mapper,
-    fit_mappers,
     predict_sample,
+    record_arrays,
     select_records,
 )
 
@@ -147,6 +147,22 @@ def test_evaluate_order_invariant():
 def test_evaluate_empty_set_rejected():
     with pytest.raises(ValueError):
         evaluate("3d3d", identity_model(), [], np.zeros(3), SCENE_CAM)
+
+
+def test_evaluate_needs_poses_for_3d3d():
+    bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, 2.0))
+    samples = bundle.calibration[1.0] + bundle.calibration[2.0]
+    model = fit_mapper("3d3d", samples)
+    s = samples[2]
+    poseless = DataRecord(pupil_px=s.pupil_px, pupil_pose=None,
+                          target=s.target, target_px=s.target_px,
+                          depth_label=s.depth_label, role=s.role)
+    with pytest.raises(ValueError, match="record 2"):
+        evaluate("3d3d", model, samples[:2] + [poseless], bundle.rig.e_gt,
+                 bundle.rig.scene_camera)
+    with pytest.raises(TypeError):
+        evaluate("3d3d", object(), samples, bundle.rig.e_gt,
+                 bundle.rig.scene_camera)
 
 
 def test_perfect_model_scores_zero():
@@ -369,7 +385,7 @@ def test_sweep_scores_match_per_depth_evaluate(bundle):
                                     "poseless-test-depth"])
 def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
     """The sweep fits each subset from per-depth arrays; its models are
-    those of fit_mappers on the subset's pooled records, bit for bit."""
+    those of fit_arrays on the subset's pooled records, bit for bit."""
     bundle = SWEEP_BUNDLES[bundle][0]()
     fits = {}
 
@@ -383,9 +399,9 @@ def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
     depths = bundle.depths()
     for mapper in MAPPER_IDS:
-        pooled = fit_mappers(mapper, [
-            select_records(mapper, [s for d in subset
-                                    for s in bundle.calibration[d]])
+        pooled = fit_arrays(mapper, [
+            record_arrays(mapper, select_records(
+                mapper, [s for d in subset for s in bundle.calibration[d]]))
             for k in range(1, len(depths) + 1)
             for subset in itertools.combinations(depths, k)], config)
         assert len(fits[mapper]) == len(pooled) == 2 ** len(depths) - 1

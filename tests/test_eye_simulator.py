@@ -57,6 +57,21 @@ def test_non_intersecting_spheres_rejected():
                      center_separation_mm=0.5)  # one inside the other
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eyeball_radius_mm", math.nan), ("eyeball_radius_mm", math.inf),
+    ("corneal_radius_mm", -7.8), ("center_separation_mm", 0.0),
+    ("center_separation_mm", "4.7"), ("corneal_radius_mm", True),
+])
+def test_eye_lengths_must_be_finite_positive_numbers(name, value):
+    # NaN used to read as spheres that do not intersect, and a string
+    # raised a TypeError from the intersection test
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a finite number > 0, got ") \
+            as err:
+        TwoSphereEye(**{name: value})
+    assert not isinstance(err.value, NoIntersection)
+
+
 def test_eye_properties_match_op():
     eye = TwoSphereEye()
     assert eye.pupil_offset_mm == derive_pupil_geometry(eye)[0]

@@ -37,14 +37,12 @@ from gaze3d.mappers import (
     fit_3d_to_3d,
     fit_arrays,
     fit_mapper,
-    fit_mappers,
     polar_to_direction,
     poly_features,
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
     predict_ray_arrays,
-    predict_rays,
     predict_sample,
     record_arrays,
     select_records,
@@ -282,8 +280,8 @@ def test_bad_pair_shapes_rejected():
 
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
 def test_predict_ray_arrays_rows_are_one_model_calls(mapper_id):
-    """Rays of many models at once have the bits of predict_rays with
-    each model alone, also through a posed scene camera."""
+    """Rays of many models at once have the bits of a call with each
+    model alone, also through a posed scene camera."""
     bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=1,
                             noise_pupil_px=1.0, noise_pose_deg=0.5,
                             noise_target_mm=2.0)
@@ -299,7 +297,7 @@ def test_predict_ray_arrays_rows_are_one_model_calls(mapper_id):
         origins, directions = predict_ray_arrays(models, inputs, cam)
         assert directions.shape == origins.shape == (3, len(samples), 3)
         for model, o, d in zip(models, origins, directions):
-            one_o, one_d = predict_rays(model, samples, cam)
+            [one_o], [one_d] = predict_ray_arrays([model], inputs, cam)
             assert np.array_equal(o, one_o) and np.array_equal(d, one_d)
 
 
@@ -328,22 +326,24 @@ def test_target_at_initial_eyeball_center_is_degenerate(mapper_id):
                           target=np.zeros(3) if i == 5 else s.target,
                           target_px=s.target_px, depth_label=s.depth_label,
                           role=s.role) for i, s in enumerate(samples)]
-    bad, good = fit_mappers(mapper_id, [records, samples])
+    bad, good = fit_arrays(mapper_id, [record_arrays(mapper_id, records),
+                                       record_arrays(mapper_id, samples)])
     assert isinstance(bad, DegenerateGeometry)
     assert_same_model(good, fit_mapper(mapper_id, samples))
 
 
-def test_predict_rays_needs_poses_for_3d3d():
-    bundle, samples = two_depth_samples()
-    model = fit_mapper("3d3d", samples)
+def test_record_fits_need_both_fields():
+    _, samples = two_depth_samples()
     s = samples[2]
     poseless = DataRecord(pupil_px=s.pupil_px, pupil_pose=None,
                           target=s.target, target_px=s.target_px,
                           depth_label=s.depth_label, role=s.role)
-    with pytest.raises(ValueError, match="record 2"):
-        predict_rays(model, samples[:2] + [poseless], bundle.rig.scene_camera)
-    with pytest.raises(TypeError):
-        predict_rays(object(), samples, bundle.rig.scene_camera)
+    records = samples[:2] + [poseless] + samples[3:]
+    with pytest.raises(ValueError, match="record 2 has no pupil_pose, "
+                       "which 3d3d fitting needs"):
+        fit_mapper("3d3d", records)
+    assert_same_model(fit_mapper("2d3d", records),
+                      fit_mapper("2d3d", samples))
 
 
 # ── many sample sets at once ─────────────────────────────────────────────
@@ -381,10 +381,12 @@ def assert_same_model(model, solo):
 ], ids=["display-5-depths", "noisy-3-depths"])
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
 def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
+    """fit_arrays on many record sets gives each set's fit_mapper model."""
     config = MappingConfig(
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
     sets = subset_sample_sets(bundle, mapper_id)
-    models = fit_mappers(mapper_id, sets, config)
+    models = fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
+                                    for samples in sets], config)
     assert len(models) == len(sets) == 2 ** len(bundle.depths()) - 1
     for samples, model in zip(sets, models):
         assert_same_model(model, fit_mapper(mapper_id, samples, config))
@@ -403,7 +405,8 @@ def test_fit_mappers_returns_each_fit_error(mapper_id):
                             role="calibration")
                  for i in range(12)]
     sets = [samples, samples[:2], [], collinear, samples[:40]]
-    results = fit_mappers(mapper_id, sets)
+    results = fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
+                                     for samples in sets])
     for i in (1, 2, 3):
         assert isinstance(results[i], (RankDeficient, DegenerateGeometry))
     for i in (0, 4):

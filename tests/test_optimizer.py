@@ -7,12 +7,12 @@ import pytest
 from gaze3d.optimizer import (
     LMSettings,
     NonFiniteResidual,
-    ProblemStack,
+    ProblemBatch,
     ResidualProblem,
     SingularNormalEquations,
     numeric_jacobian,
     solve_lm,
-    solve_lm_stacked,
+    solve_lm_batch,
 )
 
 
@@ -175,7 +175,7 @@ def test_integral_settings_of_other_types_are_accepted():
 # ── lockstep solve ───────────────────────────────────────────────────────
 
 def sequential_lm(problem, x0, settings):
-    """The one-problem LM loop that solve_lm_stacked replaced, one damping
+    """The one-problem LM loop that solve_lm_batch replaced, one damping
     trial at a time: the oracle for its ladder of two rungs.  Returns the
     FitReport fields and the number of damping trials per iteration."""
     x = np.asarray(x0, dtype=float).copy()
@@ -250,15 +250,16 @@ def test_solve_lm_takes_the_sequential_steps(settings, x0, most_trials):
                     *expected[:4])
 
 
-def scaled_rosenbrock_stack(scales, nan_jacobian=()):
-    """Rosenbrock residuals times scales[member]; the members listed in
+def scaled_rosenbrock_group(scales, nan_jacobian=()):
+    """A group of Rosenbrock residuals times scales[member], as (count,
+    residual, jacobian) of a ProblemBatch group; the members listed in
     nan_jacobian get a NaN Jacobian."""
     scales = np.asarray(scales, dtype=float)
 
     def residual(members, x):
         s = scales[members]
-        return np.stack((s * (1.0 - x[:, 0]),
-                         10.0 * s * (x[:, 1] - x[:, 0] ** 2)), axis=1)
+        return np.stack((s * (1.0 - x[..., 0]),
+                         10.0 * s * (x[..., 1] - x[..., 0] ** 2)), axis=-1)
 
     def jacobian(members, x):
         s = scales[members]
@@ -269,72 +270,98 @@ def scaled_rosenbrock_stack(scales, nan_jacobian=()):
         jac[np.isin(members, nan_jacobian)] = np.nan
         return jac
 
-    return ProblemStack(dim=2, count=len(scales), residual=residual,
-                        jacobian=jacobian)
+    return len(scales), residual, jacobian
 
 
-def linear_stack(seeds, m=6):
-    """Linear problems A_i x - b_i of dim 2 with m residuals each."""
+def linear_group(seeds, m=6):
+    """A group of linear problems A_i x - b_i of dim 2 with m residuals
+    each, as (count, residual, jacobian)."""
     data = [np.random.default_rng(s).normal(size=(m, 3)) for s in seeds]
     a = np.array([d[:, :2] for d in data])
     b = np.array([d[:, 2] for d in data])
-    return ProblemStack(
-        dim=2, count=len(seeds),
-        residual=lambda members, x: (a[members] @ x[:, :, None])[..., 0]
-        - b[members],
-        jacobian=lambda members, x: a[members])
+    return (len(seeds),
+            lambda members, x: (a[members] @ x[..., None])[..., 0]
+            - b[members],
+            lambda members, x: a[members])
 
 
-def member_problem(stack, i):
-    """Member i of a ProblemStack as a ResidualProblem of its own."""
+def batch_of(groups):
+    """The ProblemBatch of dim 2 holding `groups`, (count, residual,
+    jacobian) each, whose functions take a group's member indices and
+    their (..., k, 2) parameters."""
+    def call(which):
+        def evaluate(members, params):
+            out, start = [], 0
+            for g, idx in members:
+                out.append(groups[g][which](
+                    idx, params[..., start:start + len(idx), :]))
+                start += len(idx)
+            return out
+        return evaluate
+
+    return ProblemBatch(dim=2, counts=tuple(g[0] for g in groups),
+                        residual=call(1), jacobian=call(2))
+
+
+def member_problem(group, i):
+    """Member i of a batch group as a ResidualProblem of its own."""
+    _, residual, jacobian = group
     members = np.array([i])
-    return ResidualProblem(
-        dim=stack.dim,
-        residual=lambda x: stack.residual(members, x[None])[0],
-        jacobian=lambda x: stack.jacobian(members, x[None])[0])
+    return ResidualProblem(dim=2,
+                           residual=lambda x: residual(members, x[None])[0],
+                           jacobian=lambda x: jacobian(members, x[None])[0])
 
 
-def test_stacked_members_take_their_solo_steps():
-    settings = LMSettings(max_iterations=500)
-    stacks = [scaled_rosenbrock_stack([1.0, 0.5, 2.0, 1.0]),
-              linear_stack([0, 1, 2])]
-    starts = [np.array([[-1.2, 1.0], [-2.0, 5.0], [0.5, 0.5], [3.0, -2.0]]),
-              np.zeros((3, 2))]
-    reports = solve_lm_stacked(stacks, starts, settings)
-    assert [len(r) for r in reports] == [4, 3]
-    for stack, x0, stack_reports in zip(stacks, starts, reports):
-        for i, report in enumerate(stack_reports):
-            solo = solve_lm(member_problem(stack, i), x0[i], settings)
-            expected = sequential_lm(member_problem(stack, i), x0[i],
-                                     settings)
-            assert_same_fit(solo, *expected[:4])
-            assert_same_fit(report, solo.params, solo.iterations,
-                            solo.termination, solo.cost_history, atol=1e-9)
-
-
-def test_failing_member_fails_alone():
-    # member 1 overflows its normal equations (singular at any damping),
-    # member 3 has a NaN Jacobian and member 4 a NaN starting residual
-    stack = scaled_rosenbrock_stack([1.0, 1e200, 0.5, 1.0, np.nan, 2.0],
-                                    nan_jacobian=[3])
-    x0 = np.array([[-1.2, 1.0]] * 6)
-    with np.errstate(over="ignore", invalid="ignore"):
-        [reports] = solve_lm_stacked([stack], [x0])
-    assert isinstance(reports[1], SingularNormalEquations)
-    assert isinstance(reports[3], NonFiniteResidual)
-    assert isinstance(reports[4], NonFiniteResidual)
-    for i in (0, 2, 5):
-        solo = solve_lm(member_problem(stack, i), x0[i])
+def assert_solo_steps(reports, group, starts, members,
+                      settings=LMSettings()):
+    """reports[i] is the solo fit of member i of `group`, for each of
+    `members`."""
+    for i in members:
+        solo = solve_lm(member_problem(group, i), starts[i], settings)
         assert_same_fit(reports[i], solo.params, solo.iterations,
                         solo.termination, solo.cost_history, atol=1e-9)
 
 
+def test_stacked_members_take_their_solo_steps():
+    # two groups whose residual lengths differ: 2 and 6
+    settings = LMSettings(max_iterations=500)
+    groups = [scaled_rosenbrock_group([1.0, 0.5, 2.0, 1.0]),
+              linear_group([0, 1, 2])]
+    starts = [np.array([[-1.2, 1.0], [-2.0, 5.0], [0.5, 0.5], [3.0, -2.0]]),
+              np.zeros((3, 2))]
+    reports = solve_lm_batch(batch_of(groups), np.concatenate(starts),
+                             settings)
+    assert [len(r) for r in reports] == [4, 3]
+    for group, x0, group_reports in zip(groups, starts, reports):
+        for i in range(len(x0)):
+            solo = solve_lm(member_problem(group, i), x0[i], settings)
+            expected = sequential_lm(member_problem(group, i), x0[i],
+                                     settings)
+            assert_same_fit(solo, *expected[:4])
+        assert_solo_steps(group_reports, group, x0, range(len(x0)),
+                          settings)
+
+
+def test_failing_member_fails_alone():
+    # member 1 overflows its normal equations (singular at any damping),
+    # member 3 has a NaN Jacobian and member 4 a NaN starting residual;
+    # the other group is not affected
+    groups = [scaled_rosenbrock_group([1.0, 1e200, 0.5, 1.0, np.nan, 2.0],
+                                      nan_jacobian=[3]),
+              linear_group([0, 1, 2])]
+    starts = [np.array([[-1.2, 1.0]] * 6), np.zeros((3, 2))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports, linear = solve_lm_batch(batch_of(groups),
+                                         np.concatenate(starts))
+    assert isinstance(reports[1], SingularNormalEquations)
+    assert isinstance(reports[3], NonFiniteResidual)
+    assert isinstance(reports[4], NonFiniteResidual)
+    assert_solo_steps(reports, groups[0], starts[0], (0, 2, 5))
+    assert_solo_steps(linear, groups[1], starts[1], range(3))
+
+
 def test_stacked_inputs_validated():
-    stack = linear_stack([0, 1])
-    with pytest.raises(ValueError):
-        solve_lm_stacked([stack], [np.zeros((3, 2))])
-    with pytest.raises(ValueError):
-        solve_lm_stacked([stack, ProblemStack(dim=3, count=1,
-                                              residual=None, jacobian=None)],
-                         [np.zeros((2, 2)), np.zeros((1, 3))])
-    assert solve_lm_stacked([], []) == []
+    batch = batch_of([linear_group([0, 1])])
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        solve_lm_batch(batch, np.zeros((3, 2)))
+    assert solve_lm_batch(batch_of([]), np.zeros((0, 2))) == []
