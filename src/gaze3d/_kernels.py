@@ -11,8 +11,8 @@ Parameter layouts (matching the mapper fits):
   3D-to-3D: params[:3] = Euler angles (X-then-Y-then-Z), params[3:6] = e
 
 Residuals are r_i = d_i x u(t_i - e) with u(v) = v/|v| (or u(v) = v when
-not normalizing), flattened to (3N,); Jacobians are (3N, dim) with the
-same row order.  For the centre block,
+not normalizing), three rows per sample; Jacobians hold dr/dparams with
+the same row order.  For the centre block,
   dr_i/de = [d_i]x du/dv (-I),   du/dv = (I - v^ v^T)/|v|  (or I).
 Rotation entries are computed inline without range checks: the solver
 wraps angles after every step, but finite differencing probes slightly
@@ -21,22 +21,18 @@ past the [-pi, pi] boundary.
 Each kernel is one matrix product per fit, which turns a sample's input
 into its polar angles alpha = q W or its rotated pose d = R n, followed
 by elementwise math on rows: one row per sample, carrying those angles
-or that pose, its fit's centre e and its target.  Three layouts reach
-that math:
-  one fit:   (dim,) params with (N, ...) inputs give (3N,) residuals and
-             (3N, dim) Jacobians;
-  a batch:   (B, dim) params with (B, N, ...) inputs give (B, 3N) and
-             (B, 3N, dim);
-  ragged:    inputs and targets are sequences with one (k_g, N_g, ...)
-             array per group of fits with equal sample counts, and params
-             is (..., K, dim) for the K = sum k_g fits in group order.
-             Residuals are (..., 3R) and Jacobians (3R, dim), R = sum
-             k_g N_g, each fit's rows in fit order.
-In every layout the rows of all fits go through the elementwise math in
-one pass and only the products are one matmul per group, so a fit's rows
-carry the bits of the batched call on its group alone; leading axes of
-ragged params (say, two damping trials per fit) share each group's
-inputs in that matmul.
+or that pose, its fit's centre e and its target.  Kernels take the fits
+of a call in one (ragged) layout: inputs and targets are sequences with
+one (k_g, N_g, ...) array per group of fits with equal sample counts, and
+params is (..., K, dim) for the K = sum k_g fits in group order.
+Residuals are (..., 3R) and Jacobians (3R, dim), R = sum k_g N_g, each
+fit's rows in fit order; a Jacobian kernel also returns the (3R,)
+residuals at its params, which its centre block forms anyway.  One fit
+is a group of one: params (1, dim) with (1, N, ...) inputs.  The rows of
+all fits go through the elementwise math in one pass and only the
+products are one matmul per group, so a fit's rows carry the bits of a
+call on that fit alone; leading axes of params (say, two damping trials
+per fit) share each group's inputs in that matmul.
 """
 
 from __future__ import annotations
@@ -83,22 +79,15 @@ def _join(arrays, axis=0):
 
 
 class _Rows:
-    """The rows of a kernel call in any layout (see the module docs):
-    `products(mats)` gives every sample's input times its fit's matrix,
-    `per_row` repeats per-fit values over their fits' rows, `targets` and
-    `inputs` are the rows' targets and inputs, and `flat` gives a result
-    the shape of its layout."""
+    """The rows of a kernel call (see the module docs): `products(mats)`
+    gives every sample's input times its fit's matrix, `per_row` repeats
+    per-fit values over their fits' rows, `targets` and `inputs` are the
+    rows' targets and inputs, and `flat` gives a result its flat shape."""
 
     def __init__(self, params, inputs, targets):
-        if isinstance(inputs, np.ndarray):      # one fit or a batch
-            self.shape = params.shape[:-1]
-            params = params.reshape(-1, params.shape[-1])
-            inputs = [inputs.reshape((-1,) + inputs.shape[-2:])]
-            targets = [targets.reshape((-1,) + targets.shape[-2:])]
-        else:
-            self.shape = params.shape[:-2]
         if params.shape[-2] != sum(len(x) for x in inputs):
             raise ValueError("params must hold one row per fit")
+        self.shape = params.shape[:-2]
         self.params, self.groups = params, inputs
         self.counts = np.repeat([x.shape[1] for x in inputs],
                                 [len(x) for x in inputs])
@@ -123,8 +112,8 @@ class _Rows:
         return self.per_row(self.params[..., -3:])
 
     def flat(self, rows, tail=()):
-        """(..., R, 3) residual rows, or (R, 3, dim) Jacobian rows with
-        tail (dim,), in the shape of the call's layout."""
+        """(..., R, 3) residual rows as (..., 3R), or (R, 3, dim)
+        Jacobian rows with tail (dim,) as (3R, dim)."""
         return rows.reshape(self.shape + (-1,) + tail)
 
 
@@ -152,12 +141,14 @@ def _offsets(e, targets, normalize):
 
 
 def _center_block(jac, d, u, norm):
-    """Fill jac[..., -3:] with dr/de for r = d x u(t - e).
+    """Fill jac[..., -3:] with dr/de for r = d x u(t - e), and return the
+    residual rows r.
 
     Column k is -(d x e_k - u_k r)/|v|, or -(d x e_k) without
     normalization, where d x e_x = (0, d_z, -d_y) and so on.  The
     -(d x e_k) part is built contiguous; u_k r is written in place.
     """
+    r = _cross(d, u)
     block = np.empty(d.shape + (3,))
     d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
     block[..., 0, 0] = 0.0
@@ -171,11 +162,12 @@ def _center_block(jac, d, u, norm):
     block[..., 2, 2] = 0.0
     if norm is None:
         jac[..., -3:] = block
-        return
+        return r
     out = jac[..., -3:]
-    np.multiply(_cross(d, u)[..., :, None], u[..., None, :], out=out)
+    np.multiply(r[..., :, None], u[..., None, :], out=out)
     out += block
     out /= norm[..., None]
+    return r
 
 
 def _weights(params):
@@ -189,7 +181,7 @@ def _residual_rows(d, e, targets, normalize):
 
 
 def residuals_2d3d(params, feats, targets, normalize=True):
-    """Cross products g(q w) x (t - e), flattened to (3N,)."""
+    """Cross products g(q w) x (t - e), flattened to (..., 3R)."""
     rows = _Rows(params, feats, targets)
     g = _directions(rows.products(_weights(rows.params)))[0]
     return rows.flat(_residual_rows(g, rows.centres(), rows.targets,
@@ -197,7 +189,8 @@ def residuals_2d3d(params, feats, targets, normalize=True):
 
 
 def jacobian_2d3d(params, feats, targets, normalize=True):
-    """Closed-form (3N, 17) Jacobian of `residuals_2d3d`.
+    """The (3R,) residuals and closed-form (3R, 17) Jacobian of
+    `residuals_2d3d`.
 
     dr/dW[j, 0] = (dg/dtheta x u) q_j and dr/dW[j, 1] = (dg/dphi x u) q_j,
     with dg/dtheta = (cos t, -sin t sin p, -sin t cos p) and
@@ -218,12 +211,12 @@ def jacobian_2d3d(params, feats, targets, normalize=True):
     dg[..., 2] = -g[..., 1]
     np.multiply(_cross(dg, u)[..., None], q, out=jac[..., 1:14:2])
     del q, dg, st, ct, sp, cp   # before the centre block's temporaries
-    _center_block(jac, g, u, norm)
-    return rows.flat(jac, jac.shape[-1:])
+    r = _center_block(jac, g, u, norm)
+    return rows.flat(r), rows.flat(jac, jac.shape[-1:])
 
 
 def residuals_3d3d(params, poses, targets, normalize=True):
-    """Cross products (R n) x (t - e), flattened to (3N,)."""
+    """Cross products (R n) x (t - e), flattened to (..., 3R)."""
     rows = _Rows(params, poses, targets)
     d = rows.products(np.swapaxes(_rotation(rows.params), -1, -2))
     return rows.flat(_residual_rows(d, rows.centres(), rows.targets,
@@ -231,7 +224,8 @@ def residuals_3d3d(params, poses, targets, normalize=True):
 
 
 def jacobian_3d3d(params, poses, targets, normalize=True):
-    """Closed-form (3N, 6) Jacobian of `residuals_3d3d`.
+    """The (3R,) residuals and closed-form (3R, 6) Jacobian of
+    `residuals_3d3d`.
 
     For R = Rx(a) Ry(b) Rz(c), dR/da = [x]x R, dR/db = [Rx y]x R and
     dR/dc = [Rx Ry z]x R, so d(R n)/da = x x d and so on with d = R n;
@@ -252,5 +246,5 @@ def jacobian_3d3d(params, poses, targets, normalize=True):
     jac = np.empty(d.shape + (6,))
     _cross(dd, u[..., None, :], out=np.swapaxes(jac[..., :3], -1, -2))
     del dd
-    _center_block(jac, d, u, norm)
-    return rows.flat(jac, jac.shape[-1:])
+    r = _center_block(jac, d, u, norm)
+    return rows.flat(r), rows.flat(jac, jac.shape[-1:])

@@ -50,13 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+# The flag parsers raise ArgumentTypeError, whose text argparse reports
+# as it is; for a ValueError it reports only the parser's name.
+
 def _parse_depths(text):
     try:
         depths = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"bad depth list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad depth list {text!r}") from None
     if not depths:
-        raise ValueError("empty depth list")
+        raise argparse.ArgumentTypeError("empty depth list")
     return depths
 
 
@@ -64,10 +67,10 @@ def _parse_mappers(text):
     mappers = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for m in mappers:
         if m not in MAPPER_IDS:
-            raise ValueError(f"unknown mapper {m!r} "
-                             f"(choose from {', '.join(MAPPER_IDS)})")
+            raise argparse.ArgumentTypeError(
+                f"unknown mapper {m!r} (choose from {', '.join(MAPPER_IDS)})")
     if not mappers:
-        raise ValueError("empty mapper list")
+        raise argparse.ArgumentTypeError("empty mapper list")
     return mappers
 
 

@@ -636,6 +636,17 @@ def _check_keys(d, allowed, where):
             raise ConfigError(f"unknown config key {where}.{key!r}")
 
 
+def _camera(d) -> PinholeCamera:
+    """The PinholeCamera of a config camera dict."""
+    kwargs = dict(focal=d["focal"], principal=d["principal"],
+                  resolution=d["resolution"])
+    if "rotation_angles" in d:
+        kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
+    if "translation" in d:
+        kwargs["translation"] = np.asarray(d["translation"], dtype=float)
+    return PinholeCamera(**kwargs)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; unknown keys are rejected, not ignored.
@@ -717,6 +728,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid eye_model_mm: {err}") from None
         except ValueError as err:       # the length it names
             raise ConfigError(f"eye_model_mm.{err}") from None
+        cameras = {}
         for name in ("scene_camera", "eye_camera"):
             cam = getattr(self, name)
             if cam is not None:
@@ -724,6 +736,18 @@ class ExperimentConfig:
                 for req in ("focal", "principal", "resolution"):
                     if req not in cam:
                         raise ConfigError(f"{name} needs {req!r}")
+                try:
+                    cameras[name] = _camera(cam)
+                except (TypeError, ValueError) as err:
+                    raise ConfigError(f"invalid {name}: {err}") from None
+        try:    # built here, so a bad rig fails before any synthesis
+            object.__setattr__(self, "_rig", SimRig(
+                e_gt=np.asarray(self.e_gt, dtype=float),
+                noise_pupil_px=self.noise_pupil_px,
+                noise_pose_deg=self.noise_pose_deg,
+                noise_target_mm=self.noise_target_mm, **cameras))
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
@@ -753,28 +777,8 @@ class ExperimentConfig:
     def to_grids(self) -> GridSpec:
         return self._grids
 
-    def _to_camera(self, d) -> PinholeCamera:
-        kwargs = dict(focal=d["focal"], principal=d["principal"],
-                      resolution=d["resolution"])
-        if "rotation_angles" in d:
-            kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
-        if "translation" in d:
-            kwargs["translation"] = np.asarray(d["translation"], dtype=float)
-        return PinholeCamera(**kwargs)
-
     def to_rig(self) -> SimRig:
-        kwargs = dict(e_gt=np.asarray(self.e_gt, dtype=float),
-                      noise_pupil_px=self.noise_pupil_px,
-                      noise_pose_deg=self.noise_pose_deg,
-                      noise_target_mm=self.noise_target_mm)
-        if self.scene_camera is not None:
-            kwargs["scene_camera"] = self._to_camera(self.scene_camera)
-        if self.eye_camera is not None:
-            kwargs["eye_camera"] = self._to_camera(self.eye_camera)
-        try:
-            return SimRig(**kwargs)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return self._rig
 
     def to_lm(self) -> LMSettings:
         return self._lm

@@ -39,6 +39,10 @@ Both give the arrays that fit_arrays (the one fit path) and
 predict_ray_arrays (the one prediction path) take; fit_mapper and
 evaluation.evaluate accept either form of set and choose between the two
 in one place (_sample_arrays).
+
+LM fits: fit_arrays solves the 2d3d or 3d3d sets of a call in one
+solve_lm_batch; its ProblemBatch (_lm_batch) is the one place that
+groups the fits by sample count, the ragged layout of gaze3d._kernels.
 """
 
 from __future__ import annotations
@@ -287,37 +291,58 @@ def _lm_layout(mapper_id):
 def _lm_batch(mapper_id, groups, normalize, center_bounds):
     """The ProblemBatch of 2d3d or 3d3d fits, from (inputs, targets)
     arrays of each group of fits with equal sample counts, stacked on a
-    leading axis.  A residual or Jacobian call is one kernel call on the
-    ragged rows of every fit it evaluates (see gaze3d._kernels); a group
-    evaluated whole is passed as it is, and a member's inputs are read
-    once for both damping rungs."""
+    leading axis; fits are numbered group by group.  A cost or normal
+    equations call is one kernel call on the ragged rows of every fit it
+    evaluates (a group evaluated whole is passed as it is, and a fit's
+    inputs are read once for both damping rungs), and r . r, J^T J and
+    J^T r are one matmul per group."""
     residual, jacobian, dim, wrap = _lm_layout(mapper_id)
     lower, upper = _center_box(dim, center_bounds)
+    group_start = np.cumsum([0] + [len(x) for x, _ in groups])
 
-    def call(kernel, jacobians):
-        def evaluate(members, params):
-            inputs, targets, shapes = [], [], []
-            for g, idx in members:
+    def evaluate(kernel, rows, params):
+        """`kernel` on the fits of the sorted indices `rows`, and for
+        each group among them (a, b, start, end): its fits are rows[a:b]
+        and their output rows start:end."""
+        cuts = np.searchsorted(rows, group_start).tolist()
+        inputs, targets, parts, end = [], [], [], 0
+        for g, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if b > a:
                 x, t = groups[g]
-                if len(idx) < len(x):
+                if b - a < len(x):
+                    idx = rows[a:b] - group_start[g]
                     x, t = x[idx], t[idx]
                 inputs.append(x)
                 targets.append(t)
-                shapes.append((len(idx), 3 * x.shape[1]))
-            out = kernel(params, inputs, targets, normalize)
-            parts, start = [], 0
-            for k, m in shapes:     # each group's rows of the ragged result
-                end = start + k * m
-                parts.append(out[start:end].reshape(k, m, dim) if jacobians
-                             else out[..., start:end].reshape(
-                                 out.shape[:-1] + (k, m)))
-                start = end
-            return parts
-        return evaluate
+                parts.append((a, b, end, end + 3 * x.shape[0] * x.shape[1]))
+                end = parts[-1][-1]
+        return kernel(params, inputs, targets, normalize), parts
 
-    return ProblemBatch(dim=dim, counts=tuple(len(x) for x, _ in groups),
-                        residual=call(residual, False),
-                        jacobian=call(jacobian, True),
+    def cost(rows, params):
+        r, parts = evaluate(residual, rows, params)
+        out = np.empty(params.shape[:-1])
+        for a, b, start, end in parts:
+            fits = r[..., start:end].reshape(r.shape[:-1] + (b - a, -1))
+            squares = (fits[..., None, :] @ fits[..., :, None])[..., 0, 0]
+            out[..., a:b] = np.where(np.isfinite(fits).all(axis=-1),
+                                     squares, np.nan)
+        return out
+
+    def normal_equations(rows, params):
+        (r, jac), parts = evaluate(jacobian, rows, params)
+        jtj = np.empty((len(rows), dim, dim))
+        jtr = np.empty((len(rows), dim))
+        finite = np.empty(len(rows), dtype=bool)
+        for a, b, start, end in parts:
+            fits = jac[start:end].reshape(b - a, -1, dim)
+            fits_t = np.swapaxes(fits, 1, 2)
+            jtj[a:b] = fits_t @ fits
+            jtr[a:b] = (fits_t @ r[start:end].reshape(b - a, -1, 1))[..., 0]
+            finite[a:b] = np.isfinite(fits).all(axis=(1, 2))
+        return jtj, jtr, finite
+
+    return ProblemBatch(dim=dim, size=int(group_start[-1]), cost=cost,
+                        normal_equations=normal_equations,
                         lower=lower, upper=upper, wrap_mask=wrap)
 
 
@@ -518,7 +543,7 @@ def fit_arrays(mapper_id: str, array_sets,
         batch = _lm_batch(mapper_id, arrays, config.normalize_residuals,
                           config.center_bounds_m)
         reports = solve_lm_batch(batch, np.concatenate(starts), config.lm)
-        for i, report in zip(indices, (r for group in reports for r in group)):
+        for i, report in zip(indices, reports):
             results[i] = (report if isinstance(report, Exception) else
                           _lm_model(mapper_id, report, config.eye_resolution))
     return results

@@ -9,22 +9,23 @@ the plain sum of squared residuals.
 There is one LM loop, `solve_lm_batch`, and it advances a ProblemBatch
 of problems of one dimension in lockstep: at these sizes a fit's time is
 numpy's per-call overhead, which the batch pays once per round instead
-of once per problem.  Problems come in groups of equal residual length,
-and each round is one residual call and at most one Jacobian call for
-every active problem of every group; only the products J^T J, J^T r and
-r . r are one matmul per group (groups are not padded to one length).
-Each problem keeps its own damping, acceptance, termination, cost
-history and error.  A damping round solves the normal equations of every
-problem still searching for a step at two rungs of damping, lambda and
-lambda * damping_up, in one stacked np.linalg.solve, projects both
-candidates onto the constraints and evaluates them, and then applies the
-sequential rule to the rungs in order up to the first that accepts,
-stalls or overflows the damping; so every accepted step is the one the
-problem takes alone (Madsen, Nielsen & Tingleff 2004 describe the
-damping rule).  A problem whose residual or Jacobian goes non-finite, or
-whose normal equations stay singular, fails alone; the others go on.
-`solve_lm` runs that loop on one ResidualProblem, the scalar reference
-the fits' batches are tested against.
+of once per problem.  The loop sees only problems: it asks the batch for
+the costs r . r of parameter sets and for the normal equations J^T J and
+J^T r at each problem's parameters, one call each per round for every
+problem concerned; how a batch evaluates them (gaze3d.mappers groups its
+fits by sample count) is its own business.  Each problem keeps its own
+damping, acceptance, termination, cost history and error.  A damping
+round solves the normal equations of every problem still searching for
+a step at two rungs of damping, lambda and lambda * damping_up, in one
+stacked np.linalg.solve, projects both candidates onto the constraints
+and costs them, and then applies the sequential rule to the rungs in
+order up to the first that accepts, stalls or overflows the damping; so
+every accepted step is the one the problem takes alone (Madsen, Nielsen
+& Tingleff 2004 describe the damping rule).  A problem whose residual or
+Jacobian goes non-finite, or whose normal equations stay singular, fails
+alone; the others go on.  `solve_lm` runs that loop on one
+ResidualProblem, with jac.T @ jac and jac.T @ r as its normal equations:
+the scalar reference the fits' batches are tested against.
 """
 
 from __future__ import annotations
@@ -122,37 +123,45 @@ class ResidualProblem(_Box):
 
 @dataclass(frozen=True)
 class ProblemBatch(_Box):
-    """Problems of one dimension in groups, whose residuals and Jacobians
-    are evaluated together: one call each for every group.
+    """`size` problems of one dimension, numbered 0 to size - 1, whose
+    costs and normal equations are evaluated together: one call each for
+    all the problems evaluated.
 
-    Group g holds `counts[g]` problems of one residual length m_g;
-    problems are numbered group by group.  `residual(members, params)`
-    takes a list of (g, indices) pairs, one for each group evaluated, in
-    group order, with the sorted indices of its members being evaluated,
-    and those members' (..., K, dim) parameters in the same order (leading
-    axes give each member several parameter sets).  It returns, per pair,
-    the (..., k, m_g) residuals.  `jacobian` maps the same pairs and
-    (K, dim) parameters to the (k, m_g, dim) derivatives.  A member they
-    cannot evaluate should get non-finite values, which fail it alone (or
-    reject the step, for a candidate residual); an exception they raise
-    ends the whole solve.  Bounds and wrap mask apply to every problem,
-    as in ResidualProblem.
+    `cost(rows, params)` takes the sorted indices of the problems
+    evaluated and their (..., k, dim) parameters in the same order
+    (leading axes give each problem several parameter sets) and returns
+    the (..., k) sums of squared residuals r . r, NaN where a residual is
+    not finite (a finite residual whose sum overflows gives +inf).
+    `normal_equations(rows, params)` takes (k, dim) parameters and returns
+    J^T J (k, dim, dim), J^T r (k, dim) and the (k,) mask of the problems
+    whose Jacobian is finite.  A problem they cannot evaluate should get
+    NaN, which fails it alone (or rejects the step, for a candidate's
+    cost); an exception they raise ends the whole solve.  Bounds and wrap
+    mask apply to every problem, as in ResidualProblem.
     """
 
     dim: int
-    counts: tuple
-    residual: callable
-    jacobian: callable
+    size: int
+    cost: callable
+    normal_equations: callable
     lower: np.ndarray = None
     upper: np.ndarray = None
     wrap_mask: np.ndarray = None
 
 
+# the damping stays in [_MIN_DAMPING, _MAX_DAMPING]; damping_up must
+# climb that range in at most _MAX_DAMPING_CLIMB rejected steps
+_MIN_DAMPING, _MAX_DAMPING, _MAX_DAMPING_CLIMB = 1e-15, 1e12, 150
+_MIN_DAMPING_UP = (_MAX_DAMPING / _MIN_DAMPING) ** (1.0 / _MAX_DAMPING_CLIMB)
+
+
 @dataclass(frozen=True)
 class LMSettings:
     """Damping, iteration cap and tolerances of an LM solve.  Every value
-    is a finite number > 0, damping_up is > 1 (or a rejected step would
-    never raise the damping) and max_iterations is an integer."""
+    is a finite number > 0 and max_iterations is an integer.  damping_up
+    is at least (1e12 / 1e-15) ** (1 / 150) ~= 1.5136: 150 rejected steps
+    then take the damping from its floor to its maximum, where a factor
+    near 1 would retry thousands of times (at 1, forever)."""
 
     damping: float = 1e-3
     damping_up: float = 10.0
@@ -169,9 +178,9 @@ class LMSettings:
                     or not math.isfinite(value) or value <= 0):
                 raise ValueError(f"{f.name} must be a finite number > 0, "
                                  f"got {value!r}")
-        if self.damping_up <= 1:
-            raise ValueError(f"damping_up must be > 1, got "
-                             f"{self.damping_up!r}")
+        if self.damping_up < _MIN_DAMPING_UP:
+            raise ValueError(f"damping_up must be >= {_MIN_DAMPING_UP:.6g}, "
+                             f"got {self.damping_up!r}")
         if not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError(f"max_iterations must be an integer, got "
                              f"{self.max_iterations!r}")
@@ -201,8 +210,6 @@ def numeric_jacobian(problem: ResidualProblem, params) -> np.ndarray:
     return jac
 
 
-_MAX_DAMPING = 1e12
-
 # per-problem states of the lockstep loop
 _DONE, _NEW_ITERATION, _SEARCHING = 0, 1, 2
 
@@ -222,20 +229,6 @@ def _solve_stacked(a, b):
         return out
 
 
-def _sum_squares(r):
-    """r @ r for each row of an (..., m) array, with the bits of the 1-D
-    product."""
-    return (r[..., None, :] @ r[..., :, None])[..., 0, 0]
-
-
-def _members(rows, group_start):
-    """(group, member indices) of each group with problems in the sorted
-    index array `rows`, in group order."""
-    cuts = np.searchsorted(rows, group_start).tolist()
-    return [(g, rows[a:b] - group_start[g])
-            for g, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
-
-
 def solve_lm_batch(batch: ProblemBatch, initial_params,
                    settings: LMSettings = LMSettings()) -> list:
     """Levenberg-Marquardt with multiplicative damping on every problem of
@@ -246,28 +239,22 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
     monotone non-increasing.  A problem terminates on gradient, step
     size, relative cost decrease, or the iteration cap.
 
-    `initial_params` is the (n, dim) start of the n problems in order.
-    Returns, per group, a list holding each member's FitReport, or the
-    NonFiniteResidual or SingularNormalEquations it failed with.
+    `initial_params` is the (size, dim) start of the problems in order.
+    Returns, per problem, its FitReport, or the NonFiniteResidual or
+    SingularNormalEquations it failed with.
     """
-    dim = batch.dim
-    group_start = np.cumsum([0] + [int(c) for c in batch.counts])
-    n = int(group_start[-1])
+    dim, n = batch.dim, batch.size
     x = np.array(initial_params, dtype=float)
     if x.shape != (n, dim):
         raise ValueError(f"initial params must have shape ({n}, {dim})")
     if not batch.in_bounds(x):
         raise ValueError("initial params violate bounds")
-    owner = np.repeat(np.arange(len(batch.counts)), batch.counts).tolist()
-    member = (np.arange(n) - group_start[owner]).tolist()
+    if not n:
+        return []
 
-    # per problem: params, residuals (one (count, m) array per group),
-    # cost, damping, iterations, history, state and result
-    everyone = _members(np.arange(n), group_start)
-    residuals = {g: np.array(r, dtype=float) for (g, _), r in zip(
-        everyone, batch.residual(everyone, x) if everyone else ())}
-    cost = [c for g, _ in everyone
-            for c in _sum_squares(residuals[g]).tolist()]
+    # per problem: params, cost, damping, iterations, history, state and
+    # result, and J^T J and J^T r at x
+    cost = batch.cost(np.arange(n), x).tolist()
     lam = [settings.damping] * n
     iterations = np.zeros(n, dtype=int)
     histories = [[c] for c in cost]
@@ -288,29 +275,19 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
         state[i] = _DONE
         results[i] = error
 
-    for g, r in residuals.items():
-        for i in group_start[g] + np.flatnonzero(~np.isfinite(r).all(axis=1)):
-            fail(i, NonFiniteResidual(f"residual not finite at {x[i]}"))
+    for i in np.flatnonzero(np.isnan(cost)):
+        fail(i, NonFiniteResidual(f"residual not finite at {x[i]}"))
 
     while True:
-        # start an iteration: Jacobian, gradient and J^T J at x
+        # start an iteration: J^T J and the gradient at x
         start = np.flatnonzero(state == _NEW_ITERATION)
-        iterations[start] += 1
-        groups = _members(start, group_start)
-        for (g, idx), jac in zip(groups, batch.jacobian(groups, x[start])
-                                 if groups else ()):
-            finite = np.isfinite(jac).all(axis=(1, 2))
-            if not finite.all():
-                for i in group_start[g] + idx[~finite]:
-                    fail(i, NonFiniteResidual(
-                        f"jacobian not finite at {x[i]}"))
-                idx, jac = idx[finite], jac[finite]
-            rows = group_start[g] + idx
-            jac_t = np.swapaxes(jac, 1, 2)
-            grad[rows] = (jac_t @ residuals[g][idx, :, None])[..., 0]
-            jtj[rows] = jac_t @ jac
-            del jac, jac_t      # the Jacobians are not kept past this loop
-        start = start[state[start] == _NEW_ITERATION]
+        if start.size:
+            iterations[start] += 1
+            jtj[start], grad[start], finite = batch.normal_equations(
+                start, x[start])
+            for i in start[~finite]:
+                fail(i, NonFiniteResidual(f"jacobian not finite at {x[i]}"))
+            start = start[finite]
         flat = np.max(np.abs(2.0 * grad[start]), axis=1,
                       initial=0.0) < settings.grad_tol
         for i in start[flat]:
@@ -332,11 +309,8 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
         steps[~solvable] = 0.0       # evaluated at x, never taken
         xs = x[search]
         candidates = batch.apply_constraints(xs + steps)
-        groups = _members(search, group_start)
-        trials = batch.residual(groups, candidates)
-        cost_new = np.concatenate([_sum_squares(r) for r in trials], axis=1)
-        cost_new[~np.isfinite(cost_new)] = np.inf
-        trial_rows = [(r, j) for r in trials for j in range(r.shape[-2])]
+        cost_new = batch.cost(search, candidates)
+        cost_new[np.isnan(cost_new)] = np.inf
         step_norm = dot_norms(candidates - xs).tolist()
         new_norm = dot_norms(candidates).tolist()
         old_norm = dot_norms(xs).tolist()
@@ -356,11 +330,9 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
                 trial = cost_new[rung][p]
                 if trial < cost[i]:
                     x[i] = candidates[rung, p]
-                    r, j = trial_rows[p]
-                    residuals[owner[i]][member[i]] = r[rung, j]
                     prev_cost, cost[i] = cost[i], trial
                     histories[i].append(trial)
-                    lam[i] = max(lam[i] / down, 1e-15)
+                    lam[i] = max(lam[i] / down, _MIN_DAMPING)
                     if step_norm[rung][p] < settings.step_tol * (
                             1.0 + new_norm[rung][p]):
                         finish(i, "step")
@@ -378,31 +350,35 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
                     finish(i, "step")   # no acceptable step: stalled
                     break
 
-    return [results[a:b] for a, b in zip(group_start[:-1], group_start[1:])]
+    return results
 
 
 def solve_lm(problem: ResidualProblem, initial_params,
              settings: LMSettings = LMSettings()) -> FitReport:
-    """solve_lm_batch on one problem, a batch of one group of one: its
-    FitReport, or its failure raised (NonFiniteResidual,
-    SingularNormalEquations)."""
+    """solve_lm_batch on one problem, a batch of one: its FitReport, or
+    its failure raised (NonFiniteResidual, SingularNormalEquations).  The
+    normal equations are jac.T @ jac and jac.T @ r."""
     x = np.asarray(initial_params, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"initial params must have shape ({problem.dim},)")
 
-    def residual(members, params):
-        values = np.array([problem.residual(row)
-                           for row in params.reshape(-1, problem.dim)],
-                          dtype=float)
-        return [values.reshape(params.shape[:-1] + values.shape[1:])]
+    def cost(rows, params):
+        costs = []
+        for row in params.reshape(-1, problem.dim):
+            r = np.asarray(problem.residual(row), dtype=float)
+            costs.append(r @ r if np.isfinite(r).all() else np.nan)
+        return np.reshape(costs, params.shape[:-1])
+
+    def normal_equations(rows, params):
+        jac = problem.evaluate_jacobian(params[0])
+        r = problem.evaluate(params[0])
+        return (jac.T @ jac)[None], (jac.T @ r)[None], np.ones(1, bool)
 
     batch = ProblemBatch(
-        dim=problem.dim, counts=(1,), residual=residual,
-        jacobian=lambda members, params: [
-            problem.evaluate_jacobian(params[0])[None]],
-        lower=problem.lower, upper=problem.upper,
-        wrap_mask=problem.wrap_mask)
-    [[report]] = solve_lm_batch(batch, x[None], settings)
+        dim=problem.dim, size=1, cost=cost,
+        normal_equations=normal_equations, lower=problem.lower,
+        upper=problem.upper, wrap_mask=problem.wrap_mask)
+    [report] = solve_lm_batch(batch, x[None], settings)
     if isinstance(report, Exception):
         raise report
     return report

@@ -408,15 +408,35 @@ def test_lm_settings_that_would_hang_a_fit_fail_before_it(lm, tmp_path,
 
 
 def test_bad_flag_values(tmp_path, capsys):
-    code, _, stderr = run(capsys, "simulate", "--depths", "one,two",
-                          "--out", tmp_path / "d.jsonl")
-    assert code == 1 and "--depths" in stderr
-    code, _, stderr = run(capsys, "sweep", "--mappers", "5d",
-                          "--out", tmp_path / "s.csv")
-    assert code == 1 and "--mappers" in stderr
+    # each says what is wrong, not "invalid _parse_depths value: ..."
+    ids = "(choose from 2d2d, 2d3d, 3d3d)"
+    for argv, message in (
+            (("simulate", "--depths", "one,two"),
+             "--depths: bad depth list 'one,two'"),
+            (("simulate", "--depths", ","), "--depths: empty depth list"),
+            (("fit", "d.jsonl", "--mappers", "2d9d"),
+             f"--mappers: unknown mapper '2d9d' {ids}"),
+            (("sweep", "--mappers", "5d"),
+             f"--mappers: unknown mapper '5d' {ids}")):
+        code, stdout, stderr = run(capsys, *argv, "--out", tmp_path / "out")
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: CliUsageError: argument {message}\n"
+        assert not (tmp_path / "out").exists()
     code, _, stderr = run(capsys, "frobnicate")
     assert code == 1
     assert stderr.startswith("error: CliUsageError:")
+
+
+def test_a_bad_camera_in_a_config_is_named_before_simulating(tmp_path,
+                                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene_camera": {
+        "focal": "x", "principal": [320, 180], "resolution": [640, 360]}}))
+    code, stdout, stderr = run(capsys, "simulate", "--config", cfg,
+                               "--out", tmp_path / "d.jsonl")
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: ConfigError: invalid scene_camera: could not "
+                      "convert string to float: 'x'\n")
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

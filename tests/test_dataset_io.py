@@ -838,6 +838,10 @@ def test_config_validation():
         ExperimentConfig(scene_camera={"focal": [720, 720]})
 
 
+CAMERA = {"focal": [600, 600], "principal": [320, 180],
+          "resolution": [640, 360]}
+
+
 @pytest.mark.parametrize("key, value", [
     ("depths", [1.0, float("nan")]), ("depths", [1.0, float("inf")]),
     ("depths", [True]), ("depths", ["1.0"]), ("depths", 1.0),
@@ -852,6 +856,10 @@ def test_config_validation():
     ("eye_model_mm", {"eyeball_radius_mm": 30.0}),
     ("grid", {"calib_rows": -3}), ("grid", {"test_cols": 2.5}),
     ("grid", {"width": float("inf")}), ("grid", {"scale_with_depth": 1}),
+    ("scene_camera", {**CAMERA, "focal": "x"}),
+    ("scene_camera", {**CAMERA, "focal": [600]}),
+    ("eye_camera", {**CAMERA, "translation": [0, 0]}),
+    ("eye_camera", {**CAMERA, "rotation_angles": {"a": 1}}),
 ])
 def test_config_rejects_non_finite_and_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -862,6 +870,8 @@ def test_config_rejects_non_finite_and_mistyped_values(key, value):
     ({"damping": float("nan")}, "damping"), ({"damping_up": 1}, "damping_up"),
     ({"damping_up": 0.5}, "damping_up"), ({"damping": "x"}, "damping"),
     ({"max_iterations": 2.5}, "max_iterations"),
+    ({"damping_up": 1.0001}, "damping_up"),
+    ({"damping_up": 1.01}, "damping_up"),
 ])
 def test_config_builds_its_lm_settings_at_load(lm, name):
     with pytest.raises(ConfigError, match=f"lm settings: {name}"):
@@ -879,6 +889,16 @@ def test_config_checks_eye_and_grid_at_load(config, message):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(config)
     assert str(err.value) == message
+
+
+def test_config_keeps_the_rig_it_built():
+    cfg = ExperimentConfig.from_dict({"scene_camera": CAMERA,
+                                      "noise_pupil_px": 0.5})
+    rig = cfg.to_rig()
+    assert rig is cfg.to_rig()
+    assert rig.scene_camera.focal.tolist() == [600.0, 600.0]
+    assert rig.noise_pupil_px == 0.5
+    assert cfg.override(noise_pupil_px=1.0).to_rig().noise_pupil_px == 1.0
 
 
 def test_config_unbounded_center_stays_valid():

@@ -1,5 +1,6 @@
 """Residual kernels against direct computation, and their closed-form
-Jacobians against the numeric oracle."""
+Jacobians against the numeric oracle.  Kernels take fits in the ragged
+layout only; one fit is a group of one (see one_fit)."""
 
 import numpy as np
 import pytest
@@ -31,12 +32,18 @@ def random_inputs(seed, n=40):
     return params17, params6, feats, poses, targets
 
 
+def one_fit(kernel, params, inputs, targets, normalize=True):
+    """`kernel` on one fit: (dim,) params with (N, ...) inputs and
+    targets, as a group of one."""
+    return kernel(params[None], [inputs[None]], [targets[None]], normalize)
+
+
 def test_2d3d_residual_matches_direct_computation():
     params17, _, feats, _, targets = random_inputs(0)
     w = params17[:14].reshape(7, 2)
     e = params17[14:]
-    res = _kernels.residuals_2d3d(params17, feats, targets,
-                                  normalize=True)
+    res = one_fit(_kernels.residuals_2d3d, params17, feats, targets,
+                  normalize=True)
     # per-sample: cross(g(q w), unit(t - e))
     expected = []
     for q, t in zip(feats, targets):
@@ -50,8 +57,8 @@ def test_2d3d_residual_matches_direct_computation():
 def test_2d3d_residual_unnormalized():
     params17, _, feats, _, targets = random_inputs(1)
     w, e = params17[:14].reshape(7, 2), params17[14:]
-    res = _kernels.residuals_2d3d(params17, feats, targets,
-                                  normalize=False)
+    res = one_fit(_kernels.residuals_2d3d, params17, feats, targets,
+                  normalize=False)
     expected = []
     for q, t in zip(feats, targets):
         expected.extend(np.cross(polar_to_direction(q @ w), t - e))
@@ -62,8 +69,8 @@ def test_3d3d_residual_matches_direct_computation():
     _, params6, _, poses, targets = random_inputs(2)
     R = rotation_from_angles(params6[:3])
     e = params6[3:]
-    res = _kernels.residuals_3d3d(params6, poses, targets,
-                                  normalize=True)
+    res = one_fit(_kernels.residuals_3d3d, params6, poses, targets,
+                  normalize=True)
     expected = []
     for n_vec, t in zip(poses, targets):
         d = (t - e) / np.linalg.norm(t - e)
@@ -84,7 +91,7 @@ def test_residual_zero_for_perfect_geometry():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     poses = dirs @ R   # == (R.T @ dir) rows
     params = np.concatenate((angles, e))
-    res = _kernels.residuals_3d3d(params, poses, targets)
+    res = one_fit(_kernels.residuals_3d3d, params, poses, targets)
     assert np.abs(res).max() < 1e-12
 
 
@@ -114,10 +121,11 @@ def test_jacobians_match_numeric_oracle(normalize):
                 (_kernels.residuals_3d3d, _kernels.jacobian_3d3d, params6,
                  poses)):
             problem = ResidualProblem(
-                dim=params.size,
-                residual=lambda x: kernel(x, inputs, targets, normalize))
+                dim=params.size, residual=lambda x: one_fit(
+                    kernel, x, inputs, targets, normalize))
             expected = numeric_jacobian(problem, params)
-            got = jacobian(params, inputs, targets, normalize)
+            res, got = one_fit(jacobian, params, inputs, targets, normalize)
+            assert np.array_equal(res, problem.residual(params))
             assert got.shape == expected.shape == (3 * len(targets),
                                                    params.size)
             assert np.allclose(got, expected, rtol=0, atol=1e-8)
@@ -149,10 +157,11 @@ def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
             # the ragged layout: groups of fits, each fit's rows in order
             fits = [(q, t) for group_q, group_t in zip(inputs, targets)
                     for q, t in zip(group_q, group_t)]
-            return np.concatenate([numeric_jacobian(ResidualProblem(
-                dim=dim, residual=lambda x, q=q, t=t: residual(
-                    x, q, t, normalize)), x0)
-                for x0, (q, t) in zip(params, fits, strict=True)])
+            return (residual(params, inputs, targets, normalize),
+                    np.concatenate([numeric_jacobian(ResidualProblem(
+                        dim=dim, residual=lambda x, q=q, t=t: one_fit(
+                            residual, x, q, t, normalize)), x0)
+                        for x0, (q, t) in zip(params, fits, strict=True)]))
         return residual, jacobian, dim, wrap
 
     monkeypatch.setattr(mappers, "_lm_layout", numeric_layout)
@@ -189,7 +198,8 @@ def ragged_inputs(seed, shapes=((3, 25), (1, 9), (2, 40))):
 @pytest.mark.parametrize("normalize", (True, False))
 def test_ragged_rows_equal_batched_group_calls(normalize):
     """One ragged call over groups of different sample counts gives, bit
-    for bit, each group's batched call and each fit's call alone."""
+    for bit, each group's call alone and each fit's call alone; the
+    residuals a Jacobian kernel returns are the residual kernel's."""
     for seed in range(3):
         params17, params6, rungs17, rungs6, groups = ragged_inputs(seed)
         counts = np.cumsum([0] + [len(g[0]) for g in groups])
@@ -200,19 +210,31 @@ def test_ragged_rows_equal_batched_group_calls(normalize):
                 (_kernels.jacobian_3d3d, params6, None, 1)):
             inputs = [g[at] for g in groups]
             targets = [g[2] for g in groups]
+
+            def call(*args):        # every kernel output, as a tuple
+                out = kernel(*args, normalize)
+                return out if isinstance(out, tuple) else (out,)
+
             for p in (params,) if rungs is None else (params, *rungs):
-                ragged = kernel(p, inputs, targets, normalize)
-                batched = [kernel(p[a:b], x, t, normalize) for a, b, x, t
+                ragged = call(p, inputs, targets)
+                grouped = [call(p[a:b], [x], [t]) for a, b, x, t
                            in zip(counts, counts[1:], inputs, targets)]
-                alone = [kernel(p[i], x[j], t[j], normalize)
+                alone = [call(p[i][None], [x[j][None]], [t[j][None]])
                          for a, x, t in zip(counts, inputs, targets)
                          for j, i in enumerate(range(a, a + len(x)))]
-                assert np.array_equal(ragged, np.concatenate(
-                    [b.reshape((-1,) + b.shape[2:]) for b in batched]))
-                assert np.array_equal(ragged, np.concatenate(alone))
-            if rungs is not None:
+                for part, out in enumerate(ragged):
+                    assert np.array_equal(out, np.concatenate(
+                        [g[part] for g in grouped]))
+                    assert np.array_equal(out, np.concatenate(
+                        [f[part] for f in alone]))
+            if rungs is None:
+                residual = (_kernels.residuals_2d3d if at == 0
+                            else _kernels.residuals_3d3d)
+                assert np.array_equal(ragged[0], residual(
+                    params, inputs, targets, normalize))
+            else:
                 both = kernel(rungs, inputs, targets, normalize)
-                assert both.shape == (2, ragged.size)
+                assert both.shape == (2, ragged[0].size)
                 for r in (0, 1):
                     assert np.array_equal(
                         both[r], kernel(rungs[r], inputs, targets, normalize))

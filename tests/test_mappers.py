@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gaze3d import _kernels
+from gaze3d import _kernels, mappers
 from gaze3d.eye_simulator import (
     SimRig,
     TwoSphereEye,
@@ -511,9 +511,10 @@ def test_one_set_fits_match_solve_lm(mapper_id, depths):
         model = fit_3d_to_3d([(s.pupil_pose, s.target) for s in samples])
     bound = np.concatenate((np.full(x0.size - 3, np.inf),
                             np.full(3, DEFAULT_CENTER_BOUND_M)))
+    one_fit = ([inputs[None]], [targets[None]])     # a group of one
     oracle = solve_lm(ResidualProblem(
-        dim=x0.size, residual=lambda x: residual(x, inputs, targets),
-        jacobian=lambda x: jacobian(x, inputs, targets),
+        dim=x0.size, residual=lambda x: residual(x[None], *one_fit),
+        jacobian=lambda x: jacobian(x[None], *one_fit)[1],
         lower=-bound, upper=bound, wrap_mask=wrap), x0)
     assert oracle.iterations > 1
     for fit in (model, fit_mapper(mapper_id, samples)):
@@ -523,3 +524,46 @@ def test_one_set_fits_match_solve_lm(mapper_id, depths):
         assert fit.report.termination == oracle.termination
         assert len(fit.report.cost_history) == len(oracle.cost_history)
         assert np.allclose(params, oracle.params, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
+def test_lm_batch_products_are_each_fits_own(mapper_id):
+    """A mapper batch's cost and normal equations, for fits taken from
+    groups of three sample counts, are r . r, J^T J and J^T r of each
+    fit's own kernel call, bit for bit; a fit whose residual is not
+    finite costs NaN, and one whose finite residual overflows r . r costs
+    +inf."""
+    rng = np.random.default_rng(5)
+    dim, width = (17, 7) if mapper_id == "2d3d" else (6, 3)
+    groups = [(rng.normal(size=(k, n, width)),
+               rng.uniform((-0.5, -0.3, 0.8), (0.5, 0.3, 2.2), (k, n, 3)))
+              for k, n in ((3, 25), (1, 9), (2, 40))]
+    fits = [(x[j], t[j]) for x, t in groups for j in range(len(x))]
+    params = np.concatenate((rng.normal(0, 0.3, (len(fits), dim - 3)),
+                             rng.uniform(-0.04, 0.04, (len(fits), 3))),
+                            axis=1)
+    residual, jacobian, _, _ = mappers._lm_layout(mapper_id)
+    batch = mappers._lm_batch(mapper_id, groups, True, 0.05)
+    rows = np.array([0, 2, 3, 5])       # part of two groups, all of one
+    jtj, jtr, finite = batch.normal_equations(rows, params[rows])
+    trials = np.stack((params[rows], params[rows] + 1e-3))
+    costs = batch.cost(rows, trials)
+    assert finite.all() and costs.shape == (2, len(rows))
+    for k, i in enumerate(rows):
+        one_fit = ([fits[i][0][None]], [fits[i][1][None]])
+        r, jac = jacobian(params[i][None], *one_fit, True)
+        assert jtj[k].tobytes() == (jac.T @ jac).tobytes()
+        assert jtr[k].tobytes() == (jac.T @ r).tobytes()
+        for trial, cost in zip(trials[:, k], costs[:, k]):
+            r = residual(trial[None], *one_fit, True)
+            assert cost == r @ r
+
+    groups[0][1][1, 4, 2] = np.nan      # fit 1: a NaN target
+    groups[0][1][2] *= 1e200            # fit 2: finite, r . r overflows
+    batch = mappers._lm_batch(mapper_id, groups, False, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = batch.cost(np.arange(len(fits)), params)
+        finite = batch.normal_equations(np.arange(len(fits)), params)[2]
+    assert np.isnan(costs[1]) and costs[2] == np.inf
+    assert np.isfinite(np.delete(costs, (1, 2))).all()
+    assert finite.tolist() == [True, False] + [True] * 4

@@ -154,13 +154,14 @@ def test_settings_validated():
     ("damping", np.nan), ("damping", np.inf), ("damping", "x"),
     ("damping", True), ("damping_down", np.nan), ("step_tol", -np.inf),
     ("grad_tol", None), ("damping_up", 1.0), ("damping_up", 0.5),
+    ("damping_up", 1.0001), ("damping_up", 1.01),
     ("damping_up", np.nan), ("max_iterations", 2.5),
     ("max_iterations", True), ("max_iterations", 0),
 ])
 def test_settings_that_could_hang_or_uncap_a_fit_are_rejected(name, value):
     # a NaN damping never exceeds the maximum and a factor <= 1 never
-    # raises it, so a rejected step would retry forever; a fractional cap
-    # is never reached
+    # raises it, so a rejected step would retry forever; a factor near 1
+    # retries thousands of times; a fractional cap is never reached
     with pytest.raises(ValueError, match=name):
         LMSettings(**{name: value})
 
@@ -252,7 +253,7 @@ def test_solve_lm_takes_the_sequential_steps(settings, x0, most_trials):
 
 def scaled_rosenbrock_group(scales, nan_jacobian=()):
     """A group of Rosenbrock residuals times scales[member], as (count,
-    residual, jacobian) of a ProblemBatch group; the members listed in
+    residual, jacobian) of a batch_of group; the members listed in
     nan_jacobian get a NaN Jacobian."""
     scales = np.asarray(scales, dtype=float)
 
@@ -286,21 +287,41 @@ def linear_group(seeds, m=6):
 
 
 def batch_of(groups):
-    """The ProblemBatch of dim 2 holding `groups`, (count, residual,
-    jacobian) each, whose functions take a group's member indices and
-    their (..., k, 2) parameters."""
-    def call(which):
-        def evaluate(members, params):
-            out, start = [], 0
-            for g, idx in members:
-                out.append(groups[g][which](
-                    idx, params[..., start:start + len(idx), :]))
-                start += len(idx)
-            return out
-        return evaluate
+    """The ProblemBatch of dim 2 holding the problems of `groups`,
+    (count, residual, jacobian) each, numbered group by group; the group
+    functions take a group's member indices and their (..., k, 2)
+    parameters and give (..., k, m) residuals or (k, m, 2) Jacobians."""
+    start = np.cumsum([0] + [g[0] for g in groups])
 
-    return ProblemBatch(dim=2, counts=tuple(g[0] for g in groups),
-                        residual=call(1), jacobian=call(2))
+    def split(rows):
+        """(group, member indices, positions in rows) of each group with
+        problems among the sorted rows."""
+        for g, (a, b) in enumerate(zip(start, start[1:])):
+            at = np.flatnonzero((rows >= a) & (rows < b))
+            if at.size:
+                yield groups[g], rows[at] - a, at
+
+    def cost(rows, params):
+        out = np.empty(params.shape[:-1])
+        for (_, residual, _), idx, at in split(rows):
+            r = residual(idx, params[..., at, :])
+            out[..., at] = np.where(np.isfinite(r).all(axis=-1),
+                                    np.sum(r * r, axis=-1), np.nan)
+        return out
+
+    def normal_equations(rows, params):
+        jtj, jtr = np.empty((len(rows), 2, 2)), np.empty((len(rows), 2))
+        finite = np.empty(len(rows), dtype=bool)
+        for (_, residual, jacobian), idx, at in split(rows):
+            jac = jacobian(idx, params[at])
+            jac_t = np.swapaxes(jac, 1, 2)
+            jtj[at] = jac_t @ jac
+            jtr[at] = (jac_t @ residual(idx, params[at])[..., None])[..., 0]
+            finite[at] = np.isfinite(jac).all(axis=(1, 2))
+        return jtj, jtr, finite
+
+    return ProblemBatch(dim=2, size=int(start[-1]), cost=cost,
+                        normal_equations=normal_equations)
 
 
 def member_problem(group, i):
@@ -331,8 +352,9 @@ def test_stacked_members_take_their_solo_steps():
               np.zeros((3, 2))]
     reports = solve_lm_batch(batch_of(groups), np.concatenate(starts),
                              settings)
-    assert [len(r) for r in reports] == [4, 3]
-    for group, x0, group_reports in zip(groups, starts, reports):
+    assert len(reports) == 7
+    for group, x0, group_reports in zip(groups, starts,
+                                        (reports[:4], reports[4:])):
         for i in range(len(x0)):
             solo = solve_lm(member_problem(group, i), x0[i], settings)
             expected = sequential_lm(member_problem(group, i), x0[i],
@@ -343,16 +365,17 @@ def test_stacked_members_take_their_solo_steps():
 
 
 def test_failing_member_fails_alone():
-    # member 1 overflows its normal equations (singular at any damping),
-    # member 3 has a NaN Jacobian and member 4 a NaN starting residual;
-    # the other group is not affected
+    # member 1 overflows its normal equations (singular at any damping;
+    # its cost overflows to +inf, which is not a bad residual), member 3
+    # has a NaN Jacobian and member 4 a NaN starting residual; the other
+    # group is not affected
     groups = [scaled_rosenbrock_group([1.0, 1e200, 0.5, 1.0, np.nan, 2.0],
                                       nan_jacobian=[3]),
               linear_group([0, 1, 2])]
     starts = [np.array([[-1.2, 1.0]] * 6), np.zeros((3, 2))]
     with np.errstate(over="ignore", invalid="ignore"):
-        reports, linear = solve_lm_batch(batch_of(groups),
-                                         np.concatenate(starts))
+        results = solve_lm_batch(batch_of(groups), np.concatenate(starts))
+    reports, linear = results[:6], results[6:]
     assert isinstance(reports[1], SingularNormalEquations)
     assert isinstance(reports[3], NonFiniteResidual)
     assert isinstance(reports[4], NonFiniteResidual)
