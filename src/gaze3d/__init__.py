@@ -42,7 +42,6 @@ from .eye_simulator import (
     GridSpec,
     NoIntersection,
     PupilNotVisible,
-    RecordViews,
     SampleColumns,
     SimRig,
     SimSample,
@@ -91,7 +90,6 @@ from .mappers import (
     predict_3d_to_3d,
     predict_ray_arrays,
     predict_sample,
-    record_arrays,
     usable_rows,
 )
 from .evaluation import (
@@ -106,7 +104,6 @@ from .evaluation import (
 )
 from .dataset_io import (
     ConfigError,
-    DataRecord,
     ExperimentConfig,
     LoadedDataset,
     ParseError,

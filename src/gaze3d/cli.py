@@ -143,7 +143,7 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _count(groups) -> int:
-    return sum(map(len, groups.columns.values()))
+    return sum(map(len, groups.values()))
 
 
 def cmd_simulate(args) -> int:
@@ -165,7 +165,7 @@ def cmd_fit(args) -> int:
     mapper = cfg.mappers[0]
     loaded = load_dataset(args.dataset, require_calibration=True)
     depths = args.depths or loaded.depths()
-    calibration = loaded.calibration.columns
+    calibration = loaded.calibration
     for depth in depths:
         if depth not in calibration:
             raise CliUsageError(f"depth {depth} has no calibration records")
@@ -194,7 +194,7 @@ def cmd_evaluate(args) -> int:
     loaded = load_dataset(args.dataset)
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
-    tests = loaded.test.columns
+    tests = loaded.test
     depths = (check_depths(args.depths) if args.depths
               else tuple(sorted(tests)))
     if not depths:
@@ -314,11 +314,12 @@ def cmd_selftest(args) -> int:
           and all(r.mean < 0.5 for r in ok_recs))
 
     def column_bits(bundle):     # every column the CLI fits from, as bytes
-        return [(views.role, depth, *(getattr(columns, f).tobytes() for f in (
+        return [(role, depth, *(getattr(columns, f).tobytes() for f in (
                     "pupil_px", "pupil_pose", "target", "target_px",
                     "depth_label", "has_pose", "has_target_px")))
-                for views in (bundle.calibration, bundle.test)
-                for depth, columns in views.columns.items()]
+                for role, groups in (("calibration", bundle.calibration),
+                                     ("test", bundle.test))
+                for depth, columns in groups.items()]
 
     with tempfile.TemporaryDirectory() as tmp:
         a, b = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")

@@ -20,8 +20,7 @@ orjson.loads into six field columns, checks every column at once (entry
 counts, numeric types, finiteness, unit poses, roles, positive depths),
 and groups the rows by (role, depth) with one stable sort, so each
 group keeps file order.  Each group becomes the SampleColumns of a
-DatasetBundle; no record object is built until bundle.calibration or
-bundle.test is indexed.  A line orjson rejects is decoded with
+DatasetBundle.  A line orjson rejects is decoded with
 json.loads, which sets the grammar: both read every number to the same
 float.  Only if a column check fails does it check record by record with
 json, in file order, so the error names the first bad line.
@@ -50,7 +49,6 @@ from .eye_simulator import (
     DEFAULT_DEPTHS,
     DEFAULT_E_GT,
     GRID_PRESETS,
-    DataRecord,  # noqa: F401 - re-exported: the records of a loaded bundle
     DatasetBundle,
     GridSpec,
     NoIntersection,
@@ -409,7 +407,7 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
                   "target_mm": rig.noise_target_mm},
     }
     lines = [_json_line(header)]
-    groups = (bundle.calibration.columns, bundle.test.columns)
+    groups = (bundle.calibration, bundle.test)
     for depth in sorted(set().union(*groups)):
         for role, columns in zip(_ROLES, (g.get(depth) for g in groups)):
             if columns is not None:

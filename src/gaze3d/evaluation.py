@@ -10,11 +10,11 @@ origin for real recordings (where the two coincide by assumption; for a
 ray through the scene origin this equals the plain angle between the
 back-projected direction and the target direction).
 
-evaluate scores a whole test set, a list of records or a SampleColumns
-group, with array operations: one predict_ray_arrays call for its rays,
-then the batched plane intersection and angle.  angular_error is the
-same metric for one estimate, kept as the scalar reference the batched
-path is tested against.
+evaluate scores the usable rows of a SampleColumns group with array
+operations: one predict_ray_arrays call for their rays, then the batched
+plane intersection and angle.  angular_error is the same metric for one
+estimate, kept as the scalar reference the batched path is tested
+against.
 
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
@@ -55,7 +55,6 @@ from .mappers import (
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,
-    _sample_arrays,
     column_arrays,
     fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
@@ -95,20 +94,19 @@ class ErrorRecord:
         return 0 if self.errors is None else len(self.errors)
 
 
-def evaluate(mapper_id, model, samples, reference,
+def evaluate(mapper_id, model, samples: SampleColumns, reference,
              scene_cam: PinholeCamera, calib_subset=(),
              test_depth=None) -> ErrorRecord:
-    """Evaluate a fitted model on a test set, a list of records holding
-    its input field (record_arrays; a record without it raises
-    ValueError) or the usable rows of a SampleColumns group
-    (column_arrays); mean and population std.
+    """Evaluate a fitted model on the usable rows of a SampleColumns test
+    group (column_arrays), which must hold at least one; mean and
+    population std.
 
     Scores every target at once: one predict_ray_arrays call, then each
     predicted ray meets its own target's plane z = target[2], and the
     error is the angle at `reference`, as in angular_error.  Raises the
     GeometryError of the first target that cannot be projected.
     """
-    inputs, targets = _sample_arrays(mapper_id, samples, fitting=False)
+    inputs, targets = column_arrays(mapper_id, samples, fitting=False)
     if not len(inputs):
         raise ValueError("empty test set")
     [scores] = _row_scores(_target_errors(
@@ -140,11 +138,12 @@ def _row_scores(errors):
             for row, mean, std in zip(errors, means, stds)]
 
 
-def _score_fits(mapper_id, subsets, models, tests, reference,
+def _score_fits(mapper_id, subsets, models, depths, tests, reference,
                 scene_cam) -> list:
     """ErrorRecords of every fit of one mapper (a model, or the exception
-    its fit raised) at each depth of `tests` (depth -> scoring arrays of
-    column_arrays), in subset then depth order.
+    its fit raised) at each of `depths`, in subset then depth order;
+    `tests` maps each depth holding a test group to its scoring arrays
+    (column_arrays), and a depth without usable test samples fails.
 
     All ok fits are scored at every depth with test samples in one pass:
     one prediction, one plane intersection and one angle call, then the
@@ -181,7 +180,7 @@ def _score_fits(mapper_id, subsets, models, tests, reference,
                         test_depth=d, **scores[i, d]) if (i, d) in scores
             else ErrorRecord(mapper=mapper_id, calib_subset=subset,
                              test_depth=d, status="failed")
-            for i, subset in enumerate(subsets) for d in tests]
+            for i, subset in enumerate(subsets) for d in depths]
 
 
 @dataclass(frozen=True)
@@ -229,24 +228,22 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     reference = bundle.rig.e_gt
     scene_cam = bundle.rig.scene_camera
 
-    calibration, test = bundle.calibration.columns, bundle.test.columns
-    no_tests = SampleColumns.from_records(())
+    calibration, test = bundle.calibration, bundle.test
     records = []
     for mapper in mappers:
         # each depth's usable rows, as arrays: samples a mapper cannot
         # use are dropped, as the CLI does; a depth left with no test
         # samples fails
         fits = {d: column_arrays(mapper, calibration[d]) for d in depths}
-        tests = {d: column_arrays(mapper, test.get(d, no_tests),
-                                  fitting=False)
-                 for d in depths}
+        tests = {d: column_arrays(mapper, test[d], fitting=False)
+                 for d in depths if d in test}
         subsets = [subset for k in k_range
                    for subset in itertools.combinations(depths, k)]
         models = fit_arrays(mapper, [
             tuple(map(np.concatenate, zip(*(fits[d] for d in subset))))
             for subset in subsets], config)
-        records += _score_fits(mapper, subsets, models, tests, reference,
-                               scene_cam)
+        records += _score_fits(mapper, subsets, models, depths, tests,
+                               reference, scene_cam)
     return SweepResult(records=tuple(records))
 
 

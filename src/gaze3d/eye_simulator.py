@@ -12,15 +12,13 @@ position) are synthesized, optionally with seeded Gaussian noise.
 synthesize_sample simulates one fixation and is the oracle for
 synthesize_dataset, which computes each grid as arrays while every
 sample keeps its own seeded generator, giving the same bits.  A
-DatasetBundle stores each (role, depth) group as one SampleColumns and
-builds the group's records only when they are asked for.
+DatasetBundle stores each (role, depth) group as one SampleColumns.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -366,19 +364,7 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
                      role=role, gaze=gaze)
 
 
-@dataclass(frozen=True)
-class DataRecord:
-    """One loaded observation (same measured channels as SimSample)."""
-
-    pupil_px: np.ndarray
-    pupil_pose: np.ndarray
-    target: np.ndarray
-    target_px: np.ndarray
-    depth_label: float
-    role: str
-
-
-# the vector fields of a record and their widths; the optional ones
+# the vector fields of a sample and their widths; the optional ones
 # with the SampleColumns mask of the rows holding them
 _WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
 _PRESENCE = {"pupil_pose": "has_pose", "target_px": "has_target_px"}
@@ -387,7 +373,8 @@ _PRESENCE = {"pupil_pose": "has_pose", "target_px": "has_target_px"}
 @dataclass(frozen=True)
 class SampleColumns:
     """The samples of one (role, depth) group as arrays, one row per
-    sample, in order.
+    sample, in order: the one sample container of datasets, fits and
+    scoring.
 
     pupil_px (N, 2), pupil_pose (N, 3), target (N, 3) and target_px
     (N, 2) hold the channels, depth_label (N,) each sample's depth label.
@@ -416,32 +403,6 @@ class SampleColumns:
                 else getattr(self, mask))
 
     @classmethod
-    def from_records(cls, records):
-        """The columns of a sequence of records (SimSample or DataRecord),
-        without gaze.  Only pupil_pose and target_px may be None."""
-        records = list(records)
-        columns = {}
-        for name, width in _WIDTHS.items():
-            values = [getattr(r, name) for r in records]
-            present = np.array([v is not None for v in values], dtype=bool)
-            if name not in _PRESENCE and not present.all():
-                raise ValueError(f"record {int(np.argmin(present))} has no "
-                                 f"{name}")
-            rows = np.full((len(values), width), np.nan)
-            if present.any():
-                given = np.asarray([v for v in values if v is not None],
-                                   dtype=float)
-                if given.shape != (len(given), width):
-                    raise ValueError(f"every {name} must have {width} "
-                                     "entries")
-                rows[present] = given
-            columns[name] = rows
-            if name in _PRESENCE:
-                columns[_PRESENCE[name]] = present
-        return cls(depth_label=np.array([float(r.depth_label)
-                                         for r in records]), **columns)
-
-    @classmethod
     def concatenate(cls, groups):
         """The rows of each of `groups` in turn, as one SampleColumns
         without gaze."""
@@ -449,88 +410,33 @@ class SampleColumns:
                                               for g in groups])
                       for f in fields(cls) if f.name != "gaze"})
 
-    def records(self, role, origin=None):
-        """The samples as records holding row views of the columns:
-        SimSamples, with their ground-truth gaze rays from `origin`, where
-        gaze is held, DataRecords otherwise."""
-        columns = (self.pupil_px,
-                   [p if has else None for p, has
-                    in zip(self.pupil_pose, self.has_pose.tolist())],
-                   self.target,
-                   [p if has else None for p, has
-                    in zip(self.target_px, self.has_target_px.tolist())],
-                   self.depth_label.tolist(), [role] * len(self))
-        if self.gaze is None:
-            return list(map(DataRecord, *columns))
-        return list(map(SimSample, *columns,
-                        [Ray(origin.copy(), d) for d in self.gaze]))
-
-
-class RecordViews(Mapping):
-    """The groups of one role: depth -> list of records, each list built
-    from the group's SampleColumns on first access and kept.  `columns`
-    maps each depth to its SampleColumns, which the batch paths read."""
-
-    def __init__(self, role, columns, origin=None, records=None):
-        self.role = role
-        self.columns = columns
-        self._origin = origin           # of the gaze rays of SimSamples
-        self._records = records or {}
-
-    def __getitem__(self, depth):
-        records = self._records.get(depth)
-        if records is None:
-            records = self._records[depth] = self.columns[depth].records(
-                self.role, self._origin)
-        return records
-
-    def __contains__(self, depth):
-        return depth in self.columns
-
-    def __iter__(self):
-        return iter(self.columns)
-
-    def __len__(self):
-        return len(self.columns)
-
 
 @dataclass(frozen=True)
 class DatasetBundle:
     """Calibration and test samples grouped by depth label, plus the rig
     and eye that produced them.
 
-    Each (role, depth) group is stored as one SampleColumns, which the
-    fits, the sweep, the CLI and save_dataset read.  `calibration` and
-    `test` are RecordViews: mappings from depth to a list of records,
-    built on first access, for the one-sample API.  A bundle may be made
-    from mappings of depth to SampleColumns or to lists of records (as
-    dataclasses.replace does with a new `test`); a list of records is
-    stacked into columns once and kept as that group's records.  Editing
-    a returned list does not change the columns: to change a group, make
-    a new bundle with dataclasses.replace.
+    `calibration` and `test` are dicts from depth to the SampleColumns of
+    that (role, depth) group, which the fits, the sweep, the CLI and
+    save_dataset read.  A group that is not a SampleColumns raises
+    TypeError naming its role and depth.  To change a group, make a new
+    bundle with dataclasses.replace.
     """
 
-    calibration: Mapping
-    test: Mapping
+    calibration: dict
+    test: dict
     rig: SimRig
     eye: TwoSphereEye
 
     def __post_init__(self):
         for role in ("calibration", "test"):
-            groups = getattr(self, role)
-            if isinstance(groups, RecordViews):
-                if groups.role == role:
-                    continue
-                columns, records = groups.columns, {}
-            else:
-                columns, records = {}, {}
-                for depth, group in groups.items():
-                    if not isinstance(group, SampleColumns):
-                        records[depth] = list(group)
-                        group = SampleColumns.from_records(records[depth])
-                    columns[depth] = group
-            object.__setattr__(self, role, RecordViews(
-                role, columns, self.rig.e_gt, records))
+            groups = dict(getattr(self, role))
+            for depth, group in groups.items():
+                if not isinstance(group, SampleColumns):
+                    raise TypeError(f"{role} group at depth {depth} is not "
+                                    f"a SampleColumns: "
+                                    f"{type(group).__name__}")
+            object.__setattr__(self, role, groups)
 
     def depths(self):
         return tuple(sorted(self.calibration))
@@ -611,9 +517,7 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     (N, 3), target_px (N, 2), depth labels and the ground-truth gaze
     directions (N, 3).  The samples are those synthesize_sample gives for
     each point with its own generator, bit for bit, and synthesize_sample
-    is the oracle the tests hold it to.  Records (SimSamples holding row
-    views of the columns) are built only when bundle.calibration or
-    bundle.test is indexed.
+    is the oracle the tests hold it to.
     """
     if not depths:
         raise ValueError("depths must be nonempty")

@@ -28,17 +28,13 @@ flat along the depth axis of e, and the bound keeps that unobservable
 direction from drifting to implausible solutions.  Both choices are
 configurable.
 
-Records and columns: MAPPER_FIELDS names the field of a record each
-mapper reads and the field it fits that to.  pupil_pose and target_px
-may be missing, so a mapper uses the samples holding both fields for
-fitting and those holding the first for scoring.  On a DatasetBundle's
-SampleColumns that rule is a mask (usable_rows) and column_arrays takes
-the masked rows; on a list of records select_records keeps them and
-record_arrays stacks them, naming the first record that lacks a field.
-Both give the arrays that fit_arrays (the one fit path) and
-predict_ray_arrays (the one prediction path) take; fit_mapper and
-evaluation.evaluate accept either form of set and choose between the two
-in one place (_sample_arrays).
+Samples: MAPPER_FIELDS names the field each mapper reads and the field
+it fits that to.  pupil_pose and target_px may be missing, so a mapper
+uses the samples holding both fields for fitting and those holding the
+first for scoring.  On a SampleColumns group that rule is a mask
+(usable_rows), and column_arrays takes the masked rows as the arrays
+that fit_arrays (the one fit path) and predict_ray_arrays (the one
+prediction path) take.
 
 LM fits: fit_arrays solves the 2d3d or 3d3d sets of a call in one
 solve_lm_batch; its ProblemBatch (_lm_batch) is the one place that
@@ -417,60 +413,30 @@ def _fields(mapper_id):
     return MAPPER_FIELDS[mapper_id]
 
 
-def _needed(mapper_id, fitting):
-    """The fields a sample must hold for `mapper_id` to fit it, or to
-    score it (fitting=False)."""
-    return _fields(mapper_id)[:2 if fitting else 1]
-
-
-def _array_fields(mapper_id, fitting):
-    """The input field of `mapper_id` and the field it fits to, or the
-    scene target it is scored against (fitting=False)."""
-    source, target = _fields(mapper_id)
-    return source, target if fitting else "target"
-
-
-def select_records(mapper_id: str, records, fitting=True) -> list:
-    """The records `mapper_id` can use, in order: those holding both its
-    fields for fitting, or its input field for scoring (fitting=False)."""
-    fields = _needed(mapper_id, fitting)
-    return [r for r in records
-            if all(getattr(r, f) is not None for f in fields)]
-
-
 def usable_rows(mapper_id: str, columns: SampleColumns,
                 fitting=True) -> np.ndarray:
-    """The mask of the rows of `columns` that select_records keeps of
-    the same samples as records."""
+    """The mask of the rows of `columns` holding both fields of
+    `mapper_id` for fitting, or its input field for scoring
+    (fitting=False)."""
+    if not isinstance(columns, SampleColumns):
+        raise TypeError(f"samples must be a SampleColumns, got "
+                        f"{type(columns).__name__}")
     mask = np.ones(len(columns), dtype=bool)
-    for f in _needed(mapper_id, fitting):
+    for f in _fields(mapper_id)[:2 if fitting else 1]:
         mask &= columns.present(f)
     return mask
 
 
-def record_arrays(mapper_id: str, records, fitting=True) -> tuple:
-    """The arrays `mapper_id` fits from `records`, or scores them with
-    (fitting=False): (N, n) arrays of its input field and of the field it
-    fits to, or of the scene targets.  A record lacking either raises
-    ValueError (see select_records)."""
-    fields = _array_fields(mapper_id, fitting)
-    use = "fitting" if fitting else "prediction"
-    for f in fields:
-        missing = [i for i, r in enumerate(records) if getattr(r, f) is None]
-        if missing:
-            raise ValueError(f"record {missing[0]} has no {f}, which "
-                             f"{mapper_id} {use} needs")
-    return tuple(_rows([getattr(r, f) for r in records], _WIDTHS[f])
-                 for f in fields)
-
-
 def column_arrays(mapper_id: str, columns: SampleColumns,
                   fitting=True) -> tuple:
-    """The arrays of record_arrays, taken from the usable rows of one
-    SampleColumns group (see usable_rows) with a mask, as new arrays."""
+    """The arrays `mapper_id` fits from the usable rows of one
+    SampleColumns group (see usable_rows), or scores them with
+    (fitting=False): (N, n) arrays of its input field and of the field it
+    fits to, or of the scene targets, as new arrays."""
     keep = usable_rows(mapper_id, columns, fitting)
+    source, target = _fields(mapper_id)
     return tuple(getattr(columns, f)[keep]
-                 for f in _array_fields(mapper_id, fitting))
+                 for f in (source, target if fitting else "target"))
 
 
 def _one_fit(results):
@@ -481,26 +447,18 @@ def _one_fit(results):
     return result
 
 
-def _sample_arrays(mapper_id: str, samples, fitting=True) -> tuple:
-    """The arrays of a list of records (record_arrays) or of the usable
-    rows of a SampleColumns group (column_arrays)."""
-    if isinstance(samples, SampleColumns):
-        return column_arrays(mapper_id, samples, fitting)
-    return record_arrays(mapper_id, samples, fitting)
-
-
-def fit_mapper(mapper_id: str, samples, config: MappingConfig = MappingConfig()):
-    """Fit one mapper from records holding its fields (see select_records)
-    or from the usable rows of a SampleColumns group: fit_arrays on one
-    set, with its fit error raised."""
-    return _one_fit(fit_arrays(mapper_id, [_sample_arrays(mapper_id, samples)],
+def fit_mapper(mapper_id: str, samples: SampleColumns,
+               config: MappingConfig = MappingConfig()):
+    """Fit one mapper from the usable rows of a SampleColumns group (see
+    usable_rows): fit_arrays on one set, with its fit error raised."""
+    return _one_fit(fit_arrays(mapper_id, [column_arrays(mapper_id, samples)],
                                config))
 
 
 def fit_arrays(mapper_id: str, array_sets,
                config: MappingConfig = MappingConfig()) -> list:
     """Fit one mapper on each of `array_sets`, (inputs, targets) pairs of
-    (N, n) arrays of its two fields (see record_arrays): per set, its
+    (N, n) arrays of its two fields (see column_arrays): per set, its
     model or the FIT_ERRORS exception its fit failed with; a set holding a
     NaN or infinity fails with NonFiniteResidual.  A set whose arrays
     have other shapes raises ValueError.
@@ -556,7 +514,9 @@ def _input_field(model):
 
 
 def predict_sample(model, sample) -> GazeEstimate:
-    """Predict a gaze estimate for one record, dispatching on model type."""
+    """Predict a gaze estimate for one sample (a SimSample, or any object
+    holding the model's input field), dispatching on model type: the
+    scalar oracle of predict_ray_arrays."""
     value = getattr(sample, _input_field(model))
     if isinstance(model, Model2Dto2D):
         return predict_2d_to_2d(model, value)

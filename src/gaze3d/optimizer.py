@@ -149,19 +149,22 @@ class ProblemBatch(_Box):
     wrap_mask: np.ndarray = None
 
 
-# the damping stays in [_MIN_DAMPING, _MAX_DAMPING]; damping_up must
-# climb that range in at most _MAX_DAMPING_CLIMB rejected steps
+# the damping stays in [_MIN_DAMPING, _MAX_DAMPING]; damping_up and
+# damping_down must cross that range in at most _MAX_DAMPING_CLIMB steps
 _MIN_DAMPING, _MAX_DAMPING, _MAX_DAMPING_CLIMB = 1e-15, 1e12, 150
-_MIN_DAMPING_UP = (_MAX_DAMPING / _MIN_DAMPING) ** (1.0 / _MAX_DAMPING_CLIMB)
+_MIN_DAMPING_FACTOR = ((_MAX_DAMPING / _MIN_DAMPING)
+                       ** (1.0 / _MAX_DAMPING_CLIMB))
 
 
 @dataclass(frozen=True)
 class LMSettings:
     """Damping, iteration cap and tolerances of an LM solve.  Every value
     is a finite number > 0 and max_iterations is an integer.  damping_up
-    is at least (1e12 / 1e-15) ** (1 / 150) ~= 1.5136: 150 rejected steps
-    then take the damping from its floor to its maximum, where a factor
-    near 1 would retry thousands of times (at 1, forever)."""
+    and damping_down are at least (1e12 / 1e-15) ** (1 / 150) ~= 1.5136:
+    150 rejected steps then take the damping from its floor to its
+    maximum, where a factor near 1 would retry thousands of times (at 1,
+    forever), and 150 accepted steps take it back down, where a factor
+    near 1 leaves the damping high and the fit crawling to its cap."""
 
     damping: float = 1e-3
     damping_up: float = 10.0
@@ -178,9 +181,11 @@ class LMSettings:
                     or not math.isfinite(value) or value <= 0):
                 raise ValueError(f"{f.name} must be a finite number > 0, "
                                  f"got {value!r}")
-        if self.damping_up < _MIN_DAMPING_UP:
-            raise ValueError(f"damping_up must be >= {_MIN_DAMPING_UP:.6g}, "
-                             f"got {self.damping_up!r}")
+        for name in ("damping_up", "damping_down"):
+            if getattr(self, name) < _MIN_DAMPING_FACTOR:
+                raise ValueError(f"{name} must be >= "
+                                 f"{_MIN_DAMPING_FACTOR:.6g}, "
+                                 f"got {getattr(self, name)!r}")
         if not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError(f"max_iterations must be an integer, got "
                              f"{self.max_iterations!r}")

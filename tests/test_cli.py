@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gaze3d import cli
+from gaze3d import cli, evaluation, eye_simulator, mappers
 from gaze3d.dataset_io import load_dataset, save_model
 from gaze3d.evaluation import depth_combination_sweep
-from gaze3d.eye_simulator import SampleColumns
 from gaze3d.mappers import MAPPER_IDS, Model2Dto3D
 
 
@@ -190,11 +189,15 @@ def test_evaluate_rejects_a_dataset_with_a_non_finite_e_gt(dataset, tmp_path,
 
 
 def test_round_trip_builds_no_records(tmp_path, capsys, monkeypatch):
-    """simulate, fit and evaluate read the bundles' columns: no group's
-    records are built on the way."""
+    """simulate, fit and evaluate read the bundles' columns: none of the
+    one-sample oracles runs on the way."""
     def refuse(*args, **kwargs):
-        raise AssertionError("records built")
-    monkeypatch.setattr(SampleColumns, "records", refuse)
+        raise AssertionError("a one-sample path ran")
+    for module, name in ((eye_simulator, "synthesize_sample"),
+                         (mappers, "predict_sample"),
+                         (evaluation, "predict_sample"),
+                         (evaluation, "angular_error")):
+        monkeypatch.setattr(module, name, refuse)
     data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
     for argv in (("simulate", "--depths", "1.0,1.5", "--out", data),
                  ("fit", data, "--mappers", "2d3d", "--out", model),
@@ -393,7 +396,7 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lm", [{"damping": float("nan")},
-                                {"damping_up": 1.0}])
+                                {"damping_up": 1.0}, {"damping_down": 1.0}])
 def test_lm_settings_that_would_hang_a_fit_fail_before_it(lm, tmp_path,
                                                           capsys):
     cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 import gaze3d
 from gaze3d.dataset_io import (
     ConfigError,
-    DataRecord,
     ExperimentConfig,
     ParseError,
     SCHEMA_VERSION,
@@ -40,6 +40,7 @@ from gaze3d.eye_simulator import (
     synthesize_dataset,
 )
 from gaze3d.mappers import Model3Dto3D, fit_mapper, predict_sample
+from helpers import pooled, rows, stack, take
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +82,11 @@ def test_roundtrip_is_lossless(bundle, dataset_path):
         for group in ("calibration", "test"):
             originals = getattr(bundle, group)[depth]
             restored = getattr(loaded, group)[depth]
-            assert len(originals) == len(restored)
-            for o, r in zip(originals, restored):
-                assert np.array_equal(o.pupil_px, r.pupil_px)
-                assert np.array_equal(o.pupil_pose, r.pupil_pose)
-                assert np.array_equal(o.target, r.target)
-                assert np.array_equal(o.target_px, r.target_px)
-                assert o.depth_label == r.depth_label and o.role == r.role
+            assert restored.gaze is None
+            for f in fields(SampleColumns):
+                if f.name != "gaze":
+                    assert (getattr(originals, f.name).tobytes()
+                            == getattr(restored, f.name).tobytes())
     # the reconstructed rig carries the original cameras
     assert np.array_equal(loaded.bundle.rig.e_gt, bundle.rig.e_gt)
     assert np.array_equal(loaded.bundle.rig.eye_camera.rotation,
@@ -103,10 +102,10 @@ def test_resave_of_loaded_dataset_is_byte_identical(dataset_path, tmp_path):
 
 def test_loaded_dataset_feeds_fits_without_warnings(dataset_path):
     loaded = load_dataset(dataset_path)
-    samples = [s for d in loaded.depths() for s in loaded.calibration[d]]
+    samples = pooled(loaded.calibration, loaded.depths())
     for mapper in ("2d2d", "2d3d", "3d3d"):
         model = fit_mapper(mapper, samples)
-        predict_sample(model, loaded.test[1.0][0])
+        predict_sample(model, rows(loaded.test[1.0])[0])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -119,9 +118,11 @@ def test_loaded_dataset_feeds_fits_without_warnings(dataset_path):
 def test_save_rejects_non_finite_values_and_writes_nothing(bundle, tmp_path,
                                                            field, value):
     # it used to write NaN or Infinity, which load_dataset rejects
-    samples = list(bundle.calibration[1.5])
-    samples[2] = replace(samples[2], **{field: value})
-    bad = replace(bundle, calibration={**bundle.calibration, 1.5: samples})
+    samples = bundle.calibration[1.5]
+    values = getattr(samples, field).copy()
+    values[2] = value
+    bad = replace(bundle, calibration={
+        **bundle.calibration, 1.5: replace(samples, **{field: values})})
     path = tmp_path / "bad.jsonl"
     with pytest.raises(ValueError) as err:
         save_dataset(bad, path)
@@ -188,8 +189,8 @@ def test_loader_reads_every_number_as_json_does(header_line, tmp_path_factory,
             '"target_scene_m":[%s,%s,%s]}' % (depth, *pose, *numbers))
     path = tmp_path_factory.getbasetemp() / "numbers.jsonl"
     path.write_text(header_line + "\n" + line + "\n")
-    [records] = load_dataset(path).calibration.values()
-    [record] = records
+    [columns] = load_dataset(path).calibration.values()
+    [record] = rows(columns)
     assert _bits([record.depth_label]) == _bits([depth])
     assert _bits(record.pupil_pose) == _bits(pose)
     assert _bits(record.pupil_px) == _bits(numbers[:2])
@@ -213,19 +214,22 @@ _RECORDS = st.lists(st.fixed_dictionaries({
 
 def _oracle_bundle(lines, rig, eye):
     """The records of `lines` decoded one by one with json.loads, grouped
-    by role and depth in file order: a record-list DatasetBundle."""
+    by role and depth in file order and stacked into columns."""
     groups = {"calibration": {}, "test": {}}
     for line in lines:
         r = json.loads(line)
         groups[r["role"]].setdefault(float(r["depth_label"]), []).append(
-            DataRecord(pupil_px=np.array(r["pupil_px"], dtype=float),
-                       pupil_pose=None if r.get("pupil_pose") is None
-                       else np.array(r["pupil_pose"], dtype=float),
-                       target=np.array(r["target_scene_m"], dtype=float),
-                       target_px=None if r.get("target_px") is None
-                       else np.array(r["target_px"], dtype=float),
-                       depth_label=float(r["depth_label"]), role=r["role"]))
-    return DatasetBundle(rig=rig, eye=eye, **groups)
+            SimpleNamespace(
+                pupil_px=np.array(r["pupil_px"], dtype=float),
+                pupil_pose=None if r.get("pupil_pose") is None
+                else np.array(r["pupil_pose"], dtype=float),
+                target=np.array(r["target_scene_m"], dtype=float),
+                target_px=None if r.get("target_px") is None
+                else np.array(r["target_px"], dtype=float),
+                depth_label=float(r["depth_label"])))
+    return DatasetBundle(rig=rig, eye=eye, **{
+        role: {depth: stack(samples) for depth, samples in group.items()}
+        for role, group in groups.items()})
 
 
 def _field_bits(value):
@@ -238,8 +242,8 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
         header_line, tmp_path_factory, records, sort_keys, leave_out_nulls):
     """Roles and depths interleaved and out of order, some poses and
     scene pixels null (or their keys left out): each (role, depth) group's
-    columns and records equal json.loads line by line, in file order, bit
-    for bit, and saving either bundle writes the same bytes."""
+    columns equal json.loads line by line, in file order, bit for bit,
+    and saving either bundle writes the same bytes."""
     if leave_out_nulls:
         records = [{k: v for k, v in r.items() if v is not None}
                    for r in records]
@@ -253,19 +257,12 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
                                       for r in records)
     for role in ("calibration", "test"):
         got, want = getattr(loaded.bundle, role), getattr(oracle, role)
-        assert list(got.columns) == list(want.columns)
-        for depth, columns in got.columns.items():
+        assert list(got) == list(want)
+        for depth, columns in got.items():
             assert type(depth) is float
             for f in fields(SampleColumns):
                 assert (_field_bits(getattr(columns, f.name))
-                        == _field_bits(getattr(want.columns[depth], f.name)))
-            for a, b in zip(got[depth], want[depth], strict=True):
-                assert type(a) is DataRecord
-                assert a.role == b.role == role
-                assert _bits([a.depth_label]) == _bits([b.depth_label])
-                for name in ("pupil_px", "pupil_pose", "target", "target_px"):
-                    assert (_field_bits(getattr(a, name))
-                            == _field_bits(getattr(b, name)))
+                        == _field_bits(getattr(want[depth], f.name)))
     saved, expected = (tmp_path_factory.getbasetemp() / name
                        for name in ("saved.jsonl", "expected.jsonl"))
     save_dataset(loaded.bundle, saved)
@@ -278,7 +275,8 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
 
 def test_save_writes_no_line_for_an_empty_group(bundle, tmp_path):
     path = tmp_path / "data.jsonl"
-    save_dataset(replace(bundle, test={1.0: [], 1.5: bundle.test[1.5]}), path)
+    save_dataset(replace(bundle, test={1.0: take(bundle.test[1.0], slice(0)),
+                                       1.5: bundle.test[1.5]}), path)
     loaded = load_dataset(path)
     assert list(loaded.test) == [1.5]
     assert loaded.n_records == 2 * 25 + 16
@@ -319,7 +317,7 @@ def test_lines_orjson_rejects_or_pads_load_as_json_reads_them(dataset_path,
     rewrite_line(dataset_path, 3, edit)
     line = dataset_path.read_text().splitlines()[2]
     expected = json.loads(line)       # json keeps the last duplicate key
-    record = load_dataset(dataset_path).calibration[1.0][1]
+    record = rows(load_dataset(dataset_path).calibration[1.0])[1]
     assert _bits(record.pupil_px) == _bits(expected["pupil_px"])
     assert _bits(record.pupil_pose) == _bits(expected["pupil_pose"])
     assert _bits(record.target) == _bits(expected["target_scene_m"])
@@ -616,10 +614,10 @@ def test_mixed_null_channels_load_as_none(bundle, dataset_path):
     loaded = load_dataset(dataset_path)
     originals = [s for d in bundle.depths()
                  for group in (bundle.calibration, bundle.test)
-                 for s in group[d]]
+                 for s in rows(group[d])]
     restored = [r for d in loaded.depths()
                 for group in (loaded.calibration, loaded.test)
-                for r in group[d]]
+                for r in rows(group[d])]
     assert loaded.n_records == len(restored) == len(originals) == n
     assert loaded.missing_pose == len(range(0, n, 3)) + 1
     for i, (o, r) in enumerate(zip(originals, restored)):
@@ -663,14 +661,14 @@ def test_noisy_mixed_channel_resave_is_byte_identical(tmp_path):
 # ── model round trip ─────────────────────────────────────────────────────
 
 def test_model_roundtrip_all_mappers(bundle, tmp_path):
-    samples = bundle.calibration[1.0] + bundle.calibration[1.5]
+    samples = pooled(bundle.calibration, (1.0, 1.5))
     for mapper in ("2d2d", "2d3d", "3d3d"):
         model = fit_mapper(mapper, samples)
         path = tmp_path / f"{mapper}.json"
         save_model(model, path)
         restored = load_model(path)
         assert restored.mapper_id == mapper
-        probe = bundle.test[1.0][0]
+        probe = rows(bundle.test[1.0])[0]
         a, b = predict_sample(model, probe), predict_sample(restored, probe)
         if a.point is not None:
             assert np.array_equal(a.point, b.point)
@@ -721,8 +719,8 @@ def test_model_file_format_is_fixed(tmp_path):
 def test_model_arrays_are_checked(bundle, tmp_path, mapper, key, value,
                                   message):
     path = tmp_path / "m.json"
-    save_model(fit_mapper(mapper, bundle.calibration[1.0]
-                          + bundle.calibration[1.5]), path)
+    save_model(fit_mapper(mapper, pooled(bundle.calibration, (1.0, 1.5))),
+               path)
     doc = json.loads(path.read_text())
     if value is None:
         del doc[key]
@@ -872,6 +870,9 @@ def test_config_rejects_non_finite_and_mistyped_values(key, value):
     ({"max_iterations": 2.5}, "max_iterations"),
     ({"damping_up": 1.0001}, "damping_up"),
     ({"damping_up": 1.01}, "damping_up"),
+    ({"damping_down": 1.0}, "damping_down"),
+    ({"damping_down": 0.5}, "damping_down"),
+    ({"damping_down": 1.01}, "damping_down"),
 ])
 def test_config_builds_its_lm_settings_at_load(lm, name):
     with pytest.raises(ConfigError, match=f"lm settings: {name}"):

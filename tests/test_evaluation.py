@@ -6,14 +6,17 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaze3d.dataset_io import DataRecord, load_dataset, save_dataset
+from gaze3d.dataset_io import load_dataset, save_dataset
 from gaze3d.eye_simulator import (
+    GRID_PRESETS,
     DatasetBundle,
+    PupilNotVisible,
     SampleColumns,
     SimRig,
+    TargetNotVisible,
     TwoSphereEye,
     default_bundle,
     synthesize_dataset,
@@ -44,12 +47,13 @@ from gaze3d.mappers import (
     MappingConfig,
     Model2Dto3D,
     Model3Dto3D,
+    column_arrays,
     fit_arrays,
     fit_mapper,
     predict_sample,
-    record_arrays,
-    select_records,
+    usable_rows,
 )
+from helpers import pooled, rows, take, without
 
 
 SCENE_CAM = SimRig().scene_camera
@@ -106,13 +110,16 @@ def test_error_measures_direction_not_distance():
 
 # ── evaluate ─────────────────────────────────────────────────────────────
 
-def pose_record(angle_deg, target=(0.0, 0.0, 2.0)):
-    # pupil pose tilted by angle_deg from the target direction
-    a = np.radians(angle_deg)
-    pose = np.array([np.sin(a), 0.0, np.cos(a)])
-    return DataRecord(pupil_px=np.zeros(2), pupil_pose=pose,
-                      target=np.asarray(target, dtype=float),
-                      target_px=None, depth_label=target[2], role="test")
+def pose_records(*angles_deg, target=(0.0, 0.0, 2.0)):
+    # pupil poses tilted by angles_deg from the target direction
+    a = np.radians(angles_deg)
+    n = len(a)
+    return SampleColumns(
+        pupil_px=np.zeros((n, 2)),
+        pupil_pose=np.stack((np.sin(a), np.zeros(n), np.cos(a)), axis=1),
+        target=np.tile(np.asarray(target, dtype=float), (n, 1)),
+        target_px=np.full((n, 2), np.nan), depth_label=np.full(n, target[2]),
+        has_pose=np.ones(n, dtype=bool), has_target_px=np.zeros(n, dtype=bool))
 
 
 def identity_model():
@@ -120,8 +127,7 @@ def identity_model():
 
 
 def test_evaluate_known_errors():
-    rec = evaluate("3d3d", identity_model(),
-                   [pose_record(1.0), pose_record(3.0)],
+    rec = evaluate("3d3d", identity_model(), pose_records(1.0, 3.0),
                    reference=np.zeros(3), scene_cam=SCENE_CAM,
                    calib_subset=(1.0,), test_depth=2.0)
     assert np.allclose(rec.errors, [1.0, 3.0], atol=1e-9)
@@ -131,34 +137,42 @@ def test_evaluate_known_errors():
 
 
 def test_evaluate_single_sample_std_zero():
-    rec = evaluate("3d3d", identity_model(), [pose_record(2.0)],
+    rec = evaluate("3d3d", identity_model(), pose_records(2.0),
                    np.zeros(3), SCENE_CAM)
     assert rec.std == 0.0
 
 
 def test_evaluate_order_invariant():
-    samples = [pose_record(a) for a in (0.5, 1.5, 2.5, 3.5)]
+    samples = pose_records(0.5, 1.5, 2.5, 3.5)
     a = evaluate("3d3d", identity_model(), samples, np.zeros(3), SCENE_CAM)
-    b = evaluate("3d3d", identity_model(), samples[::-1], np.zeros(3),
-                 SCENE_CAM)
+    reverse = take(samples, slice(None, None, -1))
+    b = evaluate("3d3d", identity_model(), reverse, np.zeros(3), SCENE_CAM)
     assert np.isclose(a.mean, b.mean) and np.isclose(a.std, b.std)
 
 
 def test_evaluate_empty_set_rejected():
     with pytest.raises(ValueError):
-        evaluate("3d3d", identity_model(), [], np.zeros(3), SCENE_CAM)
+        evaluate("3d3d", identity_model(), pose_records(), np.zeros(3),
+                 SCENE_CAM)
 
 
 def test_evaluate_needs_poses_for_3d3d():
+    """3d3d scores only the samples holding a pose, and a set with none
+    is empty."""
     bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, 2.0))
-    samples = bundle.calibration[1.0] + bundle.calibration[2.0]
+    samples = pooled(bundle.calibration, (1.0, 2.0))
     model = fit_mapper("3d3d", samples)
-    s = samples[2]
-    poseless = DataRecord(pupil_px=s.pupil_px, pupil_pose=None,
-                          target=s.target, target_px=s.target_px,
-                          depth_label=s.depth_label, role=s.role)
-    with pytest.raises(ValueError, match="record 2"):
-        evaluate("3d3d", model, samples[:2] + [poseless], bundle.rig.e_gt,
+    others = np.arange(len(samples)) != 2
+    scored, alone = (evaluate("3d3d", model, group, bundle.rig.e_gt,
+                              bundle.rig.scene_camera)
+                     for group in (without(samples, "pupil_pose", 2),
+                                   take(samples, others)))
+    assert scored.errors.tobytes() == alone.errors.tobytes()
+    with pytest.raises(ValueError, match="empty test set"):
+        evaluate("3d3d", model, without(samples, "pupil_pose"),
+                 bundle.rig.e_gt, bundle.rig.scene_camera)
+    with pytest.raises(TypeError, match="must be a SampleColumns"):
+        evaluate("3d3d", model, rows(samples), bundle.rig.e_gt,
                  bundle.rig.scene_camera)
     with pytest.raises(TypeError):
         evaluate("3d3d", object(), samples, bundle.rig.e_gt,
@@ -185,7 +199,7 @@ POSED_CAM = PinholeCamera(focal=(700.0, 690.0), principal=(640.0, 360.0),
 
 def scalar_errors(model, samples, reference, scene_cam):
     return [angular_error(predict_sample(model, s), s.target, reference,
-                          scene_cam) for s in samples]
+                          scene_cam) for s in rows(samples)]
 
 
 @pytest.mark.parametrize("noise", [(0.0, 0.0, 0.0), (1.0, 0.5, 2.0)],
@@ -267,11 +281,8 @@ def test_sweep_k5_pools_all_calibration_samples():
 def test_sweep_records_failed_fits():
     bundle = small_bundle()
     # strip the pose channel: 3d3d has nothing to fit, others unaffected
-    stripped = {
-        d: [DataRecord(pupil_px=s.pupil_px, pupil_pose=None, target=s.target,
-                       target_px=s.target_px, depth_label=s.depth_label,
-                       role=s.role) for s in samples]
-        for d, samples in bundle.calibration.items()}
+    stripped = {d: without(samples, "pupil_pose")
+                for d, samples in bundle.calibration.items()}
     crippled = DatasetBundle(calibration=stripped, test=bundle.test,
                              rig=bundle.rig, eye=bundle.eye)
     sweep = depth_combination_sweep(crippled, mappers=("2d2d", "3d3d"))
@@ -310,17 +321,17 @@ def per_depth_oracle(bundle, sweep):
     out = {}
     for mapper, subset in dict.fromkeys((r.mapper, r.calib_subset)
                                         for r in sweep.records):
-        samples = select_records(mapper, [s for d in subset
-                                          for s in bundle.calibration[d]])
         try:
-            model = fit_mapper(mapper, samples, config)
+            model = fit_mapper(mapper, pooled(bundle.calibration, subset),
+                               config)
         except FIT_ERRORS:
             model = None
         for depth in bundle.depths():
-            tests = select_records(mapper, bundle.test[depth], fitting=False)
+            tests = bundle.test[depth]
             out[mapper, subset, depth] = ("failed", None)
             try:
-                if model is not None and tests:
+                if (model is not None
+                        and usable_rows(mapper, tests, fitting=False).any()):
                     out[mapper, subset, depth] = ("ok", evaluate(
                         mapper, model, tests, bundle.rig.e_gt,
                         bundle.rig.scene_camera))
@@ -335,11 +346,11 @@ def poseless_test_depth_bundle():
     record at 1.5 m."""
     bundle = default_bundle("display", depths=(1.0, 1.5, 2.0))
     test = dict(bundle.test)
-    test[2.0] = [without_pose(s) for s in test[2.0]]
-    test[1.0] = [without_pose(test[1.0][0])] + test[1.0][1:]
+    test[2.0] = without(test[2.0], "pupil_pose")
+    test[1.0] = without(test[1.0], "pupil_pose", 0)
     calibration = dict(bundle.calibration)
-    calibration[1.5] = [without_pose(s) if i % 3 == 0 else s
-                        for i, s in enumerate(calibration[1.5])]
+    calibration[1.5] = without(calibration[1.5], "pupil_pose",
+                               slice(None, None, 3))
     return replace(bundle, test=test, calibration=calibration)
 
 
@@ -385,7 +396,7 @@ def test_sweep_scores_match_per_depth_evaluate(bundle):
                                     "poseless-test-depth"])
 def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
     """The sweep fits each subset from per-depth arrays; its models are
-    those of fit_arrays on the subset's pooled records, bit for bit."""
+    those of fit_arrays on the subset's pooled columns, bit for bit."""
     bundle = SWEEP_BUNDLES[bundle][0]()
     fits = {}
 
@@ -399,13 +410,12 @@ def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
     depths = bundle.depths()
     for mapper in MAPPER_IDS:
-        pooled = fit_arrays(mapper, [
-            record_arrays(mapper, select_records(
-                mapper, [s for d in subset for s in bundle.calibration[d]]))
+        oracles = fit_arrays(mapper, [
+            column_arrays(mapper, pooled(bundle.calibration, subset))
             for k in range(1, len(depths) + 1)
             for subset in itertools.combinations(depths, k)], config)
-        assert len(fits[mapper]) == len(pooled) == 2 ** len(depths) - 1
-        for model, oracle in zip(fits[mapper], pooled):
+        assert len(fits[mapper]) == len(oracles) == 2 ** len(depths) - 1
+        for model, oracle in zip(fits[mapper], oracles):
             assert type(model) is type(oracle)
             for name in ("weights", "angles", "center", "eye_resolution"):
                 if hasattr(oracle, name):
@@ -421,24 +431,24 @@ def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
 
 
 @pytest.mark.parametrize("bundle", ["display", "noisy"])
-def test_column_and_record_list_bundles_sweep_alike(bundle):
-    """A synthesized bundle and the same bundle rebuilt from its
-    record-list dicts hold the same columns and sweep to the same
+def test_saved_and_loaded_bundles_sweep_alike(bundle, tmp_path):
+    """A synthesized bundle and the same bundle saved and loaded, which
+    holds no gaze directions, hold the same columns and sweep to the same
     records, bit for bit."""
     bundle = SWEEP_BUNDLES[bundle][0]()
-    rebuilt = replace(
-        bundle, calibration={d: list(v) for d, v in bundle.calibration.items()},
-        test={d: list(v) for d, v in bundle.test.items()})
+    path = tmp_path / "data.jsonl"
+    save_dataset(bundle, path)
+    loaded = load_dataset(path).bundle
     for role in ("calibration", "test"):
-        columns = getattr(bundle, role).columns
-        assert list(columns) == list(getattr(rebuilt, role).columns)
-        for depth, group in getattr(rebuilt, role).columns.items():
+        columns = getattr(bundle, role)
+        assert list(columns) == list(getattr(loaded, role))
+        for depth, group in getattr(loaded, role).items():
             assert group.gaze is None
             for f in fields(SampleColumns):
                 if f.name != "gaze":
                     assert (getattr(group, f.name).tobytes()
                             == getattr(columns[depth], f.name).tobytes())
-    sweeps = [depth_combination_sweep(b) for b in (bundle, rebuilt)]
+    sweeps = [depth_combination_sweep(b) for b in (bundle, loaded)]
     for a, b in zip(*(s.records for s in sweeps), strict=True):
         assert ((a.mapper, a.calib_subset, a.test_depth, a.status)
                 == (b.mapper, b.calib_subset, b.test_depth, b.status))
@@ -477,12 +487,6 @@ def test_sweep_transient_memory_is_bounded():
     assert peak <= 3e6
 
 
-def without_pose(s):
-    return DataRecord(pupil_px=s.pupil_px, pupil_pose=None, target=s.target,
-                      target_px=s.target_px, depth_label=s.depth_label,
-                      role=s.role)
-
-
 @pytest.mark.parametrize("mapper_id", ("2d3d", "3d3d"))
 def test_sweep_makes_one_kernel_call_per_damping_round(mapper_id,
                                                        monkeypatch):
@@ -519,7 +523,7 @@ def test_sweep_makes_one_kernel_call_per_damping_round(mapper_id,
 
 def test_sweep_drops_poseless_test_records_for_3d3d():
     bundle = default_bundle("display", depths=(1.0, 2.0))
-    test = {d: [without_pose(samples[0])] + samples[1:]
+    test = {d: without(samples, "pupil_pose", 0)
             for d, samples in bundle.test.items()}
     sweep = depth_combination_sweep(replace(bundle, test=test),
                                     mappers=("3d3d",))
@@ -532,7 +536,7 @@ def test_sweep_drops_poseless_test_records_for_3d3d():
 def test_sweep_fails_depth_with_no_usable_test_records():
     bundle = small_bundle(depths=(1.0, 2.0))
     test = dict(bundle.test)
-    test[2.0] = [without_pose(s) for s in test[2.0]]
+    test[2.0] = without(test[2.0], "pupil_pose")
     sweep = depth_combination_sweep(replace(bundle, test=test),
                                     mappers=("2d3d", "3d3d"))
     failed = {(r.mapper, r.test_depth) for r in sweep.select(status="failed")}
@@ -541,6 +545,12 @@ def test_sweep_fails_depth_with_no_usable_test_records():
 
 
 FUZZ_DEPTHS = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
+DEFAULT_EYE_CAMERA = SimRig().eye_camera
+# up to about 3 degrees of eye-camera rotation and 3 mm of translation
+# on top of the default rig
+_POSE_CHANGES = st.tuples(
+    st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+    st.lists(st.floats(-0.003, 0.003), min_size=3, max_size=3))
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -549,14 +559,23 @@ FUZZ_DEPTHS = (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
        depths=st.lists(st.sampled_from(FUZZ_DEPTHS), min_size=1, max_size=3,
                        unique=True),
        seed=st.integers(0, 2**16),
-       poseless=st.sets(st.integers(0, 15), max_size=16))
+       poseless=st.sets(st.integers(0, 15), max_size=16),
+       pose_change=_POSE_CHANGES)
 def test_sweep_never_raises_under_noise(noise_px, noise_deg, noise_mm,
-                                        depths, seed, poseless):
-    bundle = default_bundle("display", depths=tuple(depths), seed=seed,
-                            noise_pupil_px=noise_px, noise_pose_deg=noise_deg,
-                            noise_target_mm=noise_mm)
-    test = {d: [without_pose(s) if i in poseless else s
-                for i, s in enumerate(samples)]
+                                        depths, seed, poseless, pose_change):
+    angles, shift = pose_change
+    eye_camera = replace(
+        DEFAULT_EYE_CAMERA,
+        rotation=DEFAULT_EYE_CAMERA.rotation @ rotation_from_angles(angles),
+        translation=DEFAULT_EYE_CAMERA.translation + shift)
+    rig = SimRig(eye_camera=eye_camera, noise_pupil_px=noise_px,
+                 noise_pose_deg=noise_deg, noise_target_mm=noise_mm)
+    try:
+        bundle = synthesize_dataset(rig, TwoSphereEye(), tuple(depths),
+                                    GRID_PRESETS["display"], seed=seed)
+    except (PupilNotVisible, TargetNotVisible):
+        assume(False)
+    test = {d: without(samples, "pupil_pose", sorted(poseless))
             for d, samples in bundle.test.items()}
     sweep = depth_combination_sweep(replace(bundle, test=test))
     k = len(depths)

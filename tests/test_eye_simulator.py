@@ -2,6 +2,7 @@
 noise semantics, and dataset determinism."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from gaze3d.eye_simulator import (
     DEFAULT_DEPTHS,
     GRID_PRESETS,
+    DatasetBundle,
     DegenerateTarget,
     GridSpec,
     NoIntersection,
     PupilNotVisible,
+    SampleColumns,
     SimRig,
     TargetGrid,
     TargetNotVisible,
@@ -34,6 +37,7 @@ from gaze3d.geometry import (
     project,
     rotation_from_angles,
 )
+from helpers import rows, stack
 
 
 # ── two-sphere eye ───────────────────────────────────────────────────────
@@ -288,8 +292,19 @@ def test_dataset_counts_and_labels():
     for depth in DEFAULT_DEPTHS:
         assert len(bundle.calibration[depth]) == 25
         assert len(bundle.test[depth]) == 16
-        assert all(s.role == "calibration" for s in bundle.calibration[depth])
-        assert all(s.depth_label == depth for s in bundle.test[depth])
+        for group in (bundle.calibration[depth], bundle.test[depth]):
+            assert np.all(group.depth_label == depth)
+
+
+def test_bundle_groups_must_be_columns():
+    bundle = default_bundle("display", depths=(1.0, 2.0))
+    for role in ("calibration", "test"):
+        groups = {**getattr(bundle, role), 2.0: rows(bundle.test[2.0])}
+        with pytest.raises(TypeError, match=f"^{role} group at depth 2.0 is "
+                           "not a SampleColumns: list$"):
+            DatasetBundle(**{"calibration": bundle.calibration,
+                             "test": bundle.test, role: groups},
+                          rig=bundle.rig, eye=bundle.eye)
 
 
 def test_dataset_depths_sorted_regardless_of_input_order():
@@ -304,18 +319,19 @@ def test_dataset_determinism_with_noise():
     b = synthesize_dataset(rig, TwoSphereEye(), depths=(1.0, 1.5), seed=9)
     c = synthesize_dataset(rig, TwoSphereEye(), depths=(1.0, 1.5), seed=10)
     for depth in (1.0, 1.5):
-        for sa, sb in zip(a.calibration[depth], b.calibration[depth]):
-            assert np.array_equal(sa.pupil_px, sb.pupil_px)
-            assert np.array_equal(sa.pupil_pose, sb.pupil_pose)
-    assert not np.array_equal(a.calibration[1.0][0].pupil_px,
-                              c.calibration[1.0][0].pupil_px)
+        assert np.array_equal(a.calibration[depth].pupil_px,
+                              b.calibration[depth].pupil_px)
+        assert np.array_equal(a.calibration[depth].pupil_pose,
+                              b.calibration[depth].pupil_pose)
+    assert not np.array_equal(a.calibration[1.0].pupil_px[0],
+                              c.calibration[1.0].pupil_px[0])
 
 
 def test_default_bundle_presets_differ():
     disp = default_bundle("display", depths=(2.0,))
     fov = default_bundle("fov", depths=(2.0,))
     # fov targets at 2 m span twice the display width of 0.40 m
-    spread = lambda b: np.ptp([s.target[0] for s in b.calibration[2.0]])
+    spread = lambda b: np.ptp(b.calibration[2.0].target[:, 0])
     assert np.isclose(spread(disp), 0.40)
     assert np.isclose(spread(fov), 1.0)
     with pytest.raises(ValueError):
@@ -372,13 +388,13 @@ def test_dataset_matches_per_sample_oracle(case):
         got = getattr(bundle, role)
         assert list(got) == list(oracle[role])
         for depth, samples in oracle[role].items():
-            assert len(got[depth]) == len(samples)
-            for a, b in zip(got[depth], samples):
-                for name in ("pupil_px", "pupil_pose", "target", "target_px"):
-                    assert np.array_equal(getattr(a, name), getattr(b, name))
-                assert np.array_equal(a.gaze.origin, b.gaze.origin)
-                assert np.array_equal(a.gaze.direction, b.gaze.direction)
-                assert a.depth_label == b.depth_label and a.role == b.role
+            want = stack(samples)
+            for f in fields(SampleColumns):
+                assert (getattr(got[depth], f.name).tobytes()
+                        == getattr(want, f.name).tobytes())
+            for b in samples:
+                assert np.array_equal(b.gaze.origin, rig.e_gt)
+                assert b.role == role
 
 
 BAD_POINT_CASES = {

@@ -15,6 +15,7 @@ from gaze3d.optimizer import (
     numeric_jacobian,
     solve_lm,
 )
+from helpers import pooled
 
 
 def random_inputs(seed, n=40):
@@ -142,9 +143,9 @@ def test_non_finite_jacobian_raises():
 @pytest.mark.parametrize("depths", ((1.0, 2.0), (1.5,)))
 def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
     bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=depths)
-    samples = [s for d in depths for s in bundle.calibration[d]]
-    pairs_2d = [(s.pupil_px, s.target) for s in samples]
-    pairs_3d = [(s.pupil_pose, s.target) for s in samples]
+    samples = pooled(bundle.calibration, depths)
+    pairs_2d = list(zip(samples.pupil_px, samples.target))
+    pairs_3d = list(zip(samples.pupil_pose, samples.target))
     analytic = (fit_2d_to_3d(pairs_2d), fit_3d_to_3d(pairs_3d))
 
     layout = mappers._lm_layout

@@ -2,6 +2,7 @@
 recovery, degenerate-input rejection, and dispatch."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gaze3d.eye_simulator import (
     default_bundle,
     synthesize_dataset,
 )
-from gaze3d.dataset_io import DataRecord
 from gaze3d.geometry import (
     PinholeCamera,
     Ray,
@@ -42,12 +42,13 @@ from gaze3d.mappers import (
     predict_2d_to_2d,
     predict_2d_to_3d,
     predict_3d_to_3d,
+    column_arrays,
     predict_ray_arrays,
     predict_sample,
-    record_arrays,
-    select_records,
+    usable_rows,
 )
 from gaze3d.optimizer import NonFiniteResidual, ResidualProblem, solve_lm
+from helpers import pooled, rows, take, without
 
 
 def normalized_features(pupils_px, resolution=DEFAULT_EYE_RESOLUTION):
@@ -59,7 +60,12 @@ def normalized_features(pupils_px, resolution=DEFAULT_EYE_RESOLUTION):
 def two_depth_samples(seed=0):
     bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, 2.0),
                                 seed=seed)
-    return bundle, bundle.calibration[1.0] + bundle.calibration[2.0]
+    return bundle, pooled(bundle.calibration, (1.0, 2.0))
+
+
+def pairs(samples, source, target="target"):
+    """(input, target) pairs of two fields of a SampleColumns group."""
+    return list(zip(getattr(samples, source), getattr(samples, target)))
 
 
 # ── features and polar angles ────────────────────────────────────────────
@@ -145,9 +151,9 @@ def test_2d2d_rejects_degenerate_features():
 def test_2d2d_interpolates_simulated_calibration():
     bundle, _ = two_depth_samples()
     samples = bundle.calibration[1.0]
-    model = fit_2d_to_2d([(s.pupil_px, s.target_px) for s in samples])
-    worst = max(np.abs(predict_2d_to_2d(model, s.pupil_px).point
-                       - s.target_px).max() for s in samples)
+    model = fit_2d_to_2d(pairs(samples, "pupil_px", "target_px"))
+    worst = max(np.abs(predict_2d_to_2d(model, p).point - s).max()
+                for p, s in pairs(samples, "pupil_px", "target_px"))
     # the 7-term polynomial approximates a projective map; ~1.4 px of
     # model bias remains on a 1280-px-wide image
     assert worst < 2.0
@@ -157,14 +163,14 @@ def test_2d2d_interpolates_simulated_calibration():
 
 def test_2d3d_fits_two_depth_data_and_recovers_center():
     bundle, samples = two_depth_samples()
-    model = fit_2d_to_3d([(s.pupil_px, s.target) for s in samples])
+    model = fit_2d_to_3d(pairs(samples, "pupil_px"))
     # two calibration depths make the lateral center components
     # observable; the along-gaze component stays soft (near-parallel
     # rays), so only x/y are pinned down tightly
     assert np.abs(model.center[:2] - bundle.rig.e_gt[:2]).max() < 1e-3
     assert abs(model.center[2] - bundle.rig.e_gt[2]) < 0.05
-    worst = max(point_ray_distance(predict_2d_to_3d(model, s.pupil_px).ray,
-                                   s.target) for s in samples)
+    worst = max(point_ray_distance(predict_2d_to_3d(model, p).ray, t)
+                for p, t in pairs(samples, "pupil_px"))
     assert worst < 2e-3    # meters at 1-2 m range
     assert model.report.termination in ("gradient", "step", "cost_decrease")
     assert np.all(np.diff(model.report.cost_history) <= 0)
@@ -172,8 +178,8 @@ def test_2d3d_fits_two_depth_data_and_recovers_center():
 
 def test_2d3d_prediction_is_ray_from_center():
     _, samples = two_depth_samples(seed=4)
-    model = fit_2d_to_3d([(s.pupil_px, s.target) for s in samples])
-    est = predict_2d_to_3d(model, samples[0].pupil_px)
+    model = fit_2d_to_3d(pairs(samples, "pupil_px"))
+    est = predict_2d_to_3d(model, samples.pupil_px[0])
     assert est.ray is not None and est.point is None
     assert np.allclose(est.ray.origin, model.center)
 
@@ -181,7 +187,7 @@ def test_2d3d_prediction_is_ray_from_center():
 def test_2d3d_needs_nine_samples():
     _, samples = two_depth_samples()
     with pytest.raises(RankDeficient):
-        fit_2d_to_3d([(s.pupil_px, s.target) for s in samples[:8]])
+        fit_2d_to_3d(pairs(samples, "pupil_px")[:8])
 
 
 def test_2d3d_rejects_collinear_targets():
@@ -195,8 +201,7 @@ def test_2d3d_rejects_collinear_targets():
 
 def test_2d3d_center_respects_bounds():
     _, samples = two_depth_samples()
-    model = fit_2d_to_3d([(s.pupil_px, s.target) for s in samples],
-                         center_bounds=0.01)
+    model = fit_2d_to_3d(pairs(samples, "pupil_px"), center_bounds=0.01)
     assert np.all(np.abs(model.center) <= 0.01 + 1e-12)
 
 
@@ -204,7 +209,7 @@ def test_2d3d_center_respects_bounds():
 
 def test_3d3d_recovers_simulated_rig_exactly():
     bundle, samples = two_depth_samples()
-    model = fit_3d_to_3d([(s.pupil_pose, s.target) for s in samples])
+    model = fit_3d_to_3d(pairs(samples, "pupil_pose"))
     assert np.linalg.norm(model.center - bundle.rig.e_gt) < 1e-5
     # fitted rotation must match the eye camera's pose
     assert np.abs(model.rotation - bundle.rig.eye_camera.rotation).max() < 1e-5
@@ -212,8 +217,8 @@ def test_3d3d_recovers_simulated_rig_exactly():
 
 def test_3d3d_accepts_unnormalized_poses():
     _, samples = two_depth_samples()
-    scaled = [(np.asarray(s.pupil_pose) * 7.0, s.target) for s in samples]
-    unit = [(s.pupil_pose, s.target) for s in samples]
+    scaled = [(n * 7.0, t) for n, t in pairs(samples, "pupil_pose")]
+    unit = pairs(samples, "pupil_pose")
     a = fit_3d_to_3d(scaled)
     b = fit_3d_to_3d(unit)
     assert np.allclose(a.angles, b.angles, atol=1e-9)
@@ -223,7 +228,7 @@ def test_3d3d_accepts_unnormalized_poses():
 def test_3d3d_needs_three_samples():
     _, samples = two_depth_samples()
     with pytest.raises(DegenerateGeometry):
-        fit_3d_to_3d([(s.pupil_pose, s.target) for s in samples[:2]])
+        fit_3d_to_3d(pairs(samples, "pupil_pose")[:2])
 
 
 def test_3d3d_rejects_collinear_targets():
@@ -250,7 +255,7 @@ def test_fit_mapper_dispatch_and_prediction():
     for mapper_id in ("2d2d", "2d3d", "3d3d"):
         model = fit_mapper(mapper_id, samples, config)
         assert model.mapper_id == mapper_id
-        est = predict_sample(model, samples[0])
+        est = predict_sample(model, rows(samples)[0])
         assert (est.point is None) != (est.ray is None)
 
 
@@ -258,12 +263,15 @@ def test_fit_mapper_unknown_id():
     _, samples = two_depth_samples()
     with pytest.raises(ValueError):
         fit_mapper("4d4d", samples)
+    # a list of per-sample objects is not a group of columns
+    with pytest.raises(TypeError, match="must be a SampleColumns, got list"):
+        fit_mapper("2d3d", rows(samples))
 
 
 def test_predict_sample_rejects_foreign_model():
     _, samples = two_depth_samples()
     with pytest.raises(TypeError):
-        predict_sample(object(), samples[0])
+        predict_sample(object(), rows(samples)[0])
 
 
 def test_bad_pair_shapes_rejected():
@@ -285,10 +293,10 @@ def test_predict_ray_arrays_rows_are_one_model_calls(mapper_id):
     bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=1,
                             noise_pupil_px=1.0, noise_pose_deg=0.5,
                             noise_target_mm=2.0)
-    models = [fit_mapper(mapper_id, select_records(
-        mapper_id, bundle.calibration[d])) for d in bundle.depths()]
-    samples = [s for d in bundle.depths() for s in bundle.test[d]]
-    inputs, _ = record_arrays(mapper_id, samples, fitting=False)
+    models = [fit_mapper(mapper_id, bundle.calibration[d])
+              for d in bundle.depths()]
+    samples = pooled(bundle.test, bundle.depths())
+    inputs, _ = column_arrays(mapper_id, samples, fitting=False)
     posed = PinholeCamera(focal=(700.0, 690.0), principal=(640.0, 360.0),
                           resolution=(1280.0, 720.0),
                           rotation=rotation_from_angles((0.02, -0.03, 0.01)),
@@ -315,45 +323,65 @@ def test_target_at_initial_eyeball_center_is_degenerate(mapper_id):
     division by its distance (which used to warn, then raise ZeroVector
     or NonFiniteResidual)."""
     _, samples = two_depth_samples()
-    pairs = [(s.pupil_px if mapper_id == "2d3d" else s.pupil_pose, s.target)
-             for s in samples]
-    pairs[5] = (pairs[5][0], np.zeros(3))
+    calib = pairs(samples, MAPPER_FIELDS[mapper_id][0])
+    calib[5] = (calib[5][0], np.zeros(3))
     fit = fit_2d_to_3d if mapper_id == "2d3d" else fit_3d_to_3d
     with pytest.raises(DegenerateGeometry,
                        match=r"target 5 at \[0.0, 0.0, 0.0\] coincides"):
-        fit(pairs)
-    records = [DataRecord(pupil_px=s.pupil_px, pupil_pose=s.pupil_pose,
-                          target=np.zeros(3) if i == 5 else s.target,
-                          target_px=s.target_px, depth_label=s.depth_label,
-                          role=s.role) for i, s in enumerate(samples)]
-    bad, good = fit_arrays(mapper_id, [record_arrays(mapper_id, records),
-                                       record_arrays(mapper_id, samples)])
+        fit(calib)
+    targets = samples.target.copy()
+    targets[5] = 0.0
+    bad, good = fit_arrays(mapper_id, [
+        column_arrays(mapper_id, replace(samples, target=targets)),
+        column_arrays(mapper_id, samples)])
     assert isinstance(bad, DegenerateGeometry)
     assert_same_model(good, fit_mapper(mapper_id, samples))
 
 
 def test_record_fits_need_both_fields():
+    """A sample without a pose is left out of a 3d3d fit, and a 2d3d fit,
+    which reads no pose, keeps it."""
     _, samples = two_depth_samples()
-    s = samples[2]
-    poseless = DataRecord(pupil_px=s.pupil_px, pupil_pose=None,
-                          target=s.target, target_px=s.target_px,
-                          depth_label=s.depth_label, role=s.role)
-    records = samples[:2] + [poseless] + samples[3:]
-    with pytest.raises(ValueError, match="record 2 has no pupil_pose, "
-                       "which 3d3d fitting needs"):
-        fit_mapper("3d3d", records)
-    assert_same_model(fit_mapper("2d3d", records),
+    poseless = without(samples, "pupil_pose", 2)
+    others = np.arange(len(samples)) != 2
+    assert_same_model(fit_mapper("3d3d", poseless),
+                      fit_mapper("3d3d", take(samples, others)))
+    assert_same_model(fit_mapper("2d3d", poseless),
                       fit_mapper("2d3d", samples))
+
+
+def test_usable_rows_and_column_arrays():
+    """One group holding poseless rows and rows without target_px: each
+    mapper fits from the rows holding both its fields and scores the rows
+    holding its input field, and the arrays are copies of those rows."""
+    _, samples = two_depth_samples()
+    group = without(without(samples, "pupil_pose", [1, 4, 7]),
+                    "target_px", [4, 9])
+    every = np.ones(len(group), dtype=bool)
+    posed = np.isin(np.arange(len(group)), [1, 4, 7], invert=True)
+    pixelled = np.isin(np.arange(len(group)), [4, 9], invert=True)
+    fitted = {"2d2d": pixelled, "2d3d": every, "3d3d": posed}
+    scored = {"2d2d": every, "2d3d": every, "3d3d": posed}
+    for mapper_id in MAPPER_IDS:
+        for fitting, expected in ((True, fitted), (False, scored)):
+            mask = usable_rows(mapper_id, group, fitting)
+            assert mask.tolist() == expected[mapper_id].tolist()
+            arrays = column_arrays(mapper_id, group, fitting)
+            source, target = MAPPER_FIELDS[mapper_id]
+            names = (source, target if fitting else "target")
+            for name, array in zip(names, arrays, strict=True):
+                column = getattr(group, name)
+                assert array.tobytes() == column[mask].tobytes()
+                assert not np.shares_memory(array, column)
 
 
 # ── many sample sets at once ─────────────────────────────────────────────
 
-def subset_sample_sets(bundle, mapper_id):
-    """The pooled calibration records of every subset of the bundle's
+def subset_sample_sets(bundle):
+    """The pooled calibration columns of every subset of the bundle's
     depths, as the sweep fits them."""
     depths = bundle.depths()
-    return [select_records(mapper_id, [s for d in subset
-                                       for s in bundle.calibration[d]])
+    return [pooled(bundle.calibration, subset)
             for k in range(1, len(depths) + 1)
             for subset in itertools.combinations(depths, k)]
 
@@ -381,11 +409,11 @@ def assert_same_model(model, solo):
 ], ids=["display-5-depths", "noisy-3-depths"])
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
 def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
-    """fit_arrays on many record sets gives each set's fit_mapper model."""
+    """fit_arrays on many sample sets gives each set's fit_mapper model."""
     config = MappingConfig(
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
-    sets = subset_sample_sets(bundle, mapper_id)
-    models = fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
+    sets = subset_sample_sets(bundle)
+    models = fit_arrays(mapper_id, [column_arrays(mapper_id, samples)
                                     for samples in sets], config)
     assert len(models) == len(sets) == 2 ** len(bundle.depths()) - 1
     for samples, model in zip(sets, models):
@@ -395,17 +423,14 @@ def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
 def test_fit_mappers_returns_each_fit_error(mapper_id):
     _, samples = two_depth_samples()
-    samples = select_records(mapper_id, samples)
-    # twelve copies of one record with targets along one ray from the
+    # twelve copies of one sample with targets along one ray from the
     # origin: collinear targets (and one pupil position, for 2d2d)
-    s = samples[0]
-    collinear = [DataRecord(pupil_px=s.pupil_px, pupil_pose=s.pupil_pose,
-                            target=s.target * (1.0 + 0.1 * i),
-                            target_px=s.target_px, depth_label=1.0,
-                            role="calibration")
-                 for i in range(12)]
-    sets = [samples, samples[:2], [], collinear, samples[:40]]
-    results = fit_arrays(mapper_id, [record_arrays(mapper_id, samples)
+    copies = take(samples, np.zeros(12, dtype=int))
+    collinear = replace(copies, target=copies.target
+                        * (1.0 + 0.1 * np.arange(12))[:, None])
+    sets = [samples, take(samples, slice(2)), take(samples, slice(0)),
+            collinear, take(samples, slice(40))]
+    results = fit_arrays(mapper_id, [column_arrays(mapper_id, samples)
                                      for samples in sets])
     for i in (1, 2, 3):
         assert isinstance(results[i], (RankDeficient, DegenerateGeometry))
@@ -434,8 +459,8 @@ def test_fit_arrays_fits_each_set_as_alone(mapper_id):
     bundle = default_bundle("display", depths=(1.0, 1.5, 2.0), seed=0,
                             noise_pupil_px=1.0, noise_pose_deg=0.5,
                             noise_target_mm=2.0)
-    depth = {d: record_arrays(mapper_id, select_records(
-        mapper_id, bundle.calibration[d])) for d in bundle.depths()}
+    depth = {d: column_arrays(mapper_id, bundle.calibration[d])
+             for d in bundle.depths()}
 
     def pooled(*depths, n=None):
         return tuple(np.concatenate(a)[:n]
@@ -466,8 +491,8 @@ def test_a_set_holding_nan_fails_alone(mapper_id, side, capfd):
     bundle = default_bundle("display", depths=(1.0, 1.5), seed=0,
                             noise_pupil_px=1.0, noise_pose_deg=0.5,
                             noise_target_mm=2.0)
-    clean, nan_set = (record_arrays(mapper_id, select_records(
-        mapper_id, bundle.calibration[d])) for d in (1.0, 1.5))
+    clean, nan_set = (column_arrays(mapper_id, bundle.calibration[d])
+                      for d in (1.0, 1.5))
     nan_set[side][7, 1] = np.nan
     failed, model = fit_arrays(mapper_id, [nan_set, clean])
     assert isinstance(failed, NonFiniteResidual)
@@ -491,24 +516,23 @@ def test_one_set_fits_match_solve_lm(mapper_id, depths):
     bundle = default_bundle("display", depths=depths, seed=0,
                             noise_pupil_px=1.0, noise_pose_deg=0.5,
                             noise_target_mm=2.0)
-    samples = select_records(mapper_id, [s for d in depths
-                                         for s in bundle.calibration[d]])
-    targets = np.array([s.target for s in samples])
+    samples = pooled(bundle.calibration, depths)
+    targets = samples.target
     if mapper_id == "2d3d":
-        inputs = normalized_features([s.pupil_px for s in samples])
+        inputs = normalized_features(samples.pupil_px)
         w0 = np.linalg.lstsq(inputs, direction_to_polar(targets),
                              rcond=None)[0]
         x0 = np.concatenate((w0.ravel(), np.zeros(3)))
         residual, jacobian = _kernels.residuals_2d3d, _kernels.jacobian_2d3d
         wrap = None
-        model = fit_2d_to_3d([(s.pupil_px, s.target) for s in samples])
+        model = fit_2d_to_3d(pairs(samples, "pupil_px"))
     else:
-        inputs = np.array([s.pupil_pose for s in samples])
+        inputs = samples.pupil_pose.copy()
         inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
         x0 = np.array([0.0, np.pi, 0.0, 0.0, 0.0, 0.0])
         residual, jacobian = _kernels.residuals_3d3d, _kernels.jacobian_3d3d
         wrap = [True, True, True, False, False, False]
-        model = fit_3d_to_3d([(s.pupil_pose, s.target) for s in samples])
+        model = fit_3d_to_3d(pairs(samples, "pupil_pose"))
     bound = np.concatenate((np.full(x0.size - 3, np.inf),
                             np.full(3, DEFAULT_CENTER_BOUND_M)))
     one_fit = ([inputs[None]], [targets[None]])     # a group of one

@@ -155,13 +155,16 @@ def test_settings_validated():
     ("damping", True), ("damping_down", np.nan), ("step_tol", -np.inf),
     ("grad_tol", None), ("damping_up", 1.0), ("damping_up", 0.5),
     ("damping_up", 1.0001), ("damping_up", 1.01),
-    ("damping_up", np.nan), ("max_iterations", 2.5),
+    ("damping_up", np.nan), ("damping_down", 1.0), ("damping_down", 0.5),
+    ("damping_down", 1.01), ("max_iterations", 2.5),
     ("max_iterations", True), ("max_iterations", 0),
 ])
 def test_settings_that_could_hang_or_uncap_a_fit_are_rejected(name, value):
     # a NaN damping never exceeds the maximum and a factor <= 1 never
     # raises it, so a rejected step would retry forever; a factor near 1
-    # retries thousands of times; a fractional cap is never reached
+    # retries thousands of times; a damping_down near 1 keeps the damping
+    # high, and the fit crawls to its cap; a fractional cap is never
+    # reached
     with pytest.raises(ValueError, match=name):
         LMSettings(**{name: value})
 
