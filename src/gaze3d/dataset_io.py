@@ -37,7 +37,6 @@ keep their row with empty error fields.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
@@ -58,7 +57,7 @@ from .eye_simulator import (
     synthesize_dataset,
 )
 from .evaluation import SweepResult
-from .geometry import PinholeCamera, dot_norms, rotation_from_angles
+from .geometry import PinholeCamera, dot_norms, is_number, rotation_from_angles
 from .mappers import (
     MAPPER_IDS,
     MappingConfig,
@@ -122,14 +121,12 @@ def _camera_to_dict(cam: PinholeCamera) -> dict:
 
 
 def _camera_from_dict(d, what) -> PinholeCamera:
-    try:
+    try:    # reshaped as objects, so the camera checks the entries as read
         rotation = np.asarray(d.get("rotation", np.eye(3).ravel()),
-                              dtype=float).reshape(3, 3)
+                              dtype=object).reshape(3, 3)
         return PinholeCamera(focal=d["focal"], principal=d["principal"],
                              resolution=d["resolution"], rotation=rotation,
-                             translation=np.asarray(
-                                 d.get("translation", (0.0, 0.0, 0.0)),
-                                 dtype=float))
+                             translation=d.get("translation", (0.0, 0.0, 0.0)))
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"bad {what} in header: {err}", line=1) from err
 
@@ -606,18 +603,12 @@ _GRID_KEYS = {f.name for f in fields(GridSpec)}
 _LM_KEYS = {f.name for f in fields(LMSettings)}
 
 
-def _is_finite(value) -> bool:
-    """Whether `value` is a finite real number (a bool is not one)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 def check_depths(depths) -> tuple:
     """`depths` as a tuple of floats, if it is a nonempty list of finite
     positive meters without duplicates; a ConfigError otherwise.  The
     one depth-list rule of configs and of every CLI command."""
     if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
-            or not all(_is_finite(d) and d > 0 for d in depths)):
+            or not all(is_number(d) and d > 0 for d in depths)):
         raise ConfigError(f"depths must be a nonempty list of finite "
                           f"positive meters, got {depths!r}")
     depths = tuple(float(d) for d in depths)
@@ -636,12 +627,10 @@ def _check_keys(d, allowed, where):
 
 def _camera(d) -> PinholeCamera:
     """The PinholeCamera of a config camera dict."""
-    kwargs = dict(focal=d["focal"], principal=d["principal"],
-                  resolution=d["resolution"])
+    kwargs = {key: value for key, value in d.items()
+              if key != "rotation_angles"}
     if "rotation_angles" in d:
         kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
-    if "translation" in d:
-        kwargs["translation"] = np.asarray(d["translation"], dtype=float)
     return PinholeCamera(**kwargs)
 
 
@@ -653,7 +642,8 @@ class ExperimentConfig:
     GridSpec fields, ``lm`` takes LMSettings fields, ``eye_model_mm``
     takes TwoSphereEye fields, and the camera dicts take focal /
     principal / resolution plus optional rotation_angles (radians) and
-    translation.
+    translation.  The types built from the values (GridSpec, LMSettings,
+    MappingConfig, ...) check them; their errors become ConfigErrors.
     """
 
     seed: int = 0
@@ -689,21 +679,6 @@ class ExperimentConfig:
                                   f"(choose from {', '.join(MAPPER_IDS)})")
         if self.grid_preset not in GRID_PRESETS:
             raise ConfigError(f"unknown grid_preset {self.grid_preset!r}")
-        for name in ("noise_pupil_px", "noise_pose_deg", "noise_target_mm"):
-            value = getattr(self, name)
-            if not (_is_finite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite number >= 0, "
-                                  f"got {value!r}")
-        bound = self.center_bounds_m
-        if bound is not None and not (_is_finite(bound) and bound >= 0):
-            raise ConfigError(f"center_bounds_m must be a finite number >= 0 "
-                              f"or null (unbounded), got {bound!r}")
-        if len(tuple(self.e_gt)) != 3 or not all(map(_is_finite, self.e_gt)):
-            raise ConfigError(f"e_gt must have 3 finite entries, got "
-                              f"{self.e_gt!r}")
-        if not isinstance(self.normalize_residuals, bool):
-            raise ConfigError(f"normalize_residuals must be true or false, "
-                              f"got {self.normalize_residuals!r}")
         if self.grid is not None:
             _check_keys(self.grid, _GRID_KEYS, "grid")
         try:    # built here, so a bad grid fails before any synthesis
@@ -714,7 +689,7 @@ class ExperimentConfig:
         if self.lm is not None:
             _check_keys(self.lm, _LM_KEYS, "lm")
         try:    # built here, so a bad lm block fails before any fit
-            object.__setattr__(self, "_lm", LMSettings(**(self.lm or {})))
+            lm = LMSettings(**(self.lm or {}))
         except ValueError as err:
             raise ConfigError(f"invalid lm settings: {err}") from None
         if self.eye_model_mm is not None:
@@ -738,10 +713,12 @@ class ExperimentConfig:
                     cameras[name] = _camera(cam)
                 except (TypeError, ValueError) as err:
                     raise ConfigError(f"invalid {name}: {err}") from None
-        try:    # built here, so a bad rig fails before any synthesis
+        try:    # built here, so a bad setting fails before any work
+            object.__setattr__(self, "_mapping", MappingConfig(
+                normalize_residuals=self.normalize_residuals,
+                center_bounds_m=self.center_bounds_m, lm=lm))
             object.__setattr__(self, "_rig", SimRig(
-                e_gt=np.asarray(self.e_gt, dtype=float),
-                noise_pupil_px=self.noise_pupil_px,
+                e_gt=self.e_gt, noise_pupil_px=self.noise_pupil_px,
                 noise_pose_deg=self.noise_pose_deg,
                 noise_target_mm=self.noise_target_mm, **cameras))
         except ValueError as err:
@@ -779,13 +756,10 @@ class ExperimentConfig:
         return self._rig
 
     def to_lm(self) -> LMSettings:
-        return self._lm
+        return self._mapping.lm
 
     def to_mapping_config(self, eye_resolution) -> MappingConfig:
-        return MappingConfig(eye_resolution=tuple(eye_resolution),
-                             normalize_residuals=self.normalize_residuals,
-                             center_bounds_m=self.center_bounds_m,
-                             lm=self.to_lm())
+        return replace(self._mapping, eye_resolution=tuple(eye_resolution))
 
     def build_bundle(self) -> DatasetBundle:
         """Synthesize the dataset this configuration describes."""

@@ -51,7 +51,6 @@ from .geometry import (
     intersect_ray_depth_plane_batch,
 )
 from .mappers import (
-    FIT_ERRORS,  # noqa: F401 - re-exported
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,

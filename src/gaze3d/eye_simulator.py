@@ -28,7 +28,9 @@ from .geometry import (
     PinholeCamera,
     Ray,
     GeometryError,
+    check_numbers,
     dot_norms,
+    is_number,
     normalize,
     project,
     rotation_from_angles,
@@ -51,17 +53,6 @@ class PupilNotVisible(ValueError):
     """Pupil center projects outside the eye image (or behind the camera)."""
 
 
-def _check_positive(obj, names):
-    """Raise a ValueError naming the first of the `names` attributes of
-    `obj` that is not a finite real number > 0 (a bool is not one)."""
-    for name in names:
-        value = getattr(obj, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value) or value <= 0):
-            raise ValueError(f"{name} must be a finite number > 0, "
-                             f"got {value!r}")
-
-
 @dataclass(frozen=True)
 class TwoSphereEye:
     """Anatomical eye model; defaults are the human averages R=11.5,
@@ -73,7 +64,7 @@ class TwoSphereEye:
     center_separation_mm: float = 4.7
 
     def __post_init__(self):
-        _check_positive(self, [f.name for f in fields(self)])
+        check_numbers(self, [f.name for f in fields(self)])
         R, r, d = (self.eyeball_radius_mm, self.corneal_radius_mm,
                    self.center_separation_mm)
         if not (abs(R - r) < d < R + r):
@@ -131,8 +122,9 @@ class SimRig:
     e_gt is the eyeball center in the scene frame (meters); this offset
     from the scene-camera origin is the source of parallax error.  Noise
     sigmas: pupil pixels (px), pupil-pose deflection (degrees), target
-    position (mm); zero disables the channel.  A non-finite e_gt, or a
-    sigma that is NaN, infinite or negative, raises ValueError naming it.
+    position (mm); zero disables the channel.  e_gt must be 3 finite
+    numbers and each sigma a finite number >= 0 (see geometry.is_number:
+    a bool or a numeric string is not a number), or ValueError names it.
     """
 
     scene_camera: PinholeCamera = field(default_factory=_default_scene_camera)
@@ -143,17 +135,13 @@ class SimRig:
     noise_target_mm: float = 0.0
 
     def __post_init__(self):
-        e_gt = np.asarray(self.e_gt, dtype=float)
-        if e_gt.shape != (3,) or not np.isfinite(e_gt).all():
+        e_gt = np.asarray(self.e_gt, dtype=object)
+        if e_gt.shape != (3,) or not all(map(is_number, e_gt)):
             raise ValueError(f"e_gt must be 3 finite numbers, got "
                              f"{e_gt.tolist()}")
-        object.__setattr__(self, "e_gt", e_gt)
-        for name in ("noise_pupil_px", "noise_pose_deg", "noise_target_mm"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be a finite number >= 0, "
-                                 f"got {value!r}")
+        object.__setattr__(self, "e_gt", e_gt.astype(float))
+        check_numbers(self, ("noise_pupil_px", "noise_pose_deg",
+                             "noise_target_mm"), ">=")
         if self.eye_camera is None:
             object.__setattr__(self, "eye_camera", _default_eye_camera(self.e_gt))
         eye_depth = self.eye_camera.world_to_camera(self.e_gt)[2]
@@ -220,7 +208,7 @@ class GridSpec:
                     or not isinstance(value, numbers.Integral) or value < 2):
                 raise ValueError(f"{name} must be an integer >= 2, "
                                  f"got {value!r}")
-        _check_positive(self, ("width", "height", "test_scale"))
+        check_numbers(self, ("width", "height", "test_scale"))
         if not isinstance(self.scale_with_depth, bool):
             raise ValueError(f"scale_with_depth must be true or false, "
                              f"got {self.scale_with_depth!r}")

@@ -1,4 +1,5 @@
-"""3D vector, rotation and pinhole-camera primitives shared by all modules.
+"""3D vector, rotation and pinhole-camera primitives shared by all modules,
+and the number rule (is_number, check_numbers) of their settings.
 
 Conventions: x right, y down, z forward (optical axis) in every camera
 frame, so positive depth means visible.  World quantities are in meters,
@@ -8,6 +9,8 @@ degrees.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,26 @@ class ParallelToPlane(GeometryError):
 
 class BehindOrigin(GeometryError):
     """Depth-plane intersection lies at lambda <= 0."""
+
+
+def is_number(value) -> bool:
+    """Whether `value` is a finite real number: a bool or a numeric string
+    is not one.  The one number rule of every setting, rig, camera and
+    config value."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_numbers(obj, names, relation=">"):
+    """Raise a ValueError naming the first of the `names` attributes of
+    `obj` that is not a finite number (see is_number) > 0, or >= 0 with
+    relation=">="."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (is_number(value) and (value > 0 if relation == ">"
+                                      else value >= 0)):
+            raise ValueError(f"{name} must be a finite number {relation} 0, "
+                             f"got {value!r}")
 
 
 def _as_vec(x, n):
@@ -120,7 +143,9 @@ class PinholeCamera:
 
     `rotation` holds the camera axes as columns (camera-to-world);
     `translation` is the camera origin in the scene frame.  The scene
-    camera itself uses the identity pose.
+    camera itself uses the identity pose.  A field whose entries are not
+    finite numbers (see is_number), a focal length or resolution <= 0 or
+    a principal point outside the image raises ValueError naming it.
     """
 
     focal: np.ndarray          # (fx, fy) pixels
@@ -130,18 +155,25 @@ class PinholeCamera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "focal", _as_vec(self.focal, 2))
-        object.__setattr__(self, "principal", _as_vec(self.principal, 2))
-        object.__setattr__(self, "resolution", _as_vec(self.resolution, 2))
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
-        object.__setattr__(self, "translation", _as_vec(self.translation, 3))
-        for name in ("focal", "principal", "resolution", "rotation",
-                     "translation"):
+        for name, size in (("focal", 2), ("principal", 2), ("resolution", 2),
+                           ("rotation", None), ("translation", 3)):
             value = getattr(self, name)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value.tolist()}")
+            array = (np.asarray(value, dtype=float) if size is None
+                     else _as_vec(value, size))
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {array.tolist()}")
+            # the entries as given: float() takes a bool or a numeric string
+            entries = np.asarray(value, dtype=object)
+            if not all(map(is_number, entries.ravel())):
+                raise ValueError(f"{name} entries must be numbers, "
+                                 f"got {entries.tolist()}")
+            object.__setattr__(self, name, array)
         if np.any(self.focal <= 0):
             raise ValueError("focal lengths must be positive")
+        if np.any(self.resolution <= 0):
+            raise ValueError(f"resolution must be positive, got "
+                             f"{self.resolution.tolist()}")
         if np.any(self.principal < 0) or np.any(self.principal > self.resolution):
             raise ValueError("principal point must lie inside image bounds")
 

@@ -25,8 +25,11 @@ sine-of-angle residuals; raw offsets would overweight distant targets)
 and box-bound e to |component| <= 0.05 m, a loose physical prior for a
 head-mounted rig: with a single calibration depth the cost is nearly
 flat along the depth axis of e, and the bound keeps that unobservable
-direction from drifting to implausible solutions.  Both choices are
-configurable.
+direction from drifting to implausible solutions.
+
+Settings: both choices, the eye resolution and the LM settings are the
+fields of MappingConfig, which every fit takes (the pair-based fits
+too) and which rejects a bad value by name when built, before any fit.
 
 Samples: MAPPER_FIELDS names the field each mapper reads and the field
 it fits that to.  pupil_pose and target_px may be missing, so a mapper
@@ -55,6 +58,7 @@ from .geometry import (
     ZeroVector,
     back_project_batch,
     dot_norms,
+    is_number,
     normalize,
     normalize_rows,
     rotation_from_angles,
@@ -85,6 +89,34 @@ FIT_ERRORS = (RankDeficient, DegenerateGeometry, SingularNormalEquations,
 
 
 DEFAULT_CENTER_BOUND_M = 0.05
+
+
+@dataclass(frozen=True)
+class MappingConfig:
+    """The settings every fit reads (see the module docs); a center bound
+    of None leaves e unbounded, 0 pins it at e0 = 0.  A bad field raises
+    ValueError naming it (TypeError for an lm that is not LMSettings)."""
+
+    eye_resolution: tuple = DEFAULT_EYE_RESOLUTION
+    normalize_residuals: bool = True
+    center_bounds_m: float = DEFAULT_CENTER_BOUND_M
+    lm: LMSettings = field(default_factory=LMSettings)
+
+    def __post_init__(self):
+        res = np.asarray(self.eye_resolution, dtype=object)
+        if res.shape != (2,) or not all(is_number(v) and v > 0 for v in res):
+            raise ValueError(f"eye_resolution must be two finite numbers > 0, "
+                             f"got {self.eye_resolution!r}")
+        if not isinstance(self.normalize_residuals, bool):
+            raise ValueError(f"normalize_residuals must be true or false, "
+                             f"got {self.normalize_residuals!r}")
+        bound = self.center_bounds_m
+        if bound is not None and not (is_number(bound) and bound >= 0):
+            raise ValueError(f"center_bounds_m must be a finite number >= 0 "
+                             f"or null (unbounded), got {bound!r}")
+        if not isinstance(self.lm, LMSettings):
+            raise TypeError(f"lm must be an LMSettings, got "
+                            f"{type(self.lm).__name__}")
 
 
 def poly_features(p) -> np.ndarray:
@@ -226,11 +258,10 @@ def _center_box(dim, center_bounds):
     return lower, upper
 
 
-def fit_2d_to_2d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION) -> Model2Dto2D:
+def fit_2d_to_2d(calib, config: MappingConfig = MappingConfig()):
     """Least-squares fit of the 7x2 weight matrix from (p, s) pairs:
     fit_arrays on one set."""
-    return _one_fit(fit_arrays("2d2d", [_split_pairs(calib)],
-                               MappingConfig(eye_resolution=eye_resolution)))
+    return _one_fit(fit_arrays("2d2d", [_split_pairs(calib)], config))
 
 
 def _fit_2d2d(pupils, scene, eye_resolution):
@@ -353,15 +384,9 @@ def _lm_model(mapper_id, report, eye_resolution):
                        report=report)
 
 
-def fit_2d_to_3d(calib, eye_resolution=DEFAULT_EYE_RESOLUTION,
-                 normalize_residuals=True,
-                 center_bounds=DEFAULT_CENTER_BOUND_M,
-                 settings: LMSettings = LMSettings()) -> Model2Dto3D:
+def fit_2d_to_3d(calib, config: MappingConfig = MappingConfig()):
     """Joint LM fit of polynomial angle weights and eyeball center from
     (p, t) pairs: fit_arrays on one set."""
-    config = MappingConfig(eye_resolution=eye_resolution,
-                           normalize_residuals=normalize_residuals,
-                           center_bounds_m=center_bounds, lm=settings)
     return _one_fit(fit_arrays("2d3d", [_split_pairs(calib)], config))
 
 
@@ -373,13 +398,9 @@ def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
     return GazeEstimate(ray=Ray(model.center, polar_to_direction(alpha)))
 
 
-def fit_3d_to_3d(calib, normalize_residuals=True,
-                 center_bounds=DEFAULT_CENTER_BOUND_M,
-                 settings: LMSettings = LMSettings()) -> Model3Dto3D:
+def fit_3d_to_3d(calib, config: MappingConfig = MappingConfig()):
     """LM fit of rotation angles and eyeball center from (n, t) pairs:
-    fit_arrays on one set."""
-    config = MappingConfig(normalize_residuals=normalize_residuals,
-                           center_bounds_m=center_bounds, lm=settings)
+    fit_arrays on one set (eye_resolution is not read)."""
     return _one_fit(fit_arrays("3d3d", [_split_pairs(calib)], config))
 
 
@@ -387,16 +408,6 @@ def predict_3d_to_3d(model: Model3Dto3D, n) -> GazeEstimate:
     """Gaze ray e + lambda R n for a unit pupil pose n."""
     direction = model.rotation @ np.asarray(n, dtype=float)
     return GazeEstimate(ray=Ray(model.center, normalize(direction)))
-
-
-@dataclass(frozen=True)
-class MappingConfig:
-    """Shared fit settings used by the evaluation harness and CLI."""
-
-    eye_resolution: tuple = DEFAULT_EYE_RESOLUTION
-    normalize_residuals: bool = True
-    center_bounds_m: float = DEFAULT_CENTER_BOUND_M
-    lm: LMSettings = field(default_factory=LMSettings)
 
 
 MAPPER_FIELDS = {

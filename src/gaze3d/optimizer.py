@@ -30,13 +30,12 @@ the scalar reference the fits' batches are tested against.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import dot_norms, wrap_angle
+from .geometry import check_numbers, dot_norms, wrap_angle
 
 
 class NonFiniteResidual(ValueError):
@@ -175,12 +174,7 @@ class LMSettings:
     grad_tol: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
-                raise ValueError(f"{f.name} must be a finite number > 0, "
-                                 f"got {value!r}")
+        check_numbers(self, [f.name for f in fields(self)])
         for name in ("damping_up", "damping_down"):
             if getattr(self, name) < _MIN_DAMPING_FACTOR:
                 raise ValueError(f"{name} must be >= "

@@ -188,6 +188,27 @@ def test_evaluate_rejects_a_dataset_with_a_non_finite_e_gt(dataset, tmp_path,
                       "must be 3 finite numbers, got [nan, 0.035, -0.025]\n")
 
 
+@pytest.mark.parametrize("mapper", ["2d2d", "2d3d"])
+def test_fit_rejects_a_header_eye_camera_of_zero_resolution(tmp_path, capfd,
+                                                            mapper):
+    # it used to load, and fit printed two LAPACK lines (on the process's
+    # stderr, hence capfd) and then "error: LinAlgError: SVD did not
+    # converge in Linear Least Squares"
+    dataset = tmp_path / "data.jsonl"
+    assert run(capfd, "simulate", "--depths", "1.0,1.5", "--out",
+               dataset)[0] == 0
+    header, *lines = dataset.read_text().splitlines()
+    doc = json.loads(header)
+    doc["eye_camera"]["resolution"] = doc["eye_camera"]["principal"] = [0, 0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([json.dumps(doc)] + lines) + "\n")
+    code, stdout, stderr = run(capfd, "fit", bad, "--mappers", mapper,
+                               "--out", tmp_path / "model.json")
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: ParseError: line 1: bad eye_camera in header: "
+                      "resolution must be positive, got [0.0, 0.0]\n")
+
+
 def test_round_trip_builds_no_records(tmp_path, capsys, monkeypatch):
     """simulate, fit and evaluate read the bundles' columns: none of the
     one-sample oracles runs on the way."""

@@ -367,6 +367,23 @@ def test_schema_version_checked(dataset_path):
      "focal must be finite, got [nan, 720.0]"),
     ("eye_camera", ("translation", 2), math.inf, "bad eye_camera in header: "
      "translation must be finite, got [0.015, 0.035, inf]"),
+    # float() took these, and a bool or string e_gt shifted every error
+    ("e_gt", (0,), True, "bad rig in header: e_gt must be 3 finite "
+     "numbers, got [True, 0.035, -0.025]"),
+    ("e_gt", (0,), "0.015", "bad rig in header: e_gt must be 3 finite "
+     "numbers, got ['0.015', 0.035, -0.025]"),
+    # a zero resolution loaded, and fit printed LAPACK lines and a
+    # LinAlgError
+    ("eye_camera", ("resolution",), [0, 0], "bad eye_camera in header: "
+     "resolution must be positive, got [0.0, 0.0]"),
+    ("eye_camera", ("resolution", 0), True, "bad eye_camera in header: "
+     "resolution entries must be numbers, got [True, 360.0]"),
+    ("scene_camera", ("focal", 1), "720", "bad scene_camera in header: "
+     "focal entries must be numbers, got [720.0, '720']"),
+    ("eye_camera", ("rotation", 4), False, "bad eye_camera in header: "
+     "rotation entries must be numbers, got [[-1.0, 0.0, "
+     "1.2246467991473532e-16], [0.0, False, 0.0], "
+     "[-1.2246467991473532e-16, 0.0, -1.0]]"),
 ])
 def test_header_with_non_finite_or_negative_rig_values_rejected(
         dataset_path, key, path, value, message):
@@ -858,6 +875,12 @@ CAMERA = {"focal": [600, 600], "principal": [320, 180],
     ("scene_camera", {**CAMERA, "focal": [600]}),
     ("eye_camera", {**CAMERA, "translation": [0, 0]}),
     ("eye_camera", {**CAMERA, "rotation_angles": {"a": 1}}),
+    ("scene_camera", {**CAMERA, "resolution": [0, 0], "principal": [0, 0]}),
+    ("scene_camera", {**CAMERA, "resolution": [True, 360],
+                      "principal": [1, 180]}),
+    ("scene_camera", {**CAMERA, "translation": ["0", 0, 0]}),
+    ("e_gt", [True, 0, 0]), ("e_gt", ["0.015", 0.035, -0.025]),
+    ("e_gt", 0.015),
 ])
 def test_config_rejects_non_finite_and_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):

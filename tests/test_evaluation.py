@@ -33,7 +33,6 @@ from gaze3d.geometry import (
 )
 from gaze3d import _kernels, evaluation, optimizer
 from gaze3d.evaluation import (
-    FIT_ERRORS,
     ErrorRecord,
     angular_error,
     depth_combination_sweep,
@@ -42,6 +41,7 @@ from gaze3d.evaluation import (
     parallax_curves,
 )
 from gaze3d.mappers import (
+    FIT_ERRORS,
     MAPPER_IDS,
     GazeEstimate,
     MappingConfig,

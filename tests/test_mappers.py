@@ -1,6 +1,7 @@
 """Mapper fits: feature map, polar parameterization, planted-parameter
 recovery, degenerate-input rejection, and dispatch."""
 
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -47,7 +48,12 @@ from gaze3d.mappers import (
     predict_sample,
     usable_rows,
 )
-from gaze3d.optimizer import NonFiniteResidual, ResidualProblem, solve_lm
+from gaze3d.optimizer import (
+    LMSettings,
+    NonFiniteResidual,
+    ResidualProblem,
+    solve_lm,
+)
 from helpers import pooled, rows, take, without
 
 
@@ -201,7 +207,8 @@ def test_2d3d_rejects_collinear_targets():
 
 def test_2d3d_center_respects_bounds():
     _, samples = two_depth_samples()
-    model = fit_2d_to_3d(pairs(samples, "pupil_px"), center_bounds=0.01)
+    model = fit_2d_to_3d(pairs(samples, "pupil_px"),
+                         config=MappingConfig(center_bounds_m=0.01))
     assert np.all(np.abs(model.center) <= 0.01 + 1e-12)
 
 
@@ -245,6 +252,72 @@ def test_3d3d_prediction_direction():
     # half turn about y maps -z back to +z
     assert np.allclose(est.ray.direction, (0, 0, 1), atol=1e-12)
     assert np.allclose(model.rotation, rotation_from_angles(angles))
+
+
+# ── settings ─────────────────────────────────────────────────────────────
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"center_bounds_m": -0.05}, ValueError, "center_bounds_m must be a "
+     "finite number >= 0 or null (unbounded), got -0.05"),
+    ({"center_bounds_m": float("nan")}, ValueError,
+     "center_bounds_m must be a finite number >= 0 or null (unbounded), "
+     "got nan"),
+    ({"center_bounds_m": "x"}, ValueError, "center_bounds_m must be a "
+     "finite number >= 0 or null (unbounded), got 'x'"),
+    ({"eye_resolution": (640,)}, ValueError,
+     "eye_resolution must be two finite numbers > 0, got (640,)"),
+    ({"eye_resolution": (0, 0)}, ValueError,
+     "eye_resolution must be two finite numbers > 0, got (0, 0)"),
+    ({"eye_resolution": (float("nan"), 360)}, ValueError,
+     "eye_resolution must be two finite numbers > 0, got (nan, 360)"),
+    ({"normalize_residuals": "no"}, ValueError,
+     "normalize_residuals must be true or false, got 'no'"),
+    ({"normalize_residuals": 0}, ValueError,
+     "normalize_residuals must be true or false, got 0"),
+    ({"lm": {"damping": 1.0}}, TypeError, "lm must be an LMSettings, got dict"),
+])
+def test_mapping_config_rejects_bad_settings(kwargs, error, message):
+    # each used to construct: a negative or NaN bound then aborted the
+    # sweep, (640,) silently changed the 2d2d fits, (0, 0) let LAPACK's
+    # LinAlgError escape, "no" fitted normalized, and a dict failed inside
+    # the solver
+    with pytest.raises(error) as err:
+        MappingConfig(**kwargs)
+    assert str(err.value) == message
+
+
+def test_zero_center_bound_pins_the_center():
+    _, samples = two_depth_samples()
+    config = MappingConfig(center_bounds_m=0)
+    for fit, source in ((fit_2d_to_3d, "pupil_px"),
+                        (fit_3d_to_3d, "pupil_pose")):
+        assert np.array_equal(fit(pairs(samples, source), config).center,
+                              np.zeros(3))
+
+
+@pytest.mark.parametrize("mapper_id, fit", [
+    ("2d2d", fit_2d_to_2d), ("2d3d", fit_2d_to_3d), ("3d3d", fit_3d_to_3d)])
+def test_pair_fits_are_fit_arrays_on_one_set(mapper_id, fit):
+    """A pair fit takes (calib, config) and gives the bits fit_arrays
+    gives on the same arrays, with the default config and another."""
+    assert list(inspect.signature(fit).parameters) == ["calib", "config"]
+    bundle = default_bundle("display", depths=(1.0, 2.0), seed=2,
+                            noise_pupil_px=1.0, noise_pose_deg=0.5,
+                            noise_target_mm=2.0)
+    arrays = column_arrays(mapper_id, pooled(bundle.calibration, (1.0, 2.0)))
+    calib = list(zip(*arrays))
+    other = MappingConfig(eye_resolution=(700.0, 400.0),
+                          normalize_residuals=False, center_bounds_m=0.02,
+                          lm=LMSettings(max_iterations=50))
+    for config in (MappingConfig(), other):
+        [expected] = fit_arrays(mapper_id, [arrays], config)
+        model = fit(calib, config)
+        for name in ("weights", "angles", "center", "eye_resolution"):
+            if hasattr(expected, name):
+                assert (getattr(model, name).tobytes()
+                        == getattr(expected, name).tobytes())
+        if mapper_id != "2d2d":
+            assert_same_bits(model, expected)
 
 
 # ── dispatch ─────────────────────────────────────────────────────────────

@@ -1,7 +1,11 @@
-"""The README's Python quick start runs as written against src/."""
+"""The README's Python quick start runs as written against src/, and its
+`--config` key list is the config's field list."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
+
+from gaze3d import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +20,17 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     assert lines[0] == ("mapper,k,calib_subset,test_depth_m,n_targets,"
                         "mean_error_deg,std_error_deg,status")
     assert len(lines) == 1 + 3 * 31 * 5    # mappers x subsets x test depths
+
+
+def test_readme_config_keys_are_the_config_fields():
+    """The `--config` key list names every ExperimentConfig field, in
+    order; noise_* stands for the noise fields."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"`--config` takes a JSON object with the fields of "
+                       r"`gaze3d\.ExperimentConfig` \(([^)]*)\)",
+                       text).group(1).split(", ")
+    names = [f.name for f in fields(ExperimentConfig)]
+    noise = [name for name in names if name.startswith("noise_")]
+    expanded = [key for item in listed
+                for key in (noise if item == "noise_*" else [item])]
+    assert expanded == names
