@@ -212,8 +212,8 @@ def cmd_evaluate(args) -> int:
                   f"{field}", file=sys.stderr)
         if not n_usable:
             raise CliUsageError(f"depth {depth} has no usable test records")
-        records.append(evaluate(model.mapper_id, model, tests[depth],
-                                reference, loaded.bundle.rig.scene_camera,
+        records.append(evaluate(model, tests[depth], reference,
+                                loaded.bundle.rig.scene_camera,
                                 test_depth=depth))
     ref_name = "e_gt" if loaded.source == "simulated" else "scene_origin"
     for r in records:

@@ -64,6 +64,7 @@ from .mappers import (
     Model2Dto2D,
     Model2Dto3D,
     Model3Dto3D,
+    mapper_of,
 )
 from .optimizer import LMSettings
 
@@ -501,10 +502,9 @@ _MODEL_ARRAYS = {
 
 def save_model(model, path) -> None:
     """Serialize a fitted mapper model as a small JSON document."""
-    if not isinstance(model, (Model2Dto2D, Model2Dto3D, Model3Dto3D)):
-        raise TypeError(f"not a mapper model: {type(model).__name__}")
-    doc = {"format": MODEL_FORMAT, "mapper": model.mapper_id}
-    for attr, key, *_ in _MODEL_ARRAYS[model.mapper_id][1]:
+    mapper = mapper_of(model)
+    doc = {"format": MODEL_FORMAT, "mapper": mapper}
+    for attr, key, *_ in _MODEL_ARRAYS[mapper][1]:
         doc[key] = np.asarray(getattr(model, attr), dtype=float).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -630,6 +630,10 @@ def _camera(d) -> PinholeCamera:
     kwargs = {key: value for key, value in d.items()
               if key != "rotation_angles"}
     if "rotation_angles" in d:
+        angles = np.asarray(d["rotation_angles"], dtype=object)
+        if angles.shape != (3,) or not all(map(is_number, angles)):
+            raise ValueError(f"rotation_angles must be 3 finite numbers, "
+                             f"got {d['rotation_angles']!r}")
         kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
     return PinholeCamera(**kwargs)
 

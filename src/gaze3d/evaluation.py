@@ -10,11 +10,10 @@ origin for real recordings (where the two coincide by assumption; for a
 ray through the scene origin this equals the plain angle between the
 back-projected direction and the target direction).
 
-evaluate scores the usable rows of a SampleColumns group with array
-operations: one predict_ray_arrays call for their rays, then the batched
-plane intersection and angle.  angular_error is the same metric for one
-estimate, kept as the scalar reference the batched path is tested
-against.
+Scoring has one owner, _scores: one pass over the rows of several test
+sets for several models of one mapper.  evaluate is that pass for one
+model, whose mapper labels the record; angular_error is the same metric
+for one estimate, the scalar oracle the batched path is tested against.
 
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
@@ -23,14 +22,12 @@ calibration-to-test depth offset.  Per mapper, the sweep takes each
 depth's usable calibration and test rows from the bundle's SampleColumns
 with a mask (column_arrays), fits all subsets from concatenations of
 those arrays with one fit_arrays call (one lockstep LM solve, see
-gaze3d.optimizer), and scores every ok fit at every test depth in one
-pass: one prediction of all (fit, target) rays, one plane intersection,
-one angle call, and the mean and std of each (fit, depth) block along an
-axis.  Only if that pass meets a target some fit cannot project does it
-score each (fit, depth) alone, so that just those records fail.  The
-records carry the bits evaluate gives for the same fit and depth, unless
-that depth has one usable test record: numpy computes a one-row matrix
-product another way, which can differ in the last bit.
+gaze3d.optimizer), and scores every ok fit at every test depth with one
+_scores pass.  Only if that pass meets a target some fit cannot project
+does it score each (fit, depth) alone, so that just those records fail.
+The records carry the bits evaluate gives for the same fit and depth,
+unless that depth has one usable test record: numpy computes a one-row
+matrix product another way, which can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -57,6 +54,7 @@ from .mappers import (
     column_arrays,
     fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
+    mapper_of,
     predict_ray_arrays,
     predict_sample,  # noqa: F401 - re-exported; perfbench traces it here
 )
@@ -93,48 +91,44 @@ class ErrorRecord:
         return 0 if self.errors is None else len(self.errors)
 
 
-def evaluate(mapper_id, model, samples: SampleColumns, reference,
-             scene_cam: PinholeCamera, calib_subset=(),
-             test_depth=None) -> ErrorRecord:
-    """Evaluate a fitted model on the usable rows of a SampleColumns test
-    group (column_arrays), which must hold at least one; mean and
-    population std.
-
-    Scores every target at once: one predict_ray_arrays call, then each
-    predicted ray meets its own target's plane z = target[2], and the
-    error is the angle at `reference`, as in angular_error.  Raises the
-    GeometryError of the first target that cannot be projected.
-    """
+def evaluate(model, samples: SampleColumns, reference,
+             scene_cam: PinholeCamera, test_depth=None) -> ErrorRecord:
+    """Score a fitted model on the usable rows (column_arrays) of a
+    SampleColumns test group, which must hold at least one: the per-target
+    errors, their mean and population std (see _scores), in a record
+    labelled with the model's mapper.  Raises the GeometryError of the
+    first target that cannot be projected."""
+    mapper_id = mapper_of(model)
     inputs, targets = column_arrays(mapper_id, samples, fitting=False)
     if not len(inputs):
         raise ValueError("empty test set")
-    [scores] = _row_scores(_target_errors(
-        predict_ray_arrays([model], inputs, scene_cam), targets, reference))
-    return ErrorRecord(mapper=mapper_id, calib_subset=tuple(calib_subset),
+    [scores] = _scores([model], [(inputs, targets)], reference, scene_cam)
+    return ErrorRecord(mapper=mapper_id, calib_subset=(),
                        test_depth=test_depth, **scores)
 
 
-def _target_errors(rays, targets, reference):
-    """The angular errors of (..., N, 3) arrays of ray origins and
-    directions against an (N, 3) array of targets, as an (..., N) array,
-    computed row by row."""
-    origins, directions = rays
-    shape = directions.shape[:-1]
+def _scores(models, tests, reference, scene_cam) -> list:
+    """ErrorRecord fields (errors, mean, population std) of each of
+    `models`, all of one mapper, on each of `tests`, (inputs, targets)
+    arrays, in model then set order.  One predict_ray_arrays, plane
+    intersection and angle call cover all rows: each ray meets its own
+    target's plane z = target[2], and the error is the angle at
+    `reference`.  Raises the GeometryError of the first target some model
+    cannot project."""
+    inputs, targets = (np.concatenate(arrays) for arrays in zip(*tests))
+    origins, directions = predict_ray_arrays(models, inputs, scene_cam)
     targets = np.broadcast_to(targets, directions.shape).reshape(-1, 3)
     hits = intersect_ray_depth_plane_batch(origins.reshape(-1, 3),
                                            directions.reshape(-1, 3),
                                            targets[:, 2])
-    return angle_between_batch(hits - reference,
-                               targets - reference).reshape(shape)
-
-
-def _row_scores(errors):
-    """ErrorRecord fields of each row of an (M, N) error array: the row,
-    its mean and its population std (divide by N), taken along the rows
-    (the bits of the 1-D calls)."""
-    means, stds = errors.mean(axis=1).tolist(), errors.std(axis=1).tolist()
-    return [{"errors": row, "mean": mean, "std": std}
-            for row, mean, std in zip(errors, means, stds)]
+    errors = angle_between_batch(hits - reference, targets - reference)
+    stops = np.cumsum([len(t) for _, t in tests])[:-1]
+    blocks = np.split(errors.reshape(directions.shape[:-1]), stops, axis=1)
+    stats = [(block.mean(axis=1).tolist(), block.std(axis=1).tolist())
+             for block in blocks]
+    return [{"errors": block[i], "mean": means[i], "std": stds[i]}
+            for i in range(len(models))
+            for block, (means, stds) in zip(blocks, stats)]
 
 
 def _score_fits(mapper_id, subsets, models, depths, tests, reference,
@@ -142,13 +136,9 @@ def _score_fits(mapper_id, subsets, models, depths, tests, reference,
     """ErrorRecords of every fit of one mapper (a model, or the exception
     its fit raised) at each of `depths`, in subset then depth order;
     `tests` maps each depth holding a test group to its scoring arrays
-    (column_arrays), and a depth without usable test samples fails.
-
-    All ok fits are scored at every depth with test samples in one pass:
-    one prediction, one plane intersection and one angle call, then the
-    mean and std of each (fit, depth) block along its rows.  Only if that
-    pass meets a target some fit cannot project is each (fit, depth)
-    scored alone, so that just those records fail.
+    (column_arrays), and a depth without usable test samples fails.  Only
+    if the one _scores pass fails is each (fit, depth) scored alone, so
+    that just the records with a target their fit cannot project fail.
     """
     ok = [i for i, model in enumerate(models)
           if not isinstance(model, Exception)]
@@ -156,29 +146,18 @@ def _score_fits(mapper_id, subsets, models, depths, tests, reference,
     scores = {}         # (fit index, depth) -> ErrorRecord fields
     if ok and scored:
         try:
-            errors = _target_errors(
-                predict_ray_arrays([models[i] for i in ok],
-                                   np.concatenate([tests[d][0]
-                                                   for d in scored]),
-                                   scene_cam),
-                np.concatenate([tests[d][1] for d in scored]), reference)
+            scores.update(zip(itertools.product(ok, scored), _scores(
+                [models[i] for i in ok], [tests[d] for d in scored],
+                reference, scene_cam)))
         except GeometryError:   # a target some fit cannot project
             for i, d in itertools.product(ok, scored):
-                inputs, targets = tests[d]
                 try:
-                    [scores[i, d]] = _row_scores(_target_errors(
-                        predict_ray_arrays([models[i]], inputs, scene_cam),
-                        targets, reference))
+                    [scores[i, d]] = _scores([models[i]], [tests[d]],
+                                             reference, scene_cam)
                 except GeometryError:
                     pass
-        else:
-            stops = np.cumsum([len(tests[d][0]) for d in scored])[:-1]
-            for d, block in zip(scored, np.split(errors, stops, axis=1)):
-                scores.update(zip([(i, d) for i in ok], _row_scores(block)))
-    return [ErrorRecord(mapper=mapper_id, calib_subset=subset,
-                        test_depth=d, **scores[i, d]) if (i, d) in scores
-            else ErrorRecord(mapper=mapper_id, calib_subset=subset,
-                             test_depth=d, status="failed")
+    return [ErrorRecord(mapper=mapper_id, calib_subset=subset, test_depth=d,
+                        **scores.get((i, d), {"status": "failed"}))
             for i, subset in enumerate(subsets) for d in depths]
 
 

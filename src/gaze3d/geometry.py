@@ -41,11 +41,14 @@ class BehindOrigin(GeometryError):
 
 
 def is_number(value) -> bool:
-    """Whether `value` is a finite real number: a bool or a numeric string
-    is not one.  The one number rule of every setting, rig, camera and
-    config value."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """Whether `value` is a finite real number: a bool, a numeric string
+    or an integer beyond float range is not one.  The one number rule of
+    every setting, rig, camera and config value."""
+    try:
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:       # an int too large for a float
+        return False
 
 
 def check_numbers(obj, names, relation=">"):
@@ -158,9 +161,12 @@ class PinholeCamera:
         for name, size in (("focal", 2), ("principal", 2), ("resolution", 2),
                            ("rotation", None), ("translation", 3)):
             value = getattr(self, name)
-            array = (np.asarray(value, dtype=float) if size is None
-                     else _as_vec(value, size))
-            if not np.isfinite(array).all():
+            try:
+                array = (np.asarray(value, dtype=float) if size is None
+                         else _as_vec(value, size))
+            except OverflowError:   # an int beyond float range, which
+                array = None        # the entries check below rejects
+            if array is not None and not np.isfinite(array).all():
                 raise ValueError(f"{name} must be finite, "
                                  f"got {array.tolist()}")
             # the entries as given: float() takes a bool or a numeric string

@@ -518,17 +518,20 @@ def fit_arrays(mapper_id: str, array_sets,
     return results
 
 
-def _input_field(model):
+def mapper_of(model) -> str:
+    """The mapper id of a fitted model; TypeError for any other object.
+    The one "is this a mapper model" rule of prediction, scoring and
+    model files."""
     if not isinstance(model, (Model2Dto2D, Model2Dto3D, Model3Dto3D)):
         raise TypeError(f"not a mapper model: {type(model).__name__}")
-    return MAPPER_FIELDS[model.mapper_id][0]
+    return model.mapper_id
 
 
 def predict_sample(model, sample) -> GazeEstimate:
     """Predict a gaze estimate for one sample (a SimSample, or any object
     holding the model's input field), dispatching on model type: the
     scalar oracle of predict_ray_arrays."""
-    value = getattr(sample, _input_field(model))
+    value = getattr(sample, _fields(mapper_of(model))[0])
     if isinstance(model, Model2Dto2D):
         return predict_2d_to_2d(model, value)
     if isinstance(model, Model2Dto3D):
@@ -546,7 +549,7 @@ def predict_ray_arrays(models, inputs, scene_cam: PinholeCamera):
     model.
     """
     first = models[0]
-    inputs = _rows(inputs, _WIDTHS[_input_field(first)])
+    inputs = _rows(inputs, _WIDTHS[_fields(mapper_of(first))[0]])
     if any(type(model) is not type(first) for model in models):
         raise TypeError("models must all be of one mapper")
     if isinstance(first, Model3Dto3D):

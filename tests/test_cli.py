@@ -173,19 +173,22 @@ def test_records_missing_one_channel(dataset, tmp_path, capsys):
 
 def test_evaluate_rejects_a_dataset_with_a_non_finite_e_gt(dataset, tmp_path,
                                                            capsys):
-    # it used to load, and evaluate printed mean_deg=nan std_deg=nan at
-    # every depth and exited 0
+    # a NaN used to load, and evaluate printed mean_deg=nan std_deg=nan at
+    # every depth and exited 0; an integer beyond float range printed
+    # "error: OverflowError: int too large to convert to float"
     model = tmp_path / "model.json"
     run(capsys, "fit", dataset, "--mappers", "2d3d", "--out", model)
     header, *lines = dataset.read_text().splitlines()
-    doc = json.loads(header)
-    doc["e_gt"][0] = float("nan")
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join([json.dumps(doc)] + lines) + "\n")
-    code, stdout, stderr = run(capsys, "evaluate", model, bad)
-    assert code == 1 and stdout == ""
-    assert stderr == ("error: ParseError: line 1: bad rig in header: e_gt "
-                      "must be 3 finite numbers, got [nan, 0.035, -0.025]\n")
+    for value in (float("nan"), 10**400):
+        doc = json.loads(header)
+        doc["e_gt"][0] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(doc)] + lines) + "\n")
+        code, stdout, stderr = run(capsys, "evaluate", model, bad)
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: ParseError: line 1: bad rig in header: "
+                          f"e_gt must be 3 finite numbers, got [{value}, "
+                          f"0.035, -0.025]\n")
 
 
 @pytest.mark.parametrize("mapper", ["2d2d", "2d3d"])

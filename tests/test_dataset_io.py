@@ -384,6 +384,13 @@ def test_schema_version_checked(dataset_path):
      "rotation entries must be numbers, got [[-1.0, 0.0, "
      "1.2246467991473532e-16], [0.0, False, 0.0], "
      "[-1.2246467991473532e-16, 0.0, -1.0]]"),
+    # an integer beyond float range raised OverflowError past load_dataset
+    ("e_gt", (1,), 10**400, f"bad rig in header: e_gt must be 3 finite "
+     f"numbers, got [0.015, {10**400}, -0.025]"),
+    ("noise", ("target_mm",), 10**400, f"bad rig in header: "
+     f"noise_target_mm must be a finite number >= 0, got {10**400}"),
+    ("scene_camera", ("focal", 0), 10**400, f"bad scene_camera in header: "
+     f"focal entries must be numbers, got [{10**400}, 720.0]"),
 ])
 def test_header_with_non_finite_or_negative_rig_values_rejected(
         dataset_path, key, path, value, message):
@@ -881,6 +888,16 @@ CAMERA = {"focal": [600, 600], "principal": [320, 180],
     ("scene_camera", {**CAMERA, "translation": ["0", 0, 0]}),
     ("e_gt", [True, 0, 0]), ("e_gt", ["0.015", 0.035, -0.025]),
     ("e_gt", 0.015),
+    # an integer beyond float range used to raise OverflowError
+    ("depths", [1.0, 10**400]), ("noise_pupil_px", 10**400),
+    ("center_bounds_m", 10**400), ("e_gt", [0.0, 10**400, 0.0]),
+    ("eye_model_mm", {"eyeball_radius_mm": 10**400}),
+    ("grid", {"width": 10**400}),
+    ("scene_camera", {**CAMERA, "focal": [10**400, 600]}),
+    # float() took a numeric string angle (and a bool: see below)
+    ("eye_camera", {**CAMERA, "rotation_angles": ["0.1", 0, 0]}),
+    ("eye_camera", {**CAMERA, "rotation_angles": [10**400, 0, 0]}),
+    ("eye_camera", {**CAMERA, "rotation_angles": [math.nan, 0, 0]}),
 ])
 def test_config_rejects_non_finite_and_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -896,6 +913,7 @@ def test_config_rejects_non_finite_and_mistyped_values(key, value):
     ({"damping_down": 1.0}, "damping_down"),
     ({"damping_down": 0.5}, "damping_down"),
     ({"damping_down": 1.01}, "damping_down"),
+    ({"damping": 10**400}, "damping"),
 ])
 def test_config_builds_its_lm_settings_at_load(lm, name):
     with pytest.raises(ConfigError, match=f"lm settings: {name}"):
@@ -907,9 +925,13 @@ def test_config_builds_its_lm_settings_at_load(lm, name):
      "eye_model_mm.eyeball_radius_mm must be a finite number > 0, got nan"),
     ({"grid": {"calib_rows": -3}},
      "invalid grid: calib_rows must be an integer >= 2, got -3"),
-], ids=["eye", "grid"])
+    # it loaded as a 1 rad turn about x
+    ({"scene_camera": {**CAMERA, "rotation_angles": [True, math.pi, 0]}},
+     "invalid scene_camera: rotation_angles must be 3 finite numbers, "
+     "got [True, 3.141592653589793, 0]"),
+], ids=["eye", "grid", "camera-angles"])
 def test_config_checks_eye_and_grid_at_load(config, message):
-    # both used to construct, and failed only at synthesis
+    # the eye and grid used to construct, and failed only at synthesis
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(config)
     assert str(err.value) == message

@@ -1,5 +1,6 @@
 """Metric semantics and experiment-protocol bookkeeping."""
 
+import inspect
 import itertools
 import tracemalloc
 from dataclasses import fields, replace
@@ -127,32 +128,33 @@ def identity_model():
 
 
 def test_evaluate_known_errors():
-    rec = evaluate("3d3d", identity_model(), pose_records(1.0, 3.0),
+    rec = evaluate(identity_model(), pose_records(1.0, 3.0),
                    reference=np.zeros(3), scene_cam=SCENE_CAM,
-                   calib_subset=(1.0,), test_depth=2.0)
+                   test_depth=2.0)
     assert np.allclose(rec.errors, [1.0, 3.0], atol=1e-9)
     assert np.isclose(rec.mean, 2.0)
     assert np.isclose(rec.std, 1.0)          # population std
-    assert rec.n_targets == 2 and rec.k == 1 and rec.status == "ok"
+    assert rec.n_targets == 2 and rec.status == "ok"
+    assert (rec.mapper, rec.calib_subset, rec.test_depth) == ("3d3d", (), 2.0)
 
 
 def test_evaluate_single_sample_std_zero():
-    rec = evaluate("3d3d", identity_model(), pose_records(2.0),
-                   np.zeros(3), SCENE_CAM)
+    rec = evaluate(identity_model(), pose_records(2.0), np.zeros(3),
+                   SCENE_CAM)
     assert rec.std == 0.0
 
 
 def test_evaluate_order_invariant():
     samples = pose_records(0.5, 1.5, 2.5, 3.5)
-    a = evaluate("3d3d", identity_model(), samples, np.zeros(3), SCENE_CAM)
+    a = evaluate(identity_model(), samples, np.zeros(3), SCENE_CAM)
     reverse = take(samples, slice(None, None, -1))
-    b = evaluate("3d3d", identity_model(), reverse, np.zeros(3), SCENE_CAM)
+    b = evaluate(identity_model(), reverse, np.zeros(3), SCENE_CAM)
     assert np.isclose(a.mean, b.mean) and np.isclose(a.std, b.std)
 
 
 def test_evaluate_empty_set_rejected():
     with pytest.raises(ValueError):
-        evaluate("3d3d", identity_model(), pose_records(), np.zeros(3),
+        evaluate(identity_model(), pose_records(), np.zeros(3),
                  SCENE_CAM)
 
 
@@ -163,19 +165,19 @@ def test_evaluate_needs_poses_for_3d3d():
     samples = pooled(bundle.calibration, (1.0, 2.0))
     model = fit_mapper("3d3d", samples)
     others = np.arange(len(samples)) != 2
-    scored, alone = (evaluate("3d3d", model, group, bundle.rig.e_gt,
+    scored, alone = (evaluate(model, group, bundle.rig.e_gt,
                               bundle.rig.scene_camera)
                      for group in (without(samples, "pupil_pose", 2),
                                    take(samples, others)))
     assert scored.errors.tobytes() == alone.errors.tobytes()
     with pytest.raises(ValueError, match="empty test set"):
-        evaluate("3d3d", model, without(samples, "pupil_pose"),
+        evaluate(model, without(samples, "pupil_pose"),
                  bundle.rig.e_gt, bundle.rig.scene_camera)
     with pytest.raises(TypeError, match="must be a SampleColumns"):
-        evaluate("3d3d", model, rows(samples), bundle.rig.e_gt,
+        evaluate(model, rows(samples), bundle.rig.e_gt,
                  bundle.rig.scene_camera)
-    with pytest.raises(TypeError):
-        evaluate("3d3d", object(), samples, bundle.rig.e_gt,
+    with pytest.raises(TypeError, match="^not a mapper model: object$"):
+        evaluate(object(), samples, bundle.rig.e_gt,
                  bundle.rig.scene_camera)
 
 
@@ -184,9 +186,24 @@ def test_perfect_model_scores_zero():
     model = Model3Dto3D(
         angles=(0.0, np.pi, 0.0),
         center=bundle.rig.e_gt)   # the true rig parameters
-    rec = evaluate("3d3d", model, bundle.test[1.5], bundle.rig.e_gt,
-                   SCENE_CAM)
+    rec = evaluate(model, bundle.test[1.5], bundle.rig.e_gt, SCENE_CAM)
     assert rec.mean < 1e-9 and rec.std < 1e-9
+
+
+@pytest.mark.parametrize("mapper", MAPPER_IDS)
+def test_evaluate_labels_the_record_with_the_models_mapper(mapper):
+    """evaluate takes the mapper from the model: a record cannot carry
+    another mapper's label."""
+    bundle = default_bundle("display", depths=(1.0, 2.0))
+    model = fit_mapper(mapper, bundle.calibration[1.0])
+    rec = evaluate(model, bundle.test[2.0], bundle.rig.e_gt,
+                   bundle.rig.scene_camera, test_depth=2.0)
+    assert rec.mapper == model.mapper_id == mapper
+
+
+def test_evaluate_signature_has_no_mapper_id():
+    assert list(inspect.signature(evaluate).parameters) == [
+        "model", "samples", "reference", "scene_cam", "test_depth"]
 
 
 # ── batched evaluate vs the scalar angular_error oracle ──────────────────
@@ -215,7 +232,7 @@ def test_evaluate_matches_scalar_oracle(mapper, noise):
                                         else [])
     for cam in cams:
         for depth, samples in bundle.test.items():
-            rec = evaluate(mapper, model, samples, bundle.rig.e_gt, cam)
+            rec = evaluate(model, samples, bundle.rig.e_gt, cam)
             oracle = scalar_errors(model, samples, bundle.rig.e_gt, cam)
             assert np.allclose(rec.errors, oracle, rtol=0, atol=1e-12)
 
@@ -234,7 +251,7 @@ def test_unprojectable_rays_raise_on_both_paths(alpha, error):
     with pytest.raises(error):
         scalar_errors(model, samples, np.zeros(3), SCENE_CAM)
     with pytest.raises(error):
-        evaluate("2d3d", model, samples, np.zeros(3), SCENE_CAM)
+        evaluate(model, samples, np.zeros(3), SCENE_CAM)
 
 
 # ── sweep ────────────────────────────────────────────────────────────────
@@ -333,7 +350,7 @@ def per_depth_oracle(bundle, sweep):
                 if (model is not None
                         and usable_rows(mapper, tests, fitting=False).any()):
                     out[mapper, subset, depth] = ("ok", evaluate(
-                        mapper, model, tests, bundle.rig.e_gt,
+                        model, tests, bundle.rig.e_gt,
                         bundle.rig.scene_camera))
             except GeometryError:
                 pass

@@ -23,6 +23,7 @@ from gaze3d.geometry import (
     back_project_batch,
     intersect_ray_depth_plane,
     intersect_ray_depth_plane_batch,
+    is_number,
     normalize,
     normalize_rows,
     point_ray_distance,
@@ -35,6 +36,16 @@ from gaze3d.geometry import (
 def default_cam(**kwargs):
     return PinholeCamera(focal=(720.0, 720.0), principal=(640.0, 360.0),
                          resolution=(1280.0, 720.0), **kwargs)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (1, True), (-0.5, True), (np.float64(2.0), True), (10**300, True),
+    (10**400, False), (-(10**400), False), (True, False), ("1", False),
+    (float("nan"), False), (float("inf"), False), (None, False),
+])
+def test_is_number(value, expected):
+    # an integer beyond float range used to raise OverflowError
+    assert is_number(value) is expected
 
 
 # ── rotations ────────────────────────────────────────────────────────────

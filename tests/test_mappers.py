@@ -275,12 +275,16 @@ def test_3d3d_prediction_direction():
     ({"normalize_residuals": 0}, ValueError,
      "normalize_residuals must be true or false, got 0"),
     ({"lm": {"damping": 1.0}}, TypeError, "lm must be an LMSettings, got dict"),
+    ({"center_bounds_m": 10**400}, ValueError, f"center_bounds_m must be a "
+     f"finite number >= 0 or null (unbounded), got {10**400}"),
+    ({"eye_resolution": (10**400, 360)}, ValueError, f"eye_resolution must "
+     f"be two finite numbers > 0, got ({10**400}, 360)"),
 ])
 def test_mapping_config_rejects_bad_settings(kwargs, error, message):
     # each used to construct: a negative or NaN bound then aborted the
     # sweep, (640,) silently changed the 2d2d fits, (0, 0) let LAPACK's
     # LinAlgError escape, "no" fitted normalized, and a dict failed inside
-    # the solver
+    # the solver; an integer beyond float range raised OverflowError
     with pytest.raises(error) as err:
         MappingConfig(**kwargs)
     assert str(err.value) == message

@@ -1,11 +1,14 @@
-"""The README's Python quick start runs as written against src/, and its
-`--config` key list is the config's field list."""
+"""The README's Python quick start and command-line block run as written
+against src/, and its `--config` key list is the config's field list."""
 
+import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 from gaze3d import ExperimentConfig
+from gaze3d.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,6 +23,26 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     assert lines[0] == ("mapper,k,calib_subset,test_depth_m,n_targets,"
                         "mean_error_deg,std_error_deg,status")
     assert len(lines) == 1 + 3 * 31 * 5    # mappers x subsets x test depths
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    """Each command of the README's command-line block exits 0, run in
+    order through gaze3d.cli.main (a small two-depth experiment.json for
+    the sweep)."""
+    section = README.read_text(encoding="utf-8").split(
+        "## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert [c[:2] for c in commands] == [
+        ["gaze3d", name] for name in ("simulate", "fit", "evaluate", "sweep",
+                                      "selftest")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.json").write_text(json.dumps(
+        {"depths": [1.0, 2.0], "seed": 7}), encoding="utf-8")
+    for command in commands:
+        assert main(command[1:]) == 0, (command, capsys.readouterr().err)
+    for out in ("data.jsonl", "model.json", "sweep.csv"):
+        assert (tmp_path / out).stat().st_size > 0
 
 
 def test_readme_config_keys_are_the_config_fields():
