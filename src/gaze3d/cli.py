@@ -315,8 +315,7 @@ def cmd_selftest(args) -> int:
 
     def column_bits(bundle):     # every column the CLI fits from, as bytes
         return [(role, depth, *(getattr(columns, f).tobytes() for f in (
-                    "pupil_px", "pupil_pose", "target", "target_px",
-                    "depth_label", "has_pose", "has_target_px")))
+                    "pupil_px", "pupil_pose", "target", "target_px")))
                 for role, groups in (("calibration", bundle.calibration),
                                      ("test", bundle.test))
                 for depth, columns in groups.items()]

@@ -20,12 +20,14 @@ orjson.loads into six field columns, checks every column at once (entry
 counts, numeric types, finiteness, unit poses, roles, positive depths),
 and groups the rows by (role, depth) with one stable sort, so each
 group keeps file order.  Each group becomes the SampleColumns of a
-DatasetBundle.  A line orjson rejects is decoded with
-json.loads, which sets the grammar: both read every number to the same
-float.  Only if a column check fails does it check record by record with
-json, in file order, so the error names the first bad line.
-save_dataset writes each group from its columns, and refuses a NaN or
-infinity, which the loader would reject, before it opens the file.
+DatasetBundle, keyed by its depth_label, with a row of NaN for a null
+channel.  A line orjson rejects is decoded with json.loads, which sets
+the grammar: both read every number to the same float.  Only if a
+column check fails does it check record by record with json, in file
+order, so the error names the first bad line.
+save_dataset writes each group from its columns, with the group's key
+as each record's depth_label and a NaN row as null, and refuses a NaN
+or infinity, which the loader would reject, before it opens the file.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -215,9 +217,9 @@ def _check_record(raw, idx):
 
 def _vector_rows(values, length, optional):
     """One vector field as an (N, length) float array, NaN rows where an
-    optional field is null, and the mask of the non-null rows; None unless
-    each non-null value is a list of `length` finite JSON numbers (and,
-    for a required field, none is null)."""
+    optional field is null; None unless each non-null value is a list of
+    `length` finite JSON numbers (and, for a required field, none is
+    null)."""
     present = None
     if optional and None in values:
         present = np.array([v is not None for v in values], dtype=bool)
@@ -230,15 +232,15 @@ def _vector_rows(values, length, optional):
     if not np.isfinite(rows).all():
         return None
     if present is None:
-        return rows, np.ones(len(rows), dtype=bool)
+        return rows
     full = np.full((len(present), length), np.nan)
     full[present] = rows
-    return full, present
+    return full
 
 
 def _record_columns(lines):
-    """The records on `lines` as arrays in file order: a dict of the
-    SampleColumns fields but gaze (an optional field's null rows NaN) and
+    """The records on `lines` as arrays in file order: their
+    SampleColumns (an optional field's null rows NaN), their depths and
     the mask of test-role rows.  None if some record breaks a rule of
     _check_record."""
     # imported here, so that importing gaze3d and running sweeps, which
@@ -279,36 +281,34 @@ def _record_columns(lines):
         return None
     if any(a is None for a in arrays):
         return None
-    (pupil_px, _), (poses, has_pose), (target, _), (target_px, has_px) = arrays
+    columns = SampleColumns(*arrays)
+    # a null pose's NaN row compares False
     if (np.any(depths <= 0) or not np.isfinite(depths).all()
-            or np.any(np.abs(dot_norms(poses[has_pose]) - 1.0) > 1e-6)):
+            or np.any(np.abs(dot_norms(columns.pupil_pose) - 1.0) > 1e-6)):
         return None
-    columns = dict(pupil_px=pupil_px, pupil_pose=poses, target=target,
-                   target_px=target_px, depth_label=depths,
-                   has_pose=has_pose, has_target_px=has_px)
-    return columns, np.fromiter(map("test".__eq__, roles), dtype=bool,
-                                count=len(roles))
+    return columns, depths, np.fromiter(map("test".__eq__, roles),
+                                        dtype=bool, count=len(roles))
 
 
-def _group_columns(columns, is_test):
-    """The rows of _record_columns' arrays grouped by (role, depth) with
+def _group_columns(columns: SampleColumns, depths, is_test):
+    """The rows of _record_columns' columns grouped by (role, depth) with
     one stable sort: two dicts, calibration and test, of depth ->
     SampleColumns, each group in file order and the groups of a role in
     the order they first appear in the file."""
-    labels, index = np.unique(columns["depth_label"], return_inverse=True)
+    labels, index = np.unique(depths, return_inverse=True)
     keys = 2 * index + is_test
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     stops = np.append(starts[1:], len(keys)).tolist()
-    columns = {name: rows[order] for name, rows in columns.items()}
+    arrays = [getattr(columns, f.name)[order] for f in fields(SampleColumns)]
     calibration, test = {}, {}
     for g in np.argsort(order[starts]).tolist():  # by first appearance
         start, stop = starts[g], stops[g]
         key = int(keys[start])
         group = test if key % 2 else calibration
         group[float(labels[key // 2])] = SampleColumns(
-            **{name: rows[start:stop] for name, rows in columns.items()})
+            *(rows[start:stop] for rows in arrays))
     return calibration, test
 
 
@@ -336,20 +336,15 @@ class LoadedDataset:
 # the record keys and the SampleColumns fields they hold, in the order
 # save_dataset checks them for non-finite values
 _SAVED_FIELDS = (("pupil_px", "pupil_px"), ("pupil_pose", "pupil_pose"),
-                 ("target_scene_m", "target"), ("target_px", "target_px"),
-                 ("depth_label", "depth_label"))
+                 ("target_scene_m", "target"), ("target_px", "target_px"))
 
 
 def _check_saved_finite(columns: SampleColumns, role, depth):
     """Name the first record of a group, and its first field, holding a
     NaN or infinity, which load_dataset would reject."""
-    bad = []
-    for _, name in _SAVED_FIELDS:
-        finite = np.isfinite(getattr(columns, name))
-        if finite.ndim == 2:
-            finite = finite.all(axis=1)
-        bad.append(columns.present(name) & ~finite)
-    bad = np.array(bad)
+    bad = np.array([columns.present(name)
+                    & ~np.isfinite(getattr(columns, name)).all(axis=1)
+                    for _, name in _SAVED_FIELDS])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
         key = _SAVED_FIELDS[int(np.argmax(bad[:, i]))][0]
@@ -368,14 +363,14 @@ def _json_rows(columns: SampleColumns, name):
         text if has else "null" for text, has in zip(texts, present.tolist())]
 
 
-def _record_lines(columns: SampleColumns, role):
+def _record_lines(columns: SampleColumns, role, depth):
     """The record lines of one (role, depth) group, in row order, as
     _json_line writes them (sorted keys, float reprs)."""
-    return [f'{{"depth_label":{depth!r},"pupil_pose":{pose},'
+    depth = repr(float(depth))
+    return [f'{{"depth_label":{depth},"pupil_pose":{pose},'
             f'"pupil_px":{pupil_px},"role":"{role}","target_px":{target_px},'
             f'"target_scene_m":{target}}}'
-            for depth, pose, pupil_px, target_px, target in zip(
-                columns.depth_label.tolist(),
+            for pose, pupil_px, target_px, target in zip(
                 *(_json_rows(columns, name) for name in (
                     "pupil_pose", "pupil_px", "target_px", "target")))]
 
@@ -383,7 +378,8 @@ def _record_lines(columns: SampleColumns, role):
 def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     """Write a DatasetBundle in the line-delimited format above, from the
     SampleColumns of each (role, depth) group: by depth, calibration
-    before test, rows in order."""
+    before test, rows in order, each record's depth_label the group's
+    key."""
     if source not in ("simulated", "recorded"):
         raise ValueError(f"unknown source {source!r}")
     rig, eye = bundle.rig, bundle.eye
@@ -410,7 +406,7 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
         for role, columns in zip(_ROLES, (g.get(depth) for g in groups)):
             if columns is not None:
                 _check_saved_finite(columns, role, depth)
-                lines += _record_lines(columns, role)
+                lines += _record_lines(columns, role, depth)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -478,10 +474,10 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
         raise ParseError("dataset contains no calibration records")
     bundle = DatasetBundle(calibration=calibration, test=test,
                            rig=rig, eye=eye)
-    has_pose = parsed[0]["has_pose"]
+    posed = parsed[0].present("pupil_pose")
     return LoadedDataset(bundle=bundle, source=source,
-                         n_records=len(has_pose),
-                         missing_pose=int(len(has_pose) - has_pose.sum()))
+                         n_records=len(posed),
+                         missing_pose=int(len(posed) - posed.sum()))
 
 
 # --------------------------------------------------------------------------
@@ -750,25 +746,16 @@ class ExperimentConfig:
 
     # -- builders ----------------------------------------------------------
 
-    def to_eye(self) -> TwoSphereEye:
-        return self._eye
-
-    def to_grids(self) -> GridSpec:
-        return self._grids
-
     def to_rig(self) -> SimRig:
         return self._rig
-
-    def to_lm(self) -> LMSettings:
-        return self._mapping.lm
 
     def to_mapping_config(self, eye_resolution) -> MappingConfig:
         return replace(self._mapping, eye_resolution=tuple(eye_resolution))
 
     def build_bundle(self) -> DatasetBundle:
         """Synthesize the dataset this configuration describes."""
-        return synthesize_dataset(self.to_rig(), self.to_eye(), self.depths,
-                                  self.to_grids(), seed=self.seed)
+        return synthesize_dataset(self._rig, self._eye, self.depths,
+                                  self._grids, seed=self.seed)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -12,7 +12,10 @@ position) are synthesized, optionally with seeded Gaussian noise.
 synthesize_sample simulates one fixation and is the oracle for
 synthesize_dataset, which computes each grid as arrays while every
 sample keeps its own seeded generator, giving the same bits.  A
-DatasetBundle stores each (role, depth) group as one SampleColumns.
+DatasetBundle stores each (role, depth) group as one SampleColumns of
+the four measured channels, keyed by its depth; a missing channel is a
+row of NaN, and the ground-truth gaze of a simulated sample is the unit
+vector from the eyeball center to its target.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .geometry import (
     check_numbers,
     dot_norms,
     is_number,
-    normalize,
     project,
     rotation_from_angles,
 )
@@ -180,10 +182,15 @@ def generate_target_grid(grid: TargetGrid) -> np.ndarray:
     return np.array(pts)
 
 
+# the most rows or columns a grid may have: 10^6 targets per plane
+MAX_GRID_COUNT = 1000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid protocol for a whole experiment.
 
+    Each row and column count is an integer from 2 to MAX_GRID_COUNT.
     Calibration grids are rows x cols of size width x height (meters);
     test grids shrink both sides by test_scale so they lie strictly
     inside the calibration hull.  With scale_with_depth the physical size
@@ -207,6 +214,9 @@ class GridSpec:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral) or value < 2):
                 raise ValueError(f"{name} must be an integer >= 2, "
+                                 f"got {value!r}")
+            if value > MAX_GRID_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_GRID_COUNT}, "
                                  f"got {value!r}")
         check_numbers(self, ("width", "height", "test_scale"))
         if not isinstance(self.scale_with_depth, bool):
@@ -251,8 +261,6 @@ class SimSample:
     pupil_pose: np.ndarray
     target: np.ndarray
     target_px: np.ndarray
-    depth_label: float
-    role: str
     gaze: Ray
 
 
@@ -317,7 +325,7 @@ def _deflect_rows(directions, sigma_rad, rngs):
 
 
 def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
-                      rng=None, depth_label=None, role="calibration") -> SimSample:
+                      rng=None) -> SimSample:
     """Simulate one fixation on `target`.
 
     Target noise (if any) perturbs the fixated 3D point itself, so the
@@ -346,16 +354,12 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
         pose = _deflect(pose, np.radians(rig.noise_pose_deg), rng)
 
     return SimSample(pupil_px=pupil_px, pupil_pose=pose, target=target,
-                     target_px=target_px,
-                     depth_label=float(depth_label if depth_label is not None
-                                       else target[2]),
-                     role=role, gaze=gaze)
+                     target_px=target_px, gaze=gaze)
 
 
-# the vector fields of a sample and their widths; the optional ones
-# with the SampleColumns mask of the rows holding them
+# the vector fields of a sample and their widths, and the optional ones
 _WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
-_PRESENCE = {"pupil_pose": "has_pose", "target_px": "has_target_px"}
+_OPTIONAL = ("pupil_pose", "target_px")
 
 
 @dataclass(frozen=True)
@@ -365,50 +369,48 @@ class SampleColumns:
     scoring.
 
     pupil_px (N, 2), pupil_pose (N, 3), target (N, 3) and target_px
-    (N, 2) hold the channels, depth_label (N,) each sample's depth label.
-    pupil_pose and target_px may be missing: has_pose and has_target_px
-    mark the rows holding them, and the other rows hold NaN.  gaze holds
-    the ground-truth gaze directions (N, 3) of simulated samples, and is
-    None otherwise.
+    (N, 2) are the four measured channels.  pupil_pose and target_px may
+    be missing: a row missing one holds NaN in each entry (see present).
+    The group's depth is its key in a DatasetBundle, and the ground-truth
+    gaze direction of a simulated sample is unit(target - rig.e_gt).
     """
 
     pupil_px: np.ndarray
     pupil_pose: np.ndarray
     target: np.ndarray
     target_px: np.ndarray
-    depth_label: np.ndarray
-    has_pose: np.ndarray
-    has_target_px: np.ndarray
-    gaze: np.ndarray = None
 
     def __len__(self):
-        return len(self.depth_label)
+        return len(self.pupil_px)
 
     def present(self, name):
-        """The mask of the rows holding field `name`."""
-        mask = _PRESENCE.get(name)
-        return (np.ones(len(self), dtype=bool) if mask is None
-                else getattr(self, mask))
+        """The mask of the rows holding field `name`: of an optional
+        field, the rows that are not all NaN; of the others, every row.
+        The one rule of what a missing channel is."""
+        rows = getattr(self, name)
+        if name not in _OPTIONAL:
+            return np.ones(len(rows), dtype=bool)
+        return ~np.isnan(rows).all(axis=1)
 
     @classmethod
     def concatenate(cls, groups):
-        """The rows of each of `groups` in turn, as one SampleColumns
-        without gaze."""
-        return cls(**{f.name: np.concatenate([getattr(g, f.name)
-                                              for g in groups])
-                      for f in fields(cls) if f.name != "gaze"})
+        """The rows of each of `groups` in turn, as one SampleColumns."""
+        return cls(*(np.concatenate([getattr(g, f.name) for g in groups])
+                     for f in fields(cls)))
 
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Calibration and test samples grouped by depth label, plus the rig
-    and eye that produced them.
+    """Calibration and test samples grouped by depth, plus the rig and
+    eye that produced them.
 
     `calibration` and `test` are dicts from depth to the SampleColumns of
     that (role, depth) group, which the fits, the sweep, the CLI and
-    save_dataset read.  A group that is not a SampleColumns raises
-    TypeError naming its role and depth.  To change a group, make a new
-    bundle with dataclasses.replace.
+    save_dataset read; the key is the one record of the group's depth.
+    A key that is not a finite number > 0 raises ValueError, and a group
+    that is not a SampleColumns TypeError, each naming the role and
+    depth.  To change a group, make a new bundle with
+    dataclasses.replace.
     """
 
     calibration: dict
@@ -420,6 +422,9 @@ class DatasetBundle:
         for role in ("calibration", "test"):
             groups = dict(getattr(self, role))
             for depth, group in groups.items():
+                if not (is_number(depth) and depth > 0):
+                    raise ValueError(f"{role} group depth must be a finite "
+                                     f"number > 0, got {depth!r}")
                 if not isinstance(group, SampleColumns):
                     raise TypeError(f"{role} group at depth {depth} is not "
                                     f"a SampleColumns: "
@@ -443,11 +448,11 @@ def _project_rows(cam: PinholeCamera, points):
     return px, in_front & inside
 
 
-def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
-                     depth_label, role) -> SampleColumns:
+def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points,
+                     seeds) -> SampleColumns:
     """synthesize_sample for every row of `points`, the i-th with a
     generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays
-    and returned as the group's SampleColumns, gaze directions included.
+    and returned as the group's SampleColumns.
     A noiseless rig draws nothing, so it needs no seeds (None).
 
     Gives the same bits as the per-sample calls: each generator draws
@@ -474,8 +479,7 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
     if bad.any():
         i = int(np.argmax(bad))
         rng = np.random.default_rng(seeds[i] if rig.noisy else 0)
-        synthesize_sample(rig, eye, points[i], rng, depth_label=depth_label,
-                          role=role)
+        synthesize_sample(rig, eye, points[i], rng)
         raise RuntimeError(f"point {i} fails the batched checks but not "
                            "synthesize_sample")
     if rig.noise_pupil_px > 0:
@@ -484,12 +488,8 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points, seeds,
     poses = (rig.eye_camera.rotation.T @ directions[..., None])[..., 0]
     if rig.noise_pose_deg > 0:
         poses = _deflect_rows(poses, np.radians(rig.noise_pose_deg), rngs)
-    present = np.ones(len(points), dtype=bool)
     return SampleColumns(pupil_px=pupil_px, pupil_pose=poses, target=targets,
-                         target_px=target_px,
-                         depth_label=np.full(len(points), float(depth_label)),
-                         has_pose=present, has_target_px=present,
-                         gaze=directions)
+                         target_px=target_px)
 
 
 def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
@@ -502,10 +502,9 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     (a noiseless rig draws nothing and spawns none).
     Each grid is synthesized as arrays and stored as the SampleColumns of
     its (role, depth) group: pupil_px (N, 2), pupil_pose (N, 3), target
-    (N, 3), target_px (N, 2), depth labels and the ground-truth gaze
-    directions (N, 3).  The samples are those synthesize_sample gives for
-    each point with its own generator, bit for bit, and synthesize_sample
-    is the oracle the tests hold it to.
+    (N, 3) and target_px (N, 2).  The samples are those synthesize_sample
+    gives for each point with its own generator, bit for bit, and
+    synthesize_sample is the oracle the tests hold it to.
     """
     if not depths:
         raise ValueError("depths must be nonempty")
@@ -514,13 +513,11 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     root = np.random.SeedSequence(seed)
     calibration, test = {}, {}
     for depth in depths:
-        for role, group, grid in (
-                ("calibration", calibration, grids.calibration_grid(depth)),
-                ("test", test, grids.test_grid(depth))):
+        for group, grid in ((calibration, grids.calibration_grid(depth)),
+                            (test, grids.test_grid(depth))):
             points = generate_target_grid(grid)
             seeds = root.spawn(len(points)) if rig.noisy else None
-            group[depth] = _synthesize_grid(rig, eye, points, seeds, depth,
-                                            role)
+            group[depth] = _synthesize_grid(rig, eye, points, seeds)
     return DatasetBundle(calibration=calibration, test=test, rig=rig, eye=eye)
 
 

@@ -9,28 +9,24 @@ import numpy as np
 
 from gaze3d.eye_simulator import SampleColumns
 
-# the vector fields of a sample and their widths; the optional ones with
-# the SampleColumns mask of the rows holding them
+# the vector fields of a sample and their widths
 WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
-PRESENCE = {"pupil_pose": "has_pose", "target_px": "has_target_px"}
 
 
 def rows(columns):
     """Each row of `columns` as an object holding its four vector fields,
-    an optional one None where it is missing, and its depth_label."""
+    an optional one None where it is missing."""
     present = {name: columns.present(name).tolist() for name in WIDTHS}
     return [SimpleNamespace(
         **{name: getattr(columns, name)[i] if present[name][i] else None
-           for name in WIDTHS},
-        depth_label=float(columns.depth_label[i]))
+           for name in WIDTHS})
         for i in range(len(columns))]
 
 
 def stack(samples):
     """The SampleColumns of a sequence of samples: SimSamples, or objects
-    holding the four vector fields (pupil_pose and target_px may be None)
-    and depth_label.  gaze holds the samples' gaze directions if each
-    sample holds a gaze ray, and is None otherwise."""
+    holding the four vector fields (pupil_pose and target_px may be
+    None, which stacks as a row of NaN)."""
     samples = list(samples)
     columns = {}
     for name, width in WIDTHS.items():
@@ -40,31 +36,21 @@ def stack(samples):
         if present.any():
             stacked[present] = [v for v in values if v is not None]
         columns[name] = stacked
-        if name in PRESENCE:
-            columns[PRESENCE[name]] = present
-    rays = [getattr(s, "gaze", None) for s in samples]
-    gaze = (np.array([ray.direction for ray in rays])
-            if rays and all(r is not None for r in rays) else None)
-    return SampleColumns(
-        depth_label=np.array([float(s.depth_label) for s in samples]),
-        gaze=gaze, **columns)
+    return SampleColumns(**columns)
 
 
 def take(columns, index):
     """The rows `index` (a slice, index array or mask) of `columns`."""
-    return SampleColumns(**{
-        f.name: None if getattr(columns, f.name) is None
-        else getattr(columns, f.name)[index] for f in fields(SampleColumns)})
+    return SampleColumns(*(getattr(columns, f.name)[index]
+                           for f in fields(SampleColumns)))
 
 
 def without(columns, name, index=slice(None)):
     """A copy of `columns` whose optional field `name` is missing at the
-    rows `index`: NaN there, and its mask False."""
+    rows `index`: NaN there."""
     values = getattr(columns, name).copy()
-    mask = getattr(columns, PRESENCE[name]).copy()
     values[index] = np.nan
-    mask[index] = False
-    return replace(columns, **{name: values, PRESENCE[name]: mask})
+    return replace(columns, **{name: values})
 
 
 def pooled(groups, depths):

@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through cli.main()."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -388,6 +389,29 @@ def test_sweep_summary_marks_a_k_without_ok_records(tmp_path, capsys):
     assert "2d2d mean_deg by depth count: k=1:failed k=2:" in stdout
     assert "2d3d mean_deg by depth count: k=1:failed k=2:" in stdout
     assert "3d3d mean_deg by depth count: k=1:0.0000 k=2:" in stdout
+
+
+# ── pinned outputs ───────────────────────────────────────────────────────
+# The sha256 of a noisy simulated dataset and of a three-depth sweep CSV.
+# A refactor must leave both unchanged; a change meant to alter the data
+# or the results re-pins them and says why.
+
+PINNED_OUTPUTS = {
+    ("simulate", "--depths", "1.0,2.0", "--seed", "3", "--noise-px", "1",
+     "--noise-deg", "0.5", "--noise-target-mm", "2"):
+    "0c9fd3ebe6bd22398600f59aa11b163698761e7f9337a51c91a87d41e028beff",
+    ("sweep", "--depths", "1.0,1.5,2.0"):
+    "35f8fcad4e8397d8ecb167246e884c2af831960380a338f6013c92645f60bdf4",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS, ids=["simulate", "sweep"])
+def test_outputs_keep_their_pinned_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", out)
+    assert code == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == PINNED_OUTPUTS[argv])
 
 
 # ── selftest ─────────────────────────────────────────────────────────────

@@ -82,11 +82,9 @@ def test_roundtrip_is_lossless(bundle, dataset_path):
         for group in ("calibration", "test"):
             originals = getattr(bundle, group)[depth]
             restored = getattr(loaded, group)[depth]
-            assert restored.gaze is None
             for f in fields(SampleColumns):
-                if f.name != "gaze":
-                    assert (getattr(originals, f.name).tobytes()
-                            == getattr(restored, f.name).tobytes())
+                assert (getattr(originals, f.name).tobytes()
+                        == getattr(restored, f.name).tobytes())
     # the reconstructed rig carries the original cameras
     assert np.array_equal(loaded.bundle.rig.e_gt, bundle.rig.e_gt)
     assert np.array_equal(loaded.bundle.rig.eye_camera.rotation,
@@ -113,7 +111,6 @@ def test_loaded_dataset_feeds_fits_without_warnings(dataset_path):
     ("pupil_pose", np.array([np.inf, 0.0, 0.0])),
     ("target", np.array([0.1, np.nan, 1.5])),
     ("target_px", np.array([-np.inf, 300.0])),
-    ("depth_label", np.nan),
 ])
 def test_save_rejects_non_finite_values_and_writes_nothing(bundle, tmp_path,
                                                            field, value):
@@ -130,6 +127,58 @@ def test_save_rejects_non_finite_values_and_writes_nothing(bundle, tmp_path,
     assert str(err.value) == (f"cannot save calibration record 2 at depth "
                               f"1.5: field {key!r} contains non-finite values")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("key", [math.nan, 0, -1, True],
+                         ids=["nan", "zero", "negative", "bool"])
+def test_bundle_rejects_depth_keys_that_are_not_positive_numbers(bundle, key):
+    # the key is the depth save_dataset writes; a NaN one used to be
+    # caught only when saving
+    for role in ("calibration", "test"):
+        with pytest.raises(ValueError) as err:
+            DatasetBundle(**{"calibration": bundle.calibration,
+                             "test": bundle.test,
+                             role: {key: bundle.test[1.0]}},
+                          rig=bundle.rig, eye=bundle.eye)
+        assert str(err.value) == (f"{role} group depth must be a finite "
+                                  f"number > 0, got {key!r}")
+
+
+def test_groups_load_back_under_the_keys_they_were_saved_under(tmp_path):
+    # a group's depth is its key: swapped between 1.0 and 2.0, each
+    # group is written and loads back under the key it was stored under
+    bundle = synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, 2.0),
+                                seed=3)
+    swapped = replace(bundle, **{
+        role: {1.0: groups[2.0], 2.0: groups[1.0]}
+        for role, groups in (("calibration", bundle.calibration),
+                             ("test", bundle.test))})
+    path = tmp_path / "swapped.jsonl"
+    save_dataset(swapped, path)
+    loaded = load_dataset(path)
+    for role in ("calibration", "test"):
+        got, want = getattr(loaded, role), getattr(swapped, role)
+        assert list(got) == [1.0, 2.0]
+        for depth, group in want.items():
+            for f in fields(SampleColumns):
+                assert (getattr(got[depth], f.name).tobytes()
+                        == getattr(group, f.name).tobytes())
+
+
+@pytest.mark.parametrize("key, text", [(2, "2.0"), (np.float64(1.5), "1.5")],
+                         ids=["int", "float64"])
+def test_saved_depth_label_is_the_float_of_the_key(bundle, tmp_path, key,
+                                                   text):
+    # numpy 2 reprs a float64 as np.float64(1.5), which is not JSON
+    one_group = DatasetBundle(calibration={key: bundle.calibration[1.0]},
+                              test={}, rig=bundle.rig, eye=bundle.eye)
+    path = tmp_path / "data.jsonl"
+    save_dataset(one_group, path)
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == 25
+    assert all(line.startswith(f'{{"depth_label":{text},"pupil_pose":')
+               for line in lines)
+    assert list(load_dataset(path).calibration) == [float(text)]
 
 
 # ── dataset decoding ─────────────────────────────────────────────────────
@@ -189,9 +238,9 @@ def test_loader_reads_every_number_as_json_does(header_line, tmp_path_factory,
             '"target_scene_m":[%s,%s,%s]}' % (depth, *pose, *numbers))
     path = tmp_path_factory.getbasetemp() / "numbers.jsonl"
     path.write_text(header_line + "\n" + line + "\n")
-    [columns] = load_dataset(path).calibration.values()
+    [(key, columns)] = load_dataset(path).calibration.items()
     [record] = rows(columns)
-    assert _bits([record.depth_label]) == _bits([depth])
+    assert _bits([key]) == _bits([depth])
     assert _bits(record.pupil_pose) == _bits(pose)
     assert _bits(record.pupil_px) == _bits(numbers[:2])
     assert _bits(record.target_px) == _bits(numbers[2:4])
@@ -225,8 +274,7 @@ def _oracle_bundle(lines, rig, eye):
                 else np.array(r["pupil_pose"], dtype=float),
                 target=np.array(r["target_scene_m"], dtype=float),
                 target_px=None if r.get("target_px") is None
-                else np.array(r["target_px"], dtype=float),
-                depth_label=float(r["depth_label"])))
+                else np.array(r["target_px"], dtype=float)))
     return DatasetBundle(rig=rig, eye=eye, **{
         role: {depth: stack(samples) for depth, samples in group.items()}
         for role, group in groups.items()})
@@ -317,12 +365,12 @@ def test_lines_orjson_rejects_or_pads_load_as_json_reads_them(dataset_path,
     rewrite_line(dataset_path, 3, edit)
     line = dataset_path.read_text().splitlines()[2]
     expected = json.loads(line)       # json keeps the last duplicate key
-    record = rows(load_dataset(dataset_path).calibration[1.0])[1]
+    calibration = load_dataset(dataset_path).calibration
+    record = rows(calibration[float(expected["depth_label"])])[1]
     assert _bits(record.pupil_px) == _bits(expected["pupil_px"])
     assert _bits(record.pupil_pose) == _bits(expected["pupil_pose"])
     assert _bits(record.target) == _bits(expected["target_scene_m"])
     assert _bits(record.target_px) == _bits(expected["target_px"])
-    assert _bits([record.depth_label]) == _bits([expected["depth_label"]])
 
 
 def test_only_dataset_loading_imports_orjson(tmp_path):
@@ -929,12 +977,23 @@ def test_config_builds_its_lm_settings_at_load(lm, name):
     ({"scene_camera": {**CAMERA, "rotation_angles": [True, math.pi, 0]}},
      "invalid scene_camera: rotation_angles must be 3 finite numbers, "
      "got [True, 3.141592653589793, 0]"),
-], ids=["eye", "grid", "camera-angles"])
+    ({"grid": {"test_cols": 1001}},
+     "invalid grid: test_cols must be at most 1000, got 1001"),
+    ({"grid": {"calib_rows": 10**400}},
+     f"invalid grid: calib_rows must be at most 1000, got {10**400}"),
+], ids=["eye", "grid", "camera-angles", "grid-1001", "grid-huge"])
 def test_config_checks_eye_and_grid_at_load(config, message):
     # the eye and grid used to construct, and failed only at synthesis
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(config)
     assert str(err.value) == message
+
+
+def test_grid_counts_at_the_cap_are_valid():
+    # built only: a 1000 x 1000 grid is not synthesized here
+    ExperimentConfig.from_dict({"grid": {
+        "calib_rows": 1000, "calib_cols": 1000,
+        "test_rows": 1000, "test_cols": 1000}})
 
 
 def test_config_keeps_the_rig_it_built():
@@ -977,7 +1036,7 @@ def test_config_file_roundtrip(tmp_path):
                                 "lm": {"max_iterations": 50}}))
     cfg = load_config(path)
     assert cfg.seed == 9 and cfg.depths == (1.0, 2.0)
-    assert cfg.to_lm().max_iterations == 50
+    assert cfg.to_mapping_config((640, 360)).lm.max_iterations == 50
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)

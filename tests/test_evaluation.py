@@ -119,8 +119,7 @@ def pose_records(*angles_deg, target=(0.0, 0.0, 2.0)):
         pupil_px=np.zeros((n, 2)),
         pupil_pose=np.stack((np.sin(a), np.zeros(n), np.cos(a)), axis=1),
         target=np.tile(np.asarray(target, dtype=float), (n, 1)),
-        target_px=np.full((n, 2), np.nan), depth_label=np.full(n, target[2]),
-        has_pose=np.ones(n, dtype=bool), has_target_px=np.zeros(n, dtype=bool))
+        target_px=np.full((n, 2), np.nan))
 
 
 def identity_model():
@@ -449,9 +448,8 @@ def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
 
 @pytest.mark.parametrize("bundle", ["display", "noisy"])
 def test_saved_and_loaded_bundles_sweep_alike(bundle, tmp_path):
-    """A synthesized bundle and the same bundle saved and loaded, which
-    holds no gaze directions, hold the same columns and sweep to the same
-    records, bit for bit."""
+    """A synthesized bundle and the same bundle saved and loaded hold the
+    same columns and sweep to the same records, bit for bit."""
     bundle = SWEEP_BUNDLES[bundle][0]()
     path = tmp_path / "data.jsonl"
     save_dataset(bundle, path)
@@ -460,11 +458,9 @@ def test_saved_and_loaded_bundles_sweep_alike(bundle, tmp_path):
         columns = getattr(bundle, role)
         assert list(columns) == list(getattr(loaded, role))
         for depth, group in getattr(loaded, role).items():
-            assert group.gaze is None
             for f in fields(SampleColumns):
-                if f.name != "gaze":
-                    assert (getattr(group, f.name).tobytes()
-                            == getattr(columns[depth], f.name).tobytes())
+                assert (getattr(group, f.name).tobytes()
+                        == getattr(columns[depth], f.name).tobytes())
     sweeps = [depth_combination_sweep(b) for b in (bundle, loaded)]
     for a, b in zip(*(s.records for s in sweeps), strict=True):
         assert ((a.mapper, a.calib_subset, a.test_depth, a.status)

@@ -33,6 +33,7 @@ from gaze3d.eye_simulator import (
 from gaze3d.geometry import (
     PinholeCamera,
     angle_between,
+    dot_norms,
     normalize_rows,
     project,
     rotation_from_angles,
@@ -293,7 +294,7 @@ def test_dataset_counts_and_labels():
         assert len(bundle.calibration[depth]) == 25
         assert len(bundle.test[depth]) == 16
         for group in (bundle.calibration[depth], bundle.test[depth]):
-            assert np.all(group.depth_label == depth)
+            assert np.all(group.target[:, 2] == depth)
 
 
 def test_bundle_groups_must_be_columns():
@@ -355,8 +356,7 @@ def per_sample_dataset(rig, eye, depths, grids, seed):
                            ("test", grids.test_grid(depth))):
             points = generate_target_grid(grid)
             groups[role][depth] = [
-                synthesize_sample(rig, eye, pt, np.random.default_rng(s),
-                                  depth_label=depth, role=role)
+                synthesize_sample(rig, eye, pt, np.random.default_rng(s))
                 for pt, s in zip(points, root.spawn(len(points)))]
     return groups
 
@@ -392,9 +392,13 @@ def test_dataset_matches_per_sample_oracle(case):
             for f in fields(SampleColumns):
                 assert (getattr(got[depth], f.name).tobytes()
                         == getattr(want, f.name).tobytes())
+            # the ground-truth gaze of each row is unit(target - e_gt)
+            offsets = got[depth].target - rig.e_gt
+            directions = offsets / dot_norms(offsets)[:, None]
+            assert (np.array([b.gaze.direction for b in samples]).tobytes()
+                    == directions.tobytes())
             for b in samples:
                 assert np.array_equal(b.gaze.origin, rig.e_gt)
-                assert b.role == role
 
 
 BAD_POINT_CASES = {
