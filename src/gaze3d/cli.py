@@ -163,9 +163,9 @@ def cmd_fit(args) -> int:
         raise CliUsageError("fit needs exactly one mapper, e.g. "
                             "--mappers 2d3d")
     mapper = cfg.mappers[0]
-    loaded = load_dataset(args.dataset, require_calibration=True)
-    depths = args.depths or loaded.depths()
-    calibration = loaded.calibration
+    bundle = load_dataset(args.dataset, require_calibration=True).bundle
+    depths = args.depths or bundle.depths()
+    calibration = bundle.calibration
     for depth in depths:
         if depth not in calibration:
             raise CliUsageError(f"depth {depth} has no calibration records")
@@ -180,8 +180,7 @@ def cmd_fit(args) -> int:
               "fitting", file=sys.stderr)
     if not n_usable:
         raise CliUsageError(f"no usable calibration samples for {mapper}")
-    mapping_cfg = cfg.to_mapping_config(
-        loaded.bundle.rig.eye_camera.resolution)
+    mapping_cfg = cfg.to_mapping_config(bundle.rig.eye_camera.resolution)
     model = fit_mapper(mapper, pooled, mapping_cfg)
     out = cfg.out or "model.json"
     save_model(model, out)
@@ -194,7 +193,7 @@ def cmd_evaluate(args) -> int:
     loaded = load_dataset(args.dataset)
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
-    tests = loaded.test
+    tests = loaded.bundle.test
     depths = (check_depths(args.depths) if args.depths
               else tuple(sorted(tests)))
     if not depths:
@@ -252,6 +251,7 @@ def cmd_sweep(args) -> int:
 def cmd_selftest(args) -> int:
     # Small end-to-end invariant suite; every check is seeded and fast.
     import tempfile
+    from dataclasses import fields
     from pathlib import Path
 
     from .eye_simulator import (SimRig, TwoSphereEye, derive_pupil_geometry,
@@ -314,8 +314,8 @@ def cmd_selftest(args) -> int:
           and all(r.mean < 0.5 for r in ok_recs))
 
     def column_bits(bundle):     # every column the CLI fits from, as bytes
-        return [(role, depth, *(getattr(columns, f).tobytes() for f in (
-                    "pupil_px", "pupil_pose", "target", "target_px")))
+        return [(role, depth, *(getattr(columns, f.name).tobytes()
+                                for f in fields(columns)))
                 for role, groups in (("calibration", bundle.calibration),
                                      ("test", bundle.test))
                 for depth, columns in groups.items()]

@@ -15,16 +15,22 @@ given dataset has exactly one byte representation: identical seeds give
 byte-identical files and a load/save cycle is lossless.  Numeric fields
 hold JSON numbers; numeric strings and booleans are rejected.
 
-Records are parsed per column: load_dataset decodes each line with
-orjson.loads into six field columns, checks every column at once (entry
-counts, numeric types, finiteness, unit poses, roles, positive depths),
-and groups the rows by (role, depth) with one stable sort, so each
-group keeps file order.  Each group becomes the SampleColumns of a
-DatasetBundle, keyed by its depth_label, with a row of NaN for a null
-channel.  A line orjson rejects is decoded with json.loads, which sets
-the grammar: both read every number to the same float.  Only if a
-column check fails does it check record by record with json, in file
-order, so the error names the first bad line.
+Files are JSON Lines: UTF-8, and each line ends at "\n" (a "\r" before
+it is JSON whitespace, so CRLF files load).  Records are parsed per
+column: load_dataset decodes each line with orjson.loads into six field
+columns, checks every column at once (entry counts, numeric types,
+finiteness, unit poses, roles, positive depths), and groups the rows by
+(role, depth) with one stable sort, so each group keeps file order.
+Each group becomes the SampleColumns of a DatasetBundle, keyed by its
+depth_label, with a row of NaN for a null channel.  _VECTOR_FIELDS maps
+each record key to its SampleColumns field, whose width and optional
+flag are SampleColumns' own.  One decoder, _decode, reads a line that
+orjson rejects: as strict UTF-8, with json.loads, which sets the
+grammar (both read every number to the same float).  Only if a column
+check fails does load_dataset check record by record (_check_record,
+which decodes with _decode), in file order, so the error names the
+first bad line.  load_dataset returns the bundle with its provenance
+and counts, as a LoadedDataset.
 save_dataset writes each group from its columns, with the group's key
 as each record's depth_label and a NaN row as null, and refuses a NaN
 or infinity, which the loader would reject, before it opens the file.
@@ -47,6 +53,8 @@ from operator import itemgetter
 import numpy as np
 
 from .eye_simulator import (
+    _OPTIONAL,
+    _WIDTHS,
     DEFAULT_DEPTHS,
     DEFAULT_E_GT,
     GRID_PRESETS,
@@ -138,18 +146,44 @@ def _camera_from_dict(d, what) -> PinholeCamera:
 # numeric strings are not numbers here.
 _NUMBER_TYPES = frozenset((int, float))
 _ROLES = ("calibration", "test")
-# the vector fields as (key, length, optional), in the order
-# _check_record checks them
-_VECTOR_FIELDS = (("pupil_px", 2, False), ("pupil_pose", 3, True),
-                  ("target_scene_m", 3, False), ("target_px", 2, True))
-_RECORD_KEYS = tuple(f[0] for f in _VECTOR_FIELDS) + ("depth_label", "role")
+# each vector field as (record key, SampleColumns field), in the order
+# _check_record and _check_saved_finite check them; the field's width
+# and whether it may be null are SampleColumns' (_WIDTHS, _OPTIONAL)
+_VECTOR_FIELDS = (("pupil_px", "pupil_px"), ("pupil_pose", "pupil_pose"),
+                  ("target_scene_m", "target"), ("target_px", "target_px"))
+_RECORD_KEYS = (*(key for key, _ in _VECTOR_FIELDS), "depth_label", "role")
 _RECORD_FIELDS = itemgetter(*_RECORD_KEYS)
 
 
-def _vec(record, key, length, lineno, optional=False):
+def _decode(raw):
+    """The record on one line (bytes, without its newline), or the
+    reason the line is bad as a str.  orjson decodes; a line it rejects
+    (NaN and Infinity, numbers beyond float range, lone surrogate
+    escapes, bad UTF-8) is read as strict UTF-8 and json decides, which
+    sets the grammar: both read every number to the same float."""
+    import orjson       # see _record_columns
+
+    try:
+        record = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        try:
+            text = raw.decode("utf-8")
+            if not text.strip():
+                return "blank line inside dataset"
+            record = json.loads(text)
+        except UnicodeDecodeError as err:
+            return f"bad UTF-8: {err.reason}"
+        except json.JSONDecodeError as err:
+            return f"bad JSON: {err.msg}"
+    if type(record) is not dict:
+        return "record is not an object"
+    return record
+
+
+def _vec(record, key, name, lineno):
     value = record.get(key)
     if value is None:
-        if optional:
+        if name in _OPTIONAL:
             return None
         raise ParseError(f"missing field {key!r}", line=lineno)
     try:
@@ -160,8 +194,9 @@ def _vec(record, key, length, lineno, optional=False):
     except OverflowError as err:     # a JSON integer beyond float range
         raise ParseError(f"field {key!r} has a number out of float range",
                          line=lineno) from err
-    if arr.shape != (length,):
-        raise ParseError(f"field {key!r} must have {length} entries",
+    width = _WIDTHS[name]
+    if arr.shape != (width,):
+        raise ParseError(f"field {key!r} must have {width} entries",
                          line=lineno)
     for v in value:
         if type(v) not in _NUMBER_TYPES:
@@ -174,21 +209,16 @@ def _vec(record, key, length, lineno, optional=False):
 
 
 def _check_record(raw, idx):
-    """Parse and check the record on line idx + 2, raising the error
+    """Decode and check the record on line idx + 2, raising the error
     load_dataset reports for it.  This is the per-record rule that
     load_dataset's column checks apply to all records at once; it runs
     only when those fail, to find and word the first bad record."""
     lineno = idx + 2
-    if not raw.strip():
-        raise ParseError("blank line inside dataset", line=lineno)
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"bad JSON: {err.msg}", line=lineno) from err
-    if not isinstance(record, dict):
-        raise ParseError("record is not an object", line=lineno)
-    _, pose, _, _ = [_vec(record, key, length, lineno, optional)
-                     for key, length, optional in _VECTOR_FIELDS]
+    record = _decode(raw)
+    if type(record) is not dict:
+        raise ParseError(record, line=lineno)
+    _, pose, _, _ = [_vec(record, key, name, lineno)
+                     for key, name in _VECTOR_FIELDS]
     if pose is not None:
         norm = float(np.linalg.norm(pose))
         if abs(norm - 1.0) > 1e-6:
@@ -215,25 +245,26 @@ def _check_record(raw, idx):
                          line=lineno)
 
 
-def _vector_rows(values, length, optional):
-    """One vector field as an (N, length) float array, NaN rows where an
-    optional field is null; None unless each non-null value is a list of
-    `length` finite JSON numbers (and, for a required field, none is
-    null)."""
+def _vector_rows(values, name):
+    """Field `name` of each record as an (N, width) float array, NaN rows
+    where an optional field is null; None unless each non-null value is
+    a list of `width` finite JSON numbers (and, for a required field,
+    none is null)."""
+    width = _WIDTHS[name]
     present = None
-    if optional and None in values:
+    if name in _OPTIONAL and None in values:
         present = np.array([v is not None for v in values], dtype=bool)
         values = list(compress(values, present))
-    if (set(map(type, values)) - {list} or set(map(len, values)) - {length}
+    if (set(map(type, values)) - {list} or set(map(len, values)) - {width}
             or set(map(type, chain.from_iterable(values))) - _NUMBER_TYPES):
         return None
     rows = np.fromiter(chain.from_iterable(values), dtype=float,
-                       count=len(values) * length).reshape(-1, length)
+                       count=len(values) * width).reshape(-1, width)
     if not np.isfinite(rows).all():
         return None
     if present is None:
         return rows
-    full = np.full((len(present), length), np.nan)
+    full = np.full((len(present), width), np.nan)
     full[present] = rows
     return full
 
@@ -252,36 +283,24 @@ def _record_columns(lines):
     except (orjson.JSONDecodeError, KeyError, TypeError):
         # a line orjson rejects, a key left out (a null field may be) or
         # a record that is not an object: decode line by line
-        fields = []
-        for raw in lines:
-            try:
-                record = orjson.loads(raw)
-            except orjson.JSONDecodeError:
-                # orjson rejects some lines json accepts (NaN and
-                # Infinity, numbers beyond float range, lone surrogate
-                # escapes); json decides, as _check_record does
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError:
-                    return None
-            if type(record) is not dict:
-                return None
-            fields.append(tuple(map(record.get, _RECORD_KEYS)))
+        records = list(map(_decode, lines))
+        if any(type(record) is not dict for record in records):
+            return None
+        fields = [tuple(map(record.get, _RECORD_KEYS)) for record in records]
     *vectors, depths, roles = (zip(*fields) if fields
                                else [()] * len(_RECORD_KEYS))
     try:
         if set(roles) - set(_ROLES) or set(map(type, depths)) - _NUMBER_TYPES:
             return None
         depths = np.array(depths, dtype=float)
-        arrays = [_vector_rows(values, length, optional)
-                  for values, (_, length, optional)
-                  in zip(vectors, _VECTOR_FIELDS)]
+        by_field = {name: _vector_rows(values, name)
+                    for values, (_, name) in zip(vectors, _VECTOR_FIELDS)}
     # unhashable roles; ints too large for a float
     except (TypeError, ValueError, OverflowError):
         return None
-    if any(a is None for a in arrays):
+    if any(rows is None for rows in by_field.values()):
         return None
-    columns = SampleColumns(*arrays)
+    columns = SampleColumns(**by_field)
     # a null pose's NaN row compares False
     if (np.any(depths <= 0) or not np.isfinite(depths).all()
             or np.any(np.abs(dot_norms(columns.pupil_pose) - 1.0) > 1e-6)):
@@ -321,33 +340,16 @@ class LoadedDataset:
     n_records: int
     missing_pose: int           # records unusable for 3D-to-3D fitting
 
-    @property
-    def calibration(self):
-        return self.bundle.calibration
-
-    @property
-    def test(self):
-        return self.bundle.test
-
-    def depths(self):
-        return self.bundle.depths()
-
-
-# the record keys and the SampleColumns fields they hold, in the order
-# save_dataset checks them for non-finite values
-_SAVED_FIELDS = (("pupil_px", "pupil_px"), ("pupil_pose", "pupil_pose"),
-                 ("target_scene_m", "target"), ("target_px", "target_px"))
-
 
 def _check_saved_finite(columns: SampleColumns, role, depth):
     """Name the first record of a group, and its first field, holding a
     NaN or infinity, which load_dataset would reject."""
     bad = np.array([columns.present(name)
                     & ~np.isfinite(getattr(columns, name)).all(axis=1)
-                    for _, name in _SAVED_FIELDS])
+                    for _, name in _VECTOR_FIELDS])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))
-        key = _SAVED_FIELDS[int(np.argmax(bad[:, i]))][0]
+        key = _VECTOR_FIELDS[int(np.argmax(bad[:, i]))][0]
         raise ValueError(f"cannot save {role} record {i} at depth {depth}: "
                          f"field {key!r} contains non-finite values")
 
@@ -419,13 +421,17 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     ``require_calibration`` the file must contain calibration records —
     used by commands that fit, so the error surfaces before any fit.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if not lines[-1]:       # the file's last \n ends a line, not starts one
+        lines.pop()
     if not lines:
         raise ParseError("empty file", line=1)
 
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0].decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"bad UTF-8: {err.reason}", line=1) from err
     except json.JSONDecodeError as err:
         raise ParseError(f"bad JSON: {err.msg}", line=1) from err
     if not isinstance(header, dict) or "schema" not in header:

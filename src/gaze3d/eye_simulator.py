@@ -13,9 +13,13 @@ synthesize_sample simulates one fixation and is the oracle for
 synthesize_dataset, which computes each grid as arrays while every
 sample keeps its own seeded generator, giving the same bits.  A
 DatasetBundle stores each (role, depth) group as one SampleColumns of
-the four measured channels, keyed by its depth; a missing channel is a
-row of NaN, and the ground-truth gaze of a simulated sample is the unit
-vector from the eyeball center to its target.
+the four measured channels, keyed by its depth, in read-only mappings; a
+missing channel is a row of NaN, and the ground-truth gaze of a
+simulated sample is the unit vector from the eyeball center to its
+target.  SampleColumns' table (_WIDTHS, _OPTIONAL) is the one schema of
+a sample: every field's width and whether it may be missing.  A
+SampleColumns checks its fields against it when it is built, and the
+mappers and the dataset files read it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -357,7 +362,7 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
                      target_px=target_px, gaze=gaze)
 
 
-# the vector fields of a sample and their widths, and the optional ones
+# the schema of a sample: each field's width, and the optional fields
 _WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
 _OPTIONAL = ("pupil_pose", "target_px")
 
@@ -373,12 +378,22 @@ class SampleColumns:
     be missing: a row missing one holds NaN in each entry (see present).
     The group's depth is its key in a DatasetBundle, and the ground-truth
     gaze direction of a simulated sample is unit(target - rig.e_gt).
+    Each field must be 2-D, of its _WIDTHS width and with one row per
+    row of pupil_px, or ValueError names the field and its shape.
     """
 
     pupil_px: np.ndarray
     pupil_pose: np.ndarray
     target: np.ndarray
     target_px: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.pupil_px)
+        for name, width in _WIDTHS.items():
+            shape = np.shape(getattr(self, name))
+            if shape != (n, width):
+                raise ValueError(f"field {name!r} must have shape "
+                                 f"({n}, {width}), got {shape}")
 
     def __len__(self):
         return len(self.pupil_px)
@@ -404,12 +419,13 @@ class DatasetBundle:
     """Calibration and test samples grouped by depth, plus the rig and
     eye that produced them.
 
-    `calibration` and `test` are dicts from depth to the SampleColumns of
-    that (role, depth) group, which the fits, the sweep, the CLI and
+    `calibration` and `test` map each depth to the SampleColumns of that
+    (role, depth) group, which the fits, the sweep, the CLI and
     save_dataset read; the key is the one record of the group's depth.
     A key that is not a finite number > 0 raises ValueError, and a group
     that is not a SampleColumns TypeError, each naming the role and
-    depth.  To change a group, make a new bundle with
+    depth.  The checked mappings are stored read-only, so setting a
+    group raises TypeError; to change a group, make a new bundle with
     dataclasses.replace.
     """
 
@@ -429,7 +445,7 @@ class DatasetBundle:
                     raise TypeError(f"{role} group at depth {depth} is not "
                                     f"a SampleColumns: "
                                     f"{type(group).__name__}")
-            object.__setattr__(self, role, groups)
+            object.__setattr__(self, role, MappingProxyType(groups))
 
     def depths(self):
         return tuple(sorted(self.calibration))

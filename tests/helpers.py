@@ -7,10 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from gaze3d.eye_simulator import SampleColumns
-
-# the vector fields of a sample and their widths
-WIDTHS = {"pupil_px": 2, "pupil_pose": 3, "target": 3, "target_px": 2}
+from gaze3d.eye_simulator import _WIDTHS as WIDTHS, SampleColumns
 
 
 def rows(columns):

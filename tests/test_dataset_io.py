@@ -77,11 +77,11 @@ def test_roundtrip_is_lossless(bundle, dataset_path):
     loaded = load_dataset(dataset_path)
     assert loaded.source == "simulated"
     assert loaded.missing_pose == 0
-    assert loaded.depths() == bundle.depths()
+    assert loaded.bundle.depths() == bundle.depths()
     for depth in bundle.depths():
         for group in ("calibration", "test"):
             originals = getattr(bundle, group)[depth]
-            restored = getattr(loaded, group)[depth]
+            restored = getattr(loaded.bundle, group)[depth]
             for f in fields(SampleColumns):
                 assert (getattr(originals, f.name).tobytes()
                         == getattr(restored, f.name).tobytes())
@@ -100,10 +100,10 @@ def test_resave_of_loaded_dataset_is_byte_identical(dataset_path, tmp_path):
 
 def test_loaded_dataset_feeds_fits_without_warnings(dataset_path):
     loaded = load_dataset(dataset_path)
-    samples = pooled(loaded.calibration, loaded.depths())
+    samples = pooled(loaded.bundle.calibration, loaded.bundle.depths())
     for mapper in ("2d2d", "2d3d", "3d3d"):
         model = fit_mapper(mapper, samples)
-        predict_sample(model, rows(loaded.test[1.0])[0])
+        predict_sample(model, rows(loaded.bundle.test[1.0])[0])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -157,7 +157,7 @@ def test_groups_load_back_under_the_keys_they_were_saved_under(tmp_path):
     save_dataset(swapped, path)
     loaded = load_dataset(path)
     for role in ("calibration", "test"):
-        got, want = getattr(loaded, role), getattr(swapped, role)
+        got, want = getattr(loaded.bundle, role), getattr(swapped, role)
         assert list(got) == [1.0, 2.0]
         for depth, group in want.items():
             for f in fields(SampleColumns):
@@ -178,7 +178,7 @@ def test_saved_depth_label_is_the_float_of_the_key(bundle, tmp_path, key,
     assert len(lines) == 25
     assert all(line.startswith(f'{{"depth_label":{text},"pupil_pose":')
                for line in lines)
-    assert list(load_dataset(path).calibration) == [float(text)]
+    assert list(load_dataset(path).bundle.calibration) == [float(text)]
 
 
 # ── dataset decoding ─────────────────────────────────────────────────────
@@ -238,7 +238,7 @@ def test_loader_reads_every_number_as_json_does(header_line, tmp_path_factory,
             '"target_scene_m":[%s,%s,%s]}' % (depth, *pose, *numbers))
     path = tmp_path_factory.getbasetemp() / "numbers.jsonl"
     path.write_text(header_line + "\n" + line + "\n")
-    [(key, columns)] = load_dataset(path).calibration.items()
+    [(key, columns)] = load_dataset(path).bundle.calibration.items()
     [record] = rows(columns)
     assert _bits([key]) == _bits([depth])
     assert _bits(record.pupil_pose) == _bits(pose)
@@ -326,7 +326,7 @@ def test_save_writes_no_line_for_an_empty_group(bundle, tmp_path):
     save_dataset(replace(bundle, test={1.0: take(bundle.test[1.0], slice(0)),
                                        1.5: bundle.test[1.5]}), path)
     loaded = load_dataset(path)
-    assert list(loaded.test) == [1.5]
+    assert list(loaded.bundle.test) == [1.5]
     assert loaded.n_records == 2 * 25 + 16
 
 
@@ -365,12 +365,70 @@ def test_lines_orjson_rejects_or_pads_load_as_json_reads_them(dataset_path,
     rewrite_line(dataset_path, 3, edit)
     line = dataset_path.read_text().splitlines()[2]
     expected = json.loads(line)       # json keeps the last duplicate key
-    calibration = load_dataset(dataset_path).calibration
+    calibration = load_dataset(dataset_path).bundle.calibration
     record = rows(calibration[float(expected["depth_label"])])[1]
     assert _bits(record.pupil_px) == _bits(expected["pupil_px"])
     assert _bits(record.pupil_pose) == _bits(expected["pupil_pose"])
     assert _bits(record.target) == _bits(expected["target_scene_m"])
     assert _bits(record.target_px) == _bits(expected["target_px"])
+
+
+def _edit_line(data, lineno, transform):
+    """The bytes `data` of a dataset with `transform` applied to line
+    `lineno` (bytes, without its newline)."""
+    lines = data.split(b"\n")
+    lines[lineno - 1] = transform(lines[lineno - 1])
+    return b"\n".join(lines)
+
+
+def _note(text):
+    """An edit of a dataset's bytes that adds a "note" key holding `text`
+    to its line 3."""
+    return lambda data: _edit_line(
+        data, 3, lambda s: s[:-1] + f',"note":"{text}"}}'.encode())
+
+
+@pytest.mark.parametrize("edit", [
+    _note("a\u2028b"), _note("a\u2029b"), _note("a\x85b"),
+    lambda data: data.replace(b'"pupil_px":', b'"pupil_px":\r', 1),
+    lambda data: data.replace(b"\n", b"\r\n"),
+], ids=["line-separator", "paragraph-separator", "next-line", "cr-in-line",
+        "crlf"])
+def test_records_end_at_newline_only(dataset_path, tmp_path, edit):
+    # a record is one \n-terminated line; these characters are legal in a
+    # JSON line, and all but CRLF used to split it ("line 3: bad JSON:
+    # Unterminated string starting at" for the first three)
+    original = dataset_path.read_bytes()
+    dataset_path.write_bytes(edit(original))
+    resaved = tmp_path / "resaved.jsonl"
+    save_dataset(load_dataset(dataset_path).bundle, resaved)
+    assert resaved.read_bytes() == original
+
+
+@pytest.mark.parametrize("lineno, transform, message", [
+    (3, lambda s: s[:-1] + b',"note":"a\xffb"}',
+     "line 3: bad UTF-8: invalid start byte"),
+    (1, lambda s: s[:-1] + b',"note":"a\xffb"}',
+     "line 1: bad UTF-8: invalid start byte"),
+    (5, lambda s: s.replace(b'"role"', b'"r\xed\xa0\x80le"'),
+     "line 5: bad UTF-8: invalid continuation byte"),
+], ids=["record", "header", "encoded-surrogate"])
+def test_bad_utf8_names_its_line(dataset_path, lineno, transform, message):
+    # it used to raise UnicodeDecodeError, naming a file offset only
+    dataset_path.write_bytes(_edit_line(dataset_path.read_bytes(), lineno,
+                                        transform))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == message
+
+
+def test_a_file_of_cr_ended_lines_is_one_line(dataset_path):
+    # JSON Lines ends each line with \n; a file ending lines with a bare
+    # \r is its header line followed by extra data
+    dataset_path.write_bytes(dataset_path.read_bytes().replace(b"\n", b"\r"))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == "line 1: bad JSON: Extra data"
 
 
 def test_only_dataset_loading_imports_orjson(tmp_path):
@@ -654,6 +712,7 @@ def test_ragged_field_rejected(dataset_path, value):
 
 
 def test_earliest_of_two_bad_records_reported(dataset_path):
+    original = dataset_path.read_text()
     set_fields(dataset_path, 7, pupil_px=["1.0", "2.0"])
     set_fields(dataset_path, 5, depth_label=-1.0)
     with pytest.raises(ParseError) as err:
@@ -662,6 +721,17 @@ def test_earliest_of_two_bad_records_reported(dataset_path):
 
     # a non-unit pose before a line that is not JSON at all
     rewrite_line(dataset_path, 9, lambda s: s[:-5])
+    set_fields(dataset_path, 4, pupil_pose=[0.5, 0.5, 0.5])
+    with pytest.raises(UnitViolation) as err:
+        load_dataset(dataset_path)
+    assert err.value.record_index == 2
+    assert str(err.value) == ("record 2 (line 4): pupil_pose norm 0.8660254 "
+                              "is not unit")
+
+    # a non-unit pose before a pose that is not numeric: each record's
+    # pose is held to both rules, in file order
+    dataset_path.write_text(original)
+    set_fields(dataset_path, 9, pupil_pose=["a", 0.0, 1.0])
     set_fields(dataset_path, 4, pupil_pose=[0.5, 0.5, 0.5])
     with pytest.raises(UnitViolation) as err:
         load_dataset(dataset_path)
@@ -687,8 +757,8 @@ def test_mixed_null_channels_load_as_none(bundle, dataset_path):
     originals = [s for d in bundle.depths()
                  for group in (bundle.calibration, bundle.test)
                  for s in rows(group[d])]
-    restored = [r for d in loaded.depths()
-                for group in (loaded.calibration, loaded.test)
+    restored = [r for d in loaded.bundle.depths()
+                for group in (loaded.bundle.calibration, loaded.bundle.test)
                 for r in rows(group[d])]
     assert loaded.n_records == len(restored) == len(originals) == n
     assert loaded.missing_pose == len(range(0, n, 3)) + 1

@@ -2,7 +2,7 @@
 noise semantics, and dataset determinism."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -306,6 +306,39 @@ def test_bundle_groups_must_be_columns():
             DatasetBundle(**{"calibration": bundle.calibration,
                              "test": bundle.test, role: groups},
                           rig=bundle.rig, eye=bundle.eye)
+
+
+@pytest.mark.parametrize("name, shape, expected", [
+    ("pupil_px", (25, 3), (25, 2)), ("pupil_pose", (20, 3), (25, 3)),
+    ("target", (20, 3), (25, 3)), ("target_px", (50,), (25, 2)),
+    ("target_px", (25, 2, 1), (25, 2))],
+    ids=["wide-pupil-px", "short-pose", "short-target", "flat-target-px",
+         "3d-target-px"])
+def test_columns_check_each_field_against_the_table(name, shape, expected):
+    # a (25, 3) pupil_px used to save a file that failed to load at line
+    # 2, and a 20-row target made the 2d3d fit raise numpy's broadcast
+    # error, which names no field
+    group = default_bundle("display", depths=(1.0,)).calibration[1.0]
+    with pytest.raises(ValueError) as err:
+        replace(group, **{name: np.zeros(shape)})
+    assert str(err.value) == (f"field {name!r} must have shape {expected}, "
+                              f"got {shape}")
+
+
+def test_bundle_groups_are_read_only():
+    # a group set after construction skipped the depth and type checks:
+    # a NaN key saved a file that failed to load, and a str group made
+    # save_dataset raise AttributeError
+    bundle = default_bundle("display", depths=(1.0,))
+    group = bundle.calibration[1.0]
+    with pytest.raises(TypeError):
+        bundle.calibration[math.nan] = group
+    with pytest.raises(TypeError):
+        bundle.test[2.0] = "x"
+    assert list(bundle.calibration) == list(bundle.test) == [1.0]
+    changed = replace(bundle, test={2.0: group})
+    assert list(changed.test) == [2.0]
+    assert changed.calibration == bundle.calibration
 
 
 def test_dataset_depths_sorted_regardless_of_input_order():
