@@ -45,14 +45,11 @@ from .eye_simulator import (
     SampleColumns,
     SimRig,
     SimSample,
-    TargetGrid,
     TargetNotVisible,
     TwoSphereEye,
     default_bundle,
     derive_pupil_geometry,
-    fov_grid_spec,
     gaze_toward,
-    generate_target_grid,
     synthesize_dataset,
     synthesize_sample,
 )
@@ -70,7 +67,6 @@ from .optimizer import (
 from .mappers import (
     MAPPER_IDS,
     DegenerateGeometry,
-    GazeEstimate,
     MappingConfig,
     Model2Dto2D,
     Model2Dto3D,

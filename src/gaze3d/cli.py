@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -89,12 +90,12 @@ def _add_flags(sp, *flags):
         sp.add_argument("--depths", type=_parse_depths, metavar="LIST",
                         help="comma list of depths in meters")
     if "noise" in flags:
-        sp.add_argument("--noise-px", dest="noise_px", type=float,
+        sp.add_argument("--noise-px", dest="noise_pupil_px", type=float,
                         metavar="F", help="pupil detection noise, pixels")
-        sp.add_argument("--noise-deg", dest="noise_deg", type=float,
+        sp.add_argument("--noise-deg", dest="noise_pose_deg", type=float,
                         metavar="F", help="pupil pose noise, degrees")
-        sp.add_argument("--noise-target-mm", dest="noise_target_mm",
-                        type=float, metavar="F", help="target noise, mm")
+        sp.add_argument("--noise-target-mm", type=float, metavar="F",
+                        help="target noise, mm")
 
 
 @functools.cache
@@ -129,17 +130,12 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> ExperimentConfig:
+    """The config file (or the defaults), overridden by each flag given:
+    a flag's dest is the ExperimentConfig field it sets."""
     cfg = load_config(args.config) if getattr(args, "config", None) \
         else ExperimentConfig()
-    return cfg.override(
-        seed=getattr(args, "seed", None),
-        depths=getattr(args, "depths", None),
-        mappers=getattr(args, "mappers", None),
-        noise_pupil_px=getattr(args, "noise_px", None),
-        noise_pose_deg=getattr(args, "noise_deg", None),
-        noise_target_mm=getattr(args, "noise_target_mm", None),
-        out=getattr(args, "out", None),
-    )
+    return cfg.override(**{f.name: getattr(args, f.name, None)
+                           for f in fields(ExperimentConfig)})
 
 
 def _count(groups) -> int:
@@ -251,7 +247,6 @@ def cmd_sweep(args) -> int:
 def cmd_selftest(args) -> int:
     # Small end-to-end invariant suite; every check is seeded and fast.
     import tempfile
-    from dataclasses import fields
     from pathlib import Path
 
     from .eye_simulator import (SimRig, TwoSphereEye, derive_pupil_geometry,

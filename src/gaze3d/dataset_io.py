@@ -32,8 +32,11 @@ which decodes with _decode), in file order, so the error names the
 first bad line.  load_dataset returns the bundle with its provenance
 and counts, as a LoadedDataset.
 save_dataset writes each group from its columns, with the group's key
-as each record's depth_label and a NaN row as null, and refuses a NaN
-or infinity, which the loader would reject, before it opens the file.
+as each record's depth_label and a NaN row as null, and refuses what
+the loader would reject (a NaN or infinity, a pupil_pose that is not
+unit within _UNIT_TOLERANCE) before it opens the file.  A dataset
+header, a model file and a config are read as bytes by one reader,
+_json_value, whose errors name the line of the first bad byte or token.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
 from operator import itemgetter
@@ -121,6 +125,20 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _json_value(raw, error, json_reason="bad JSON: "):
+    """The JSON value of the bytes `raw`, read as strict UTF-8: the one
+    reader of dataset headers, model files and configs.  At the first bad
+    byte or token it raises error(reason, line), with the line (from 1)
+    that byte or token is on."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"bad UTF-8: {err.reason}", line) from err
+    except json.JSONDecodeError as err:
+        raise error(json_reason + err.msg, err.lineno) from err
+
+
 # --------------------------------------------------------------------------
 # datasets
 
@@ -131,7 +149,22 @@ def _camera_to_dict(cam: PinholeCamera) -> dict:
             "translation": _floats(cam.translation)}
 
 
-def _camera_from_dict(d, what) -> PinholeCamera:
+def _header_section(header, key):
+    """The object a header holds under `key` ({} if it has none), or a
+    ParseError naming the section."""
+    section = header.get(key, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"bad {key} in header: must be an object, got "
+                         f"{type(section).__name__}", line=1)
+    return section
+
+
+def _header_camera(header, key):
+    """The PinholeCamera a header holds under `key`, or None if it holds
+    none; a ParseError names the section if it is not a valid camera."""
+    if key not in header:
+        return None
+    d = _header_section(header, key)
     try:    # reshaped as objects, so the camera checks the entries as read
         rotation = np.asarray(d.get("rotation", np.eye(3).ravel()),
                               dtype=object).reshape(3, 3)
@@ -139,15 +172,18 @@ def _camera_from_dict(d, what) -> PinholeCamera:
                              resolution=d["resolution"], rotation=rotation,
                              translation=d.get("translation", (0.0, 0.0, 0.0)))
     except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"bad {what} in header: {err}", line=1) from err
+        raise ParseError(f"bad {key} in header: {err}", line=1) from err
 
 
 # JSON numbers as json.loads returns them; bool (an int subclass) and
 # numeric strings are not numbers here.
 _NUMBER_TYPES = frozenset((int, float))
+# how far a pupil_pose norm may be from 1: the one unit rule of loading
+# and saving
+_UNIT_TOLERANCE = 1e-6
 _ROLES = ("calibration", "test")
 # each vector field as (record key, SampleColumns field), in the order
-# _check_record and _check_saved_finite check them; the field's width
+# _check_record and _check_saved check them; the field's width
 # and whether it may be null are SampleColumns' (_WIDTHS, _OPTIONAL)
 _VECTOR_FIELDS = (("pupil_px", "pupil_px"), ("pupil_pose", "pupil_pose"),
                   ("target_scene_m", "target"), ("target_px", "target_px"))
@@ -221,7 +257,7 @@ def _check_record(raw, idx):
                      for key, name in _VECTOR_FIELDS]
     if pose is not None:
         norm = float(np.linalg.norm(pose))
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > _UNIT_TOLERANCE:
             raise UnitViolation(
                 f"record {idx} (line {lineno}): pupil_pose norm "
                 f"{norm:.8g} is not unit", record_index=idx)
@@ -303,7 +339,8 @@ def _record_columns(lines):
     columns = SampleColumns(**by_field)
     # a null pose's NaN row compares False
     if (np.any(depths <= 0) or not np.isfinite(depths).all()
-            or np.any(np.abs(dot_norms(columns.pupil_pose) - 1.0) > 1e-6)):
+            or np.any(np.abs(dot_norms(columns.pupil_pose) - 1.0)
+                      > _UNIT_TOLERANCE)):
         return None
     return columns, depths, np.fromiter(map("test".__eq__, roles),
                                         dtype=bool, count=len(roles))
@@ -341,17 +378,23 @@ class LoadedDataset:
     missing_pose: int           # records unusable for 3D-to-3D fitting
 
 
-def _check_saved_finite(columns: SampleColumns, role, depth):
-    """Name the first record of a group, and its first field, holding a
-    NaN or infinity, which load_dataset would reject."""
+def _check_saved(columns: SampleColumns, role, depth):
+    """Name the first record of a group that load_dataset would reject,
+    and its first bad field: one holding a NaN or infinity, or a
+    pupil_pose whose norm is not 1 (within _UNIT_TOLERANCE)."""
     bad = np.array([columns.present(name)
                     & ~np.isfinite(getattr(columns, name)).all(axis=1)
                     for _, name in _VECTOR_FIELDS])
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
+    norms = dot_norms(columns.pupil_pose)
+    off_unit = np.abs(norms - 1.0) > _UNIT_TOLERANCE    # a NaN row is not
+    if bad.any() or off_unit.any():
+        i = int(np.argmax(bad.any(axis=0) | off_unit))
+        where = f"cannot save {role} record {i} at depth {depth}: field"
+        if not bad[:, i].any():
+            raise ValueError(f"{where} 'pupil_pose' norm {norms[i]:.8g} is "
+                             "not unit")
         key = _VECTOR_FIELDS[int(np.argmax(bad[:, i]))][0]
-        raise ValueError(f"cannot save {role} record {i} at depth {depth}: "
-                         f"field {key!r} contains non-finite values")
+        raise ValueError(f"{where} {key!r} contains non-finite values")
 
 
 def _json_rows(columns: SampleColumns, name):
@@ -407,7 +450,7 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     for depth in sorted(set().union(*groups)):
         for role, columns in zip(_ROLES, (g.get(depth) for g in groups)):
             if columns is not None:
-                _check_saved_finite(columns, role, depth)
+                _check_saved(columns, role, depth)
                 lines += _record_lines(columns, role, depth)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -428,12 +471,7 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     if not lines:
         raise ParseError("empty file", line=1)
 
-    try:
-        header = json.loads(lines[0].decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise ParseError(f"bad UTF-8: {err.reason}", line=1) from err
-    except json.JSONDecodeError as err:
-        raise ParseError(f"bad JSON: {err.msg}", line=1) from err
+    header = _json_value(lines[0], ParseError)
     if not isinstance(header, dict) or "schema" not in header:
         raise ParseError("first line must be a header object with a "
                          "'schema' field", line=1)
@@ -445,16 +483,14 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
         raise ParseError(f"unsupported units {header.get('units')!r}", line=1)
     source = header.get("source", "recorded")
 
-    scene_cam = (_camera_from_dict(header["scene_camera"], "scene_camera")
-                 if "scene_camera" in header else None)
-    eye_cam = (_camera_from_dict(header["eye_camera"], "eye_camera")
-               if "eye_camera" in header else None)
+    scene_cam = _header_camera(header, "scene_camera")
+    eye_cam = _header_camera(header, "eye_camera")
     try:
         eye = TwoSphereEye(**header.get("eye_model_mm", {}))
     except (TypeError, ValueError) as err:
         raise ParseError(f"bad eye_model_mm in header: {err}",
                          line=1) from err
-    noise = header.get("noise", {})
+    noise = _header_section(header, "noise")
     rig_kwargs = dict(eye_camera=eye_cam,
                       noise_pupil_px=noise.get("pupil_px", 0.0),
                       noise_pose_deg=noise.get("pose_deg", 0.0),
@@ -542,11 +578,8 @@ def load_model(path):
     """Inverse of save_model; every array is checked for its shape and
     for finite numeric entries, and the eye resolution for positive
     ones."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"bad JSON: {err.msg}", line=err.lineno) from err
+    with open(path, "rb") as fh:
+        doc = _json_value(fh.read(), ParseError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a {MODEL_FORMAT} file")
     mapper = doc.get("mapper")
@@ -675,6 +708,10 @@ class ExperimentConfig:
                 or self.seed < 0):
             raise ConfigError(f"seed must be an integer >= 0, got "
                               f"{self.seed!r}")
+        if self.out is not None and not isinstance(self.out,
+                                                   (str, os.PathLike)):
+            raise ConfigError(f"out must be a path string or null, got "
+                              f"{self.out!r}")
         object.__setattr__(self, "depths", check_depths(self.depths))
         object.__setattr__(self, "mappers", tuple(self.mappers))
         if not self.mappers:
@@ -766,9 +803,7 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file (strict keys)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config line {err.lineno}: {err.msg}") from err
+    with open(path, "rb") as fh:
+        doc = _json_value(fh.read(), lambda reason, line: ConfigError(
+            f"config line {line}: {reason}"), json_reason="")
     return ExperimentConfig.from_dict(doc)

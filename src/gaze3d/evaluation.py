@@ -13,7 +13,9 @@ back-projected direction and the target direction).
 Scoring has one owner, _scores: one pass over the rows of several test
 sets for several models of one mapper.  evaluate is that pass for one
 model, whose mapper labels the record; angular_error is the same metric
-for one estimate, the scalar oracle the batched path is tested against.
+for one prediction (a scene pixel or a Ray, as the scalar predict_*
+functions return), the scalar oracle the batched path is tested
+against.
 
 Experiments: depth_combination_sweep fits every mapper on every subset
 of k calibration depths (pooling their samples) and evaluates on all
@@ -41,6 +43,7 @@ from .eye_simulator import DatasetBundle, SampleColumns
 from .geometry import (
     GeometryError,
     PinholeCamera,
+    Ray,
     angle_between,
     angle_between_batch,
     back_project,
@@ -49,7 +52,6 @@ from .geometry import (
 )
 from .mappers import (
     MAPPER_IDS,
-    GazeEstimate,
     MappingConfig,
     column_arrays,
     fit_arrays,
@@ -60,12 +62,13 @@ from .mappers import (
 )
 
 
-def angular_error(estimate: GazeEstimate, target, reference,
+def angular_error(estimate, target, reference,
                   scene_cam: PinholeCamera) -> float:
-    """Angular error of one gaze estimate in degrees (see module docs)."""
+    """Angular error of one prediction in degrees (see module docs): a
+    Ray, or a scene pixel, which is back-projected through scene_cam."""
     target = np.asarray(target, dtype=float)
-    ray = (back_project(scene_cam, estimate.point) if estimate.point is not None
-           else estimate.ray)
+    ray = (estimate if isinstance(estimate, Ray)
+           else back_project(scene_cam, estimate))
     t_prime = intersect_ray_depth_plane(ray, target[2])
     return angle_between(t_prime - reference, target - reference)
 

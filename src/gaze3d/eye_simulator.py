@@ -3,11 +3,13 @@
 The eye is two intersecting spheres (eyeball radius R, corneal radius r,
 center separation d, millimeters); the pupil is the center of their
 intersection circle.  A scene camera sits at the frame origin and an eye
-camera watches the eye from a configurable pose.  Targets are grids of
-points on fronto-parallel planes at several depths; for each target the
-eye is rotated about its center so the optical axis passes through the
-target, and the measurement channels (pupil pixel, pupil pose, target
-position) are synthesized, optionally with seeded Gaussian noise.
+camera watches the eye from a configurable pose.  Targets are the grid
+points a GridSpec gives on fronto-parallel planes at several depths
+(GridSpec.points, one calibration and one test grid per depth); for each
+target the eye is rotated about its center so the optical axis passes
+through the target, and the measurement channels (pupil pixel, pupil
+pose, target position) are synthesized, optionally with seeded Gaussian
+noise.
 
 synthesize_sample simulates one fixation and is the oracle for
 synthesize_dataset, which computes each grid as arrays while every
@@ -16,10 +18,10 @@ DatasetBundle stores each (role, depth) group as one SampleColumns of
 the four measured channels, keyed by its depth, in read-only mappings; a
 missing channel is a row of NaN, and the ground-truth gaze of a
 simulated sample is the unit vector from the eyeball center to its
-target.  SampleColumns' table (_WIDTHS, _OPTIONAL) is the one schema of
-a sample: every field's width and whether it may be missing.  A
-SampleColumns checks its fields against it when it is built, and the
-mappers and the dataset files read it.
+target (gaze_toward).  SampleColumns' table (_WIDTHS, _OPTIONAL) is the
+one schema of a sample: every field's width and whether it may be
+missing.  A SampleColumns checks its fields against it when it is
+built, and the mappers and the dataset files read it.
 """
 
 from __future__ import annotations
@@ -77,14 +79,6 @@ class TwoSphereEye:
         if not (abs(R - r) < d < R + r):
             raise NoIntersection(
                 f"spheres R={R}, r={r} at separation d={d} do not intersect")
-
-    @property
-    def pupil_offset_mm(self) -> float:
-        return derive_pupil_geometry(self)[0]
-
-    @property
-    def pupil_circle_radius_mm(self) -> float:
-        return derive_pupil_geometry(self)[1]
 
 
 def derive_pupil_geometry(eye: TwoSphereEye):
@@ -163,30 +157,6 @@ class SimRig:
                 or self.noise_pose_deg > 0)
 
 
-@dataclass(frozen=True)
-class TargetGrid:
-    """Evenly spaced rows x cols grid on the plane z = depth, centered on
-    the scene camera's principal axis."""
-
-    depth: float
-    rows: int = 5
-    cols: int = 5
-    width: float = 1.215
-    height: float = 0.687
-
-
-def generate_target_grid(grid: TargetGrid) -> np.ndarray:
-    """Grid points as an (rows*cols, 3) array, row-major, scene frame."""
-    if grid.rows < 2 or grid.cols < 2:
-        raise ValueError("grid needs at least 2 rows and 2 cols")
-    if grid.depth <= 0:
-        raise ValueError("grid depth must be positive")
-    xs = np.linspace(-grid.width / 2.0, grid.width / 2.0, grid.cols)
-    ys = np.linspace(-grid.height / 2.0, grid.height / 2.0, grid.rows)
-    pts = [(x, y, grid.depth) for y in ys for x in xs]
-    return np.array(pts)
-
-
 # the most rows or columns a grid may have: 10^6 targets per plane
 MAX_GRID_COUNT = 1000
 
@@ -228,26 +198,27 @@ class GridSpec:
             raise ValueError(f"scale_with_depth must be true or false, "
                              f"got {self.scale_with_depth!r}")
 
-    def _scale(self, depth):
-        return depth if self.scale_with_depth else 1.0
-
-    def calibration_grid(self, depth) -> TargetGrid:
-        s = self._scale(depth)
-        return TargetGrid(depth, self.calib_rows, self.calib_cols,
-                          self.width * s, self.height * s)
-
-    def test_grid(self, depth) -> TargetGrid:
-        s = self._scale(depth) * self.test_scale
-        return TargetGrid(depth, self.test_rows, self.test_cols,
-                          self.width * s, self.height * s)
-
-
-def fov_grid_spec() -> GridSpec:
-    """Constant-visual-angle protocol used by the depth-count sweep."""
-    return GridSpec(width=0.50, height=0.2827, scale_with_depth=True)
+    def points(self, depth, test=False) -> np.ndarray:
+        """The calibration grid (or with `test` the test grid) on the
+        plane z = depth, centered on the scene camera's principal axis, as
+        an (rows*cols, 3) array in row-major order, scene frame."""
+        if depth <= 0:
+            raise ValueError("grid depth must be positive")
+        s = depth if self.scale_with_depth else 1.0
+        rows, cols = self.calib_rows, self.calib_cols
+        if test:
+            s *= self.test_scale
+            rows, cols = self.test_rows, self.test_cols
+        width, height = self.width * s, self.height * s
+        xs = np.linspace(-width / 2.0, width / 2.0, cols)
+        ys = np.linspace(-height / 2.0, height / 2.0, rows)
+        return np.array([(x, y, depth) for y in ys for x in xs])
 
 
-GRID_PRESETS = {"display": GridSpec(), "fov": fov_grid_spec()}
+# the two grid protocols (see default_bundle)
+GRID_PRESETS = {"display": GridSpec(),
+                "fov": GridSpec(width=0.50, height=0.2827,
+                                scale_with_depth=True)}
 
 
 DEFAULT_DEPTHS = (1.0, 1.25, 1.5, 1.75, 2.0)
@@ -255,18 +226,18 @@ DEFAULT_DEPTHS = (1.0, 1.25, 1.5, 1.75, 2.0)
 
 @dataclass(frozen=True)
 class SimSample:
-    """One observation: measured channels plus simulation ground truth.
+    """One observation: the four measured channels of one fixation.
 
     pupil_px and target_px are pixels; pupil_pose is the unit gaze
     direction in the eye-camera frame; target is meters in the scene
-    frame.  gaze is the ground-truth ray from the eyeball center.
+    frame, the point fixated, so the ground-truth gaze is
+    gaze_toward(rig, target).
     """
 
     pupil_px: np.ndarray
     pupil_pose: np.ndarray
     target: np.ndarray
     target_px: np.ndarray
-    gaze: Ray
 
 
 def gaze_toward(rig: SimRig, target) -> Ray:
@@ -359,7 +330,7 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
         pose = _deflect(pose, np.radians(rig.noise_pose_deg), rng)
 
     return SimSample(pupil_px=pupil_px, pupil_pose=pose, target=target,
-                     target_px=target_px, gaze=gaze)
+                     target_px=target_px)
 
 
 # the schema of a sample: each field's width, and the optional fields
@@ -529,9 +500,8 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     root = np.random.SeedSequence(seed)
     calibration, test = {}, {}
     for depth in depths:
-        for group, grid in ((calibration, grids.calibration_grid(depth)),
-                            (test, grids.test_grid(depth))):
-            points = generate_target_grid(grid)
+        for group, is_test in ((calibration, False), (test, True)):
+            points = grids.points(depth, is_test)
             seeds = root.spawn(len(points)) if rig.noisy else None
             group[depth] = _synthesize_grid(rig, eye, points, seeds)
     return DatasetBundle(calibration=calibration, test=test, rig=rig, eye=eye)

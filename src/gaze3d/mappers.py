@@ -37,7 +37,9 @@ uses the samples holding both fields for fitting and those holding the
 first for scoring.  On a SampleColumns group that rule is a mask
 (usable_rows), and column_arrays takes the masked rows as the arrays
 that fit_arrays (the one fit path) and predict_ray_arrays (the one
-prediction path) take.
+prediction path) take.  The scalar predict_* functions return what the
+mapper estimates for one sample: a scene pixel (2d2d) or a Ray in the
+scene frame (2d3d, 3d3d).
 
 LM fits: fit_arrays solves the 2d3d or 3d3d sets of a call in one
 solve_lm_batch; its ProblemBatch (_lm_batch) is the one place that
@@ -160,20 +162,6 @@ def direction_to_polar(direction) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GazeEstimate:
-    """Either a 2D scene-image point f or a 3D ray in the scene frame."""
-
-    point: np.ndarray = None
-    ray: Ray = None
-
-    def __post_init__(self):
-        if (self.point is None) == (self.ray is None):
-            raise ValueError("estimate must hold exactly one of point/ray")
-        if self.point is not None:
-            object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-
-
-@dataclass(frozen=True)
 class Model2Dto2D:
     weights: np.ndarray                  # 7x2
     eye_resolution: np.ndarray
@@ -275,11 +263,11 @@ def _fit_2d2d(pupils, scene, eye_resolution):
                        eye_resolution=np.asarray(eye_resolution, dtype=float))
 
 
-def predict_2d_to_2d(model: Model2Dto2D, p) -> GazeEstimate:
+def predict_2d_to_2d(model: Model2Dto2D, p) -> np.ndarray:
     """Estimated 2D gaze position f = q w in scene pixels."""
     feats = _feature_matrix(np.asarray(p, dtype=float)[None, :],
                             model.eye_resolution)
-    return GazeEstimate(point=(feats @ model.weights)[0])
+    return (feats @ model.weights)[0]
 
 
 def _setup_2d3d(pupils, targets, eye_resolution):
@@ -390,12 +378,12 @@ def fit_2d_to_3d(calib, config: MappingConfig = MappingConfig()):
     return _one_fit(fit_arrays("2d3d", [_split_pairs(calib)], config))
 
 
-def predict_2d_to_3d(model: Model2Dto3D, p) -> GazeEstimate:
+def predict_2d_to_3d(model: Model2Dto3D, p) -> Ray:
     """Gaze ray from the fitted eyeball center."""
     feats = _feature_matrix(np.asarray(p, dtype=float)[None, :],
                             model.eye_resolution)
     alpha = (feats @ model.weights)[0]
-    return GazeEstimate(ray=Ray(model.center, polar_to_direction(alpha)))
+    return Ray(model.center, polar_to_direction(alpha))
 
 
 def fit_3d_to_3d(calib, config: MappingConfig = MappingConfig()):
@@ -404,10 +392,10 @@ def fit_3d_to_3d(calib, config: MappingConfig = MappingConfig()):
     return _one_fit(fit_arrays("3d3d", [_split_pairs(calib)], config))
 
 
-def predict_3d_to_3d(model: Model3Dto3D, n) -> GazeEstimate:
+def predict_3d_to_3d(model: Model3Dto3D, n) -> Ray:
     """Gaze ray e + lambda R n for a unit pupil pose n."""
     direction = model.rotation @ np.asarray(n, dtype=float)
-    return GazeEstimate(ray=Ray(model.center, normalize(direction)))
+    return Ray(model.center, normalize(direction))
 
 
 MAPPER_FIELDS = {
@@ -527,10 +515,11 @@ def mapper_of(model) -> str:
     return model.mapper_id
 
 
-def predict_sample(model, sample) -> GazeEstimate:
-    """Predict a gaze estimate for one sample (a SimSample, or any object
-    holding the model's input field), dispatching on model type: the
-    scalar oracle of predict_ray_arrays."""
+def predict_sample(model, sample):
+    """Predict the gaze of one sample (a SimSample, or any object holding
+    the model's input field), dispatching on model type: a scene pixel
+    for 2d2d, a Ray for 2d3d and 3d3d.  The scalar oracle of
+    predict_ray_arrays."""
     value = getattr(sample, _fields(mapper_of(model))[0])
     if isinstance(model, Model2Dto2D):
         return predict_2d_to_2d(model, value)

@@ -2,13 +2,21 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaze3d
 from gaze3d import cli, evaluation, eye_simulator, mappers
-from gaze3d.dataset_io import load_dataset, save_model
-from gaze3d.evaluation import depth_combination_sweep
+from gaze3d.dataset_io import (load_dataset, load_model, save_dataset,
+                               save_model)
+from gaze3d.evaluation import depth_combination_sweep, evaluate
+from gaze3d.eye_simulator import DEFAULT_E_GT
 from gaze3d.mappers import MAPPER_IDS, Model2Dto3D
 
 
@@ -53,6 +61,41 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_config_eye_camera_given_by_angles(tmp_path, capsys):
+    # the default eye camera, written as a config: a half turn about the
+    # vertical axis, 35 mm in front of the eyeball center
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eye_camera": {
+        "focal": [620.0, 620.0], "principal": [320.0, 180.0],
+        "resolution": [640.0, 360.0], "rotation_angles": [0.0, math.pi, 0.0],
+        "translation": (np.asarray(DEFAULT_E_GT) + (0.0, 0.0, 0.035)).tolist(),
+    }}))
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run(capsys, "simulate", "--config", cfg, "--out", a)[0] == 0
+    assert run(capsys, "simulate", "--out", b)[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("out", [True, 7])
+def test_a_config_out_that_is_not_a_path_fails_before_any_work(
+        tmp_path, command, out):
+    # open() took it as a file descriptor: "out": true wrote the dataset
+    # to stdout, closed it and exited 1 with "OSError: [Errno 9] Bad file
+    # descriptor"; a child process runs it, so this one keeps its stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": out, "depths": [1.0]}))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "gaze3d.cli", command,
+                           "--config", str(cfg)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: ConfigError: out must be a path string "
+                           f"or null, got {out!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 # ── fit / evaluate ───────────────────────────────────────────────────────
 
 def test_fit_then_evaluate(dataset, tmp_path, capsys):
@@ -84,6 +127,63 @@ def test_evaluate_depth_filter_and_csv(dataset, tmp_path, capsys):
     header, row = out.read_text().splitlines()
     assert header == "test_depth_m,n_targets,mean_error_deg,std_error_deg"
     assert row.startswith("1.5,16,")
+
+
+def test_evaluate_a_recorded_file_references_the_scene_origin(
+        dataset, tmp_path, capsys):
+    recorded = tmp_path / "recorded.jsonl"
+    save_dataset(load_dataset(dataset).bundle, recorded, source="recorded")
+    model_path, out = tmp_path / "model.json", tmp_path / "results.csv"
+    run(capsys, "fit", recorded, "--mappers", "2d3d", "--out", model_path)
+    code, stdout, stderr = run(capsys, "evaluate", model_path, recorded,
+                               "--out", out)
+    assert (code, stderr) == (0, "")
+    model, bundle = load_model(model_path), load_dataset(recorded).bundle
+    rows = out.read_text().splitlines()[1:]
+    for depth, line, row in zip((1.0, 1.5), stdout.splitlines(), rows,
+                                strict=True):
+        want = evaluate(model, bundle.test[depth], np.zeros(3),
+                        bundle.rig.scene_camera)
+        assert line == (f"mapper=2d3d test_depth_m={depth} n=16 "
+                        f"mean_deg={want.mean:.6f} std_deg={want.std:.6f} "
+                        "reference=scene_origin")
+        assert row == f"{depth!r},16,{want.mean!r},{want.std!r}"
+        # the eyeball center would give other errors
+        assert want.mean != evaluate(model, bundle.test[depth],
+                                     bundle.rig.e_gt,
+                                     bundle.rig.scene_camera).mean
+
+
+def test_fit_depth_without_calibration_records(dataset, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    code, stdout, stderr = run(capsys, "fit", dataset, "--mappers", "2d2d",
+                               "--depths", "1.0,3.0", "--out", model)
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: CliUsageError: depth 3.0 has no calibration "
+                      "records\n")
+    assert not model.exists()
+
+
+def test_evaluate_a_depth_without_usable_test_records(dataset, tmp_path,
+                                                      capsys):
+    model, out = tmp_path / "model.json", tmp_path / "results.csv"
+    run(capsys, "fit", dataset, "--mappers", "3d3d", "--out", model)
+    header, *lines = dataset.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for r in records:
+        if r["role"] == "test" and r["depth_label"] == 1.5:
+            r["pupil_pose"] = None
+    poseless = tmp_path / "poseless.jsonl"
+    poseless.write_text("\n".join([header] + [
+        json.dumps(r, sort_keys=True, separators=(",", ":"))
+        for r in records]) + "\n")
+    code, stdout, stderr = run(capsys, "evaluate", model, poseless,
+                               "--out", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == ("warning: depth 1.5: 16 records lack pupil_pose\n"
+                      "error: CliUsageError: depth 1.5 has no usable test "
+                      "records\n")
+    assert not out.exists()
 
 
 def test_fit_requires_exactly_one_mapper(dataset, capsys):

@@ -129,6 +129,48 @@ def test_save_rejects_non_finite_values_and_writes_nothing(bundle, tmp_path,
     assert not path.exists()
 
 
+def test_save_rejects_a_pose_load_rejects_and_writes_nothing(tmp_path):
+    # a group's arrays are writable; save used to write this record, and
+    # load_dataset then raised "UnitViolation: record 0 (line 2):
+    # pupil_pose norm 2 is not unit"
+    bundle = default_bundle(depths=(1.0,))
+    bundle.calibration[1.0].pupil_pose[0] = [2.0, 0.0, 0.0]
+    path = tmp_path / "bad.jsonl"
+    with pytest.raises(ValueError) as err:
+        save_dataset(bundle, path)
+    assert str(err.value) == ("cannot save calibration record 0 at depth "
+                              "1.0: field 'pupil_pose' norm 2 is not unit")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("scale", [1 + 5e-7, 1 - 5e-7, 1 + 2e-6, 1 - 2e-6])
+def test_save_and_load_share_the_unit_pose_tolerance(bundle, tmp_path,
+                                                     scale):
+    samples = bundle.test[1.5]
+    poses = samples.pupil_pose.copy()
+    poses[3] *= scale
+    nudged = replace(bundle, test={**bundle.test,
+                                   1.5: replace(samples, pupil_pose=poses)})
+    path = tmp_path / "nudged.jsonl"
+    if abs(scale - 1.0) < 1e-6:
+        save_dataset(nudged, path)
+        assert (load_dataset(path).bundle.test[1.5].pupil_pose.tobytes()
+                == poses.tobytes())
+    else:
+        with pytest.raises(ValueError, match=r"^cannot save test record 3 "
+                           r"at depth 1\.5: field 'pupil_pose' norm "
+                           r"(1\.000002|0\.999998) is not unit$"):
+            save_dataset(nudged, path)
+        assert not path.exists()
+
+
+def test_save_rejects_an_unknown_source(bundle, tmp_path):
+    path = tmp_path / "d.jsonl"
+    with pytest.raises(ValueError, match="^unknown source 'other'$"):
+        save_dataset(bundle, path, source="other")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("key", [math.nan, 0, -1, True],
                          ids=["nan", "zero", "negative", "bool"])
 def test_bundle_rejects_depth_keys_that_are_not_positive_numbers(bundle, key):
@@ -536,6 +578,37 @@ def test_header_with_a_bad_eye_model_rejected(dataset_path, eye, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("noise", [1], "list"), ("scene_camera", [1], "list"),
+    ("eye_camera", "x", "str")])
+def test_header_sections_must_be_objects(dataset_path, key, value, kind):
+    # these raised "AttributeError: 'list' object has no attribute 'get'"
+    rewrite_line(dataset_path, 1, lambda line: json.dumps(
+        {**json.loads(line), key: value}))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert err.value.line == 1
+    assert str(err.value) == (f"line 1: bad {key} in header: must be an "
+                              f"object, got {kind}")
+
+
+def test_header_units_must_be_the_declared_ones(dataset_path):
+    rewrite_line(dataset_path, 1, lambda line: json.dumps(
+        {**json.loads(line), "units": {"length": "mm"}}))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == "line 1: unsupported units {'length': 'mm'}"
+
+
+@pytest.mark.parametrize("blank", [b"", b"  \t"], ids=["empty", "spaces"])
+def test_blank_line_inside_dataset_names_its_line(dataset_path, blank):
+    lines = dataset_path.read_bytes().split(b"\n")
+    dataset_path.write_bytes(b"\n".join(lines[:2] + [blank] + lines[2:]))
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert str(err.value) == "line 3: blank line inside dataset"
+
+
 def test_header_must_come_first(dataset_path):
     lines = dataset_path.read_text().splitlines()
     dataset_path.write_text("\n".join(lines[1:] + lines[:1]) + "\n")
@@ -812,11 +885,11 @@ def test_model_roundtrip_all_mappers(bundle, tmp_path):
         assert restored.mapper_id == mapper
         probe = rows(bundle.test[1.0])[0]
         a, b = predict_sample(model, probe), predict_sample(restored, probe)
-        if a.point is not None:
-            assert np.array_equal(a.point, b.point)
+        if mapper == "2d2d":    # a scene pixel; the others a Ray
+            assert np.array_equal(a, b)
         else:
-            assert np.array_equal(a.ray.origin, b.ray.origin)
-            assert np.array_equal(a.ray.direction, b.ray.direction)
+            assert np.array_equal(a.origin, b.origin)
+            assert np.array_equal(a.direction, b.direction)
 
 
 def test_model_file_validation(tmp_path):
@@ -831,6 +904,24 @@ def test_model_file_validation(tmp_path):
                                 "mapper": ["2d2d"]}))
     with pytest.raises(ParseError, match="unknown mapper"):
         load_model(path)
+
+
+def test_model_file_names_the_line_of_a_bad_byte(bundle, tmp_path):
+    # it was read as text, so a bad byte raised "UnicodeDecodeError:
+    # 'utf-8' codec can't decode byte 0xff in position 95"
+    path = tmp_path / "m.json"
+    save_model(fit_mapper("2d2d", bundle.calibration[1.0]), path)
+    data = path.read_bytes()
+    lineno = data[:data.index(b'"2d2d"')].count(b"\n") + 1
+    path.write_bytes(data.replace(b'"2d2d"', b'"2d\xff2d"'))
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert str(err.value) == f"line {lineno}: bad UTF-8: invalid start byte"
+    # a JSON error keeps its text
+    path.write_bytes(data.replace(b'"2d2d"', b'x'))
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert str(err.value) == f"line {lineno}: bad JSON: Expecting value"
 
 
 def test_model_file_format_is_fixed(tmp_path):
@@ -1097,6 +1188,35 @@ def test_config_grid_and_noise_flow_into_bundle():
     bundle = cfg.build_bundle()
     assert len(bundle.calibration[1.0]) == 9
     assert bundle.rig.noise_pupil_px == 0.5
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"seed": 1, "x\xff": 2}',
+     "config line 1: bad UTF-8: invalid start byte"),
+    (b'{"seed": 1,\n "x\xff": 2}',
+     "config line 2: bad UTF-8: invalid start byte"),
+    (b'{"seed": 1,\n\n "x": }', "config line 3: Expecting value"),
+], ids=["utf8-line-1", "utf8-line-2", "json"])
+def test_config_file_names_the_line_of_a_bad_byte(tmp_path, data, message):
+    # it was read as text, so a bad byte raised "UnicodeDecodeError:
+    # 'utf-8' codec can't decode byte 0xff in position 14"
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("out", [True, 7, 1.5, ["a.jsonl"], {}])
+def test_config_out_must_be_a_path_string(out):
+    # open() took an int as a file descriptor: "out": true wrote the
+    # dataset to stdout and closed it
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"out": out})
+    assert str(err.value) == (f"out must be a path string or null, "
+                              f"got {out!r}")
+    for ok in (None, "a.jsonl", Path("a.jsonl")):
+        assert ExperimentConfig(out=ok).out == ok
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -44,7 +44,6 @@ from gaze3d.evaluation import (
 from gaze3d.mappers import (
     FIT_ERRORS,
     MAPPER_IDS,
-    GazeEstimate,
     MappingConfig,
     Model2Dto3D,
     Model3Dto3D,
@@ -65,7 +64,7 @@ SCENE_CAM = SimRig().scene_camera
 def test_zero_error_when_ray_hits_target():
     target = np.array([0.3, -0.2, 1.7])
     origin = np.array([0.01, 0.02, -0.03])
-    est = GazeEstimate(ray=Ray(origin, normalize(target - origin)))
+    est = Ray(origin, normalize(target - origin))
     for reference in (np.zeros(3), np.array([0.015, 0.035, -0.025])):
         assert angular_error(est, target, reference, SCENE_CAM) < 1e-9
 
@@ -74,14 +73,14 @@ def test_one_degree_construction():
     # ray to t' = (2 tan 1deg, 0, 2) vs target (0,0,2) seen from the origin
     target = np.array([0.0, 0.0, 2.0])
     t_prime = np.array([2.0 * np.tan(np.radians(1.0)), 0.0, 2.0])
-    est = GazeEstimate(ray=Ray(np.zeros(3), normalize(t_prime)))
+    est = Ray(np.zeros(3), normalize(t_prime))
     err = angular_error(est, target, np.zeros(3), SCENE_CAM)
     assert abs(err - 1.0) < 1e-9
 
 
 def test_2d_estimate_of_true_projection_is_exact():
     target = np.array([0.25, 0.1, 1.5])
-    est = GazeEstimate(point=project(SCENE_CAM, target))
+    est = project(SCENE_CAM, target)
     assert angular_error(est, target, np.zeros(3), SCENE_CAM) < 1e-9
 
 
@@ -92,7 +91,7 @@ def test_error_invariant_to_ray_origin_when_referenced_at_origin():
     errors = []
     for origin in ((0, 0, 0), (0.02, 0.03, -0.02), (-0.05, 0.01, 0.5)):
         origin = np.asarray(origin, dtype=float)
-        est = GazeEstimate(ray=Ray(origin, normalize(hit - origin)))
+        est = Ray(origin, normalize(hit - origin))
         errors.append(angular_error(est, target, np.zeros(3), SCENE_CAM))
     assert np.ptp(errors) < 1e-9
 
@@ -104,7 +103,7 @@ def test_error_measures_direction_not_distance():
     for scale in (1.0, 2.0):
         target = np.array([0.0, 0.0, 1.0]) * scale
         t_prime = np.array([0.05, 0.0, 1.0]) * scale
-        est = GazeEstimate(ray=Ray(reference, normalize(t_prime)))
+        est = Ray(reference, normalize(t_prime))
         err = angular_error(est, target, reference, SCENE_CAM)
         assert np.isclose(err, np.degrees(np.arctan(0.05)))
 

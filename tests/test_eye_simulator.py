@@ -17,16 +17,13 @@ from gaze3d.eye_simulator import (
     PupilNotVisible,
     SampleColumns,
     SimRig,
-    TargetGrid,
     TargetNotVisible,
     TwoSphereEye,
     _deflect,
     _deflect_rows,
     default_bundle,
     derive_pupil_geometry,
-    fov_grid_spec,
     gaze_toward,
-    generate_target_grid,
     synthesize_dataset,
     synthesize_sample,
 )
@@ -77,17 +74,11 @@ def test_eye_lengths_must_be_finite_positive_numbers(name, value):
     assert not isinstance(err.value, NoIntersection)
 
 
-def test_eye_properties_match_op():
-    eye = TwoSphereEye()
-    assert eye.pupil_offset_mm == derive_pupil_geometry(eye)[0]
-    assert eye.pupil_circle_radius_mm == derive_pupil_geometry(eye)[1]
-
-
 # ── target grids ─────────────────────────────────────────────────────────
 
 def test_grid_shape_and_ordering():
-    pts = generate_target_grid(TargetGrid(depth=1.5, rows=3, cols=4,
-                                          width=1.2, height=0.6))
+    pts = GridSpec(calib_rows=3, calib_cols=4, width=1.2,
+                   height=0.6).points(1.5)
     assert pts.shape == (12, 3)
     assert np.allclose(pts[:, 2], 1.5)
     assert np.allclose(pts[0], (-0.6, -0.3, 1.5))    # row-major from corner
@@ -99,34 +90,40 @@ def test_grid_shape_and_ordering():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        generate_target_grid(TargetGrid(depth=1.0, rows=1))
-    with pytest.raises(ValueError):
-        generate_target_grid(TargetGrid(depth=0.0))
+        GridSpec(calib_rows=1)
+    with pytest.raises(ValueError, match="^grid depth must be positive$"):
+        GridSpec().points(0.0)
+
+
+def grid_size(points):
+    """The width and height a grid's points span."""
+    return np.ptp(points[:, 0]), np.ptp(points[:, 1])
 
 
 def test_test_grid_strictly_inside_calibration_hull():
-    for spec in (GridSpec(), fov_grid_spec()):
+    for spec in (GridSpec(), GRID_PRESETS["fov"]):
         for depth in DEFAULT_DEPTHS:
-            calib = spec.calibration_grid(depth)
-            test = spec.test_grid(depth)
-            assert test.width < calib.width
-            assert test.height < calib.height
-            assert test.depth == calib.depth
+            calib = spec.points(depth)
+            test = spec.points(depth, test=True)
+            (test_w, test_h), (calib_w, calib_h) = map(grid_size,
+                                                       (test, calib))
+            assert test_w < calib_w
+            assert test_h < calib_h
+            assert np.all(test[:, 2] == depth) and np.all(calib[:, 2] == depth)
 
 
 def test_fov_grid_scales_linearly_with_depth():
-    spec = fov_grid_spec()
-    g1, g2 = spec.calibration_grid(1.0), spec.calibration_grid(2.0)
-    assert np.isclose(g2.width, 2 * g1.width)
-    assert np.isclose(g2.height, 2 * g1.height)
+    spec = GRID_PRESETS["fov"]
+    (w1, h1), (w2, h2) = (grid_size(spec.points(d)) for d in (1.0, 2.0))
+    assert np.isclose(w2, 2 * w1)
+    assert np.isclose(h2, 2 * h1)
     # constant visual angle across depth
-    assert np.isclose(math.atan2(g1.width / 2, 1.0),
-                      math.atan2(g2.width / 2, 2.0))
+    assert np.isclose(math.atan2(w1 / 2, 1.0), math.atan2(w2 / 2, 2.0))
 
 
 def test_display_grid_constant_across_depth():
     spec = GridSpec()
-    assert spec.calibration_grid(1.0).width == spec.calibration_grid(2.0).width
+    assert grid_size(spec.points(1.0))[0] == grid_size(spec.points(2.0))[0]
 
 
 # ── sample synthesis ─────────────────────────────────────────────────────
@@ -156,7 +153,7 @@ def test_noiseless_sample_channels_are_exact():
     assert np.allclose(s.target_px, project(rig.scene_camera, target))
 
     g = (target - rig.e_gt) / np.linalg.norm(target - rig.e_gt)
-    pupil_center = rig.e_gt + eye.pupil_offset_mm * 1e-3 * g
+    pupil_center = rig.e_gt + derive_pupil_geometry(eye)[0] * 1e-3 * g
     assert np.allclose(s.pupil_px, project(rig.eye_camera, pupil_center))
     # pose is the gaze direction expressed in the eye-camera frame
     assert np.isclose(np.linalg.norm(s.pupil_pose), 1.0)
@@ -169,8 +166,12 @@ def test_target_noise_keeps_ray_through_stored_target():
     rig = SimRig(noise_target_mm=5.0)
     s = synthesize_sample(rig, TwoSphereEye(), (0.0, 0.0, 1.5), rng=1)
     assert not np.allclose(s.target, (0, 0, 1.5))
-    lam = np.linalg.norm(s.target - s.gaze.origin)
-    assert np.allclose(s.gaze.at(lam), s.target, atol=1e-12)
+    gaze = gaze_toward(rig, s.target)
+    lam = np.linalg.norm(s.target - gaze.origin)
+    assert np.allclose(gaze.at(lam), s.target, atol=1e-12)
+    # and the eye fixated it: the noiseless pose is that ray's direction
+    assert np.allclose(rig.eye_camera.rotation @ s.pupil_pose,
+                       gaze.direction, atol=1e-12)
 
 
 def test_pose_noise_deflects_by_sigma_scale():
@@ -385,9 +386,8 @@ def per_sample_dataset(rig, eye, depths, grids, seed):
     root = np.random.SeedSequence(seed)
     groups = {"calibration": {}, "test": {}}
     for depth in sorted(depths):
-        for role, grid in (("calibration", grids.calibration_grid(depth)),
-                           ("test", grids.test_grid(depth))):
-            points = generate_target_grid(grid)
+        for role, test in (("calibration", False), ("test", True)):
+            points = grids.points(depth, test)
             groups[role][depth] = [
                 synthesize_sample(rig, eye, pt, np.random.default_rng(s))
                 for pt, s in zip(points, root.spawn(len(points)))]
@@ -428,10 +428,11 @@ def test_dataset_matches_per_sample_oracle(case):
             # the ground-truth gaze of each row is unit(target - e_gt)
             offsets = got[depth].target - rig.e_gt
             directions = offsets / dot_norms(offsets)[:, None]
-            assert (np.array([b.gaze.direction for b in samples]).tobytes()
+            gazes = [gaze_toward(rig, b.target) for b in samples]
+            assert (np.array([g.direction for g in gazes]).tobytes()
                     == directions.tobytes())
-            for b in samples:
-                assert np.array_equal(b.gaze.origin, rig.e_gt)
+            for g in gazes:
+                assert np.array_equal(g.origin, rig.e_gt)
 
 
 BAD_POINT_CASES = {

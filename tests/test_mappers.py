@@ -27,7 +27,6 @@ from gaze3d.mappers import (
     MAPPER_FIELDS,
     MAPPER_IDS,
     DegenerateGeometry,
-    GazeEstimate,
     MappingConfig,
     Model2Dto2D,
     Model3Dto3D,
@@ -111,13 +110,6 @@ def test_polar_roundtrip():
                        atol=1e-12)
 
 
-def test_gaze_estimate_is_point_xor_ray():
-    with pytest.raises(ValueError):
-        GazeEstimate()
-    with pytest.raises(ValueError):
-        GazeEstimate(point=(1, 2), ray=Ray((0, 0, 0), (0, 0, 1)))
-
-
 # ── 2d-to-2d ─────────────────────────────────────────────────────────────
 
 def test_2d2d_recovers_planted_weights():
@@ -136,8 +128,8 @@ def test_2d2d_prediction_matches_planted_map():
     model = fit_2d_to_2d(list(zip(pupils, normalized_features(pupils) @ w_true)))
     probe = np.array([101.5, 77.0])
     est = predict_2d_to_2d(model, probe)
-    assert est.point is not None and est.ray is None
-    assert np.allclose(est.point, normalized_features([probe])[0] @ w_true,
+    assert isinstance(est, np.ndarray) and est.shape == (2,)
+    assert np.allclose(est, normalized_features([probe])[0] @ w_true,
                        atol=1e-8)
 
 
@@ -158,7 +150,7 @@ def test_2d2d_interpolates_simulated_calibration():
     bundle, _ = two_depth_samples()
     samples = bundle.calibration[1.0]
     model = fit_2d_to_2d(pairs(samples, "pupil_px", "target_px"))
-    worst = max(np.abs(predict_2d_to_2d(model, p).point - s).max()
+    worst = max(np.abs(predict_2d_to_2d(model, p) - s).max()
                 for p, s in pairs(samples, "pupil_px", "target_px"))
     # the 7-term polynomial approximates a projective map; ~1.4 px of
     # model bias remains on a 1280-px-wide image
@@ -175,7 +167,7 @@ def test_2d3d_fits_two_depth_data_and_recovers_center():
     # rays), so only x/y are pinned down tightly
     assert np.abs(model.center[:2] - bundle.rig.e_gt[:2]).max() < 1e-3
     assert abs(model.center[2] - bundle.rig.e_gt[2]) < 0.05
-    worst = max(point_ray_distance(predict_2d_to_3d(model, p).ray, t)
+    worst = max(point_ray_distance(predict_2d_to_3d(model, p), t)
                 for p, t in pairs(samples, "pupil_px"))
     assert worst < 2e-3    # meters at 1-2 m range
     assert model.report.termination in ("gradient", "step", "cost_decrease")
@@ -186,8 +178,8 @@ def test_2d3d_prediction_is_ray_from_center():
     _, samples = two_depth_samples(seed=4)
     model = fit_2d_to_3d(pairs(samples, "pupil_px"))
     est = predict_2d_to_3d(model, samples.pupil_px[0])
-    assert est.ray is not None and est.point is None
-    assert np.allclose(est.ray.origin, model.center)
+    assert isinstance(est, Ray)
+    assert np.allclose(est.origin, model.center)
 
 
 def test_2d3d_needs_nine_samples():
@@ -250,7 +242,7 @@ def test_3d3d_prediction_direction():
     model = Model3Dto3D(angles=angles, center=(0.0, 0.0, 0.0))
     est = predict_3d_to_3d(model, (0.0, 0.0, -1.0))
     # half turn about y maps -z back to +z
-    assert np.allclose(est.ray.direction, (0, 0, 1), atol=1e-12)
+    assert np.allclose(est.direction, (0, 0, 1), atol=1e-12)
     assert np.allclose(model.rotation, rotation_from_angles(angles))
 
 
@@ -333,7 +325,7 @@ def test_fit_mapper_dispatch_and_prediction():
         model = fit_mapper(mapper_id, samples, config)
         assert model.mapper_id == mapper_id
         est = predict_sample(model, rows(samples)[0])
-        assert (est.point is None) != (est.ray is None)
+        assert isinstance(est, Ray) == (mapper_id != "2d2d")
 
 
 def test_fit_mapper_unknown_id():

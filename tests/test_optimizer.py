@@ -386,6 +386,28 @@ def test_failing_member_fails_alone():
     assert_solo_steps(linear, groups[1], starts[1], range(3))
 
 
+def test_a_system_numpy_cannot_solve_fails_alone():
+    # J^T J of problem 0 stays exactly singular at any damping (1e300 + λ
+    # rounds to 1e300), so numpy's stacked solve raises and each system
+    # is solved on its own; problem 1, a quadratic bowl at (3, 3), goes on
+    target = np.array([3.0, 3.0])
+
+    def cost(rows, params):
+        return ((params - target) ** 2).sum(axis=-1)
+
+    def normal_equations(rows, params):
+        jtj = np.where((rows == 0)[:, None, None], np.full((2, 2), 1e300),
+                       np.eye(2))
+        return jtj, params - target, np.ones(len(rows), dtype=bool)
+
+    batch = ProblemBatch(dim=2, size=2, cost=cost,
+                         normal_equations=normal_equations)
+    singular, report = solve_lm_batch(batch, np.zeros((2, 2)))
+    assert isinstance(singular, SingularNormalEquations)
+    assert report.termination == "cost_decrease"
+    assert np.allclose(report.params, target)
+
+
 def test_stacked_inputs_validated():
     batch = batch_of([linear_group([0, 1])])
     with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
