@@ -420,12 +420,17 @@ def _record_lines(columns: SampleColumns, role, depth):
                     "pupil_pose", "pupil_px", "target_px", "target")))]
 
 
+# the header's "source" values: save_dataset writes one, load_dataset
+# reads one (a header without it is "recorded")
+SOURCES = ("simulated", "recorded")
+
+
 def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     """Write a DatasetBundle in the line-delimited format above, from the
     SampleColumns of each (role, depth) group: by depth, calibration
     before test, rows in order, each record's depth_label the group's
     key."""
-    if source not in ("simulated", "recorded"):
+    if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
     rig, eye = bundle.rig, bundle.eye
     header = {
@@ -482,6 +487,9 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     if header.get("units", _UNITS) != _UNITS:
         raise ParseError(f"unsupported units {header.get('units')!r}", line=1)
     source = header.get("source", "recorded")
+    if source not in SOURCES:
+        raise ParseError(f"unknown source {source!r} (expected one of "
+                         f"{', '.join(map(repr, SOURCES))})", line=1)
 
     scene_cam = _header_camera(header, "scene_camera")
     eye_cam = _header_camera(header, "eye_camera")

@@ -201,9 +201,9 @@ class GridSpec:
     def points(self, depth, test=False) -> np.ndarray:
         """The calibration grid (or with `test` the test grid) on the
         plane z = depth, centered on the scene camera's principal axis, as
-        an (rows*cols, 3) array in row-major order, scene frame."""
-        if depth <= 0:
-            raise ValueError("grid depth must be positive")
+        an (rows*cols, 3) array in row-major order, scene frame.  A depth
+        that is not a finite number > 0 raises ValueError naming it."""
+        _check_depth(depth)
         s = depth if self.scale_with_depth else 1.0
         rows, cols = self.calib_rows, self.calib_cols
         if test:
@@ -213,6 +213,12 @@ class GridSpec:
         xs = np.linspace(-width / 2.0, width / 2.0, cols)
         ys = np.linspace(-height / 2.0, height / 2.0, rows)
         return np.array([(x, y, depth) for y in ys for x in xs])
+
+
+def _check_depth(depth):
+    if not (is_number(depth) and depth > 0):
+        raise ValueError(f"grid depth must be a finite number > 0, "
+                         f"got {depth!r}")
 
 
 # the two grid protocols (see default_bundle)
@@ -495,6 +501,8 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     """
     if not depths:
         raise ValueError("depths must be nonempty")
+    for depth in depths:
+        _check_depth(depth)
     grids = grids or GridSpec()
     depths = sorted(float(d) for d in depths)
     root = np.random.SeedSequence(seed)

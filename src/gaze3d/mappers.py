@@ -44,6 +44,9 @@ scene frame (2d3d, 3d3d).
 LM fits: fit_arrays solves the 2d3d or 3d3d sets of a call in one
 solve_lm_batch; its ProblemBatch (_lm_batch) is the one place that
 groups the fits by sample count, the ragged layout of gaze3d._kernels.
+It lays out the rows of a set of evaluated fits once, as a
+_kernels.Rows plan, and reuses that plan for every cost and normal
+equations call until the set changes, when a fit finishes.
 """
 
 from __future__ import annotations
@@ -308,53 +311,64 @@ def _lm_batch(mapper_id, groups, normalize, center_bounds):
     arrays of each group of fits with equal sample counts, stacked on a
     leading axis; fits are numbered group by group.  A cost or normal
     equations call is one kernel call on the ragged rows of every fit it
-    evaluates (a group evaluated whole is passed as it is, and a fit's
-    inputs are read once for both damping rungs), and r . r, J^T J and
-    J^T r are one matmul per group."""
+    evaluates (a fit's inputs are read once for both damping rungs), and
+    r . r, J^T J and J^T r are one matmul per group.  The rows of a set
+    of evaluated fits (the _kernels.Rows plan: group cuts, the inputs and
+    targets of partly evaluated groups, the rows' layout) are built once
+    and reused until the set changes, that is when a fit finishes."""
     residual, jacobian, dim, wrap = _lm_layout(mapper_id)
     lower, upper = _center_box(dim, center_bounds)
     group_start = np.cumsum([0] + [len(x) for x, _ in groups])
+    latest = [None, None]   # the key and Rows of the last set evaluated
 
-    def evaluate(kernel, rows, params):
-        """`kernel` on the fits of the sorted indices `rows`, and for
-        each group among them (a, b, start, end): its fits are rows[a:b]
-        and their output rows start:end."""
-        cuts = np.searchsorted(rows, group_start).tolist()
-        inputs, targets, parts, end = [], [], [], 0
-        for g, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if b > a:
-                x, t = groups[g]
-                if b - a < len(x):
-                    idx = rows[a:b] - group_start[g]
-                    x, t = x[idx], t[idx]
-                inputs.append(x)
-                targets.append(t)
-                parts.append((a, b, end, end + 3 * x.shape[0] * x.shape[1]))
-                end = parts[-1][-1]
-        return kernel(params, inputs, targets, normalize), parts
+    def plan(rows):
+        key = rows.tobytes()
+        if key != latest[0]:
+            cuts = np.searchsorted(rows, group_start).tolist()
+            inputs, targets = [], []
+            for g, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                if b > a:
+                    x, t = groups[g]
+                    if b - a < len(x):
+                        idx = rows[a:b] - group_start[g]
+                        x, t = x[idx], t[idx]
+                    inputs.append(x)
+                    targets.append(t)
+            latest[:] = key, _kernels.Rows(inputs, targets)
+        return latest[1]
 
     def cost(rows, params):
-        r, parts = evaluate(residual, rows, params)
+        layout = plan(rows)
+        r = residual(params, layout, normalize)
         out = np.empty(params.shape[:-1])
-        for a, b, start, end in parts:
-            fits = r[..., start:end].reshape(r.shape[:-1] + (b - a, -1))
-            squares = (fits[..., None, :] @ fits[..., :, None])[..., 0, 0]
-            out[..., a:b] = np.where(np.isfinite(fits).all(axis=-1),
-                                     squares, np.nan)
+        fits = [r[..., 3 * start:3 * end].reshape(r.shape[:-1] + (b - a, -1))
+                for a, b, start, end in layout.spans]
+        for (a, b, _, _), part in zip(layout.spans, fits):
+            np.matmul(part[..., None, :], part[..., :, None],
+                      out=out[..., a:b, None, None])
+        if not np.isfinite(out).all():      # NaN where r is not finite
+            for (a, b, _, _), part in zip(layout.spans, fits):
+                out[..., a:b][~np.isfinite(part).all(axis=-1)] = np.nan
         return out
 
     def normal_equations(rows, params):
-        (r, jac), parts = evaluate(jacobian, rows, params)
+        layout = plan(rows)
+        r, jac = jacobian(params, layout, normalize)
         jtj = np.empty((len(rows), dim, dim))
-        jtr = np.empty((len(rows), dim))
-        finite = np.empty(len(rows), dtype=bool)
-        for a, b, start, end in parts:
-            fits = jac[start:end].reshape(b - a, -1, dim)
-            fits_t = np.swapaxes(fits, 1, 2)
-            jtj[a:b] = fits_t @ fits
-            jtr[a:b] = (fits_t @ r[start:end].reshape(b - a, -1, 1))[..., 0]
-            finite[a:b] = np.isfinite(fits).all(axis=(1, 2))
-        return jtj, jtr, finite
+        jtr = np.empty((len(rows), dim, 1))
+        fits = [jac[3 * start:3 * end].reshape(b - a, -1, dim)
+                for a, b, start, end in layout.spans]
+        for (a, b, start, end), part in zip(layout.spans, fits):
+            part_t = part.swapaxes(1, 2)
+            np.matmul(part_t, part, out=jtj[a:b])
+            np.matmul(part_t, r[3 * start:3 * end].reshape(b - a, -1, 1),
+                      out=jtr[a:b])
+        finite = np.ones(len(rows), dtype=bool)
+        # a non-finite Jacobian entry makes its fit's J^T J non-finite
+        if not np.isfinite(jtj).all():
+            for (a, b, _, _), part in zip(layout.spans, fits):
+                finite[a:b] = np.isfinite(part).all(axis=(1, 2))
+        return jtj, jtr[..., 0], finite
 
     return ProblemBatch(dim=dim, size=int(group_start[-1]), cost=cost,
                         normal_equations=normal_equations,

@@ -23,13 +23,19 @@ order up to the first that accepts, stalls or overflows the damping; so
 every accepted step is the one the problem takes alone (Madsen, Nielsen
 & Tingleff 2004 describe the damping rule).  A problem whose residual or
 Jacobian goes non-finite, or whose normal equations stay singular, fails
-alone; the others go on.  `solve_lm` runs that loop on one
+alone; the others go on.  A round's fixed cost is kept to a few numpy
+calls on the stacked arrays: each problem's control (damping,
+iterations, cost, acceptance) is Python scalars, the two rungs' damped
+systems are J^T J + 0.0 with the damping added on the diagonal (the
+bits of J^T J + damping * I), and the step, candidate and start norms
+are one stacked call.  `solve_lm` runs that loop on one
 ResidualProblem, with jac.T @ jac and jac.T @ r as its normal equations:
 the scalar reference the fits' batches are tested against.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -60,18 +66,22 @@ class _Box:
                 if getattr(self, name).shape != (self.dim,):
                     raise ValueError(f"{name} bounds must have shape ({self.dim},)")
         if self.wrap_mask is not None:
-            object.__setattr__(self, "wrap_mask",
-                               np.asarray(self.wrap_mask, dtype=bool))
+            mask = np.asarray(self.wrap_mask, dtype=bool)
+            object.__setattr__(self, "wrap_mask", mask)
+            # the wrapped coordinates, as a slice when they are a run
+            at = np.flatnonzero(mask)
+            if at.size and at[-1] - at[0] == at.size - 1:
+                at = slice(at[0], at[-1] + 1)
+            object.__setattr__(self, "_wrapped", at)
 
     def apply_constraints(self, params):
         params = np.array(params, dtype=float)
         if self.wrap_mask is not None:
-            params[..., self.wrap_mask] = wrap_angle(
-                params[..., self.wrap_mask])
+            params[..., self._wrapped] = wrap_angle(params[..., self._wrapped])
         if self.lower is not None:
-            params = np.maximum(params, self.lower)
+            np.maximum(params, self.lower, out=params)
         if self.upper is not None:
-            params = np.minimum(params, self.upper)
+            np.minimum(params, self.upper, out=params)
         return params
 
     def in_bounds(self, params):
@@ -209,16 +219,14 @@ def numeric_jacobian(problem: ResidualProblem, params) -> np.ndarray:
     return jac
 
 
-# per-problem states of the lockstep loop
-_DONE, _NEW_ITERATION, _SEARCHING = 0, 1, 2
-
-
 def _solve_stacked(a, b):
-    """x with a @ x = b for stacked systems; a system numpy cannot solve
-    gives a row of NaN instead of failing the whole stack."""
+    """x with a @ x = b for stacked systems, b broadcasting against a's
+    stack; a system numpy cannot solve gives a row of NaN instead of
+    failing the whole stack."""
     try:
         return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        b = np.broadcast_to(b, a.shape[:-1])
         out = np.full(b.shape, np.nan)
         for idx in np.ndindex(b.shape[:-1]):
             try:
@@ -251,103 +259,119 @@ def solve_lm_batch(batch: ProblemBatch, initial_params,
     if not n:
         return []
 
-    # per problem: params, cost, damping, iterations, history, state and
-    # result, and J^T J and J^T r at x
+    # per problem, as Python scalars: cost, damping, iterations, history
+    # and result; and its J^T J and J^T r at x, as the (J^T J, J^T r)
+    # stacks of the round that evaluated them and its index in them
     cost = batch.cost(np.arange(n), x).tolist()
     lam = [settings.damping] * n
-    iterations = np.zeros(n, dtype=int)
+    iterations = [0] * n
     histories = [[c] for c in cost]
-    state = np.full(n, _NEW_ITERATION)
     results = [None] * n
-    jtj = np.empty((n, dim, dim))
-    grad = np.empty((n, dim))
-    up, down, eye = settings.damping_up, settings.damping_down, np.eye(dim)
+    equations = [None] * n
+    up, down = settings.damping_up, settings.damping_down
+    step_tol, cost_tol = settings.step_tol, settings.cost_tol
+    zeros = np.zeros((2, 1, 1, 1))       # both rungs' J^T J + 0.0
 
     def finish(i, termination):
-        state[i] = _DONE
         results[i] = FitReport(params=x[i].copy(), cost=cost[i],
-                               iterations=int(iterations[i]),
+                               iterations=iterations[i],
                                termination=termination,
                                cost_history=np.asarray(histories[i]))
 
-    def fail(i, error):
-        state[i] = _DONE
-        results[i] = error
+    for i in range(n):
+        if math.isnan(cost[i]):
+            results[i] = NonFiniteResidual(f"residual not finite at {x[i]}")
+    # the problems still searching, and those of them that start an
+    # iteration (J^T J and the gradient at x) this round
+    live = [i for i in range(n) if results[i] is None]
+    fresh = live
 
-    for i in np.flatnonzero(np.isnan(cost)):
-        fail(i, NonFiniteResidual(f"residual not finite at {x[i]}"))
-
-    while True:
-        # start an iteration: J^T J and the gradient at x
-        start = np.flatnonzero(state == _NEW_ITERATION)
-        if start.size:
-            iterations[start] += 1
-            jtj[start], grad[start], finite = batch.normal_equations(
-                start, x[start])
-            for i in start[~finite]:
-                fail(i, NonFiniteResidual(f"jacobian not finite at {x[i]}"))
-            start = start[finite]
-        flat = np.max(np.abs(2.0 * grad[start]), axis=1,
-                      initial=0.0) < settings.grad_tol
-        for i in start[flat]:
-            iterations[i] -= 1
-            finish(i, "gradient")
-        state[start[~flat]] = _SEARCHING
-
-        search = np.flatnonzero(state == _SEARCHING)
-        if not search.size:
-            break
-        # one damping round: solve, project and evaluate both rungs of
-        # every searching problem, as (rung, problem) arrays
-        damping = np.array([lam[i] for i in search])
-        rungs = np.stack((damping, damping * up))
-        steps = _solve_stacked(
-            jtj[search] + rungs[..., None, None] * eye,
-            np.broadcast_to(-grad[search], rungs.shape + (dim,)))
+    while live:
+        if fresh:
+            rows = np.array(fresh)
+            xs = x[rows]
+            jtj, grad, finite = batch.normal_equations(rows, xs)
+            for p, i in enumerate(fresh):
+                iterations[i] += 1
+                equations[i] = (jtj, grad), p
+            slopes = np.maximum.reduce(np.abs(grad), axis=1).tolist()
+            for i, ok, slope in zip(fresh, finite.tolist(), slopes):
+                if not ok:
+                    results[i] = NonFiniteResidual(
+                        f"jacobian not finite at {x[i]}")
+                elif 2.0 * slope < settings.grad_tol:
+                    iterations[i] -= 1
+                    finish(i, "gradient")
+            live = [i for i in live if results[i] is None]
+            if not live:
+                break
+        if fresh == live:
+            search = rows
+        else:
+            search = np.array(live)
+            xs = x[search]
+            jtj, grad = (np.stack([stacks[part][p] for stacks, p in
+                                   map(equations.__getitem__, live)])
+                         for part in (0, 1))
+        # one damping round: solve, project and cost both rungs of every
+        # live problem, as (rung, problem) arrays; the damping goes on the
+        # diagonal of J^T J + 0.0, the bits of J^T J + damping * I
+        damping = [lam[i] for i in live]
+        damped = jtj + zeros
+        damped.reshape(2, len(live), -1)[..., ::dim + 1] += np.array(
+            [damping, [d * up for d in damping]])[..., None]
+        steps = _solve_stacked(damped, -grad)
         solvable = np.isfinite(steps).all(axis=-1)
-        steps[~solvable] = 0.0       # evaluated at x, never taken
-        xs = x[search]
+        ok = solvable.tolist()
+        if False in ok[0] or False in ok[1]:
+            steps[~solvable] = 0.0      # evaluated at x, never taken
         candidates = batch.apply_constraints(xs + steps)
-        cost_new = batch.cost(search, candidates)
-        cost_new[np.isnan(cost_new)] = np.inf
-        step_norm = dot_norms(candidates - xs).tolist()
-        new_norm = dot_norms(candidates).tolist()
-        old_norm = dot_norms(xs).tolist()
-        ok, cost_new = solvable.tolist(), cost_new.tolist()
+        trials = batch.cost(search, candidates).tolist()
+        norms = np.empty((5, len(live), dim))   # steps, candidates, x
+        np.subtract(candidates, xs, out=norms[:2])
+        norms[2:4] = candidates
+        norms[4] = xs
+        norms = dot_norms(norms).tolist()
+        step_norm, new_norm, old_norm = norms[:2], norms[2:4], norms[4]
 
         # the sequential rule, rung by rung, up to the first rung that
         # accepts, stalls or overflows the damping
-        for p, i in enumerate(search.tolist()):
+        fresh, taken, ended = [], [], []
+        for p, i in enumerate(live):
             for rung in (0, 1):
                 if not ok[rung][p]:
                     lam[i] *= up
                     if lam[i] > _MAX_DAMPING:
-                        fail(i, SingularNormalEquations(
-                            "normal equations unsolvable at maximum damping"))
+                        results[i] = SingularNormalEquations(
+                            "normal equations unsolvable at maximum damping")
                         break
                     continue
-                trial = cost_new[rung][p]
-                if trial < cost[i]:
-                    x[i] = candidates[rung, p]
+                trial = trials[rung][p]
+                if trial < cost[i]:     # never for a NaN cost
+                    taken.append((i, rung, p))
                     prev_cost, cost[i] = cost[i], trial
                     histories[i].append(trial)
                     lam[i] = max(lam[i] / down, _MIN_DAMPING)
-                    if step_norm[rung][p] < settings.step_tol * (
+                    if step_norm[rung][p] < step_tol * (
                             1.0 + new_norm[rung][p]):
-                        finish(i, "step")
-                    elif prev_cost - trial < settings.cost_tol * max(
-                            1.0, prev_cost):
-                        finish(i, "cost_decrease")
+                        ended.append((i, "step"))
+                    elif prev_cost - trial < cost_tol * max(1.0, prev_cost):
+                        ended.append((i, "cost_decrease"))
                     elif iterations[i] == settings.max_iterations:
-                        finish(i, "max_iterations")
+                        ended.append((i, "max_iterations"))
                     else:
-                        state[i] = _NEW_ITERATION
+                        fresh.append(i)
                     break
                 lam[i] *= up
                 if lam[i] > _MAX_DAMPING or step_norm[rung][p] < (
-                        settings.step_tol * (1.0 + old_norm[p])):
-                    finish(i, "step")   # no acceptable step: stalled
+                        step_tol * (1.0 + old_norm[p])):
+                    ended.append((i, "step"))   # no acceptable step: stalled
                     break
+        for i, rung, p in taken:
+            x[i] = candidates[rung, p]
+        for i, termination in ended:
+            finish(i, termination)
+        live = [i for i in live if results[i] is None]
 
     return results
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gaze3d
-from gaze3d import cli, evaluation, eye_simulator, mappers
+from gaze3d import _kernels, cli, evaluation, eye_simulator, mappers
 from gaze3d.dataset_io import (load_dataset, load_model, save_dataset,
                                save_model)
 from gaze3d.evaluation import depth_combination_sweep, evaluate
@@ -496,22 +496,53 @@ def test_sweep_summary_marks_a_k_without_ok_records(tmp_path, capsys):
 # A refactor must leave both unchanged; a change meant to alter the data
 # or the results re-pins them and says why.
 
+NOISY_SWEEP = ("sweep", "--depths", "1.0,1.5,2.0", "--noise-px", "1",
+               "--noise-deg", "0.5", "--noise-target-mm", "2", "--seed", "4")
 PINNED_OUTPUTS = {
     ("simulate", "--depths", "1.0,2.0", "--seed", "3", "--noise-px", "1",
      "--noise-deg", "0.5", "--noise-target-mm", "2"):
     "0c9fd3ebe6bd22398600f59aa11b163698761e7f9337a51c91a87d41e028beff",
     ("sweep", "--depths", "1.0,1.5,2.0"):
     "35f8fcad4e8397d8ecb167246e884c2af831960380a338f6013c92645f60bdf4",
+    # noisy: fits end at 53 and 200 (2d3d) and 4, 64 and 200 iterations
+    # (3d3d), so the set of fits a damping round evaluates changes
+    NOISY_SWEEP:
+    "83496ad58de4a1dd1626e878b52041482953539f128781b0eec6d76f5d51dfab",
 }
 
 
-@pytest.mark.parametrize("argv", PINNED_OUTPUTS, ids=["simulate", "sweep"])
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS,
+                         ids=["simulate", "sweep", "sweep-noisy"])
 def test_outputs_keep_their_pinned_bytes(argv, tmp_path, capsys):
     out = tmp_path / "out"
     code, _, _ = run(capsys, *argv, "--out", out)
     assert code == 0
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == PINNED_OUTPUTS[argv])
+
+
+def test_noisy_sweep_pins_its_kernel_calls(tmp_path, capsys, monkeypatch):
+    """The noisy sweep's LM solves make one residual kernel call to start
+    and one residual and one Jacobian call per damping round, 203 rounds
+    per mapper: a changed damping rule, a second kernel call per round or
+    trial costs computed around the residual kernels changes the counts.
+    The kernels are wrapped by name, as the benchmark's tracer does."""
+    calls = dict.fromkeys(("residuals_2d3d", "jacobian_2d3d",
+                           "residuals_3d3d", "jacobian_3d3d"), 0)
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name,
+                            counted(name, getattr(_kernels, name)))
+    code, _, _ = run(capsys, *NOISY_SWEEP, "--out", tmp_path / "out")
+    assert code == 0
+    assert calls == {"residuals_2d3d": 204, "jacobian_2d3d": 203,
+                     "residuals_3d3d": 204, "jacobian_3d3d": 203}
 
 
 # ── selftest ─────────────────────────────────────────────────────────────

@@ -164,6 +164,37 @@ def test_save_and_load_share_the_unit_pose_tolerance(bundle, tmp_path,
         assert not path.exists()
 
 
+@pytest.mark.parametrize("source, shown", [
+    (["simulated"], r"\['simulated'\]"), ("simulatd", "'simulatd'"),
+    (None, "None")], ids=["list", "misspelt", "null"])
+def test_load_rejects_a_source_save_does_not_write(dataset_path, source,
+                                                    shown):
+    """A header source other than "simulated" or "recorded" fails at line
+    1 by name; it used to load, be scored as a recording and then fail to
+    re-save."""
+    rewrite_line(dataset_path, 1, lambda line: json.dumps(
+        {**json.loads(line), "source": source}))
+    with pytest.raises(ParseError, match=rf"^line 1: unknown source {shown} "
+                       r"\(expected one of 'simulated', 'recorded'\)$"):
+        load_dataset(dataset_path)
+
+
+@pytest.mark.parametrize("source", ("simulated", "recorded", None))
+def test_source_survives_save_and_load(bundle, tmp_path, source):
+    """Each source save_dataset writes loads back as itself and re-saves
+    byte for byte; a header with no source loads as "recorded"."""
+    path, again = tmp_path / "d.jsonl", tmp_path / "again.jsonl"
+    save_dataset(bundle, path, source=source or "recorded")
+    if source is None:
+        rewrite_line(path, 1, lambda line: json.dumps(
+            {k: v for k, v in json.loads(line).items() if k != "source"}))
+    loaded = load_dataset(path)
+    assert loaded.source == (source or "recorded")
+    save_dataset(loaded.bundle, again, source=loaded.source)
+    if source is not None:
+        assert again.read_bytes() == path.read_bytes()
+
+
 def test_save_rejects_an_unknown_source(bundle, tmp_path):
     path = tmp_path / "d.jsonl"
     with pytest.raises(ValueError, match="^unknown source 'other'$"):

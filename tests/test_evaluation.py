@@ -512,7 +512,8 @@ def test_sweep_makes_one_kernel_call_per_damping_round(mapper_id,
         def wrapper(*args, **kwargs):
             calls[key] += 1
             if key != "rounds":
-                groups.add(tuple(sorted({x.shape[1] for x in args[1]})))
+                groups.add(tuple(sorted({x.shape[1]
+                                         for x in args[1].groups})))
             return fn(*args, **kwargs)
         return wrapper
 

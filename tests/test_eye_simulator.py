@@ -91,8 +91,21 @@ def test_grid_shape_and_ordering():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(calib_rows=1)
-    with pytest.raises(ValueError, match="^grid depth must be positive$"):
+    with pytest.raises(ValueError, match=r"^grid depth must be a finite "
+                                         r"number > 0, got 0\.0$"):
         GridSpec().points(0.0)
+
+
+@pytest.mark.parametrize("depth", (math.nan, math.inf, -math.inf, True))
+def test_non_finite_grid_depth_fails_by_name(depth, recwarn):
+    """A NaN, infinite or bool depth is rejected by name before any
+    synthesis (it used to print numpy warnings and fail inside it)."""
+    message = rf"^grid depth must be a finite number > 0, got {depth!r}$"
+    with pytest.raises(ValueError, match=message):
+        GridSpec().points(depth)
+    with pytest.raises(ValueError, match=message):
+        synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, depth))
+    assert not recwarn.list
 
 
 def grid_size(points):

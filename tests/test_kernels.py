@@ -36,7 +36,8 @@ def random_inputs(seed, n=40):
 def one_fit(kernel, params, inputs, targets, normalize=True):
     """`kernel` on one fit: (dim,) params with (N, ...) inputs and
     targets, as a group of one."""
-    return kernel(params[None], [inputs[None]], [targets[None]], normalize)
+    return kernel(params[None], _kernels.Rows([inputs[None]],
+                                              [targets[None]]), normalize)
 
 
 def test_2d3d_residual_matches_direct_computation():
@@ -154,11 +155,12 @@ def test_fits_agree_with_numeric_jacobian(depths, monkeypatch):
         # every fit's Jacobian from numeric_jacobian, member by member
         residual, _, dim, wrap = layout(mapper_id)
 
-        def jacobian(params, inputs, targets, normalize):
+        def jacobian(params, rows, normalize):
             # the ragged layout: groups of fits, each fit's rows in order
-            fits = [(q, t) for group_q, group_t in zip(inputs, targets)
-                    for q, t in zip(group_q, group_t)]
-            return (residual(params, inputs, targets, normalize),
+            inputs = [q for group in rows.groups for q in group]
+            ends = np.cumsum([len(q) for q in inputs])[:-1]
+            fits = list(zip(inputs, np.split(rows.targets.T, ends)))
+            return (residual(params, rows, normalize),
                     np.concatenate([numeric_jacobian(ResidualProblem(
                         dim=dim, residual=lambda x, q=q, t=t: one_fit(
                             residual, x, q, t, normalize)), x0)
@@ -197,6 +199,33 @@ def ragged_inputs(seed, shapes=((3, 25), (1, 9), (2, 40))):
 
 
 @pytest.mark.parametrize("normalize", (True, False))
+def test_jacobian_after_a_residual_call_keeps_its_bits(normalize):
+    """A Jacobian call on the Rows of a residual call, at that call's
+    parameters (its one set, or the second of two damping rungs), reuses
+    the rows it computed; at any other parameters or normalization it
+    computes them anew.  Either way it gives the bits of a call on fresh
+    Rows."""
+    params17, params6, rungs17, rungs6, groups = ragged_inputs(1)
+    for residual, jacobian, params, rungs, at in (
+            (_kernels.residuals_2d3d, _kernels.jacobian_2d3d, params17,
+             rungs17, 0),
+            (_kernels.residuals_3d3d, _kernels.jacobian_3d3d, params6,
+             rungs6, 1)):
+        inputs, targets = [g[at] for g in groups], [g[2] for g in groups]
+        rows = _kernels.Rows(inputs, targets)
+        for costed, at_params, costed_normalize in (
+                (params, params, normalize), (rungs, rungs[1], normalize),
+                (rungs, rungs[0], normalize),
+                (rungs, rungs[1], not normalize)):
+            residual(costed, rows, costed_normalize)
+            expected = jacobian(at_params, _kernels.Rows(inputs, targets),
+                                normalize)
+            for got, want in zip(jacobian(at_params, rows, normalize),
+                                 expected):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("normalize", (True, False))
 def test_ragged_rows_equal_batched_group_calls(normalize):
     """One ragged call over groups of different sample counts gives, bit
     for bit, each group's call alone and each fit's call alone; the
@@ -212,8 +241,8 @@ def test_ragged_rows_equal_batched_group_calls(normalize):
             inputs = [g[at] for g in groups]
             targets = [g[2] for g in groups]
 
-            def call(*args):        # every kernel output, as a tuple
-                out = kernel(*args, normalize)
+            def call(p, inputs, targets):   # every output, as a tuple
+                out = kernel(p, _kernels.Rows(inputs, targets), normalize)
                 return out if isinstance(out, tuple) else (out,)
 
             for p in (params,) if rungs is None else (params, *rungs):
@@ -232,10 +261,11 @@ def test_ragged_rows_equal_batched_group_calls(normalize):
                 residual = (_kernels.residuals_2d3d if at == 0
                             else _kernels.residuals_3d3d)
                 assert np.array_equal(ragged[0], residual(
-                    params, inputs, targets, normalize))
+                    params, _kernels.Rows(inputs, targets), normalize))
             else:
-                both = kernel(rungs, inputs, targets, normalize)
+                rows = _kernels.Rows(inputs, targets)
+                both = kernel(rungs, rows, normalize)
                 assert both.shape == (2, ragged[0].size)
                 for r in (0, 1):
-                    assert np.array_equal(
-                        both[r], kernel(rungs[r], inputs, targets, normalize))
+                    assert np.array_equal(both[r],
+                                          kernel(rungs[r], rows, normalize))

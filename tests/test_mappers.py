@@ -604,7 +604,7 @@ def test_one_set_fits_match_solve_lm(mapper_id, depths):
         model = fit_3d_to_3d(pairs(samples, "pupil_pose"))
     bound = np.concatenate((np.full(x0.size - 3, np.inf),
                             np.full(3, DEFAULT_CENTER_BOUND_M)))
-    one_fit = ([inputs[None]], [targets[None]])     # a group of one
+    one_fit = (_kernels.Rows([inputs[None]], [targets[None]]),)  # one fit
     oracle = solve_lm(ResidualProblem(
         dim=x0.size, residual=lambda x: residual(x[None], *one_fit),
         jacobian=lambda x: jacobian(x[None], *one_fit)[1],
@@ -643,7 +643,7 @@ def test_lm_batch_products_are_each_fits_own(mapper_id):
     costs = batch.cost(rows, trials)
     assert finite.all() and costs.shape == (2, len(rows))
     for k, i in enumerate(rows):
-        one_fit = ([fits[i][0][None]], [fits[i][1][None]])
+        one_fit = (_kernels.Rows([fits[i][0][None]], [fits[i][1][None]]),)
         r, jac = jacobian(params[i][None], *one_fit, True)
         assert jtj[k].tobytes() == (jac.T @ jac).tobytes()
         assert jtr[k].tobytes() == (jac.T @ r).tobytes()
