@@ -61,18 +61,6 @@ import numpy as np
 _BLOCK_ROWS = 512
 
 
-def _cross(a, b):
-    """a x b along the last axis of two broadcastable (..., 3) arrays."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(c0.shape + (3,))
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
-
-
 class Rows:
     """The rows of the fits of a kernel call (see the module docs), from
     one inputs and one targets array per group.  `spans` gives each group

@@ -295,8 +295,7 @@ def cmd_selftest(args) -> int:
 
     pupils = rng.uniform(0, (640, 360), size=(25, 2))
     w_true = rng.normal(0, 1, (7, 2))
-    feats = np.array([poly_features((p - (320, 180)) / (320, 180))
-                      for p in pupils])
+    feats = poly_features((pupils - (320, 180)) / (320, 180))
     model = fit_2d_to_2d(list(zip(pupils, feats @ w_true)))
     check("planted-2d2d", np.abs(model.weights - w_true).max() < 1e-8)
 

@@ -13,7 +13,12 @@ Lengths are meters, image coordinates pixels, angles radians.  Floats
 are serialized with shortest round-trip repr and keys are sorted, so a
 given dataset has exactly one byte representation: identical seeds give
 byte-identical files and a load/save cycle is lossless.  Numeric fields
-hold JSON numbers; numeric strings and booleans are rejected.
+hold JSON numbers; numeric strings and booleans are rejected.  Every
+array of numbers read here (a record's vectors, a header camera's
+fields and e_gt, a model file's arrays, a config camera's
+rotation_angles) is checked by geometry.number_array and every single
+number by geometry.check_number, so each rule has their one wording;
+the readers add only the line or section and a missing-field message.
 
 Files are JSON Lines: UTF-8, and each line ends at "\n" (a "\r" before
 it is JSON whitespace, so CRLF files load).  Records are parsed per
@@ -28,15 +33,16 @@ flag are SampleColumns' own.  One decoder, _decode, reads a line that
 orjson rejects: as strict UTF-8, with json.loads, which sets the
 grammar (both read every number to the same float).  Only if a column
 check fails does load_dataset check record by record (_check_record,
-which decodes with _decode), in file order, so the error names the
-first bad line.  load_dataset returns the bundle with its provenance
-and counts, as a LoadedDataset.
+which decodes with _decode and applies number_array and check_number),
+in file order, so the error names the first bad line.  load_dataset
+returns the bundle with its provenance and counts, as a LoadedDataset.
 save_dataset writes each group from its columns, with the group's key
 as each record's depth_label and a NaN row as null, and refuses what
 the loader would reject (a NaN or infinity, a pupil_pose that is not
-unit within _UNIT_TOLERANCE) before it opens the file.  A dataset
-header, a model file and a config are read as bytes by one reader,
-_json_value, whose errors name the line of the first bad byte or token.
+unit within _UNIT_TOLERANCE) before it opens the file, as save_model
+refuses the arrays load_model would reject.  A dataset header, a model
+file and a config are read as bytes by one reader, _json_value, whose
+errors name the line of the first bad byte or token.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -71,7 +77,8 @@ from .eye_simulator import (
     synthesize_dataset,
 )
 from .evaluation import SweepResult
-from .geometry import PinholeCamera, dot_norms, is_number, rotation_from_angles
+from .geometry import (PinholeCamera, check_number, dot_norms, is_number,
+                       number_array, rotation_from_angles)
 from .mappers import (
     MAPPER_IDS,
     MappingConfig,
@@ -165,9 +172,12 @@ def _header_camera(header, key):
     if key not in header:
         return None
     d = _header_section(header, key)
-    try:    # reshaped as objects, so the camera checks the entries as read
-        rotation = np.asarray(d.get("rotation", np.eye(3).ravel()),
-                              dtype=object).reshape(3, 3)
+    # the rotation's 9 entries (flat in the file) as read, shaped 3x3 for
+    # the camera to check
+    rotation = np.asarray(d.get("rotation", np.eye(3)), dtype=object)
+    if rotation.size == 9:
+        rotation = rotation.reshape(3, 3)
+    try:
         return PinholeCamera(focal=d["focal"], principal=d["principal"],
                              resolution=d["resolution"], rotation=rotation,
                              translation=d.get("translation", (0.0, 0.0, 0.0)))
@@ -223,25 +233,9 @@ def _vec(record, key, name, lineno):
             return None
         raise ParseError(f"missing field {key!r}", line=lineno)
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"field {key!r} is not numeric: {err}",
-                         line=lineno) from err
-    except OverflowError as err:     # a JSON integer beyond float range
-        raise ParseError(f"field {key!r} has a number out of float range",
-                         line=lineno) from err
-    width = _WIDTHS[name]
-    if arr.shape != (width,):
-        raise ParseError(f"field {key!r} must have {width} entries",
-                         line=lineno)
-    for v in value:
-        if type(v) not in _NUMBER_TYPES:
-            raise ParseError(f"field {key!r} is not numeric: {v!r}",
-                             line=lineno)
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"field {key!r} contains non-finite values",
-                         line=lineno)
-    return arr
+        return number_array(value, (_WIDTHS[name],), f"field {key!r}")
+    except ValueError as err:
+        raise ParseError(str(err), line=lineno) from err
 
 
 def _check_record(raw, idx):
@@ -265,20 +259,10 @@ def _check_record(raw, idx):
     if role not in _ROLES:
         raise ParseError(f"role must be 'calibration' or 'test', "
                          f"got {role!r}", line=lineno)
-    depth = record.get("depth_label")
-    if type(depth) not in _NUMBER_TYPES:
-        raise ParseError("missing or non-numeric depth_label", line=lineno)
     try:
-        depth = float(depth)
-    except OverflowError as err:
-        raise ParseError("depth_label out of float range",
-                         line=lineno) from err
-    if not np.isfinite(depth):
-        raise ParseError(f"depth_label must be finite, got {depth}",
-                         line=lineno)
-    if depth <= 0:
-        raise ParseError(f"depth_label must be positive, got {depth}",
-                         line=lineno)
+        check_number(record.get("depth_label"), "depth_label")
+    except ValueError as err:
+        raise ParseError(str(err), line=lineno) from err
 
 
 def _vector_rows(values, name):
@@ -380,8 +364,9 @@ class LoadedDataset:
 
 def _check_saved(columns: SampleColumns, role, depth):
     """Name the first record of a group that load_dataset would reject,
-    and its first bad field: one holding a NaN or infinity, or a
-    pupil_pose whose norm is not 1 (within _UNIT_TOLERANCE)."""
+    and its first bad field: one holding a NaN or infinity, in
+    number_array's words, or a pupil_pose whose norm is not 1 (within
+    _UNIT_TOLERANCE)."""
     bad = np.array([columns.present(name)
                     & ~np.isfinite(getattr(columns, name)).all(axis=1)
                     for _, name in _VECTOR_FIELDS])
@@ -389,12 +374,16 @@ def _check_saved(columns: SampleColumns, role, depth):
     off_unit = np.abs(norms - 1.0) > _UNIT_TOLERANCE    # a NaN row is not
     if bad.any() or off_unit.any():
         i = int(np.argmax(bad.any(axis=0) | off_unit))
-        where = f"cannot save {role} record {i} at depth {depth}: field"
+        where = f"cannot save {role} record {i} at depth {depth}:"
         if not bad[:, i].any():
-            raise ValueError(f"{where} 'pupil_pose' norm {norms[i]:.8g} is "
-                             "not unit")
-        key = _VECTOR_FIELDS[int(np.argmax(bad[:, i]))][0]
-        raise ValueError(f"{where} {key!r} contains non-finite values")
+            raise ValueError(f"{where} field 'pupil_pose' norm "
+                             f"{norms[i]:.8g} is not unit")
+        key, name = _VECTOR_FIELDS[int(np.argmax(bad[:, i]))]
+        try:
+            number_array(getattr(columns, name)[i], (_WIDTHS[name],),
+                         f"field {key!r}")
+        except ValueError as err:
+            raise ValueError(f"{where} {err}") from None
 
 
 def _json_rows(columns: SampleColumns, name):
@@ -534,58 +523,50 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
 # fitted models
 
 # per mapper: its model class and the (attribute, file key, shape,
-# whether every entry must be positive) of each array it stores
+# number_array relation) of each array it stores
 _MODEL_ARRAYS = {
-    "2d2d": (Model2Dto2D, (("weights", "weights", (7, 2), False),
-                           ("eye_resolution", "eye_resolution", (2,), True))),
-    "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2), False),
-                           ("center", "center_m", (3,), False),
-                           ("eye_resolution", "eye_resolution", (2,), True))),
-    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,), False),
-                           ("center", "center_m", (3,), False))),
+    "2d2d": (Model2Dto2D, (("weights", "weights", (7, 2), None),
+                           ("eye_resolution", "eye_resolution", (2,), ">"))),
+    "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2), None),
+                           ("center", "center_m", (3,), None),
+                           ("eye_resolution", "eye_resolution", (2,), ">"))),
+    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,), None),
+                           ("center", "center_m", (3,), None))),
 }
 
 
 def save_model(model, path) -> None:
-    """Serialize a fitted mapper model as a small JSON document."""
+    """Serialize a fitted mapper model as a small JSON document.  An
+    array load_model would reject raises ValueError naming its field,
+    before the file is opened."""
     mapper = mapper_of(model)
     doc = {"format": MODEL_FORMAT, "mapper": mapper}
-    for attr, key, *_ in _MODEL_ARRAYS[mapper][1]:
-        doc[key] = np.asarray(getattr(model, attr), dtype=float).tolist()
+    try:
+        for attr, key, shape, relation in _MODEL_ARRAYS[mapper][1]:
+            doc[key] = number_array(getattr(model, attr), shape,
+                                    f"model field {key!r}", relation).tolist()
+    except ValueError as err:
+        raise ValueError(f"cannot save model: {err}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _model_array(doc, key, shape, positive):
-    """The array a model file holds under `key`: `shape` finite JSON
-    numbers, all above zero if `positive`, or a ParseError naming the
-    field."""
+def _model_array(doc, key, shape, relation):
+    """The array a model file holds under `key`, by number_array's rule,
+    or a ParseError naming the field."""
     if key not in doc:
         raise ParseError(f"model file missing field {key!r}")
-    value = doc[key]
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ParseError(f"model field {key!r} is not a numeric array") \
-            from err
-    if arr.shape != shape:
-        raise ParseError(f"model field {key!r} must have shape {shape}, "
-                         f"got {arr.shape}")
-    entries = chain.from_iterable(value) if len(shape) == 2 else value
-    if any(type(v) not in _NUMBER_TYPES for v in entries):
-        raise ParseError(f"model field {key!r} is not numeric")
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"model field {key!r} contains non-finite values")
-    if positive and np.any(arr <= 0):
-        raise ParseError(f"model field {key!r} must be positive, "
-                         f"got {arr.tolist()}")
-    return arr
+        return number_array(doc[key], shape, f"model field {key!r}",
+                            relation)
+    except ValueError as err:
+        raise ParseError(str(err)) from err
 
 
 def load_model(path):
-    """Inverse of save_model; every array is checked for its shape and
-    for finite numeric entries, and the eye resolution for positive
-    ones."""
+    """Inverse of save_model; every array must be its _MODEL_ARRAYS
+    shape of finite numbers (number_array), the eye resolution's
+    entries > 0."""
     with open(path, "rb") as fh:
         doc = _json_value(fh.read(), ParseError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
@@ -594,8 +575,8 @@ def load_model(path):
     if mapper not in MAPPER_IDS:        # a tuple: mapper may be unhashable
         raise ParseError(f"unknown mapper {mapper!r}")
     cls, arrays = _MODEL_ARRAYS[mapper]
-    return cls(**{attr: _model_array(doc, key, shape, positive)
-                  for attr, key, shape, positive in arrays})
+    return cls(**{attr: _model_array(doc, key, shape, relation)
+                  for attr, key, shape, relation in arrays})
 
 
 # --------------------------------------------------------------------------
@@ -673,10 +654,7 @@ def _camera(d) -> PinholeCamera:
     kwargs = {key: value for key, value in d.items()
               if key != "rotation_angles"}
     if "rotation_angles" in d:
-        angles = np.asarray(d["rotation_angles"], dtype=object)
-        if angles.shape != (3,) or not all(map(is_number, angles)):
-            raise ValueError(f"rotation_angles must be 3 finite numbers, "
-                             f"got {d['rotation_angles']!r}")
+        number_array(d["rotation_angles"], (3,), "rotation_angles")
         kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
     return PinholeCamera(**kwargs)
 

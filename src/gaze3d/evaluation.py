@@ -35,6 +35,7 @@ matrix product another way, which can differ in the last bit.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,11 +199,22 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     depth the fitted model cannot project (its ray misses a target plane)
     or with no usable test records yields one for that depth alone, so
     aggregate statistics are never silently biased and one bad
-    prediction never aborts the sweep.
+    prediction never aborts the sweep.  `mappers` is a sequence of mapper
+    ids, and each k_range entry an integer from 1 to the number of
+    depths, or ValueError names the value.
     """
     depths = bundle.depths()
-    if k_range is None:
-        k_range = range(1, len(depths) + 1)
+    if isinstance(mappers, str):
+        raise ValueError(f"mappers must be a sequence of mapper ids, not "
+                         f"the string {mappers!r}")
+    k_range = tuple(range(1, len(depths) + 1) if k_range is None
+                    else k_range)
+    for k in k_range:
+        if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                or not 1 <= k <= len(depths)):
+            raise ValueError(f"k_range entries must be integers from 1 to "
+                             f"{len(depths)} (the number of depths), "
+                             f"got {k!r}")
     if config is None:
         config = MappingConfig(
             eye_resolution=tuple(bundle.rig.eye_camera.resolution))

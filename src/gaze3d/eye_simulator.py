@@ -33,14 +33,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ._kernels import _cross
 from .geometry import (
     PinholeCamera,
     Ray,
     GeometryError,
+    check_number,
     check_numbers,
+    cross,
     dot_norms,
-    is_number,
+    number_array,
     project,
     rotation_from_angles,
 )
@@ -124,8 +125,8 @@ class SimRig:
     from the scene-camera origin is the source of parallax error.  Noise
     sigmas: pupil pixels (px), pupil-pose deflection (degrees), target
     position (mm); zero disables the channel.  e_gt must be 3 finite
-    numbers and each sigma a finite number >= 0 (see geometry.is_number:
-    a bool or a numeric string is not a number), or ValueError names it.
+    numbers (geometry.number_array) and each sigma a finite number >= 0
+    (check_numbers), or ValueError names it.
     """
 
     scene_camera: PinholeCamera = field(default_factory=_default_scene_camera)
@@ -136,11 +137,8 @@ class SimRig:
     noise_target_mm: float = 0.0
 
     def __post_init__(self):
-        e_gt = np.asarray(self.e_gt, dtype=object)
-        if e_gt.shape != (3,) or not all(map(is_number, e_gt)):
-            raise ValueError(f"e_gt must be 3 finite numbers, got "
-                             f"{e_gt.tolist()}")
-        object.__setattr__(self, "e_gt", e_gt.astype(float))
+        object.__setattr__(self, "e_gt", number_array(self.e_gt, (3,),
+                                                      "e_gt"))
         check_numbers(self, ("noise_pupil_px", "noise_pose_deg",
                              "noise_target_mm"), ">=")
         if self.eye_camera is None:
@@ -203,7 +201,7 @@ class GridSpec:
         plane z = depth, centered on the scene camera's principal axis, as
         an (rows*cols, 3) array in row-major order, scene frame.  A depth
         that is not a finite number > 0 raises ValueError naming it."""
-        _check_depth(depth)
+        check_number(depth, "grid depth")
         s = depth if self.scale_with_depth else 1.0
         rows, cols = self.calib_rows, self.calib_cols
         if test:
@@ -213,12 +211,6 @@ class GridSpec:
         xs = np.linspace(-width / 2.0, width / 2.0, cols)
         ys = np.linspace(-height / 2.0, height / 2.0, rows)
         return np.array([(x, y, depth) for y in ys for x in xs])
-
-
-def _check_depth(depth):
-    if not (is_number(depth) and depth > 0):
-        raise ValueError(f"grid depth must be a finite number > 0, "
-                         f"got {depth!r}")
 
 
 # the two grid protocols (see default_bundle)
@@ -285,14 +277,14 @@ def _deflect_rows(directions, sigma_rad, rngs):
     """_deflect of each row of an (N, 3) array with its own generator,
     with the same draws and bits: each generator draws the row's angle
     and seed axis (and redraws the axis as _deflect does), then every
-    row is rotated at once.  _cross, dot_norms and the stacked dot give
+    row is rotated at once.  cross, dot_norms and the stacked dot give
     the bits of np.cross, np.linalg.norm and np.dot on one row."""
     angles = np.empty(len(directions))
     seed_axes = np.empty(directions.shape)
     for i, rng in enumerate(rngs):
         angles[i] = rng.normal(0.0, sigma_rad)
         seed_axes[i] = rng.normal(size=3)
-    axes = _cross(directions, seed_axes)
+    axes = cross(directions, seed_axes)
     norms = dot_norms(axes)
     for i in np.flatnonzero(norms < 1e-12):   # seed happened to be parallel
         while norms[i] < 1e-12:
@@ -302,7 +294,7 @@ def _deflect_rows(directions, sigma_rad, rngs):
     cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
     dots = (axes[:, None, :] @ directions[:, :, None])[:, 0]
     # Rodrigues rotation about each row's axis
-    return (directions * cos + _cross(axes, directions) * sin
+    return (directions * cos + cross(axes, directions) * sin
             + axes * dots * (1.0 - cos))
 
 
@@ -415,9 +407,7 @@ class DatasetBundle:
         for role in ("calibration", "test"):
             groups = dict(getattr(self, role))
             for depth, group in groups.items():
-                if not (is_number(depth) and depth > 0):
-                    raise ValueError(f"{role} group depth must be a finite "
-                                     f"number > 0, got {depth!r}")
+                check_number(depth, f"{role} group depth")
                 if not isinstance(group, SampleColumns):
                     raise TypeError(f"{role} group at depth {depth} is not "
                                     f"a SampleColumns: "
@@ -502,7 +492,7 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     if not depths:
         raise ValueError("depths must be nonempty")
     for depth in depths:
-        _check_depth(depth)
+        check_number(depth, "grid depth")
     grids = grids or GridSpec()
     depths = sorted(float(d) for d in depths)
     root = np.random.SeedSequence(seed)

@@ -1,5 +1,9 @@
 """3D vector, rotation and pinhole-camera primitives shared by all modules,
-and the number rule (is_number, check_numbers) of their settings.
+and the number rules of every value read from outside: is_number (a
+finite real; not a bool, a numeric string or an int beyond float range),
+check_number for a scalar ("<name> must be a finite number > 0, got
+<value>") and number_array for an array ("<name> must be 3x3 finite
+numbers, got <entries>").
 
 Conventions: x right, y down, z forward (optical axis) in every camera
 frame, so positive depth means visible.  World quantities are in meters,
@@ -51,16 +55,35 @@ def is_number(value) -> bool:
         return False
 
 
+def check_number(value, name, relation=">"):
+    """`value`, if it is a finite number (see is_number) > 0, or >= 0
+    with relation=">="; otherwise a ValueError naming `name`."""
+    if not (is_number(value) and (value > 0 if relation == ">"
+                                  else value >= 0)):
+        raise ValueError(f"{name} must be a finite number {relation} 0, "
+                         f"got {value!r}")
+
+
 def check_numbers(obj, names, relation=">"):
-    """Raise a ValueError naming the first of the `names` attributes of
-    `obj` that is not a finite number (see is_number) > 0, or >= 0 with
-    relation=">="."""
+    """check_number on each of the `names` attributes of `obj`."""
     for name in names:
-        value = getattr(obj, name)
-        if not (is_number(value) and (value > 0 if relation == ">"
-                                      else value >= 0)):
-            raise ValueError(f"{name} must be a finite number {relation} 0, "
-                             f"got {value!r}")
+        check_number(getattr(obj, name), name, relation)
+
+
+def number_array(value, shape, name, relation=None):
+    """`value` as a float array, if it has `shape` and each entry is a
+    finite number (see is_number), and > 0 (or >= 0) with relation ">"
+    (or ">="); otherwise a ValueError naming `name` and the entries as
+    given.  The one rule of every array of numbers read from outside."""
+    entries = np.asarray(value, dtype=object)
+    if entries.shape == shape and all(map(is_number, entries.flat)):
+        array = entries.astype(float)
+        if relation is None or np.all(array > 0 if relation == ">"
+                                      else array >= 0):
+            return array
+    bound = f" {relation} 0" if relation else ""
+    raise ValueError(f"{name} must be {'x'.join(map(str, shape))} finite "
+                     f"numbers{bound}, got {entries.tolist()!r}")
 
 
 def _as_vec(x, n):
@@ -146,9 +169,10 @@ class PinholeCamera:
 
     `rotation` holds the camera axes as columns (camera-to-world);
     `translation` is the camera origin in the scene frame.  The scene
-    camera itself uses the identity pose.  A field whose entries are not
-    finite numbers (see is_number), a focal length or resolution <= 0 or
-    a principal point outside the image raises ValueError naming it.
+    camera itself uses the identity pose.  Each field must be its shape
+    of finite numbers (number_array: focal 2 and resolution 2, each > 0,
+    principal 2, rotation 3x3, translation 3), and the principal point
+    must lie inside the image, or ValueError names the field.
     """
 
     focal: np.ndarray          # (fx, fy) pixels
@@ -158,28 +182,12 @@ class PinholeCamera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name, size in (("focal", 2), ("principal", 2), ("resolution", 2),
-                           ("rotation", None), ("translation", 3)):
-            value = getattr(self, name)
-            try:
-                array = (np.asarray(value, dtype=float) if size is None
-                         else _as_vec(value, size))
-            except OverflowError:   # an int beyond float range, which
-                array = None        # the entries check below rejects
-            if array is not None and not np.isfinite(array).all():
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {array.tolist()}")
-            # the entries as given: float() takes a bool or a numeric string
-            entries = np.asarray(value, dtype=object)
-            if not all(map(is_number, entries.ravel())):
-                raise ValueError(f"{name} entries must be numbers, "
-                                 f"got {entries.tolist()}")
-            object.__setattr__(self, name, array)
-        if np.any(self.focal <= 0):
-            raise ValueError("focal lengths must be positive")
-        if np.any(self.resolution <= 0):
-            raise ValueError(f"resolution must be positive, got "
-                             f"{self.resolution.tolist()}")
+        for name, shape, relation in (
+                ("focal", (2,), ">"), ("principal", (2,), None),
+                ("resolution", (2,), ">"), ("rotation", (3, 3), None),
+                ("translation", (3,), None)):
+            object.__setattr__(self, name, number_array(
+                getattr(self, name), shape, name, relation))
         if np.any(self.principal < 0) or np.any(self.principal > self.resolution):
             raise ValueError("principal point must lie inside image bounds")
 
@@ -269,6 +277,20 @@ def dot_norms(a):
     bit)."""
     a = np.asarray(a, dtype=float)
     return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
+def cross(a, b):
+    """a x b along the last axis of two broadcastable (..., 3) arrays,
+    each row the bits np.cross gives for it: written out, as np.cross
+    costs more in dispatch than in arithmetic at these sizes."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def normalize_rows(v):

@@ -62,10 +62,12 @@ from .geometry import (
     Ray,
     ZeroVector,
     back_project_batch,
+    cross,
     dot_norms,
     is_number,
     normalize,
     normalize_rows,
+    number_array,
     rotation_from_angles,
 )
 from .optimizer import (
@@ -108,10 +110,7 @@ class MappingConfig:
     lm: LMSettings = field(default_factory=LMSettings)
 
     def __post_init__(self):
-        res = np.asarray(self.eye_resolution, dtype=object)
-        if res.shape != (2,) or not all(is_number(v) and v > 0 for v in res):
-            raise ValueError(f"eye_resolution must be two finite numbers > 0, "
-                             f"got {self.eye_resolution!r}")
+        number_array(self.eye_resolution, (2,), "eye_resolution", ">")
         if not isinstance(self.normalize_residuals, bool):
             raise ValueError(f"normalize_residuals must be true or false, "
                              f"got {self.normalize_residuals!r}")
@@ -125,19 +124,20 @@ class MappingConfig:
 
 
 def poly_features(p) -> np.ndarray:
-    """Anisotropic polynomial feature q = (1, u, v, uv, u^2, v^2, u^2 v^2)."""
-    u, v = np.asarray(p, dtype=float)
-    return np.array([1.0, u, v, u * v, u * u, v * v, u * u * v * v])
+    """Anisotropic polynomial feature q = (1, u, v, uv, u^2, v^2, u^2 v^2)
+    of each (u, v) along the last axis of p: a (..., 7) array."""
+    p = np.asarray(p, dtype=float)
+    u, v = p[..., 0], p[..., 1]
+    return np.stack((np.ones_like(u), u, v, u * v, u * u, v * v,
+                     u * u * v * v), axis=-1)
 
 
 def _feature_matrix(pupils_px, resolution):
-    """Features of (..., 2) pupil pixels, normalized by a resolution
-    that broadcasts against them: a (..., 7) array."""
+    """poly_features of (..., 2) pupil pixels mapped to [-1, 1]^2 by a
+    resolution that broadcasts against them."""
     res = np.asarray(resolution, dtype=float)
-    norm = (np.asarray(pupils_px, dtype=float) - res / 2.0) / (res / 2.0)
-    u, v = norm[..., 0], norm[..., 1]
-    return np.stack((np.ones_like(u), u, v, u * v, u * u, v * v,
-                     u * u * v * v), axis=-1)
+    return poly_features((np.asarray(pupils_px, dtype=float) - res / 2.0)
+                         / (res / 2.0))
 
 
 def polar_to_direction(alpha) -> np.ndarray:
@@ -222,7 +222,7 @@ def _check_targets(targets):
                                  f"{targets[i].tolist()} coincides with the "
                                  "initial eyeball center")
     dirs = targets / norms
-    crosses = _kernels._cross(dirs, dirs[0])
+    crosses = cross(dirs, dirs[0])
     if np.all(np.linalg.norm(crosses, axis=1) < 1e-9):
         raise DegenerateGeometry("all targets collinear with the initial "
                                  "eyeball center; rays cannot be constrained")

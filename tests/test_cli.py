@@ -310,7 +310,7 @@ def test_fit_rejects_a_header_eye_camera_of_zero_resolution(tmp_path, capfd,
                                "--out", tmp_path / "model.json")
     assert (code, stdout) == (1, "")
     assert stderr == ("error: ParseError: line 1: bad eye_camera in header: "
-                      "resolution must be positive, got [0.0, 0.0]\n")
+                      "resolution must be 2 finite numbers > 0, got [0, 0]\n")
 
 
 def test_round_trip_builds_no_records(tmp_path, capsys, monkeypatch):
@@ -392,7 +392,7 @@ def test_evaluate_rejects_a_non_positive_eye_resolution(dataset, tmp_path,
     code, stdout, stderr = run(capsys, "evaluate", model, dataset)
     assert code == 1 and stdout == ""
     assert stderr == ("error: ParseError: model field 'eye_resolution' must "
-                      "be positive, got [0.0, 360.0]\n")
+                      "be 2 finite numbers > 0, got [0, 360]\n")
 
 
 def with_target_at_origin(dataset, tmp_path):
@@ -617,8 +617,8 @@ def test_a_bad_camera_in_a_config_is_named_before_simulating(tmp_path,
     code, stdout, stderr = run(capsys, "simulate", "--config", cfg,
                                "--out", tmp_path / "d.jsonl")
     assert (code, stdout) == (1, "")
-    assert stderr == ("error: ConfigError: invalid scene_camera: could not "
-                      "convert string to float: 'x'\n")
+    assert stderr == ("error: ConfigError: invalid scene_camera: focal must "
+                      "be 2 finite numbers > 0, got 'x'\n")
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -293,6 +293,29 @@ def test_sweep_k5_pools_all_calibration_samples():
     assert sum(len(v) for v in bundle.calibration.values()) == 125
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k_range": (0,)}, "k_range entries must be integers from 1 to 2 (the "
+     "number of depths), got 0"),
+    ({"k_range": (1, 3)}, "k_range entries must be integers from 1 to 2 "
+     "(the number of depths), got 3"),
+    ({"k_range": (1.5,)}, "k_range entries must be integers from 1 to 2 "
+     "(the number of depths), got 1.5"),
+    ({"k_range": (True,)}, "k_range entries must be integers from 1 to 2 "
+     "(the number of depths), got True"),
+    ({"mappers": "2d2d"}, "mappers must be a sequence of mapper ids, not the "
+     "string '2d2d'"),
+], ids=["k-zero", "k-above-depth-count", "k-float", "k-bool",
+        "mappers-string"])
+def test_sweep_rejects_bad_k_range_and_mappers_by_name(kwargs, message):
+    # they raised "not enough values to unpack", returned an empty sweep
+    # (which export_results_csv refuses), raised TypeError from
+    # itertools, or read the string's characters as mapper ids
+    bundle = small_bundle(depths=(1.0, 2.0))
+    with pytest.raises(ValueError) as err:
+        depth_combination_sweep(bundle, **kwargs)
+    assert str(err.value) == message
+
+
 def test_sweep_records_failed_fits():
     bundle = small_bundle()
     # strip the pose channel: 3d3d has nothing to fit, others unaffected

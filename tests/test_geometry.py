@@ -21,11 +21,13 @@ from gaze3d.geometry import (
     angles_from_rotation,
     back_project,
     back_project_batch,
+    cross,
     intersect_ray_depth_plane,
     intersect_ray_depth_plane_batch,
     is_number,
     normalize,
     normalize_rows,
+    number_array,
     point_ray_distance,
     project,
     rotation_from_angles,
@@ -46,6 +48,55 @@ def default_cam(**kwargs):
 def test_is_number(value, expected):
     # an integer beyond float range used to raise OverflowError
     assert is_number(value) is expected
+
+
+@pytest.mark.parametrize("value, shape, relation", [
+    ([1, 2.5], (2,), None),
+    ((0.0, -1.0, 10**300), (3,), None),
+    (np.eye(3), (3, 3), None),
+    ([[1, 2]] * 7, (7, 2), None),
+    ([640, 360.0], (2,), ">"),
+    ([0, 0.5], (2,), ">="),
+])
+def test_number_array_returns_the_floats(value, shape, relation):
+    out = number_array(value, shape, "x", relation)
+    assert out.dtype == float and out.shape == shape
+    np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
+
+
+@pytest.mark.parametrize("value, shape, relation, message", [
+    ([1.0], (2,), None, "v must be 2 finite numbers, got [1.0]"),
+    ((1.0, float("nan")), (2,), None,
+     "v must be 2 finite numbers, got [1.0, nan]"),
+    ([True, 1.0], (2,), None, "v must be 2 finite numbers, got [True, 1.0]"),
+    (["1", 1.0], (2,), None, "v must be 2 finite numbers, got ['1', 1.0]"),
+    ([10**400, 1], (2,), None,
+     f"v must be 2 finite numbers, got [{10**400}, 1]"),
+    ([1.0, [0.0, 0.0]], (2,), None,
+     "v must be 2 finite numbers, got [1.0, [0.0, 0.0]]"),
+    ([[1.0, 0.0], [0.0]], (2, 2), None,
+     "v must be 2x2 finite numbers, got [[1.0, 0.0], [0.0]]"),
+    ("640x360", (2,), None, "v must be 2 finite numbers, got '640x360'"),
+    ({"x": 1}, (2,), None, "v must be 2 finite numbers, got {'x': 1}"),
+    (np.eye(2), (3, 3), None,
+     "v must be 3x3 finite numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+    ([0, 360], (2,), ">", "v must be 2 finite numbers > 0, got [0, 360]"),
+    ([1, -0.5], (2,), ">=", "v must be 2 finite numbers >= 0, got [1, -0.5]"),
+], ids=["short", "nan", "bool", "string-entry", "huge-int", "nested",
+        "ragged", "string", "object", "wrong-matrix", "not-positive",
+        "negative"])
+def test_number_array_names_the_value(value, shape, relation, message):
+    with pytest.raises(ValueError) as err:
+        number_array(value, shape, "v", relation)
+    assert str(err.value) == message
+
+
+def test_cross_gives_the_bits_of_np_cross():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 50, 3))
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    # broadcast against one vector
+    assert cross(a, b[0]).tobytes() == np.cross(a, b[0]).tobytes()
 
 
 # ── rotations ────────────────────────────────────────────────────────────
@@ -204,21 +255,34 @@ def test_camera_validation():
                       resolution=(1280, 720))
 
 
-@pytest.mark.parametrize("field, value", [
-    ("focal", (np.nan, 720.0)),
-    ("principal", (640.0, np.nan)),
-    ("resolution", (np.inf, 720.0)),
-    ("rotation", np.diag([1.0, np.nan, 1.0])),
-    ("translation", (0.0, np.nan, 0.0)),
-])
-def test_camera_rejects_non_finite_values(field, value):
+@pytest.mark.parametrize("field, value, message", [
+    ("focal", (np.nan, 720.0),
+     "focal must be 2 finite numbers > 0, got [nan, 720.0]"),
+    ("principal", (640.0, np.nan),
+     "principal must be 2 finite numbers, got [640.0, nan]"),
+    ("resolution", (np.inf, 720.0),
+     "resolution must be 2 finite numbers > 0, got [inf, 720.0]"),
+    ("rotation", np.diag([1.0, np.nan, 1.0]),
+     "rotation must be 3x3 finite numbers, got [[1.0, 0.0, 0.0], "
+     "[0.0, nan, 0.0], [0.0, 0.0, 1.0]]"),
+    ("translation", (0.0, np.nan, 0.0),
+     "translation must be 3 finite numbers, got [0.0, nan, 0.0]"),
+    ("focal", (0.0, 720),
+     "focal must be 2 finite numbers > 0, got [0.0, 720]"),
+    # it built, and project failed inside numpy's matmul
+    ("rotation", np.eye(2),
+     "rotation must be 3x3 finite numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+], ids=["focal-value0", "principal-value1", "resolution-value2",
+        "rotation-value3", "translation-value4", "focal-zero", "rotation-2x2"])
+def test_camera_rejects_non_finite_values(field, value, message):
     # a NaN focal length or principal point passed the range checks
     # (nan <= 0 is False)
     kwargs = dict(focal=(720.0, 720.0), principal=(640.0, 360.0),
                   resolution=(1280.0, 720.0))
     kwargs[field] = value
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+    with pytest.raises(ValueError) as err:
         PinholeCamera(**kwargs)
+    assert str(err.value) == message
 
 
 def test_back_project_returns_unit_ray_from_camera_origin():

@@ -257,11 +257,11 @@ def test_3d3d_prediction_direction():
     ({"center_bounds_m": "x"}, ValueError, "center_bounds_m must be a "
      "finite number >= 0 or null (unbounded), got 'x'"),
     ({"eye_resolution": (640,)}, ValueError,
-     "eye_resolution must be two finite numbers > 0, got (640,)"),
+     "eye_resolution must be 2 finite numbers > 0, got [640]"),
     ({"eye_resolution": (0, 0)}, ValueError,
-     "eye_resolution must be two finite numbers > 0, got (0, 0)"),
+     "eye_resolution must be 2 finite numbers > 0, got [0, 0]"),
     ({"eye_resolution": (float("nan"), 360)}, ValueError,
-     "eye_resolution must be two finite numbers > 0, got (nan, 360)"),
+     "eye_resolution must be 2 finite numbers > 0, got [nan, 360]"),
     ({"normalize_residuals": "no"}, ValueError,
      "normalize_residuals must be true or false, got 'no'"),
     ({"normalize_residuals": 0}, ValueError,
@@ -270,7 +270,7 @@ def test_3d3d_prediction_direction():
     ({"center_bounds_m": 10**400}, ValueError, f"center_bounds_m must be a "
      f"finite number >= 0 or null (unbounded), got {10**400}"),
     ({"eye_resolution": (10**400, 360)}, ValueError, f"eye_resolution must "
-     f"be two finite numbers > 0, got ({10**400}, 360)"),
+     f"be 2 finite numbers > 0, got [{10**400}, 360]"),
 ])
 def test_mapping_config_rejects_bad_settings(kwargs, error, message):
     # each used to construct: a negative or NaN bound then aborted the
