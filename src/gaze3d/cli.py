@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .dataset_io import (
     ExperimentConfig,
-    check_depths,
     export_results_csv,
     load_config,
     load_dataset,
@@ -36,7 +35,8 @@ from .dataset_io import (
 )
 from .evaluation import depth_combination_sweep, evaluate
 from .eye_simulator import SampleColumns
-from .mappers import MAPPER_FIELDS, MAPPER_IDS, fit_mapper, usable_rows
+from .mappers import (MAPPER_FIELDS, MAPPER_IDS, check_mappers, fit_mapper,
+                      usable_rows)
 from .optimizer import solve_lm
 
 
@@ -65,14 +65,11 @@ def _parse_depths(text):
 
 
 def _parse_mappers(text):
-    mappers = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for m in mappers:
-        if m not in MAPPER_IDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown mapper {m!r} (choose from {', '.join(MAPPER_IDS)})")
-    if not mappers:
-        raise argparse.ArgumentTypeError("empty mapper list")
-    return mappers
+    try:
+        return check_mappers([tok.strip() for tok in text.split(",")
+                              if tok.strip()])
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _add_flags(sp, *flags):
@@ -190,7 +187,7 @@ def cmd_evaluate(args) -> int:
     reference = (loaded.bundle.rig.e_gt if loaded.source == "simulated"
                  else np.zeros(3))
     tests = loaded.bundle.test
-    depths = (check_depths(args.depths) if args.depths
+    depths = (ExperimentConfig(depths=args.depths).depths if args.depths
               else tuple(sorted(tests)))
     if not depths:
         raise CliUsageError("dataset has no test records")

@@ -54,7 +54,6 @@ keep their row with empty error fields.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from itertools import chain, compress
@@ -70,14 +69,14 @@ from .eye_simulator import (
     GRID_PRESETS,
     DatasetBundle,
     GridSpec,
-    NoIntersection,
     SampleColumns,
     SimRig,
     TwoSphereEye,
+    check_depths,
     synthesize_dataset,
 )
 from .evaluation import SweepResult
-from .geometry import (PinholeCamera, check_number, dot_norms, is_number,
+from .geometry import (PinholeCamera, check_integer, check_number, dot_norms,
                        number_array, rotation_from_angles)
 from .mappers import (
     MAPPER_IDS,
@@ -85,6 +84,7 @@ from .mappers import (
     Model2Dto2D,
     Model2Dto3D,
     Model3Dto3D,
+    check_mappers,
     mapper_of,
 )
 from .optimizer import LMSettings
@@ -571,9 +571,10 @@ def load_model(path):
         doc = _json_value(fh.read(), ParseError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a {MODEL_FORMAT} file")
-    mapper = doc.get("mapper")
-    if mapper not in MAPPER_IDS:        # a tuple: mapper may be unhashable
-        raise ParseError(f"unknown mapper {mapper!r}")
+    try:
+        [mapper] = check_mappers([doc.get("mapper")])
+    except ValueError as err:
+        raise ParseError(str(err)) from None
     cls, arrays = _MODEL_ARRAYS[mapper]
     return cls(**{attr: _model_array(doc, key, shape, relation)
                   for attr, key, shape, relation in arrays})
@@ -622,41 +623,42 @@ def export_results_csv(sweep: SweepResult, path) -> None:
 
 _CAMERA_KEYS = {"focal", "principal", "resolution", "rotation_angles",
                 "translation"}
-_EYE_KEYS = {f.name for f in fields(TwoSphereEye)}
-_GRID_KEYS = {f.name for f in fields(GridSpec)}
-_LM_KEYS = {f.name for f in fields(LMSettings)}
 
 
-def check_depths(depths) -> tuple:
-    """`depths` as a tuple of floats, if it is a nonempty list of finite
-    positive meters without duplicates; a ConfigError otherwise.  The
-    one depth-list rule of configs and of every CLI command."""
-    if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
-            or not all(is_number(d) and d > 0 for d in depths)):
-        raise ConfigError(f"depths must be a nonempty list of finite "
-                          f"positive meters, got {depths!r}")
-    depths = tuple(float(d) for d in depths)
-    if len(set(depths)) != len(depths):
-        raise ConfigError("depths contains duplicates")
-    return depths
+def _section(value, build, keys, name=None):
+    """What `build` makes of `value`: the one rule of a config (name None)
+    and of each of its sections (null reads as {}).  `value` must be an
+    object with only `keys`, and an error of `build` becomes the
+    ConfigError "invalid <name>: <reason>" (for the config, "<reason>")."""
+    if value is None and name:
+        value = {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config'} must be an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config key "
+                              f"{name + '.' if name else ''}{key!r}")
+    try:
+        return build(**value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid {name}: {err}" if name
+                          else str(err)) from None
 
 
-def _check_keys(d, allowed, where):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {where}.{key!r}")
-
-
-def _camera(d) -> PinholeCamera:
-    """The PinholeCamera of a config camera dict."""
-    kwargs = {key: value for key, value in d.items()
-              if key != "rotation_angles"}
+def _camera(**d) -> PinholeCamera:
+    """The PinholeCamera of a config camera section, its rotation given by
+    rotation_angles (radians); a missing focal, principal or resolution
+    is null."""
     if "rotation_angles" in d:
-        number_array(d["rotation_angles"], (3,), "rotation_angles")
-        kwargs["rotation"] = rotation_from_angles(d["rotation_angles"])
-    return PinholeCamera(**kwargs)
+        angles = d.pop("rotation_angles")
+        number_array(angles, (3,), "rotation_angles")
+        d["rotation"] = rotation_from_angles(angles)
+    return PinholeCamera(**{"focal": None, "principal": None,
+                            "resolution": None, **d})
+
+
+def _names(cls):
+    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -667,8 +669,9 @@ class ExperimentConfig:
     GridSpec fields, ``lm`` takes LMSettings fields, ``eye_model_mm``
     takes TwoSphereEye fields, and the camera dicts take focal /
     principal / resolution plus optional rotation_angles (radians) and
-    translation.  The types built from the values (GridSpec, LMSettings,
-    MappingConfig, ...) check them; their errors become ConfigErrors.
+    translation, each section read by _section.  The types built from the
+    values (GridSpec, LMSettings, MappingConfig, ...), check_integer,
+    check_depths and check_mappers check them, as ConfigErrors.
     """
 
     seed: int = 0
@@ -689,60 +692,29 @@ class ExperimentConfig:
     out: str = None
 
     def __post_init__(self):
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ConfigError(f"seed must be an integer >= 0, got "
-                              f"{self.seed!r}")
-        if self.out is not None and not isinstance(self.out,
-                                                   (str, os.PathLike)):
-            raise ConfigError(f"out must be a path string or null, got "
-                              f"{self.out!r}")
-        object.__setattr__(self, "depths", check_depths(self.depths))
-        object.__setattr__(self, "mappers", tuple(self.mappers))
-        if not self.mappers:
-            raise ConfigError("mappers must be nonempty")
-        for m in self.mappers:
-            if m not in MAPPER_IDS:
-                raise ConfigError(f"unknown mapper {m!r} "
-                                  f"(choose from {', '.join(MAPPER_IDS)})")
-        if self.grid_preset not in GRID_PRESETS:
-            raise ConfigError(f"unknown grid_preset {self.grid_preset!r}")
-        if self.grid is not None:
-            _check_keys(self.grid, _GRID_KEYS, "grid")
-        try:    # built here, so a bad grid fails before any synthesis
-            object.__setattr__(self, "_grids", replace(
-                GRID_PRESETS[self.grid_preset], **(self.grid or {})))
-        except ValueError as err:
-            raise ConfigError(f"invalid grid: {err}") from None
-        if self.lm is not None:
-            _check_keys(self.lm, _LM_KEYS, "lm")
-        try:    # built here, so a bad lm block fails before any fit
-            lm = LMSettings(**(self.lm or {}))
-        except ValueError as err:
-            raise ConfigError(f"invalid lm settings: {err}") from None
-        if self.eye_model_mm is not None:
-            _check_keys(self.eye_model_mm, _EYE_KEYS, "eye_model_mm")
-        try:
-            object.__setattr__(self, "_eye",
-                               TwoSphereEye(**(self.eye_model_mm or {})))
-        except NoIntersection as err:   # a ValueError too: caught first
-            raise ConfigError(f"invalid eye_model_mm: {err}") from None
-        except ValueError as err:       # the length it names
-            raise ConfigError(f"eye_model_mm.{err}") from None
-        cameras = {}
-        for name in ("scene_camera", "eye_camera"):
-            cam = getattr(self, name)
-            if cam is not None:
-                _check_keys(cam, _CAMERA_KEYS, name)
-                for req in ("focal", "principal", "resolution"):
-                    if req not in cam:
-                        raise ConfigError(f"{name} needs {req!r}")
-                try:
-                    cameras[name] = _camera(cam)
-                except (TypeError, ValueError) as err:
-                    raise ConfigError(f"invalid {name}: {err}") from None
-        try:    # built here, so a bad setting fails before any work
+        try:    # each type built here, so a bad value fails before any work
+            check_integer(self.seed, "seed", 0)
+            if self.out is not None and not isinstance(self.out,
+                                                       (str, os.PathLike)):
+                raise ValueError(f"out must be a path string or null, got "
+                                 f"{self.out!r}")
+            object.__setattr__(self, "depths", check_depths(self.depths))
+            object.__setattr__(self, "mappers", check_mappers(self.mappers))
+            if self.grid_preset not in GRID_PRESETS:
+                raise ValueError(f"unknown grid_preset "
+                                 f"{self.grid_preset!r}")
+            preset = GRID_PRESETS[self.grid_preset]
+            object.__setattr__(self, "_grids", _section(
+                self.grid, lambda **grid: replace(preset, **grid),
+                _names(GridSpec), "grid"))
+            lm = _section(self.lm, LMSettings, _names(LMSettings), "lm")
+            object.__setattr__(self, "_eye", _section(
+                self.eye_model_mm, TwoSphereEye, _names(TwoSphereEye),
+                "eye_model_mm"))
+            cameras = {name: _section(getattr(self, name), _camera,
+                                      _CAMERA_KEYS, name)
+                       for name in ("scene_camera", "eye_camera")
+                       if getattr(self, name) is not None}
             object.__setattr__(self, "_mapping", MappingConfig(
                 normalize_residuals=self.normalize_residuals,
                 center_bounds_m=self.center_bounds_m, lm=lm))
@@ -750,23 +722,12 @@ class ExperimentConfig:
                 e_gt=self.e_gt, noise_pupil_px=self.noise_pupil_px,
                 noise_pose_deg=self.noise_pose_deg,
                 noise_target_mm=self.noise_target_mm, **cameras))
-        except ValueError as err:
+        except ValueError as err:   # a ConfigError keeps its message
             raise ConfigError(str(err)) from err
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key in d:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        try:
-            return cls(**d)
-        except (TypeError, ValueError) as err:
-            if isinstance(err, ConfigError):
-                raise
-            raise ConfigError(str(err)) from err
+        return _section(d, cls, _names(cls))
 
     def override(self, **kwargs) -> "ExperimentConfig":
         """Copy with non-None overrides applied (CLI flags beat file)."""

@@ -35,7 +35,6 @@ matrix product another way, which can differ in the last bit.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +47,14 @@ from .geometry import (
     angle_between,
     angle_between_batch,
     back_project,
+    check_integer,
     intersect_ray_depth_plane,
     intersect_ray_depth_plane_batch,
 )
 from .mappers import (
     MAPPER_IDS,
     MappingConfig,
+    check_mappers,
     column_arrays,
     fit_arrays,
     fit_mapper,  # noqa: F401 - re-exported; perfbench traces it here
@@ -199,22 +200,16 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     depth the fitted model cannot project (its ray misses a target plane)
     or with no usable test records yields one for that depth alone, so
     aggregate statistics are never silently biased and one bad
-    prediction never aborts the sweep.  `mappers` is a sequence of mapper
-    ids, and each k_range entry an integer from 1 to the number of
-    depths, or ValueError names the value.
+    prediction never aborts the sweep.  `mappers` must pass check_mappers
+    and each k_range entry be an integer from 1 to the number of depths
+    (check_integer), or ValueError names the value before any fit.
     """
     depths = bundle.depths()
-    if isinstance(mappers, str):
-        raise ValueError(f"mappers must be a sequence of mapper ids, not "
-                         f"the string {mappers!r}")
+    mappers = check_mappers(mappers)
     k_range = tuple(range(1, len(depths) + 1) if k_range is None
                     else k_range)
     for k in k_range:
-        if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
-                or not 1 <= k <= len(depths)):
-            raise ValueError(f"k_range entries must be integers from 1 to "
-                             f"{len(depths)} (the number of depths), "
-                             f"got {k!r}")
+        check_integer(k, "k_range entry", 1, len(depths))
     if config is None:
         config = MappingConfig(
             eye_resolution=tuple(bundle.rig.eye_camera.resolution))

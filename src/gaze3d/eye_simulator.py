@@ -27,7 +27,6 @@ built, and the mappers and the dataset files read it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
@@ -37,8 +36,10 @@ from .geometry import (
     PinholeCamera,
     Ray,
     GeometryError,
+    check_integer,
     check_number,
     check_numbers,
+    is_number,
     cross,
     dot_norms,
     number_array,
@@ -183,14 +184,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("calib_rows", "calib_cols", "test_rows", "test_cols"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral) or value < 2):
-                raise ValueError(f"{name} must be an integer >= 2, "
-                                 f"got {value!r}")
-            if value > MAX_GRID_COUNT:
-                raise ValueError(f"{name} must be at most {MAX_GRID_COUNT}, "
-                                 f"got {value!r}")
+            check_integer(getattr(self, name), name, 2, MAX_GRID_COUNT)
         check_numbers(self, ("width", "height", "test_scale"))
         if not isinstance(self.scale_with_depth, bool):
             raise ValueError(f"scale_with_depth must be true or false, "
@@ -475,6 +469,21 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points,
                          target_px=target_px)
 
 
+def check_depths(depths) -> tuple:
+    """`depths` as a tuple of floats, if it is a nonempty list of finite
+    positive meters without duplicates; a ValueError otherwise.  The one
+    depth-list rule of synthesize_dataset, configs and every CLI
+    command."""
+    if (not isinstance(depths, (list, tuple, np.ndarray)) or not len(depths)
+            or not all(is_number(d) and d > 0 for d in depths)):
+        raise ValueError(f"depths must be a nonempty list of finite "
+                         f"positive meters, got {depths!r}")
+    depths = tuple(float(d) for d in depths)
+    if len(set(depths)) != len(depths):
+        raise ValueError("depths contains duplicates")
+    return depths
+
+
 def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                        depths=DEFAULT_DEPTHS, grids: GridSpec = None,
                        seed=0) -> DatasetBundle:
@@ -487,14 +496,11 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
     its (role, depth) group: pupil_px (N, 2), pupil_pose (N, 3), target
     (N, 3) and target_px (N, 2).  The samples are those synthesize_sample
     gives for each point with its own generator, bit for bit, and
-    synthesize_sample is the oracle the tests hold it to.
+    synthesize_sample is the oracle the tests hold it to (check_depths
+    checks `depths`).
     """
-    if not depths:
-        raise ValueError("depths must be nonempty")
-    for depth in depths:
-        check_number(depth, "grid depth")
+    depths = sorted(check_depths(depths))
     grids = grids or GridSpec()
-    depths = sorted(float(d) for d in depths)
     root = np.random.SeedSequence(seed)
     calibration, test = {}, {}
     for depth in depths:

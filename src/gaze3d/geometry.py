@@ -2,8 +2,11 @@
 and the number rules of every value read from outside: is_number (a
 finite real; not a bool, a numeric string or an int beyond float range),
 check_number for a scalar ("<name> must be a finite number > 0, got
-<value>") and number_array for an array ("<name> must be 3x3 finite
-numbers, got <entries>").
+<value>"), check_integer for a count ("<name> must be an integer from
+<low> to <high>, got <value>", or ">= <low>") and number_array for an
+array ("<name> must be 3x3 finite numbers, got <entries>").  A mapper-id
+list, a depth list and a config section have one rule each too:
+mappers.check_mappers, eye_simulator.check_depths and dataset_io._section.
 
 Conventions: x right, y down, z forward (optical axis) in every camera
 frame, so positive depth means visible.  World quantities are in meters,
@@ -62,6 +65,17 @@ def check_number(value, name, relation=">"):
                                   else value >= 0)):
         raise ValueError(f"{name} must be a finite number {relation} 0, "
                          f"got {value!r}")
+
+
+def check_integer(value, name, low, high=None):
+    """`value`, if it is an integer (not a bool) from `low` to `high`, or
+    >= `low` when high is None; otherwise a ValueError naming `name`.
+    The one rule of every count read from outside."""
+    if not (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and low <= value
+            and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def check_numbers(obj, names, relation=">"):
@@ -259,11 +273,16 @@ def intersect_ray_depth_plane(ray: Ray, depth: float) -> np.ndarray:
 # is invalid, naming the first such row; the scalar functions stay the
 # reference they are tested against.
 
-def _rows(x, n):
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError(f"expected shape (N, {n}), got {a.shape}")
-    return a
+def row_array(values, width):
+    """`values` as an (N, width) float array (an empty sequence is N = 0),
+    or ValueError: the row rule of the batched functions and mappers."""
+    rows = np.asarray(values, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected vectors of {width} entries, "
+                         f"got an array of shape {rows.shape}")
+    return rows
 
 
 def _row_norms(a):
@@ -295,7 +314,7 @@ def cross(a, b):
 
 def normalize_rows(v):
     """Each row of an (N, 3) array divided by its norm (batched normalize)."""
-    v = _rows(v, 3)
+    v = row_array(v, 3)
     norms = _row_norms(v)
     zero = norms < 1e-15
     if zero.any():
@@ -307,7 +326,7 @@ def normalize_rows(v):
 def back_project_batch(cam: PinholeCamera, pixels) -> np.ndarray:
     """Unit scene-frame directions of the rays from the camera origin
     (`cam.translation`) through each row of an (N, 2) pixel array."""
-    px = _rows(pixels, 2)
+    px = row_array(pixels, 2)
     d_cam = np.empty((len(px), 3))
     d_cam[:, :2] = (px - cam.principal) / cam.focal
     d_cam[:, 2] = 1.0
@@ -317,7 +336,7 @@ def back_project_batch(cam: PinholeCamera, pixels) -> np.ndarray:
 def intersect_ray_depth_plane_batch(origins, directions, depths) -> np.ndarray:
     """Points where rays origins[i] + lambda * directions[i] meet their own
     planes z = depths[i]; (N, 3) arrays of origins and unit directions."""
-    origins, directions = _rows(origins, 3), _rows(directions, 3)
+    origins, directions = row_array(origins, 3), row_array(directions, 3)
     depths = np.asarray(depths, dtype=float)
     dz = directions[:, 2]
     parallel = np.abs(dz) < 1e-9

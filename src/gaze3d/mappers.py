@@ -69,6 +69,7 @@ from .geometry import (
     normalize_rows,
     number_array,
     rotation_from_angles,
+    row_array,
 )
 from .optimizer import (
     FitReport,
@@ -195,20 +196,18 @@ class Model3Dto3D:
         return rotation_from_angles(self.angles)
 
 
-def _rows(values, width):
-    """An (N, width) float array of N vectors of `width` entries."""
-    rows = (np.asarray(values, dtype=float) if len(values)
-            else np.empty((0, width)))
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"expected vectors of {width} entries, "
-                         f"got an array of shape {rows.shape}")
-    return rows
-
-
-def _split_pairs(calib):
-    """The inputs and the targets of (input, target) pairs, as lists."""
-    pairs = list(calib)
-    return [a for a, _ in pairs], [b for _, b in pairs]
+def _fit_pairs(mapper_id, calib, config):
+    """fit_arrays on the one set of (input, target) pairs `calib`, with
+    its fit error raised.  Each entry must be its field's width of finite
+    numbers (number_array), or ValueError names the field and the pair."""
+    source, target = _fields(mapper_id)
+    inputs, targets = [], []
+    for i, (a, b) in enumerate(calib):
+        inputs.append(number_array(a, (_WIDTHS[source],),
+                                   f"{source} of pair {i}"))
+        targets.append(number_array(b, (_WIDTHS[target],),
+                                    f"{target} of pair {i}"))
+    return _one_fit(fit_arrays(mapper_id, [(inputs, targets)], config))
 
 
 def _check_targets(targets):
@@ -252,7 +251,7 @@ def _center_box(dim, center_bounds):
 def fit_2d_to_2d(calib, config: MappingConfig = MappingConfig()):
     """Least-squares fit of the 7x2 weight matrix from (p, s) pairs:
     fit_arrays on one set."""
-    return _one_fit(fit_arrays("2d2d", [_split_pairs(calib)], config))
+    return _fit_pairs("2d2d", calib, config)
 
 
 def _fit_2d2d(pupils, scene, eye_resolution):
@@ -389,7 +388,7 @@ def _lm_model(mapper_id, report, eye_resolution):
 def fit_2d_to_3d(calib, config: MappingConfig = MappingConfig()):
     """Joint LM fit of polynomial angle weights and eyeball center from
     (p, t) pairs: fit_arrays on one set."""
-    return _one_fit(fit_arrays("2d3d", [_split_pairs(calib)], config))
+    return _fit_pairs("2d3d", calib, config)
 
 
 def predict_2d_to_3d(model: Model2Dto3D, p) -> Ray:
@@ -403,7 +402,7 @@ def predict_2d_to_3d(model: Model2Dto3D, p) -> Ray:
 def fit_3d_to_3d(calib, config: MappingConfig = MappingConfig()):
     """LM fit of rotation angles and eyeball center from (n, t) pairs:
     fit_arrays on one set (eye_resolution is not read)."""
-    return _one_fit(fit_arrays("3d3d", [_split_pairs(calib)], config))
+    return _fit_pairs("3d3d", calib, config)
 
 
 def predict_3d_to_3d(model: Model3Dto3D, n) -> Ray:
@@ -421,9 +420,25 @@ MAPPER_IDS = tuple(MAPPER_FIELDS)
 
 
 def _fields(mapper_id):
-    if mapper_id not in MAPPER_FIELDS:
-        raise ValueError(f"unknown mapper {mapper_id!r}")
+    """The two fields of `mapper_id`: the one rule of a mapper id."""
+    if mapper_id not in MAPPER_IDS:     # a tuple: it may be unhashable
+        raise ValueError(f"unknown mapper {mapper_id!r} "
+                         f"(choose from {', '.join(MAPPER_IDS)})")
     return MAPPER_FIELDS[mapper_id]
+
+
+def check_mappers(value) -> tuple:
+    """`value` as a tuple of mapper ids, if it is a nonempty sequence
+    that is not a string and each entry is a mapper id (_fields);
+    otherwise ValueError (TypeError if it is not iterable).  The one
+    mapper-list rule of configs, --mappers, the sweep and model files."""
+    mappers = () if isinstance(value, str) else tuple(value)
+    if not mappers:
+        raise ValueError(f"mappers must be a nonempty list of mapper ids, "
+                         f"got {value!r}")
+    for mapper_id in mappers:
+        _fields(mapper_id)
+    return mappers
 
 
 def usable_rows(mapper_id: str, columns: SampleColumns,
@@ -487,7 +502,7 @@ def fit_arrays(mapper_id: str, array_sets,
     results = [None] * len(array_sets)
     groups = {}         # sample count -> [(set index, (inputs, targets, x0))]
     for i, arrays in enumerate(array_sets):
-        inputs, targets = map(_rows, arrays, widths)
+        inputs, targets = map(row_array, arrays, widths)
         if len(inputs) != len(targets):
             raise ValueError(f"set {i} has {len(inputs)} inputs but "
                              f"{len(targets)} targets")
@@ -552,7 +567,7 @@ def predict_ray_arrays(models, inputs, scene_cam: PinholeCamera):
     model.
     """
     first = models[0]
-    inputs = _rows(inputs, _WIDTHS[_fields(mapper_of(first))[0]])
+    inputs = row_array(inputs, _WIDTHS[_fields(mapper_of(first))[0]])
     if any(type(model) is not type(first) for model in models):
         raise TypeError("models must all be of one mapper")
     if isinstance(first, Model3Dto3D):

@@ -36,12 +36,11 @@ the scalar reference the fits' batches are tested against.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_numbers, dot_norms, wrap_angle
+from .geometry import check_integer, check_numbers, dot_norms, wrap_angle
 
 
 class NonFiniteResidual(ValueError):
@@ -168,7 +167,7 @@ _MIN_DAMPING_FACTOR = ((_MAX_DAMPING / _MIN_DAMPING)
 @dataclass(frozen=True)
 class LMSettings:
     """Damping, iteration cap and tolerances of an LM solve.  Every value
-    is a finite number > 0 and max_iterations is an integer.  damping_up
+    is a finite number > 0 but max_iterations, an integer >= 1.  damping_up
     and damping_down are at least (1e12 / 1e-15) ** (1 / 150) ~= 1.5136:
     150 rejected steps then take the damping from its floor to its
     maximum, where a factor near 1 would retry thousands of times (at 1,
@@ -184,15 +183,14 @@ class LMSettings:
     grad_tol: float = 1e-12
 
     def __post_init__(self):
-        check_numbers(self, [f.name for f in fields(self)])
+        check_numbers(self, ("damping", "damping_up", "damping_down"))
+        check_integer(self.max_iterations, "max_iterations", 1)
+        check_numbers(self, ("step_tol", "cost_tol", "grad_tol"))
         for name in ("damping_up", "damping_down"):
             if getattr(self, name) < _MIN_DAMPING_FACTOR:
                 raise ValueError(f"{name} must be >= "
                                  f"{_MIN_DAMPING_FACTOR:.6g}, "
                                  f"got {getattr(self, name)!r}")
-        if not isinstance(self.max_iterations, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got "
-                             f"{self.max_iterations!r}")
 
 
 @dataclass(frozen=True)

@@ -584,7 +584,7 @@ def test_lm_settings_that_would_hang_a_fit_fail_before_it(lm, tmp_path,
                                "--mappers", "2d3d", "--out",
                                tmp_path / "s.csv")
     assert code == 1 and stdout == ""
-    assert stderr.startswith("error: ConfigError: invalid lm settings: "
+    assert stderr.startswith("error: ConfigError: invalid lm: "
                              + next(iter(lm)))
     assert not (tmp_path / "s.csv").exists()
 

@@ -1270,23 +1270,25 @@ def test_config_rejects_non_finite_and_mistyped_values(key, value):
     ({"damping": 10**400}, "damping"),
 ])
 def test_config_builds_its_lm_settings_at_load(lm, name):
-    with pytest.raises(ConfigError, match=f"lm settings: {name}"):
+    with pytest.raises(ConfigError, match=f"^invalid lm: {name} "):
         ExperimentConfig.from_dict({"depths": [1.0, 2.0], "lm": lm})
 
 
 @pytest.mark.parametrize("config, message", [
     ({"depths": [1.0, 2.0], "eye_model_mm": {"eyeball_radius_mm": math.nan}},
-     "eye_model_mm.eyeball_radius_mm must be a finite number > 0, got nan"),
+     "invalid eye_model_mm: eyeball_radius_mm must be a finite number > 0, "
+     "got nan"),
     ({"grid": {"calib_rows": -3}},
-     "invalid grid: calib_rows must be an integer >= 2, got -3"),
+     "invalid grid: calib_rows must be an integer from 2 to 1000, got -3"),
     # it loaded as a 1 rad turn about x
     ({"scene_camera": {**CAMERA, "rotation_angles": [True, math.pi, 0]}},
      "invalid scene_camera: rotation_angles must be 3 finite numbers, "
      "got [True, 3.141592653589793, 0]"),
     ({"grid": {"test_cols": 1001}},
-     "invalid grid: test_cols must be at most 1000, got 1001"),
+     "invalid grid: test_cols must be an integer from 2 to 1000, got 1001"),
     ({"grid": {"calib_rows": 10**400}},
-     f"invalid grid: calib_rows must be at most 1000, got {10**400}"),
+     f"invalid grid: calib_rows must be an integer from 2 to 1000, "
+     f"got {10**400}"),
 ], ids=["eye", "grid", "camera-angles", "grid-1001", "grid-huge"])
 def test_config_checks_eye_and_grid_at_load(config, message):
     # the eye and grid used to construct, and failed only at synthesis

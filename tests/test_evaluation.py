@@ -294,16 +294,16 @@ def test_sweep_k5_pools_all_calibration_samples():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"k_range": (0,)}, "k_range entries must be integers from 1 to 2 (the "
-     "number of depths), got 0"),
-    ({"k_range": (1, 3)}, "k_range entries must be integers from 1 to 2 "
-     "(the number of depths), got 3"),
-    ({"k_range": (1.5,)}, "k_range entries must be integers from 1 to 2 "
-     "(the number of depths), got 1.5"),
-    ({"k_range": (True,)}, "k_range entries must be integers from 1 to 2 "
-     "(the number of depths), got True"),
-    ({"mappers": "2d2d"}, "mappers must be a sequence of mapper ids, not the "
-     "string '2d2d'"),
+    ({"k_range": (0,)}, "k_range entry must be an integer from 1 to 2, "
+     "got 0"),
+    ({"k_range": (1, 3)}, "k_range entry must be an integer from 1 to 2, "
+     "got 3"),
+    ({"k_range": (1.5,)}, "k_range entry must be an integer from 1 to 2, "
+     "got 1.5"),
+    ({"k_range": (True,)}, "k_range entry must be an integer from 1 to 2, "
+     "got True"),
+    ({"mappers": "2d2d"}, "mappers must be a nonempty list of mapper ids, "
+     "got '2d2d'"),
 ], ids=["k-zero", "k-above-depth-count", "k-float", "k-bool",
         "mappers-string"])
 def test_sweep_rejects_bad_k_range_and_mappers_by_name(kwargs, message):
@@ -314,6 +314,19 @@ def test_sweep_rejects_bad_k_range_and_mappers_by_name(kwargs, message):
     with pytest.raises(ValueError) as err:
         depth_combination_sweep(bundle, **kwargs)
     assert str(err.value) == message
+
+
+def test_sweep_rejects_an_unknown_mapper_before_any_fit(monkeypatch):
+    # the sweep fitted and scored all 2d3d subsets before "xyz" raised
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_arrays called before the mapper check")
+
+    monkeypatch.setattr(evaluation, "fit_arrays", no_fit)
+    bundle = small_bundle(depths=(1.0, 2.0))
+    with pytest.raises(ValueError) as err:
+        depth_combination_sweep(bundle, mappers=("2d3d", "xyz"))
+    assert str(err.value) == ("unknown mapper 'xyz' (choose from 2d2d, 2d3d, "
+                              "3d3d)")
 
 
 def test_sweep_records_failed_fits():

@@ -103,9 +103,22 @@ def test_non_finite_grid_depth_fails_by_name(depth, recwarn):
     message = rf"^grid depth must be a finite number > 0, got {depth!r}$"
     with pytest.raises(ValueError, match=message):
         GridSpec().points(depth)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         synthesize_dataset(SimRig(), TwoSphereEye(), depths=(1.0, depth))
+    assert str(err.value) == (f"depths must be a nonempty list of finite "
+                              f"positive meters, got (1.0, {depth!r})")
     assert not recwarn.list
+
+
+def test_a_repeated_depth_is_rejected_by_name():
+    # the repeated group was overwritten, and the groups after it drew
+    # other noise than those of the same depths listed once
+    rig = SimRig(noise_pupil_px=1.0)
+    with pytest.raises(ValueError) as err:
+        synthesize_dataset(rig, TwoSphereEye(), depths=(1.0, 1.0, 2.0))
+    assert str(err.value) == "depths contains duplicates"
+    bundle = synthesize_dataset(rig, TwoSphereEye(), depths=(2.0, 1.0))
+    assert bundle.depths() == (1.0, 2.0)
 
 
 def grid_size(points):

@@ -343,6 +343,37 @@ def test_predict_sample_rejects_foreign_model():
         predict_sample(object(), rows(samples)[0])
 
 
+@pytest.mark.parametrize("mapper_id, side, value, message", [
+    ("2d2d", 0, ["12.5", "40.1"],
+     "pupil_px of pair 3 must be 2 finite numbers, got ['12.5', '40.1']"),
+    ("2d2d", 1, [True, 12.5],
+     "target_px of pair 3 must be 2 finite numbers, got [True, 12.5]"),
+    ("2d3d", 0, [300.0, "180"],
+     "pupil_px of pair 3 must be 2 finite numbers, got [300.0, '180']"),
+    ("3d3d", 1, [0.1, False, 1.5],
+     "target of pair 3 must be 3 finite numbers, got [0.1, False, 1.5]"),
+    ("3d3d", 0, [0.0, float("nan"), 1.0],
+     "pupil_pose of pair 3 must be 3 finite numbers, got [0.0, nan, 1.0]"),
+], ids=["2d2d-string", "2d2d-bool", "2d3d-string", "3d3d-bool", "3d3d-nan"])
+def test_pair_fits_hold_pairs_to_the_number_rule(mapper_id, side, value,
+                                                  message):
+    """A pair's entries are checked as every outside array is
+    (number_array): np.asarray(dtype=float) used to read numeric strings
+    and booleans as numbers, and fit_2d_to_2d fitted a 7x2 model from
+    pairs like (["12.5", "40.1"], [True, 12.5]).  A NaN raised
+    NonFiniteResidual from inside the fit."""
+    _, samples = two_depth_samples()
+    fields = MAPPER_FIELDS[mapper_id]
+    calib = [list(pair) for pair in pairs(samples, *fields)]
+    calib[3][side] = value
+    fit = {"2d2d": fit_2d_to_2d, "2d3d": fit_2d_to_3d,
+           "3d3d": fit_3d_to_3d}[mapper_id]
+    with pytest.raises(ValueError) as err:
+        fit(calib)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_bad_pair_shapes_rejected():
     with pytest.raises(ValueError):
         fit_2d_to_2d([((1.0, 2.0, 3.0), (0.0, 0.0))] * 10)
