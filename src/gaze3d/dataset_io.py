@@ -12,37 +12,48 @@ further line is one record::
 Lengths are meters, image coordinates pixels, angles radians.  Floats
 are serialized with shortest round-trip repr and keys are sorted, so a
 given dataset has exactly one byte representation: identical seeds give
-byte-identical files and a load/save cycle is lossless.  Numeric fields
-hold JSON numbers; numeric strings and booleans are rejected.  Every
-array of numbers read here (a record's vectors, a header camera's
-fields and e_gt, a model file's arrays, a config camera's
-rotation_angles) is checked by geometry.number_array and every single
-number by geometry.check_number, so each rule has their one wording;
-the readers add only the line or section and a missing-field message.
+byte-identical files and a load/save cycle is lossless.  save_dataset
+gets repr's text from orjson, one call per column: orjson writes the
+same shortest digits, and writes them as repr does for 0.0, -0.0 and
+every 1e-4 <= |x| < 1e16, so only a row holding a value outside that
+range (orjson's 0.00001 and 1e16 are repr's 1e-05 and 1e+16) is written
+by repr itself.  Numeric fields hold JSON numbers; numeric strings and
+booleans are rejected.  Every array of numbers read here (a record's
+vectors, a header camera's fields and e_gt, a model file's arrays, a
+config camera's rotation_angles) is checked by geometry.number_array and
+every single number by geometry.check_number, so each rule has their one
+wording; the readers add only the line or section and a missing-field
+message.
 
 Files are JSON Lines: UTF-8, and each line ends at "\n" (a "\r" before
 it is JSON whitespace, so CRLF files load).  Records are parsed per
 column: load_dataset decodes each line with orjson.loads into six field
-columns, checks every column at once (entry counts, numeric types,
-finiteness, unit poses, roles, positive depths), and groups the rows by
-(role, depth) with one stable sort, so each group keeps file order.
-Each group becomes the SampleColumns of a DatasetBundle, keyed by its
-depth_label, with a row of NaN for a null channel.  _VECTOR_FIELDS maps
-each record key to its SampleColumns field, whose width and optional
-flag are SampleColumns' own.  One decoder, _decode, reads a line that
-orjson rejects: as strict UTF-8, with json.loads, which sets the
-grammar (both read every number to the same float).  Only if a column
-check fails does load_dataset check record by record (_check_record,
-which decodes with _decode and applies number_array and check_number),
-in file order, so the error names the first bad line.  load_dataset
-returns the bundle with its provenance and counts, as a LoadedDataset.
-save_dataset writes each group from its columns, with the group's key
-as each record's depth_label and a NaN row as null, and refuses what
-the loader would reject (a NaN or infinity, a pupil_pose that is not
-unit within _UNIT_TOLERANCE) before it opens the file, as save_model
-refuses the arrays load_model would reject.  A dataset header, a model
-file and a config are read as bytes by one reader, _json_value, whose
-errors name the line of the first bad byte or token.
+columns (with the cyclic garbage collector off: every decoded record
+stays alive until the columns are built, so a collection would traverse
+them all and free nothing), checks every column at once (entry counts,
+numeric types, finiteness, unit poses, roles, positive depths), and
+groups the rows by (role, depth) with one stable sort, so each group
+keeps file order.  Each group becomes the SampleColumns of a
+DatasetBundle, keyed by its depth_label, with a row of NaN for a null
+channel.  _VECTOR_FIELDS maps each record key to its SampleColumns
+field, whose width and optional flag are SampleColumns' own.  One
+decoder, _decode, reads a line that orjson rejects: as strict UTF-8,
+with json.loads, which sets the grammar (both read every number to the
+same float).  Only if a column check fails does load_dataset check
+record by record (_check_record, which decodes with _decode and applies
+number_array and check_number), in file order, so the error names the
+first bad line.  load_dataset returns the bundle with its provenance and
+counts, as a LoadedDataset.  save_dataset writes each group from its
+columns, with the group's key as each record's depth_label and a NaN row
+as null, and refuses what the loader would reject (a NaN or infinity, a
+pupil_pose that is not unit within _UNIT_TOLERANCE) before it opens the
+file, as save_model refuses the arrays load_model would reject.  A
+dataset header, a model file and a config are read as bytes by one
+reader, _json_value, whose errors name the line of the first bad byte or
+token.  A header's camera, eye_model_mm and noise sections are read by
+the rule of a config's sections (_section): an object (null is the
+default) with only its own keys, built by its owning type, each error
+framed "line 1: bad <section> in header: <reason>".
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -149,40 +160,19 @@ def _json_value(raw, error, json_reason="bad JSON: "):
 # --------------------------------------------------------------------------
 # datasets
 
+# a header camera's keys (its rotation is the matrix's 9 entries), and
+# the keys of its noise section with the SimRig field each sets
+_HEADER_CAMERA_KEYS = {"focal", "principal", "resolution", "rotation",
+                       "translation"}
+_NOISE_FIELDS = {"pupil_px": "noise_pupil_px", "pose_deg": "noise_pose_deg",
+                 "target_mm": "noise_target_mm"}
+
+
 def _camera_to_dict(cam: PinholeCamera) -> dict:
     return {"focal": _floats(cam.focal), "principal": _floats(cam.principal),
             "resolution": _floats(cam.resolution),
             "rotation": _floats(cam.rotation),
             "translation": _floats(cam.translation)}
-
-
-def _header_section(header, key):
-    """The object a header holds under `key` ({} if it has none), or a
-    ParseError naming the section."""
-    section = header.get(key, {})
-    if not isinstance(section, dict):
-        raise ParseError(f"bad {key} in header: must be an object, got "
-                         f"{type(section).__name__}", line=1)
-    return section
-
-
-def _header_camera(header, key):
-    """The PinholeCamera a header holds under `key`, or None if it holds
-    none; a ParseError names the section if it is not a valid camera."""
-    if key not in header:
-        return None
-    d = _header_section(header, key)
-    # the rotation's 9 entries (flat in the file) as read, shaped 3x3 for
-    # the camera to check
-    rotation = np.asarray(d.get("rotation", np.eye(3)), dtype=object)
-    if rotation.size == 9:
-        rotation = rotation.reshape(3, 3)
-    try:
-        return PinholeCamera(focal=d["focal"], principal=d["principal"],
-                             resolution=d["resolution"], rotation=rotation,
-                             translation=d.get("translation", (0.0, 0.0, 0.0)))
-    except (KeyError, TypeError, ValueError) as err:
-        raise ParseError(f"bad {key} in header: {err}", line=1) from err
 
 
 # JSON numbers as json.loads returns them; bool (an int subclass) and
@@ -388,10 +378,24 @@ def _check_saved(columns: SampleColumns, role, depth):
 
 def _json_rows(columns: SampleColumns, name):
     """The JSON text of field `name` of each row, as json writes it: a
-    list of float reprs, or null where the field is missing."""
+    list of float reprs, or null where the field is missing.  orjson
+    writes the whole column; its text is repr's for 0.0, -0.0 and every
+    1e-4 <= |x| < 1e16, so a row holding another value (orjson's
+    0.00001 and 1e16 are repr's 1e-05 and 1e+16) is written by repr."""
+    import orjson       # see _record_columns
+
     rows = getattr(columns, name)
-    texts = ([f"[{x!r},{y!r}]" for x, y in rows.tolist()] if rows.shape[1] == 2
-             else [f"[{x!r},{y!r},{z!r}]" for x, y, z in rows.tolist()])
+    if not len(rows):
+        return []
+    # float32 and float16 entries widened, as tolist() widens them
+    rows = np.ascontiguousarray(rows, float if rows.dtype.kind == "f"
+                                else None)
+    texts = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = texts[1:-1].replace("],[", "]\n[").split("\n")
+    size = np.abs(rows)     # NaN, a missing row's, compares False
+    for i in np.flatnonzero(((size < 1e-4) & (size != 0)
+                             | (size >= 1e16)).any(axis=1)).tolist():
+        texts[i] = f"[{','.join(map(repr, rows[i].tolist()))}]"
     present = columns.present(name)
     return texts if present.all() else [
         text if has else "null" for text, has in zip(texts, present.tolist())]
@@ -435,9 +439,8 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
             "corneal_radius_mm": eye.corneal_radius_mm,
             "center_separation_mm": eye.center_separation_mm,
         },
-        "noise": {"pupil_px": rig.noise_pupil_px,
-                  "pose_deg": rig.noise_pose_deg,
-                  "target_mm": rig.noise_target_mm},
+        "noise": {key: getattr(rig, name)
+                  for key, name in _NOISE_FIELDS.items()},
     }
     lines = [_json_line(header)]
     groups = (bundle.calibration, bundle.test)
@@ -480,20 +483,17 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
         raise ParseError(f"unknown source {source!r} (expected one of "
                          f"{', '.join(map(repr, SOURCES))})", line=1)
 
-    scene_cam = _header_camera(header, "scene_camera")
-    eye_cam = _header_camera(header, "eye_camera")
-    try:
-        eye = TwoSphereEye(**header.get("eye_model_mm", {}))
-    except (TypeError, ValueError) as err:
-        raise ParseError(f"bad eye_model_mm in header: {err}",
-                         line=1) from err
-    noise = _header_section(header, "noise")
-    rig_kwargs = dict(eye_camera=eye_cam,
-                      noise_pupil_px=noise.get("pupil_px", 0.0),
-                      noise_pose_deg=noise.get("pose_deg", 0.0),
-                      noise_target_mm=noise.get("target_mm", 0.0))
-    if scene_cam is not None:
-        rig_kwargs["scene_camera"] = scene_cam
+    # each section by the config's rule; a camera's rotation is flat
+    rig_kwargs = {key: _section(header[key], _camera, _HEADER_CAMERA_KEYS,
+                                key, header=True)
+                  for key in ("scene_camera", "eye_camera")
+                  if header.get(key) is not None}
+    eye = _section(header.get("eye_model_mm"), TwoSphereEye,
+                   _names(TwoSphereEye), "eye_model_mm", header=True)
+    rig_kwargs.update(_section(
+        header.get("noise"), lambda **noise: {
+            _NOISE_FIELDS[key]: value for key, value in noise.items()},
+        _NOISE_FIELDS, "noise", header=True))
     if header.get("e_gt") is not None:
         rig_kwargs["e_gt"] = header["e_gt"]
     try:
@@ -501,7 +501,17 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     except (TypeError, ValueError) as err:
         raise ParseError(f"bad rig in header: {err}", line=1) from err
 
-    parsed = _record_columns(lines[1:])
+    import gc
+
+    # the decoded records all live until their columns are built, so a
+    # collection during the decode would traverse them and free nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        parsed = _record_columns(lines[1:])
+    finally:
+        if collecting:
+            gc.enable()
     if parsed is None:
         for idx, raw in enumerate(lines[1:]):
             _check_record(raw, idx)
@@ -625,34 +635,51 @@ _CAMERA_KEYS = {"focal", "principal", "resolution", "rotation_angles",
                 "translation"}
 
 
-def _section(value, build, keys, name=None):
-    """What `build` makes of `value`: the one rule of a config (name None)
-    and of each of its sections (null reads as {}).  `value` must be an
-    object with only `keys`, and an error of `build` becomes the
-    ConfigError "invalid <name>: <reason>" (for the config, "<reason>")."""
+def _section(value, build, keys, name=None, header=False):
+    """What `build` makes of `value`: the one rule of a config (name None),
+    of each of its sections and of each section of a dataset header
+    (header=True); null reads as {} in a section.  `value` must be an
+    object with only `keys`, and `build` may raise TypeError or
+    ValueError.  A config fails with the ConfigError "<name> must be an
+    object", "unknown config key '<name>.<key>'" or "invalid <name>:
+    <reason>" (the config itself: "config must be an object", "unknown
+    config key '<key>'" or "<reason>"); a header section with the
+    ParseError "line 1: bad <name> in header: <reason>", the reason
+    "must be an object, got <type>", "unknown key '<key>'" or build's."""
+    def error(reason, config_message):
+        if header:
+            return ParseError(f"bad {name} in header: {reason}", line=1)
+        return ConfigError(config_message)
+
     if value is None and name:
         value = {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name or 'config'} must be an object")
+        raise error(f"must be an object, got {type(value).__name__}",
+                    f"{name or 'config'} must be an object")
     for key in value:
         if key not in keys:
-            raise ConfigError(f"unknown config key "
-                              f"{name + '.' if name else ''}{key!r}")
+            raise error(f"unknown key {key!r}", f"unknown config key "
+                        f"{name + '.' if name else ''}{key!r}")
     try:
         return build(**value)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"invalid {name}: {err}" if name
-                          else str(err)) from None
+        raise error(err, f"invalid {name}: {err}" if name
+                    else str(err)) from None
 
 
 def _camera(**d) -> PinholeCamera:
-    """The PinholeCamera of a config camera section, its rotation given by
-    rotation_angles (radians); a missing focal, principal or resolution
-    is null."""
+    """The PinholeCamera of a camera section: a config's, its rotation
+    given by rotation_angles (radians), or a dataset header's, its
+    rotation the matrix's 9 entries row by row; a missing focal,
+    principal or resolution is null."""
     if "rotation_angles" in d:
         angles = d.pop("rotation_angles")
         number_array(angles, (3,), "rotation_angles")
         d["rotation"] = rotation_from_angles(angles)
+    elif "rotation" in d:   # shaped 3x3, if it can be, for the camera to check
+        rotation = np.asarray(d["rotation"], dtype=object)
+        if rotation.size == 9:
+            d["rotation"] = rotation.reshape(3, 3)
     return PinholeCamera(**{"focal": None, "principal": None,
                             "resolution": None, **d})
 

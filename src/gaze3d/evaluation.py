@@ -202,7 +202,8 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
     aggregate statistics are never silently biased and one bad
     prediction never aborts the sweep.  `mappers` must pass check_mappers
     and each k_range entry be an integer from 1 to the number of depths
-    (check_integer), or ValueError names the value before any fit.
+    (check_integer), without duplicates, or ValueError names the value
+    before any fit.
     """
     depths = bundle.depths()
     mappers = check_mappers(mappers)
@@ -210,6 +211,8 @@ def depth_combination_sweep(bundle: DatasetBundle, mappers=MAPPER_IDS,
                     else k_range)
     for k in k_range:
         check_integer(k, "k_range entry", 1, len(depths))
+    if len(set(k_range)) != len(k_range):
+        raise ValueError("k_range contains duplicates")
     if config is None:
         config = MappingConfig(
             eye_resolution=tuple(bundle.rig.eye_camera.resolution))

@@ -1,6 +1,7 @@
 """File formats: dataset grammar, model serialization, CSV export, and
 strict experiment configuration."""
 
+import gc
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaze3d
+from gaze3d import dataset_io
 from gaze3d.dataset_io import (
     ConfigError,
     ExperimentConfig,
@@ -259,6 +261,85 @@ def test_saved_depth_label_is_the_float_of_the_key(bundle, tmp_path, key,
     assert all(line.startswith(f'{{"depth_label":{text},"pupil_pose":')
                for line in lines)
     assert list(load_dataset(path).bundle.calibration) == [float(text)]
+
+
+# save_dataset writes a column's floats with orjson, whose text is
+# repr's for 0.0, -0.0 and 1e-4 <= |x| < 1e16, and a row holding any
+# other value with repr.  json.dumps is the oracle of every record line.
+_EDGE = (0.0, -0.0, 1e-4, float(np.nextafter(1e-4, 0)), 1e-05, 5e-324,
+         9999999999999998.0, 1e16, -1e16)
+
+
+def _json_oracle_lines(bundle):
+    """The record lines json.dumps writes for `bundle`, in save order."""
+    lines = []
+    for depth in sorted(set(bundle.calibration) | set(bundle.test)):
+        for role in ("calibration", "test"):
+            group = getattr(bundle, role).get(depth)
+            for row in (rows(group) if group is not None else ()):
+                record = {key: None if value is None else value.tolist()
+                          for key, value in (
+                              ("pupil_px", row.pupil_px),
+                              ("pupil_pose", row.pupil_pose),
+                              ("target_scene_m", row.target),
+                              ("target_px", row.target_px))}
+                lines.append(json.dumps(
+                    {**record, "depth_label": depth, "role": role},
+                    sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def test_save_writes_the_json_text_of_edge_floats(bundle, tmp_path):
+    n = len(_EDGE)
+    edge = np.array(_EDGE)
+    pose = np.tile([0.0, 0.0, 1.0], (n, 1))
+    pose[1] = [-0.0, 0.0, -1.0]
+    pose[2] = [1e-05, 0.0, math.sqrt(1 - 1e-10)]
+    pose[3] = np.nan                                # a null pose
+    target_px = np.column_stack([edge, edge[::-1]])
+    target_px[4] = np.nan                           # a null target_px
+    group = SampleColumns(pupil_px=np.column_stack([edge[::-1], edge]),
+                          pupil_pose=pose,
+                          target=np.column_stack([edge, np.roll(edge, 3),
+                                                  np.full(n, 1.5)]),
+                          target_px=target_px)
+    two_rows = take(group, slice(2))
+    edges = DatasetBundle(calibration={1.5: group, 1e-05: two_rows},
+                          test={1.5: two_rows}, rig=bundle.rig,
+                          eye=bundle.eye)
+    path = tmp_path / "edges.jsonl"
+    save_dataset(edges, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert text.splitlines()[1:] == _json_oracle_lines(edges)
+    loaded = load_dataset(path).bundle
+    for role in ("calibration", "test"):
+        for depth, saved in getattr(edges, role).items():
+            restored = getattr(loaded, role)[depth]
+            for f in fields(SampleColumns):
+                present = saved.present(f.name)
+                assert np.array_equal(restored.present(f.name), present)
+                assert (getattr(restored, f.name)[present].tobytes()
+                        == getattr(saved, f.name)[present].tobytes())
+
+
+def test_orjson_row_text_is_repr_text_in_range():
+    # holds the writer's premise to the installed orjson: 10^5 floats of
+    # 1e-4 <= |x| < 1e16, by decimal exponent and by bit pattern
+    import orjson
+
+    rng = np.random.default_rng(28)
+    low, high = np.array([1e-4, 1e16]).view(np.int64)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-4, 16, 60_000),
+        rng.integers(low, high, 40_000).view(float)])
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    values *= rng.choice([-1.0, 1.0], len(values))
+    for width in (2, 3):
+        matrix = values[:len(values) // width * width].reshape(-1, width)
+        text = orjson.dumps(matrix, option=orjson.OPT_SERIALIZE_NUMPY)
+        assert text.decode() == "[" + ",".join(
+            f"[{','.join(map(repr, row))}]" for row in matrix.tolist()) + "]"
 
 
 # ── dataset decoding ─────────────────────────────────────────────────────
@@ -573,8 +654,46 @@ def test_a_file_of_cr_ended_lines_is_one_line(dataset_path):
     assert str(err.value) == "line 1: bad JSON: Extra data"
 
 
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("edit, error", [
+    (None, None),
+    (_set_text("role", '"train"'), ParseError),
+    (_set_text("pupil_px", "[NaN, 1.0]"), ParseError),
+], ids=["loads", "parse-error", "json-decides"])
+def test_load_leaves_the_collector_as_it_found_it(dataset_path, collecting,
+                                                  edit, error):
+    # the collector is off while the decoded records are held
+    if edit is not None:
+        rewrite_line(dataset_path, 3, edit)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            load_dataset(dataset_path)
+        else:
+            with pytest.raises(error):
+                load_dataset(dataset_path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_turns_the_collector_back_on_after_an_error(dataset_path,
+                                                        monkeypatch):
+    def fail(lines):
+        assert not gc.isenabled()
+        raise RuntimeError("decode failed")
+
+    monkeypatch.setattr(dataset_io, "_record_columns", fail)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="decode failed"):
+        load_dataset(dataset_path)
+    assert gc.isenabled()
+
+
 def test_only_dataset_loading_imports_orjson(tmp_path):
-    # sweeps decode no dataset and should not pay orjson's import
+    # sweeps read and write no dataset and should not pay orjson's
+    # import; save_dataset writes floats with it
     script = "\n".join((
         "import sys",
         "from gaze3d.dataset_io import load_dataset, save_dataset",
@@ -584,8 +703,8 @@ def test_only_dataset_loading_imports_orjson(tmp_path):
         "depth_combination_sweep(bundle)",
         "assert 'orjson' not in sys.modules",
         "save_dataset(bundle, sys.argv[1])",
-        "load_dataset(sys.argv[1])",
         "assert 'orjson' in sys.modules",
+        "load_dataset(sys.argv[1])",
     ))
     env = {**os.environ,
            "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
@@ -664,9 +783,12 @@ def test_header_with_non_finite_or_negative_rig_values_rejected(
      "eyeball_radius_mm must be a finite number > 0, got inf"),
     ({"corneal_radius_mm": "x"},
      "corneal_radius_mm must be a finite number > 0, got 'x'"),
-    ({"bogus": 1}, "unexpected keyword argument 'bogus'"),
-    ({"eyeball_radius_mm": 30.0}, "do not intersect"),
-    ([11.5, 7.8, 4.7], "must be a mapping"),
+    # these two read "TwoSphereEye.__init__() got an unexpected keyword
+    # argument 'bogus'" and "... argument after ** must be a mapping"
+    ({"bogus": 1}, "unknown key 'bogus'"),
+    ({"eyeball_radius_mm": 30.0}, "spheres R=30.0, r=7.8 at separation "
+     "d=4.7 do not intersect"),
+    ([11.5, 7.8, 4.7], "must be an object, got list"),
 ], ids=["nan", "infinity", "string", "unknown-key", "apart", "list"])
 def test_header_with_a_bad_eye_model_rejected(dataset_path, eye, message):
     # these used to raise NoIntersection or TypeError, naming no line
@@ -674,8 +796,51 @@ def test_header_with_a_bad_eye_model_rejected(dataset_path, eye, message):
         {**json.loads(line), "eye_model_mm": eye}))
     with pytest.raises(ParseError) as err:
         load_dataset(dataset_path)
-    assert str(err.value).startswith("line 1: bad eye_model_mm in header: ")
-    assert message in str(err.value)
+    assert str(err.value) == f"line 1: bad eye_model_mm in header: {message}"
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    # a camera without focal failed with the bare KeyError text "'focal'"
+    ("scene_camera", lambda camera: camera.pop("focal"),
+     "focal must be 2 finite numbers > 0, got None"),
+    ("eye_camera", lambda camera: camera.pop("resolution"),
+     "resolution must be 2 finite numbers > 0, got None"),
+    # these loaded: an unknown key was ignored, and a config camera's
+    # rotation_angles is not a header camera's key
+    ("scene_camera", lambda camera: camera.update(bogus=1),
+     "unknown key 'bogus'"),
+    ("eye_camera", lambda camera: camera.update(rotation_angles=[0, 0, 0]),
+     "unknown key 'rotation_angles'"),
+    ("noise", lambda noise: noise.update(pupil_sigma=1.0),
+     "unknown key 'pupil_sigma'"),
+], ids=["no-focal", "no-resolution", "camera-unknown-key",
+        "camera-rotation-angles", "noise-unknown-key"])
+def test_header_sections_take_only_their_own_keys(dataset_path, key, edit,
+                                                  message):
+    def rewrite(line):
+        header = json.loads(line)
+        edit(header[key])
+        return json.dumps(header)
+    rewrite_line(dataset_path, 1, rewrite)
+    with pytest.raises(ParseError) as err:
+        load_dataset(dataset_path)
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: bad {key} in header: {message}"
+
+
+@pytest.mark.parametrize("key", ["scene_camera", "eye_camera",
+                                 "eye_model_mm", "noise"])
+def test_a_null_header_section_reads_as_the_default(dataset_path, tmp_path,
+                                                    key):
+    # as a null config section does; a null camera or noise section
+    # failed with "must be an object, got NoneType".  The bundle was made
+    # with the default rig and eye, so it saves to the same bytes.
+    saved = dataset_path.read_bytes()
+    rewrite_line(dataset_path, 1, lambda line: json.dumps(
+        {**json.loads(line), key: None}))
+    again = tmp_path / "again.jsonl"
+    save_dataset(load_dataset(dataset_path).bundle, again)
+    assert again.read_bytes() == saved
 
 
 @pytest.mark.parametrize("key, value, kind", [

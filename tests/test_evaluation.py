@@ -302,9 +302,11 @@ def test_sweep_k5_pools_all_calibration_samples():
      "got 1.5"),
     ({"k_range": (True,)}, "k_range entry must be an integer from 1 to 2, "
      "got True"),
+    # each (subset, depth) record came twice, and the CSV repeated rows
+    ({"k_range": (1, 1)}, "k_range contains duplicates"),
     ({"mappers": "2d2d"}, "mappers must be a nonempty list of mapper ids, "
      "got '2d2d'"),
-], ids=["k-zero", "k-above-depth-count", "k-float", "k-bool",
+], ids=["k-zero", "k-above-depth-count", "k-float", "k-bool", "k-repeated",
         "mappers-string"])
 def test_sweep_rejects_bad_k_range_and_mappers_by_name(kwargs, message):
     # they raised "not enough values to unpack", returned an empty sweep
