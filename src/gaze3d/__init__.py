@@ -51,6 +51,7 @@ from .eye_simulator import (
     derive_pupil_geometry,
     gaze_toward,
     synthesize_dataset,
+    synthesize_points,
     synthesize_sample,
 )
 from .optimizer import (

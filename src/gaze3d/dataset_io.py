@@ -540,7 +540,7 @@ _MODEL_ARRAYS = {
     "2d3d": (Model2Dto3D, (("weights", "weights", (7, 2), None),
                            ("center", "center_m", (3,), None),
                            ("eye_resolution", "eye_resolution", (2,), ">"))),
-    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,), None),
+    "3d3d": (Model3Dto3D, (("angles", "angles_rad", (3,), "angle"),
                            ("center", "center_m", (3,), None))),
 }
 
@@ -576,7 +576,8 @@ def _model_array(doc, key, shape, relation):
 def load_model(path):
     """Inverse of save_model; every array must be its _MODEL_ARRAYS
     shape of finite numbers (number_array), the eye resolution's
-    entries > 0."""
+    entries > 0 and the 3d3d angles within rotation_from_angles' range
+    [-pi, pi]."""
     with open(path, "rb") as fh:
         doc = _json_value(fh.read(), ParseError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:

@@ -3,20 +3,23 @@
 The eye is two intersecting spheres (eyeball radius R, corneal radius r,
 center separation d, millimeters); the pupil is the center of their
 intersection circle.  A scene camera sits at the frame origin and an eye
-camera watches the eye from a configurable pose.  Targets are the grid
-points a GridSpec gives on fronto-parallel planes at several depths
-(GridSpec.points, one calibration and one test grid per depth); for each
-target the eye is rotated about its center so the optical axis passes
-through the target, and the measurement channels (pupil pixel, pupil
-pose, target position) are synthesized, optionally with seeded Gaussian
-noise.
+camera watches the eye from a configurable pose.  Targets are any
+points in the scene frame; for each target the eye is rotated about its
+center so the optical axis passes through the target, and the
+measurement channels (pupil pixel, pupil pose, target position) are
+synthesized, optionally with seeded Gaussian noise.
 
-synthesize_sample simulates one fixation and is the oracle for
-synthesize_dataset, which computes each grid as arrays while every
-sample keeps its own seeded generator, giving the same bits.  A
-DatasetBundle stores each (role, depth) group as one SampleColumns of
-the four measured channels, keyed by its depth, in read-only mappings; a
-missing channel is a row of NaN, and the ground-truth gaze of a
+synthesize_points is the one simulator path: it simulates a set of
+target points as arrays, while every point keeps its own seeded
+generator (a noiseless rig seeds nothing), and synthesize_sample, one
+fixation at a time, is the oracle it gives the same bits as.
+synthesize_dataset calls it on the grid points a GridSpec gives on
+fronto-parallel planes at several depths (GridSpec.points, one
+calibration and one test grid per depth).
+
+A DatasetBundle stores each (role, depth) group as one SampleColumns of
+the four measured channels, keyed by its depth, in read-only mappings;
+a missing channel is a row of NaN, and the ground-truth gaze of a
 simulated sample is the unit vector from the eyeball center to its
 target (gaze_toward).  SampleColumns' table (_WIDTHS, _OPTIONAL) is the
 one schema of a sample: every field's width and whether it may be
@@ -27,6 +30,7 @@ built, and the mappers and the dataset files read it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
@@ -384,11 +388,14 @@ class DatasetBundle:
 
     `calibration` and `test` map each depth to the SampleColumns of that
     (role, depth) group, which the fits, the sweep, the CLI and
-    save_dataset read; the key is the one record of the group's depth.
-    A key that is not a finite number > 0 raises ValueError, and a group
-    that is not a SampleColumns TypeError, each naming the role and
-    depth.  The checked mappings are stored read-only, so setting a
-    group raises TypeError; to change a group, make a new bundle with
+    save_dataset read; the key is the one record of the group's depth,
+    its depth label.  A group may hold points at mixed depths (say, from
+    synthesize_points): each target is scored on its own plane
+    z = target[2], and the key only labels the group.  A key that is
+    not a finite number > 0 raises ValueError, and a group that is not a
+    SampleColumns TypeError, each naming the role and depth.  The
+    checked mappings are stored read-only, so setting a group raises
+    TypeError; to change a group, make a new bundle with
     dataclasses.replace.
     """
 
@@ -425,20 +432,63 @@ def _project_rows(cam: PinholeCamera, points):
     return px, in_front & inside
 
 
-def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points,
-                     seeds) -> SampleColumns:
-    """synthesize_sample for every row of `points`, the i-th with a
-    generator seeded from seeds[i], computed as (N, 3) and (N, 2) arrays
-    and returned as the group's SampleColumns.
-    A noiseless rig draws nothing, so it needs no seeds (None).
+def _seed_root(rig: SimRig, seed):
+    """The root a noisy rig spawns each point's generator from: `seed`
+    itself if it is a SeedSequence, else SeedSequence(seed) for an
+    integer >= 0 (check_integer, on every rig).  A noiseless rig draws
+    nothing, so it gets the checked seed back and never imports
+    numpy.random."""
+    random = sys.modules.get("numpy.random")   # loaded if seed is a SeedSequence
+    if random is not None and isinstance(seed, random.SeedSequence):
+        return seed
+    check_integer(seed, "seed", 0)
+    return np.random.SeedSequence(seed) if rig.noisy else seed
+
+
+def _point_rows(points) -> np.ndarray:
+    """`points` as a new float (N, 3) array, if it is a nonempty array of
+    real numbers of that shape whose every entry is finite; a ValueError
+    naming it otherwise."""
+    try:
+        rows = np.asarray(points)
+    except ValueError:      # a ragged nesting
+        rows = np.asarray(points, dtype=object)
+    if (rows.dtype.kind in "iuf" and rows.ndim == 2
+            and rows.shape[1] == 3 and len(rows)):
+        finite = np.isfinite(rows).all(axis=1)
+        if finite.all():
+            return rows.astype(float)
+        i = int(np.argmin(finite))
+        got = f"{rows[i].tolist()} in row {i}"
+    else:
+        got = f"an array of shape {rows.shape} and dtype {rows.dtype}"
+    raise ValueError(f"points must be a nonempty (N, 3) array of finite "
+                     f"numbers, got {got}")
+
+
+def synthesize_points(rig: SimRig, eye: TwoSphereEye, points,
+                      seed=0) -> SampleColumns:
+    """synthesize_sample for every row of the (N, 3) array `points`
+    (scene frame, meters, any depths), as one SampleColumns.
+
+    `seed` is an integer >= 0 or a numpy SeedSequence; the i-th point's
+    generator is seeded from SeedSequence(seed).spawn(N)[i] (a
+    SeedSequence root is spawned from as it is), so a noisy rig spawns N
+    children of the root and a noiseless one, which draws nothing, spawns
+    none and builds no SeedSequence.  A bad seed raises ValueError
+    naming it (check_integer), and so do `points` that are not a
+    nonempty (N, 3) array of finite numbers.
 
     Gives the same bits as the per-sample calls: each generator draws
     target, pupil and pose noise in synthesize_sample's order, norms are
     dot products and projections one matrix-vector product per row.  If
-    a sample cannot be synthesized, synthesize_sample on the first such
+    a point cannot be simulated, synthesize_sample on the first such
     point raises its exception.
     """
-    rngs = [np.random.default_rng(s) for s in seeds] if rig.noisy else ()
+    points = _point_rows(points)
+    root = _seed_root(rig, seed)
+    children = root.spawn(len(points)) if rig.noisy else ()
+    rngs = [np.random.default_rng(s) for s in children]
     targets = points
     if rig.noise_target_mm > 0:
         sigma_m = rig.noise_target_mm * 1e-3
@@ -455,7 +505,7 @@ def _synthesize_grid(rig: SimRig, eye: TwoSphereEye, points,
     bad = degenerate | ~target_ok | ~pupil_ok
     if bad.any():
         i = int(np.argmax(bad))
-        rng = np.random.default_rng(seeds[i] if rig.noisy else 0)
+        rng = np.random.default_rng(children[i]) if rig.noisy else None
         synthesize_sample(rig, eye, points[i], rng)
         raise RuntimeError(f"point {i} fails the batched checks but not "
                            "synthesize_sample")
@@ -489,25 +539,21 @@ def synthesize_dataset(rig: SimRig, eye: TwoSphereEye,
                        seed=0) -> DatasetBundle:
     """Per depth, one calibration grid set and one test grid set.
 
-    Samples are seeded individually from `seed` via spawned
-    SeedSequences, so datasets are reproducible and order-independent
-    (a noiseless rig draws nothing and spawns none).
-    Each grid is synthesized as arrays and stored as the SampleColumns of
-    its (role, depth) group: pupil_px (N, 2), pupil_pose (N, 3), target
-    (N, 3) and target_px (N, 2).  The samples are those synthesize_sample
-    gives for each point with its own generator, bit for bit, and
-    synthesize_sample is the oracle the tests hold it to (check_depths
-    checks `depths`).
+    For each sorted depth (check_depths checks `depths`), calibration
+    then test, synthesize_points simulates the grid's points
+    (GridSpec.points) into the SampleColumns of that (role, depth) group,
+    each group spawning its points' seeds from one root made from `seed`
+    (an integer >= 0), so datasets are reproducible and
+    order-independent.
     """
     depths = sorted(check_depths(depths))
     grids = grids or GridSpec()
-    root = np.random.SeedSequence(seed)
+    root = _seed_root(rig, seed)
     calibration, test = {}, {}
     for depth in depths:
         for group, is_test in ((calibration, False), (test, True)):
-            points = grids.points(depth, is_test)
-            seeds = root.spawn(len(points)) if rig.noisy else None
-            group[depth] = _synthesize_grid(rig, eye, points, seeds)
+            group[depth] = synthesize_points(
+                rig, eye, grids.points(depth, is_test), root)
     return DatasetBundle(calibration=calibration, test=test, rig=rig, eye=eye)
 
 

@@ -84,18 +84,28 @@ def check_numbers(obj, names, relation=">"):
         check_number(getattr(obj, name), name, relation)
 
 
+# the largest |angle| rotation_from_angles takes, radians
+ANGLE_LIMIT = math.pi + 1e-12
+
+# number_array's relations: each entry's test and its wording
+_RELATIONS = {None: (lambda a: True, ""),
+              ">": (lambda a: a > 0, " > 0"),
+              ">=": (lambda a: a >= 0, " >= 0"),
+              "angle": (lambda a: abs(a) <= ANGLE_LIMIT, " in [-pi, pi]")}
+
+
 def number_array(value, shape, name, relation=None):
     """`value` as a float array, if it has `shape` and each entry is a
     finite number (see is_number), and > 0 (or >= 0) with relation ">"
-    (or ">="); otherwise a ValueError naming `name` and the entries as
+    (or ">="), or an angle rotation_from_angles takes with relation
+    "angle"; otherwise a ValueError naming `name` and the entries as
     given.  The one rule of every array of numbers read from outside."""
     entries = np.asarray(value, dtype=object)
+    holds, bound = _RELATIONS[relation]
     if entries.shape == shape and all(map(is_number, entries.flat)):
         array = entries.astype(float)
-        if relation is None or np.all(array > 0 if relation == ">"
-                                      else array >= 0):
+        if np.all(holds(array)):
             return array
-    bound = f" {relation} 0" if relation else ""
     raise ValueError(f"{name} must be {'x'.join(map(str, shape))} finite "
                      f"numbers{bound}, got {entries.tolist()!r}")
 
@@ -141,7 +151,7 @@ def rotation_from_angles(angles):
     scene-camera forward axis onto an opposing eye-camera forward axis.
     """
     a, b, c = _as_vec(angles, 3)
-    if np.any(np.abs([a, b, c]) > np.pi + 1e-12):
+    if np.any(np.abs([a, b, c]) > ANGLE_LIMIT):
         raise AngleOutOfRange(f"angles {angles} outside [-pi, pi]")
     sa, ca = np.sin(a), np.cos(a)
     sb, cb = np.sin(b), np.cos(b)
@@ -185,8 +195,10 @@ class PinholeCamera:
     `translation` is the camera origin in the scene frame.  The scene
     camera itself uses the identity pose.  Each field must be its shape
     of finite numbers (number_array: focal 2 and resolution 2, each > 0,
-    principal 2, rotation 3x3, translation 3), and the principal point
-    must lie inside the image, or ValueError names the field.
+    principal 2, rotation 3x3, translation 3), the principal point must
+    lie inside the image, and the rotation must be one (max |R^T R - I|
+    <= 1e-9 and det R > 0, so no scaling or reflection), or ValueError
+    names the field.
     """
 
     focal: np.ndarray          # (fx, fy) pixels
@@ -204,6 +216,11 @@ class PinholeCamera:
                 getattr(self, name), shape, name, relation))
         if np.any(self.principal < 0) or np.any(self.principal > self.resolution):
             raise ValueError("principal point must lie inside image bounds")
+        rot = self.rotation
+        if (np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9
+                or np.linalg.det(rot) <= 0):
+            raise ValueError(f"rotation must be orthonormal with determinant "
+                             f"+1, got {rot.tolist()!r}")
 
     def world_to_camera(self, point):
         return self.rotation.T @ (np.asarray(point, dtype=float) - self.translation)

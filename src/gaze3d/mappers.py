@@ -429,15 +429,18 @@ def _fields(mapper_id):
 
 def check_mappers(value) -> tuple:
     """`value` as a tuple of mapper ids, if it is a nonempty sequence
-    that is not a string and each entry is a mapper id (_fields);
-    otherwise ValueError (TypeError if it is not iterable).  The one
-    mapper-list rule of configs, --mappers, the sweep and model files."""
+    that is not a string and each entry is a mapper id (_fields), none
+    of them repeated; otherwise ValueError (TypeError if it is not
+    iterable).  The one mapper-list rule of configs, --mappers, the
+    sweep and model files."""
     mappers = () if isinstance(value, str) else tuple(value)
     if not mappers:
         raise ValueError(f"mappers must be a nonempty list of mapper ids, "
                          f"got {value!r}")
     for mapper_id in mappers:
         _fields(mapper_id)
+    if len(set(mappers)) != len(mappers):
+        raise ValueError("mappers contains duplicates")
     return mappers
 
 

@@ -758,6 +758,14 @@ def test_schema_version_checked(dataset_path):
      f"noise_target_mm must be a finite number >= 0, got {10**400}"),
     ("scene_camera", ("focal", 0), 10**400, f"bad scene_camera in header: "
      f"focal must be 2 finite numbers > 0, got [{10**400}, 720.0]"),
+    # a scaled or reflected rotation loaded and projected every point
+    # to the wrong pixel
+    ("scene_camera", ("rotation", 0), 2.0, "bad scene_camera in header: "
+     "rotation must be orthonormal with determinant +1, got [[2.0, 0.0, "
+     "0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]"),
+    ("scene_camera", ("rotation", 8), -1.0, "bad scene_camera in header: "
+     "rotation must be orthonormal with determinant +1, got [[1.0, 0.0, "
+     "0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]"),
 ])
 def test_header_with_non_finite_or_negative_rig_values_rejected(
         dataset_path, key, path, value, message):
@@ -1162,6 +1170,17 @@ def test_model_roundtrip_all_mappers(bundle, tmp_path):
             assert np.array_equal(a.direction, b.direction)
 
 
+def test_a_fitted_half_turn_saves_and_loads(tmp_path):
+    # the angle bound is rotation_from_angles' |a| <= pi + 1e-12, which a
+    # noiseless 3d3d fit on the 1.0 and 2.0 m grids meets with b = pi
+    bundle = default_bundle("display", depths=(1.0, 2.0))
+    model = fit_mapper("3d3d", pooled(bundle.calibration, (1.0, 2.0)))
+    assert model.angles[1] == math.pi
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    assert np.array_equal(load_model(path).angles, model.angles)
+
+
 def test_model_file_validation(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{}")
@@ -1212,7 +1231,10 @@ def test_model_file_format_is_fixed(tmp_path):
     (Model2Dto2D(weights=np.ones((6, 2)), eye_resolution=(640.0, 360.0)),
      "model field 'weights' must be 7x2 finite numbers, got "
      + str([[1.0, 1.0]] * 6)),
-], ids=["nan-center", "six-weight-rows"])
+    (Model3Dto3D(angles=(4.0, 0.0, 0.0), center=(0.0, 0.0, 0.0)),
+     "model field 'angles_rad' must be 3 finite numbers in [-pi, pi], "
+     "got [4.0, 0.0, 0.0]"),
+], ids=["nan-center", "six-weight-rows", "angle-above-pi"])
 def test_save_model_refuses_what_load_model_rejects(tmp_path, model, message):
     # it wrote NaN, or a (6, 2) weight matrix, and load_model then failed
     path = tmp_path / "m.json"
@@ -1239,7 +1261,7 @@ def test_save_model_refuses_what_load_model_rejects(tmp_path, model, message):
     ("2d3d", "eye_resolution", [640, 10**400], f"model field "
      f"'eye_resolution' must be 2 finite numbers > 0, got [640, {10**400}]"),
     ("3d3d", "angles_rad", ["0.1", 0.0, 0.0], "model field 'angles_rad' "
-     "must be 3 finite numbers, got ['0.1', 0.0, 0.0]"),
+     "must be 3 finite numbers in [-pi, pi], got ['0.1', 0.0, 0.0]"),
     ("2d2d", "weights", [[0.0, 0.0]] * 6 + [[True, 0.0]], "model field "
      "'weights' must be 7x2 finite numbers, got [[0.0, 0.0], [0.0, 0.0], "
      "[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [True, 0.0]]"),
@@ -1248,6 +1270,11 @@ def test_save_model_refuses_what_load_model_rejects(tmp_path, model, message):
      "must be 2 finite numbers > 0, got [0, 360]"),
     ("2d2d", "eye_resolution", [640.0, -360.0], "model field "
      "'eye_resolution' must be 2 finite numbers > 0, got [640.0, -360.0]"),
+    # it loaded, and evaluate failed part way with AngleOutOfRange
+    ("3d3d", "angles_rad", [4.0, 0.0, 0.0], "model field 'angles_rad' "
+     "must be 3 finite numbers in [-pi, pi], got [4.0, 0.0, 0.0]"),
+    ("3d3d", "angles_rad", [0.0, -3.1416, 0.0], "model field 'angles_rad' "
+     "must be 3 finite numbers in [-pi, pi], got [0.0, -3.1416, 0.0]"),
 ], ids=["2d3d-center_m-value0-non-finite", "3d3d-center_m-value1-non-finite",
         r"2d3d-center_m-value2-must have shape \(3,\), got \(2,\)",
         r"2d2d-weights-value3-must have shape \(7, 2\)",
@@ -1258,7 +1285,8 @@ def test_save_model_refuses_what_load_model_rejects(tmp_path, model, message):
         "2d2d-weights-value8-is not numeric",
         "3d3d-angles_rad-None-missing field",
         "2d3d-eye_resolution-value10-must be positive",
-        "2d2d-eye_resolution-value11-must be positive"])
+        "2d2d-eye_resolution-value11-must be positive",
+        "3d3d-angles_rad-above-pi", "3d3d-angles_rad-below-minus-pi"])
 def test_model_arrays_are_checked(bundle, tmp_path, mapper, key, value,
                                   message):
     path = tmp_path / "m.json"

@@ -306,8 +306,10 @@ def test_sweep_k5_pools_all_calibration_samples():
     ({"k_range": (1, 1)}, "k_range contains duplicates"),
     ({"mappers": "2d2d"}, "mappers must be a nonempty list of mapper ids, "
      "got '2d2d'"),
+    # each (mapper, subset, depth) record came twice, as did the CSV rows
+    ({"mappers": ("2d2d", "2d2d")}, "mappers contains duplicates"),
 ], ids=["k-zero", "k-above-depth-count", "k-float", "k-bool", "k-repeated",
-        "mappers-string"])
+        "mappers-string", "mappers-repeated"])
 def test_sweep_rejects_bad_k_range_and_mappers_by_name(kwargs, message):
     # they raised "not enough values to unpack", returned an empty sweep
     # (which export_results_csv refuses), raised TypeError from
@@ -447,7 +449,7 @@ def test_sweep_scores_match_per_depth_evaluate(bundle):
 
 @pytest.mark.parametrize("bundle", ["display", "noisy",
                                     "poseless-test-depth"])
-def test_sweep_fits_equal_fit_mappers(bundle, monkeypatch):
+def test_sweep_fits_equal_fit_arrays(bundle, monkeypatch):
     """The sweep fits each subset from per-depth arrays; its models are
     those of fit_arrays on the subset's pooled columns, bit for bit."""
     bundle = SWEEP_BUNDLES[bundle][0]()

@@ -2,11 +2,16 @@
 noise semantics, and dataset determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaze3d
 from gaze3d.eye_simulator import (
     DEFAULT_DEPTHS,
     GRID_PRESETS,
@@ -25,6 +30,7 @@ from gaze3d.eye_simulator import (
     derive_pupil_geometry,
     gaze_toward,
     synthesize_dataset,
+    synthesize_points,
     synthesize_sample,
 )
 from gaze3d.geometry import (
@@ -495,3 +501,103 @@ def test_dataset_raises_what_the_oracle_raises(case):
         synthesize_dataset(rig, eye, depths, grids, seed=2)
     assert type(batched.value) is type(scalar.value)
     assert str(batched.value) == str(scalar.value)
+
+
+def per_sample_points(rig, eye, points, seed):
+    """synthesize_points' contract: synthesize_sample on the i-th point
+    with a generator seeded from SeedSequence(seed).spawn(N)[i]."""
+    children = np.random.SeedSequence(seed).spawn(len(points))
+    return [synthesize_sample(rig, eye, pt, np.random.default_rng(s))
+            for pt, s in zip(points, children)]
+
+
+# 30 targets off any grid, at mixed depths in [1, 2] m
+MIXED_POINTS = np.random.default_rng(21).uniform(
+    (-0.15, -0.08, 1.0), (0.15, 0.08, 2.0), (30, 3))
+
+
+@pytest.mark.parametrize("rig", [SimRig(), SimRig(**NOISE)],
+                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("seed", [0, 7, "sequence"])
+def test_points_match_per_sample_oracle(rig, seed):
+    eye = TwoSphereEye()
+    oracle = stack(per_sample_points(
+        rig, eye, MIXED_POINTS, 11 if seed == "sequence" else seed))
+    got = synthesize_points(rig, eye, MIXED_POINTS.tolist(),
+                            np.random.SeedSequence(11) if seed == "sequence"
+                            else seed)
+    for f in fields(SampleColumns):
+        assert (getattr(got, f.name).tobytes()
+                == getattr(oracle, f.name).tobytes())
+
+
+@pytest.mark.parametrize("case", BAD_POINT_CASES)
+def test_points_raise_what_the_oracle_raises(case):
+    rig, grids, exc = BAD_POINT_CASES[case]
+    eye = TwoSphereEye()
+    points = np.concatenate([grids.points(1.0), grids.points(1.5, True)])
+    with pytest.raises(exc) as scalar:
+        per_sample_points(rig, eye, points, seed=2)
+    with pytest.raises(exc) as batched:
+        synthesize_points(rig, eye, points, seed=2)
+    assert type(batched.value) is type(scalar.value)
+    assert str(batched.value) == str(scalar.value)
+
+
+SIMULATORS = {
+    "points": lambda rig, seed: synthesize_points(
+        rig, TwoSphereEye(), GridSpec().points(1.0), seed),
+    "dataset": lambda rig, seed: synthesize_dataset(
+        rig, TwoSphereEye(), (1.0, 2.0), seed=seed),
+    "default-bundle": lambda rig, seed: default_bundle(
+        depths=(1.0, 2.0), seed=seed, noise_pupil_px=rig.noise_pupil_px,
+        noise_pose_deg=rig.noise_pose_deg,
+        noise_target_mm=rig.noise_target_mm),
+}
+
+
+@pytest.mark.parametrize("rig", [SimRig(), SimRig(**NOISE)],
+                         ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("simulator", SIMULATORS)
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_a_bad_seed_fails_by_name_on_every_rig(rig, simulator, seed):
+    # a noiseless rig ignored its seed, and SeedSequence took True
+    with pytest.raises(ValueError) as err:
+        SIMULATORS[simulator](rig, seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[0.0, 0.0, 1.0], [0.1, math.nan, 1.5]], "[0.1, nan, 1.5] in row 1"),
+    (np.ones((4, 2)), "an array of shape (4, 2) and dtype float64"),
+    (np.empty((0, 3)), "an array of shape (0, 3) and dtype float64"),
+    ([["0.1", "0", "1"]], "an array of shape (1, 3) and dtype <U3"),
+    ([[0.0, 0.0, 1.0], [0.0, 1.0]], "an array of shape (2,) and dtype object"),
+], ids=["nan-row", "two-columns", "empty", "strings", "ragged"])
+def test_bad_points_fail_by_name(points, message):
+    with pytest.raises(ValueError) as err:
+        synthesize_points(SimRig(), TwoSphereEye(), points)
+    assert str(err.value) == ("points must be a nonempty (N, 3) array of "
+                              f"finite numbers, got {message}")
+
+
+def test_a_noiseless_sweep_never_imports_numpy_random():
+    # numpy.random costs about 5 MB and 11-15 ms to import, and a
+    # noiseless rig draws nothing
+    probe = subprocess.run([sys.executable, "-c", "import sys, numpy; "
+                            "print('numpy.random' in sys.modules)"],
+                           capture_output=True, text=True, timeout=60)
+    if probe.stdout.strip() != "False":
+        pytest.skip("importing numpy alone loads numpy.random (numpy 1.x)")
+    script = "\n".join((
+        "import sys",
+        "import gaze3d",
+        "gaze3d.depth_combination_sweep(",
+        "    gaze3d.default_bundle('display', depths=(1.0, 2.0)))",
+        "assert 'numpy.random' not in sys.modules",
+    ))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -272,8 +272,16 @@ def test_camera_validation():
     # it built, and project failed inside numpy's matmul
     ("rotation", np.eye(2),
      "rotation must be 3x3 finite numbers, got [[1.0, 0.0], [0.0, 1.0]]"),
+    # these built: the scaled one projected (0.1, 0, 1) to x = 784, not 712
+    ("rotation", np.diag([2.0, 1.0, 1.0]),
+     "rotation must be orthonormal with determinant +1, got [[2.0, 0.0, "
+     "0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]"),
+    ("rotation", np.diag([1.0, 1.0, -1.0]),
+     "rotation must be orthonormal with determinant +1, got [[1.0, 0.0, "
+     "0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]"),
 ], ids=["focal-value0", "principal-value1", "resolution-value2",
-        "rotation-value3", "translation-value4", "focal-zero", "rotation-2x2"])
+        "rotation-value3", "translation-value4", "focal-zero", "rotation-2x2",
+        "rotation-scaled", "rotation-reflection"])
 def test_camera_rejects_non_finite_values(field, value, message):
     # a NaN focal length or principal point passed the range checks
     # (nan <= 0 is False)

@@ -24,6 +24,7 @@ CAP = "max_iterations must be an integer >= 1, got True"
 K = "k_range entry must be an integer from 1 to 2, got 3"
 MAPPER = "unknown mapper 'xyz' (choose from 2d2d, 2d3d, 3d3d)"
 NO_MAPPERS = "mappers must be a nonempty list of mapper ids, got []"
+TWICE = "mappers contains duplicates"
 REPEATED = "depths contains duplicates"
 DEPTHS = "depths must be a nonempty list of finite positive meters, got "
 CAMERA = {"principal": [320, 180], "resolution": [640, 360]}
@@ -81,6 +82,12 @@ CASES = [
     ("no-mappers", config({"mappers": []}), "ConfigError", NO_MAPPERS),
     ("no-mappers", flags("sweep", "--mappers", ","), "CliUsageError",
      "argument --mappers: " + NO_MAPPERS),
+    ("repeated-mappers", python(lambda: check_mappers(["2d2d", "2d2d"])),
+     "ValueError", TWICE),
+    ("repeated-mappers", config({"mappers": ["2d2d", "2d2d"]}),
+     "ConfigError", TWICE),
+    ("repeated-mappers", flags("sweep", "--mappers", "2d2d,2d2d"),
+     "CliUsageError", "argument --mappers: " + TWICE),
     # a depth list
     ("depths-rule", python(lambda: check_depths([1.0, 1.0, 2.0])),
      "ValueError", REPEATED),

@@ -508,7 +508,7 @@ def assert_same_model(model, solo):
                    noise_target_mm=2.0),
 ], ids=["display-5-depths", "noisy-3-depths"])
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
-def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
+def test_fit_arrays_matches_one_fit_at_a_time(bundle, mapper_id):
     """fit_arrays on many sample sets gives each set's fit_mapper model."""
     config = MappingConfig(
         eye_resolution=tuple(bundle.rig.eye_camera.resolution))
@@ -521,7 +521,7 @@ def test_fit_mappers_matches_one_fit_at_a_time(bundle, mapper_id):
 
 
 @pytest.mark.parametrize("mapper_id", MAPPER_IDS)
-def test_fit_mappers_returns_each_fit_error(mapper_id):
+def test_fit_arrays_returns_each_fit_error(mapper_id):
     _, samples = two_depth_samples()
     # twelve copies of one sample with targets along one ray from the
     # origin: collinear targets (and one pupil position, for 2d2d)
