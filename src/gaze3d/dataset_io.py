@@ -26,34 +26,42 @@ wording; the readers add only the line or section and a missing-field
 message.
 
 Files are JSON Lines: UTF-8, and each line ends at "\n" (a "\r" before
-it is JSON whitespace, so CRLF files load).  Records are parsed per
-column: load_dataset decodes each line with orjson.loads into six field
-columns (with the cyclic garbage collector off: every decoded record
-stays alive until the columns are built, so a collection would traverse
-them all and free nothing), checks every column at once (entry counts,
-numeric types, finiteness, unit poses, roles, positive depths), and
-groups the rows by (role, depth) with one stable sort, so each group
-keeps file order.  Each group becomes the SampleColumns of a
-DatasetBundle, keyed by its depth_label, with a row of NaN for a null
-channel.  _VECTOR_FIELDS maps each record key to its SampleColumns
-field, whose width and optional flag are SampleColumns' own.  One
-decoder, _decode, reads a line that orjson rejects: as strict UTF-8,
-with json.loads, which sets the grammar (both read every number to the
-same float).  Only if a column check fails does load_dataset check
-record by record (_check_record, which decodes with _decode and applies
-number_array and check_number), in file order, so the error names the
-first bad line.  load_dataset returns the bundle with its provenance and
-counts, as a LoadedDataset.  save_dataset writes each group from its
-columns, with the group's key as each record's depth_label and a NaN row
-as null, and refuses what the loader would reject (a NaN or infinity, a
-pupil_pose that is not unit within _UNIT_TOLERANCE) before it opens the
-file, as save_model refuses the arrays load_model would reject.  A
-dataset header, a model file and a config are read as bytes by one
-reader, _json_value, whose errors name the line of the first bad byte or
-token.  A header's camera, eye_model_mm and noise sections are read by
-the rule of a config's sections (_section): an object (null is the
-default) with only its own keys, built by its owning type, each error
-framed "line 1: bad <section> in header: <reason>".
+it is JSON whitespace, so CRLF files load; a last line may lack its
+"\n").  Both directions stream: a load holds the file's arrays and the
+decoded records of one chunk of lines, a save the text of one group,
+never the whole file's.  load_dataset reads the header with one
+readline, then the records _CHUNK_LINES (256) lines at a time
+(_read_records), each chunk parsed per column: it decodes each line
+with orjson.loads into six field columns (with the cyclic garbage
+collector off for the whole decode: a chunk's decoded records stay
+alive until its columns are built, so a collection would traverse them
+and free nothing) and checks every column at once (entry counts,
+numeric types, finiteness, unit poses, roles, positive depths).  The
+chunks' columns are joined once, and the rows grouped by
+(role, depth) with one stable sort, so each group keeps file order.
+Each group becomes the SampleColumns of a DatasetBundle, keyed by its
+depth_label, with a row of NaN for a null channel.  _VECTOR_FIELDS maps
+each record key to its SampleColumns field, whose width and optional
+flag are SampleColumns' own.  One decoder, _decode, reads a line that
+orjson rejects: as strict UTF-8, with json.loads, which sets the grammar
+(both read every number to the same float).  Only if a chunk's column
+checks fail does load_dataset check that chunk record by record
+(_check_record, which decodes with _decode and applies number_array and
+check_number), in file order; every rule is per record, so the chunks
+before it hold no bad record and the error names the file's first bad
+line.  load_dataset returns the bundle with its provenance and counts,
+as a LoadedDataset.  save_dataset writes each group from its columns,
+with the group's key as each record's depth_label and a NaN row as null,
+one write per group after the header line, and refuses what the loader
+would reject (a NaN or infinity, a pupil_pose that is not unit within
+_UNIT_TOLERANCE) in any group before it opens the file, as save_model
+refuses the arrays load_model would reject.  A dataset header, a model
+file and a config are read as bytes by one reader, _json_value, whose
+errors name the line of the first bad byte or token.  A header's camera,
+eye_model_mm and noise sections are read by the rule of a config's
+sections (_section): an object (null is the default) with only its own
+keys, built by its owning type, each error framed "line 1: bad <section>
+in header: <reason>".
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -67,7 +75,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields, replace
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -320,6 +328,47 @@ def _record_columns(lines):
                                         dtype=bool, count=len(roles))
 
 
+# record lines decoded at a time: a load holds the decoded records of one
+# chunk, not of the whole file
+_CHUNK_LINES = 256
+
+
+def _read_records(fh):
+    """The records on the lines left in the binary file `fh`, as
+    _record_columns gives them for the whole file, decoded _CHUNK_LINES
+    lines at a time.  A line is what binary line iteration yields, less
+    one trailing b"\n".  Each rule of _record_columns is per record, so
+    if a chunk fails, _check_record over its lines (with their indices
+    in the file) raises the error of the file's first bad record."""
+    import gc
+
+    # a chunk's decoded records all live until its columns are built, so
+    # a collection during the decode would traverse them and free nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        parts = []
+        while True:
+            lines = [line.removesuffix(b"\n")
+                     for line in islice(fh, _CHUNK_LINES)]
+            parsed = _record_columns(lines)
+            if parsed is None:
+                for idx, raw in enumerate(lines,
+                                          len(parts) * _CHUNK_LINES):
+                    _check_record(raw, idx)
+                raise RuntimeError("a record fails the column checks but "
+                                   "not _check_record")
+            parts.append(parsed)
+            if len(lines) < _CHUNK_LINES:
+                break
+    finally:
+        if collecting:
+            gc.enable()
+    columns, depths, is_test = zip(*parts)
+    return (SampleColumns.concatenate(columns), np.concatenate(depths),
+            np.concatenate(is_test))
+
+
 def _group_columns(columns: SampleColumns, depths, is_test):
     """The rows of _record_columns' columns grouped by (role, depth) with
     one stable sort: two dicts, calibration and test, of depth ->
@@ -401,16 +450,18 @@ def _json_rows(columns: SampleColumns, name):
         text if has else "null" for text, has in zip(texts, present.tolist())]
 
 
-def _record_lines(columns: SampleColumns, role, depth):
+def _record_text(columns: SampleColumns, role, depth):
     """The record lines of one (role, depth) group, in row order, as
-    _json_line writes them (sorted keys, float reprs)."""
+    _json_line writes them (sorted keys, float reprs), each ended by
+    "\n"."""
     depth = repr(float(depth))
-    return [f'{{"depth_label":{depth},"pupil_pose":{pose},'
-            f'"pupil_px":{pupil_px},"role":"{role}","target_px":{target_px},'
-            f'"target_scene_m":{target}}}'
-            for pose, pupil_px, target_px, target in zip(
-                *(_json_rows(columns, name) for name in (
-                    "pupil_pose", "pupil_px", "target_px", "target")))]
+    return "".join(
+        f'{{"depth_label":{depth},"pupil_pose":{pose},'
+        f'"pupil_px":{pupil_px},"role":"{role}","target_px":{target_px},'
+        f'"target_scene_m":{target}}}\n'
+        for pose, pupil_px, target_px, target in zip(
+            *(_json_rows(columns, name) for name in (
+                "pupil_pose", "pupil_px", "target_px", "target"))))
 
 
 # the header's "source" values: save_dataset writes one, load_dataset
@@ -422,7 +473,9 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     """Write a DatasetBundle in the line-delimited format above, from the
     SampleColumns of each (role, depth) group: by depth, calibration
     before test, rows in order, each record's depth_label the group's
-    key."""
+    key.  Every group is checked (_check_saved) before the file is
+    opened, so a refused bundle writes nothing; then the header line and
+    each group's record lines are written, one write per group."""
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
     rig, eye = bundle.rig, bundle.eye
@@ -442,33 +495,24 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
         "noise": {key: getattr(rig, name)
                   for key, name in _NOISE_FIELDS.items()},
     }
-    lines = [_json_line(header)]
     groups = (bundle.calibration, bundle.test)
-    for depth in sorted(set().union(*groups)):
-        for role, columns in zip(_ROLES, (g.get(depth) for g in groups)):
-            if columns is not None:
-                _check_saved(columns, role, depth)
-                lines += _record_lines(columns, role, depth)
+    saved = [(columns, role, depth) for depth in sorted(set().union(*groups))
+             for role, columns in zip(_ROLES, (g.get(depth) for g in groups))
+             if columns is not None]
+    for group in saved:
+        _check_saved(*group)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_json_line(header) + "\n")
+        for group in saved:
+            fh.write(_record_text(*group))
 
 
-def load_dataset(path, require_calibration=False) -> LoadedDataset:
-    """Parse and validate a dataset file.
-
-    Records without pupil_pose load fine but are counted in
-    ``missing_pose`` (they cannot feed the 3D-to-3D mapper).  With
-    ``require_calibration`` the file must contain calibration records —
-    used by commands that fit, so the error surfaces before any fit.
-    """
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    if not lines[-1]:       # the file's last \n ends a line, not starts one
-        lines.pop()
-    if not lines:
+def _read_header(line):
+    """The source, rig and eye of a dataset's header line (bytes, as
+    readline gives them: b"" for an empty file)."""
+    if not line:
         raise ParseError("empty file", line=1)
-
-    header = _json_value(lines[0], ParseError)
+    header = _json_value(line.removesuffix(b"\n"), ParseError)
     if not isinstance(header, dict) or "schema" not in header:
         raise ParseError("first line must be a header object with a "
                          "'schema' field", line=1)
@@ -500,23 +544,20 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
         rig = SimRig(**rig_kwargs)
     except (TypeError, ValueError) as err:
         raise ParseError(f"bad rig in header: {err}", line=1) from err
+    return source, rig, eye
 
-    import gc
 
-    # the decoded records all live until their columns are built, so a
-    # collection during the decode would traverse them and free nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        parsed = _record_columns(lines[1:])
-    finally:
-        if collecting:
-            gc.enable()
-    if parsed is None:
-        for idx, raw in enumerate(lines[1:]):
-            _check_record(raw, idx)
-        raise RuntimeError("a record fails the column checks but not "
-                           "_check_record")
+def load_dataset(path, require_calibration=False) -> LoadedDataset:
+    """Parse and validate a dataset file.
+
+    Records without pupil_pose load fine but are counted in
+    ``missing_pose`` (they cannot feed the 3D-to-3D mapper).  With
+    ``require_calibration`` the file must contain calibration records —
+    used by commands that fit, so the error surfaces before any fit.
+    """
+    with open(path, "rb") as fh:
+        source, rig, eye = _read_header(fh.readline())
+        parsed = _read_records(fh)
     calibration, test = _group_columns(*parsed)
 
     if require_calibration and not calibration:
@@ -675,7 +716,7 @@ def _camera(**d) -> PinholeCamera:
     principal or resolution is null."""
     if "rotation_angles" in d:
         angles = d.pop("rotation_angles")
-        number_array(angles, (3,), "rotation_angles")
+        number_array(angles, (3,), "rotation_angles", "angle")
         d["rotation"] = rotation_from_angles(angles)
     elif "rotation" in d:   # shaped 3x3, if it can be, for the camera to check
         rotation = np.asarray(d["rotation"], dtype=object)

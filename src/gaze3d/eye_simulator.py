@@ -303,9 +303,12 @@ def synthesize_sample(rig: SimRig, eye: TwoSphereEye, target,
     Target noise (if any) perturbs the fixated 3D point itself, so the
     ground-truth ray still passes through the stored target; pupil-pixel
     and pose noise perturb only the measured channels.  `rng` may be a
-    seed or a numpy Generator; determinism follows from it.
+    seed or a numpy Generator; determinism follows from it.  A noiseless
+    rig draws nothing, so it builds no generator and never imports
+    numpy.random.
     """
-    rng = np.random.default_rng(rng)
+    if rig.noisy:
+        rng = np.random.default_rng(rng)
     target = np.asarray(target, dtype=float)
     if rig.noise_target_mm > 0:
         target = target + rng.normal(0.0, rig.noise_target_mm * 1e-3, 3)
@@ -505,8 +508,8 @@ def synthesize_points(rig: SimRig, eye: TwoSphereEye, points,
     bad = degenerate | ~target_ok | ~pupil_ok
     if bad.any():
         i = int(np.argmax(bad))
-        rng = np.random.default_rng(children[i]) if rig.noisy else None
-        synthesize_sample(rig, eye, points[i], rng)
+        synthesize_sample(rig, eye, points[i],
+                          children[i] if rig.noisy else None)
         raise RuntimeError(f"point {i} fails the batched checks but not "
                            "synthesize_sample")
     if rig.noise_pupil_px > 0:

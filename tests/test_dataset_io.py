@@ -7,9 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
+from itertools import cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,6 +456,26 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
     scene pixels null (or their keys left out): each (role, depth) group's
     columns equal json.loads line by line, in file order, bit for bit,
     and saving either bundle writes the same bytes."""
+    _assert_loads_as_the_oracle(header_line, tmp_path_factory, records,
+                                sort_keys, leave_out_nulls)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(records=_RECORDS, sort_keys=st.booleans(), leave_out_nulls=st.booleans())
+def test_loaded_columns_equal_the_oracle_across_chunks(
+        header_line, tmp_path_factory, chunk, records, sort_keys,
+        leave_out_nulls):
+    """The same oracle with load_dataset decoding one or seven lines at a
+    time, so that groups span chunks (the test above runs at the default
+    chunk, which holds every record it draws)."""
+    with mock.patch.object(dataset_io, "_CHUNK_LINES", chunk):
+        _assert_loads_as_the_oracle(header_line, tmp_path_factory, records,
+                                    sort_keys, leave_out_nulls)
+
+
+def _assert_loads_as_the_oracle(header_line, tmp_path_factory, records,
+                                sort_keys, leave_out_nulls):
     if leave_out_nulls:
         records = [{k: v for k, v in r.items() if v is not None}
                    for r in records]
@@ -464,14 +487,7 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
     assert loaded.n_records == len(records)
     assert loaded.missing_pose == sum(r.get("pupil_pose") is None
                                       for r in records)
-    for role in ("calibration", "test"):
-        got, want = getattr(loaded.bundle, role), getattr(oracle, role)
-        assert list(got) == list(want)
-        for depth, columns in got.items():
-            assert type(depth) is float
-            for f in fields(SampleColumns):
-                assert (_field_bits(getattr(columns, f.name))
-                        == _field_bits(getattr(want[depth], f.name)))
+    _assert_same_groups(loaded.bundle, oracle)
     saved, expected = (tmp_path_factory.getbasetemp() / name
                        for name in ("saved.jsonl", "expected.jsonl"))
     save_dataset(loaded.bundle, saved)
@@ -480,6 +496,19 @@ def test_loaded_columns_equal_a_per_line_json_oracle(
     for line in saved.read_text().splitlines()[1:]:   # as json writes it
         assert line == json.dumps(json.loads(line), sort_keys=True,
                                   separators=(",", ":"))
+
+
+def _assert_same_groups(got, want):
+    """`got` and `want` hold the same groups, in the same order, with the
+    same bits in every field."""
+    for role in ("calibration", "test"):
+        got_groups, want_groups = getattr(got, role), getattr(want, role)
+        assert list(got_groups) == list(want_groups)
+        for depth, columns in got_groups.items():
+            assert type(depth) is float
+            for f in fields(SampleColumns):
+                assert (_field_bits(getattr(columns, f.name))
+                        == _field_bits(getattr(want_groups[depth], f.name)))
 
 
 # bad JSON texts for a record value or one entry of a vector value: a
@@ -530,6 +559,30 @@ def test_a_bad_field_is_rejected_naming_its_line(
     a record with one bad field fails load_dataset with a ParseError or
     UnitViolation naming its line, never the RuntimeError of a record
     one rule rejects and the other accepts."""
+    _assert_bad_field_named(record_lines, tmp_path_factory, bad, index)
+
+
+@pytest.fixture(scope="module")
+def twenty_record_lines(bundle, tmp_path_factory):
+    """The header and the first twenty record lines of a saved dataset."""
+    path = tmp_path_factory.mktemp("lines") / "data.jsonl"
+    save_dataset(bundle, path)
+    return path.read_text().splitlines()[:21]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, dataset_io._CHUNK_LINES])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bad=_bad_fields(), index=st.integers(0, 19))
+def test_a_bad_field_is_named_by_its_line_across_chunks(
+        twenty_record_lines, tmp_path_factory, chunk, bad, index):
+    """The same, on twenty records decoded one, seven or the default
+    number of lines at a time: the bad record may sit in any chunk."""
+    with mock.patch.object(dataset_io, "_CHUNK_LINES", chunk):
+        _assert_bad_field_named(twenty_record_lines, tmp_path_factory, bad,
+                                index)
+
+
+def _assert_bad_field_named(record_lines, tmp_path_factory, bad, index):
     key, text = bad
     header, *lines = record_lines
     lines[index] = json.dumps({**json.loads(lines[index]), key: "@"}).replace(
@@ -712,6 +765,211 @@ def test_only_dataset_loading_imports_orjson(tmp_path):
                            str(tmp_path / "data.jsonl")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ── streaming ────────────────────────────────────────────────────────────
+# load_dataset decodes _CHUNK_LINES record lines at a time and save_dataset
+# writes one group at a time; lines, errors and bytes are the whole-file
+# reader's.  Each case runs at seven lines a chunk and at the default, so
+# that records sit on both sides of a chunk boundary.
+
+@pytest.fixture(params=[7, dataset_io._CHUNK_LINES],
+                ids=["chunk-7", "chunk-default"])
+def chunk(request, monkeypatch):
+    """The number of record lines load_dataset decodes at a time."""
+    monkeypatch.setattr(dataset_io, "_CHUNK_LINES", request.param)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def saved_lines(bundle, tmp_path_factory):
+    """The header and the record lines of a saved dataset, as bytes
+    without their newlines."""
+    path = tmp_path_factory.mktemp("saved") / "data.jsonl"
+    save_dataset(bundle, path)
+    return path.read_bytes().splitlines()
+
+
+def _records(saved_lines, n):
+    """n record lines, the saved ones over and over."""
+    return list(islice(cycle(saved_lines[1:]), n))
+
+
+def _write(path, saved_lines, records, end=b"\n"):
+    path.write_bytes(b"\n".join([saved_lines[0], *records]) + end)
+    return path
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (1, -1), (1, 0), (1, 1),
+                                           (2, 1)],
+                         ids=["no-records", "one-short", "one-chunk",
+                              "one-over", "two-and-one"])
+def test_record_counts_around_chunk_boundaries_load_as_the_oracle(
+        chunk, saved_lines, tmp_path, chunks, extra):
+    records = _records(saved_lines, chunks * chunk + extra)
+    loaded = load_dataset(_write(tmp_path / "data.jsonl", saved_lines,
+                                 records))
+    assert loaded.n_records == len(records)
+    _assert_same_groups(loaded.bundle, _oracle_bundle(
+        records, loaded.bundle.rig, loaded.bundle.eye))
+
+
+def test_a_last_line_without_newline_is_a_line(chunk, saved_lines, tmp_path):
+    for n in (chunk, chunk + 1):
+        records = _records(saved_lines, n)
+        ended, unended = (_write(tmp_path / f"{name}.jsonl", saved_lines,
+                                 records, end)
+                          for name, end in (("ended", b"\n"),
+                                            ("unended", b"")))
+        loaded = load_dataset(unended)
+        assert loaded.n_records == n
+        _assert_same_groups(loaded.bundle, load_dataset(ended).bundle)
+
+
+@pytest.mark.parametrize("where", [-1, 0], ids=["chunk-end", "chunk-start"])
+def test_a_crlf_line_on_a_chunk_boundary_loads(chunk, saved_lines, tmp_path,
+                                               where):
+    records = _records(saved_lines, 2 * chunk)
+    plain = load_dataset(_write(tmp_path / "plain.jsonl", saved_lines,
+                                records)).bundle
+    records[chunk + where] += b"\r"
+    _assert_same_groups(load_dataset(_write(tmp_path / "crlf.jsonl",
+                                            saved_lines, records)).bundle,
+                        plain)
+
+
+@pytest.mark.parametrize("where", [-1, 0], ids=["chunk-end", "chunk-start"])
+def test_a_blank_line_on_a_chunk_boundary_names_its_line(
+        chunk, saved_lines, tmp_path, where):
+    records = _records(saved_lines, 2 * chunk)
+    records[chunk + where] = b""
+    with pytest.raises(ParseError) as err:
+        load_dataset(_write(tmp_path / "data.jsonl", saved_lines, records))
+    assert str(err.value) == (f"line {chunk + where + 2}: blank line inside "
+                              f"dataset")
+
+
+@pytest.mark.parametrize("n", [-1, 0], ids=["one-short", "one-chunk"])
+def test_a_trailing_blank_line_names_its_line(chunk, saved_lines, tmp_path,
+                                              n):
+    records = _records(saved_lines, chunk + n)
+    with pytest.raises(ParseError) as err:
+        load_dataset(_write(tmp_path / "data.jsonl", saved_lines, records,
+                            end=b"\n\n"))
+    assert str(err.value) == (f"line {len(records) + 2}: blank line inside "
+                              f"dataset")
+
+
+def _with(line, **fields):
+    return json.dumps({**json.loads(line), **fields}).encode()
+
+
+def test_a_bad_record_after_a_clean_chunk_names_its_line(chunk, saved_lines,
+                                                         tmp_path):
+    records = _records(saved_lines, 3 * chunk)
+    path = tmp_path / "data.jsonl"
+    records[chunk + 3] = _with(records[chunk + 3], role="train")
+    records[2 * chunk] = _with(records[2 * chunk], depth_label=-1.0)
+    with pytest.raises(ParseError) as err:
+        load_dataset(_write(path, saved_lines, records))
+    assert str(err.value) == (f"line {chunk + 5}: role must be "
+                              f"'calibration' or 'test', got 'train'")
+    records[chunk] = _with(records[chunk], pupil_pose=[0.5, 0.5, 0.5])
+    with pytest.raises(UnitViolation) as err:
+        load_dataset(_write(path, saved_lines, records))
+    assert str(err.value) == (f"record {chunk} (line {chunk + 2}): "
+                              f"pupil_pose norm 0.8660254 is not unit")
+
+
+def test_a_refused_save_writes_nothing(bundle, tmp_path):
+    # every group is checked before the file is opened, the last one too
+    last = bundle.test[max(bundle.test)]
+    target = last.target.copy()
+    target[-1, 0] = np.nan
+    bad = replace(bundle, test={**bundle.test, max(bundle.test): replace(
+        last, target=target)})
+    new, existing = tmp_path / "new.jsonl", tmp_path / "existing.jsonl"
+    save_dataset(bundle, existing)
+    before = existing.read_bytes()
+    for path in (new, existing):
+        with pytest.raises(ValueError, match=rf"^cannot save test record "
+                           rf"{len(last) - 1} at depth 1\.5: field "
+                           r"'target_scene_m' must be 3 finite numbers, "):
+            save_dataset(bad, path)
+    assert not new.exists()
+    assert existing.read_bytes() == before
+
+
+def test_a_refused_load_leaves_no_open_file(dataset_path, tmp_path):
+    # run with ResourceWarning as an error: a file left open would warn
+    # when it is collected
+    good = dataset_path.read_bytes()
+    header, rest = good.split(b"\n", 1)
+    cases = {"empty": (b"", "line 1: empty file"),
+             "not-json": (b"{" + good, "line 1: bad JSON: "),
+             "schema": (header.replace(b"gaze3d/1", b"gaze3d/9") + b"\n"
+                        + rest, "unsupported schema 'gaze3d/9'"),
+             "record": (good.replace(b'"role":"test"', b'"role":"x"', 1),
+                        "role must be 'calibration' or 'test', got 'x'")}
+    for name, (data, _) in cases.items():
+        (tmp_path / name).write_bytes(data)
+    script = "\n".join((
+        "import gc, sys",
+        "from gaze3d.dataset_io import load_dataset",
+        "for path in sys.argv[1:]:",
+        "    try:",
+        "        load_dataset(path)",
+        "    except ValueError as err:",
+        "        print(err)",
+        "    gc.collect()",
+    ))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-c", script,
+         *(str(tmp_path / name) for name in cases)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and not done.stderr, done.stderr
+    for line, (_, message) in zip(done.stdout.splitlines(), cases.values(),
+                                  strict=True):
+        assert message in line
+
+
+def _traced_peak(call):
+    """The traced peak of call(), above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_io_transient_memory_is_bounded(tmp_path):
+    # Decoding a whole file's records at once peaked at about 14.7x the
+    # arrays the load returns (2.04 MB for the 1,845-record round-trip
+    # file, 21.7 MB for ten times its records), and saving the whole
+    # text at 11x.  Streamed, the load peaks at 0.43 MB and 2.4x the
+    # arrays and the save at 1.1x; each bound leaves a margin above 2x.
+    bundle = ExperimentConfig.from_dict({"grid": {
+        "calib_rows": 15, "calib_cols": 15, "test_rows": 12,
+        "test_cols": 12}}).build_bundle()
+    path, longer = tmp_path / "data.jsonl", tmp_path / "longer.jsonl"
+    save_dataset(bundle, path)
+    assert load_dataset(path).n_records == 1845
+    assert _traced_peak(lambda: load_dataset(path)) <= 1e6
+
+    header, *records = path.read_bytes().splitlines()
+    longer.write_bytes(b"\n".join([header, *records * 10]) + b"\n")
+    loaded = load_dataset(longer).bundle
+    arrays = sum(getattr(group, f.name).nbytes
+                 for groups in (loaded.calibration, loaded.test)
+                 for group in groups.values() for f in fields(SampleColumns))
+    assert arrays == 18450 * 10 * 8
+    assert _traced_peak(lambda: load_dataset(longer)) < 5 * arrays
+    assert _traced_peak(lambda: save_dataset(loaded, tmp_path / "out")) < (
+        2.5 * arrays)
 
 
 # ── dataset validation ───────────────────────────────────────────────────
@@ -1445,6 +1703,8 @@ CAMERA = {"focal": [600, 600], "principal": [320, 180],
     ("eye_camera", {**CAMERA, "rotation_angles": ["0.1", 0, 0]}),
     ("eye_camera", {**CAMERA, "rotation_angles": [10**400, 0, 0]}),
     ("eye_camera", {**CAMERA, "rotation_angles": [math.nan, 0, 0]}),
+    # the angle rule of a model file's angles_rad
+    ("eye_camera", {**CAMERA, "rotation_angles": [0, 4.0, 0]}),
 ])
 def test_config_rejects_non_finite_and_mistyped_values(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -1475,14 +1735,19 @@ def test_config_builds_its_lm_settings_at_load(lm, name):
      "invalid grid: calib_rows must be an integer from 2 to 1000, got -3"),
     # it loaded as a 1 rad turn about x
     ({"scene_camera": {**CAMERA, "rotation_angles": [True, math.pi, 0]}},
-     "invalid scene_camera: rotation_angles must be 3 finite numbers, "
-     "got [True, 3.141592653589793, 0]"),
+     "invalid scene_camera: rotation_angles must be 3 finite numbers in "
+     "[-pi, pi], got [True, 3.141592653589793, 0]"),
+    # it read "invalid eye_camera: angles [0, 4.0, 0] outside [-pi, pi]"
+    ({"eye_camera": {**CAMERA, "rotation_angles": [0, 4.0, 0]}},
+     "invalid eye_camera: rotation_angles must be 3 finite numbers in "
+     "[-pi, pi], got [0, 4.0, 0]"),
     ({"grid": {"test_cols": 1001}},
      "invalid grid: test_cols must be an integer from 2 to 1000, got 1001"),
     ({"grid": {"calib_rows": 10**400}},
      f"invalid grid: calib_rows must be an integer from 2 to 1000, "
      f"got {10**400}"),
-], ids=["eye", "grid", "camera-angles", "grid-1001", "grid-huge"])
+], ids=["eye", "grid", "camera-angles", "camera-angle-range", "grid-1001",
+        "grid-huge"])
 def test_config_checks_eye_and_grid_at_load(config, message):
     # the eye and grid used to construct, and failed only at synthesis
     with pytest.raises(ConfigError) as err:

@@ -581,23 +581,36 @@ def test_bad_points_fail_by_name(points, message):
                               f"finite numbers, got {message}")
 
 
-def test_a_noiseless_sweep_never_imports_numpy_random():
-    # numpy.random costs about 5 MB and 11-15 ms to import, and a
-    # noiseless rig draws nothing
+def _run_without_numpy_random(*lines):
+    """Run `lines` in a fresh interpreter and check that numpy.random is
+    not loaded after them; skipped where importing numpy alone loads it
+    (numpy 1.x)."""
     probe = subprocess.run([sys.executable, "-c", "import sys, numpy; "
                             "print('numpy.random' in sys.modules)"],
                            capture_output=True, text=True, timeout=60)
     if probe.stdout.strip() != "False":
         pytest.skip("importing numpy alone loads numpy.random (numpy 1.x)")
-    script = "\n".join((
-        "import sys",
-        "import gaze3d",
-        "gaze3d.depth_combination_sweep(",
-        "    gaze3d.default_bundle('display', depths=(1.0, 2.0)))",
-        "assert 'numpy.random' not in sys.modules",
-    ))
+    script = "\n".join(("import sys", "import gaze3d", *lines,
+                        "assert 'numpy.random' not in sys.modules"))
     env = {**os.environ,
            "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_noiseless_sweep_never_imports_numpy_random():
+    # numpy.random costs about 5 MB and 11-15 ms to import, and a
+    # noiseless rig draws nothing
+    _run_without_numpy_random(
+        "gaze3d.depth_combination_sweep(",
+        "    gaze3d.default_bundle('display', depths=(1.0, 2.0)))")
+
+
+@pytest.mark.parametrize("rng", ["None", "7"])
+def test_a_noiseless_sample_never_imports_numpy_random(rng):
+    # the README quick start's call; with rng=None it used to draw OS
+    # entropy it never used
+    _run_without_numpy_random(
+        "gaze3d.synthesize_sample(gaze3d.SimRig(), gaze3d.TwoSphereEye(),",
+        f"                        [0.1, 0.05, 1.5], rng={rng})")

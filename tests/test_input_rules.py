@@ -27,7 +27,9 @@ NO_MAPPERS = "mappers must be a nonempty list of mapper ids, got []"
 TWICE = "mappers contains duplicates"
 REPEATED = "depths contains duplicates"
 DEPTHS = "depths must be a nonempty list of finite positive meters, got "
+ANGLE = "must be 3 finite numbers in [-pi, pi], got "
 CAMERA = {"principal": [320, 180], "resolution": [640, 360]}
+TURNED = {**CAMERA, "focal": [600, 600], "rotation_angles": [0, 4.0, 0]}
 
 
 def two_depths():
@@ -122,6 +124,19 @@ CASES = [
     ("camera", flags("simulate", config={"eye_camera": CAMERA}),
      "ConfigError", "invalid eye_camera: focal must be 2 finite numbers "
      "> 0, got None"),
+    # an angle: a config camera's rotation_angles and a model file's
+    # angles_rad
+    ("angle", python(lambda: ExperimentConfig(eye_camera=TURNED)),
+     "ConfigError", "invalid eye_camera: rotation_angles " + ANGLE
+     + "[0, 4.0, 0]"),
+    ("angle", config({"eye_camera": TURNED}), "ConfigError",
+     "invalid eye_camera: rotation_angles " + ANGLE + "[0, 4.0, 0]"),
+    ("angle", flags("simulate", config={"eye_camera": TURNED}),
+     "ConfigError", "invalid eye_camera: rotation_angles " + ANGLE
+     + "[0, 4.0, 0]"),
+    ("angle", ("model", {"format": "gaze3d-model/1", "mapper": "3d3d",
+                         "angles_rad": [0, 4.0, 0], "center_m": [0, 0, 0]}),
+     "ParseError", "model field 'angles_rad' " + ANGLE + "[0, 4.0, 0]"),
     ("top-key", config({"sed": 4}), "ConfigError",
      "unknown config key 'sed'"),
     ("top-object", config([4]), "ConfigError", "config must be an object"),
