@@ -316,12 +316,18 @@ def cmd_selftest(args) -> int:
         save_dataset(bundle, a)
         save_dataset(synthesize_dataset(rig, TwoSphereEye(),
                                         depths=(1.0, 2.0), seed=11), b)
-        same = a.read_bytes() == b.read_bytes()
-        loaded = load_dataset(a)
+        a_cols, b_cols = (Path(f"{path}.cols") for path in (a, b))
+        same = (a.read_bytes() == b.read_bytes()
+                and a_cols.read_bytes() == b_cols.read_bytes())
+        loaded = load_dataset(a)            # from its sidecar
+        a_cols.unlink()
+        parsed = load_dataset(a)
         check("dataset-determinism", same
-              and loaded.n_records == _count(bundle.calibration)
-              + _count(bundle.test) and loaded.missing_pose == 0
-              and column_bits(loaded.bundle) == column_bits(bundle))
+              and loaded.n_records == parsed.n_records
+              == _count(bundle.calibration) + _count(bundle.test)
+              and loaded.missing_pose == parsed.missing_pose == 0
+              and column_bits(loaded.bundle) == column_bits(parsed.bundle)
+              == column_bits(bundle))
 
     print("selftest: all checks passed")
     return 0

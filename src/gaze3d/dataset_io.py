@@ -28,10 +28,10 @@ message.
 Files are JSON Lines: UTF-8, and each line ends at "\n" (a "\r" before
 it is JSON whitespace, so CRLF files load; a last line may lack its
 "\n").  Both directions stream: a load holds the file's arrays and the
-decoded records of one chunk of lines, a save the text of one group,
-never the whole file's.  load_dataset reads the header with one
-readline, then the records _CHUNK_LINES (256) lines at a time
-(_read_records), each chunk parsed per column: it decodes each line
+decoded records of one chunk of lines, a save the text and sidecar rows
+of _CHUNK_LINES records, never the whole file's.  load_dataset reads the
+header with one readline, then the records _CHUNK_LINES (256) lines at a
+time (_read_records), each chunk parsed per column: it decodes each line
 with orjson.loads into six field columns (with the cyclic garbage
 collector off for the whole decode: a chunk's decoded records stay
 alive until its columns are built, so a collection would traverse them
@@ -52,16 +52,23 @@ before it hold no bad record and the error names the file's first bad
 line.  load_dataset returns the bundle with its provenance and counts,
 as a LoadedDataset.  save_dataset writes each group from its columns,
 with the group's key as each record's depth_label and a NaN row as null,
-one write per group after the header line, and refuses what the loader
-would reject (a NaN or infinity, a pupil_pose that is not unit within
-_UNIT_TOLERANCE) in any group before it opens the file, as save_model
-refuses the arrays load_model would reject.  A dataset header, a model
-file and a config are read as bytes by one reader, _json_value, whose
-errors name the line of the first bad byte or token.  A header's camera,
-eye_model_mm and noise sections are read by the rule of a config's
-sections (_section): an object (null is the default) with only its own
-keys, built by its owning type, each error framed "line 1: bad <section>
-in header: <reason>".
+one write per _CHUNK_LINES records after the header line, and refuses
+what the loader would reject (a column that is not real numbers, a NaN
+or infinity, a pupil_pose that is not unit within _UNIT_TOLERANCE) in
+any group before it opens the file, as save_model refuses the arrays
+load_model would reject.  A dataset header, a model file and a config
+are read as bytes by one reader, _json_value, whose errors name the line
+of the first bad byte or token.  A header's camera, eye_model_mm and
+noise sections are read by the rule of a config's sections (_section):
+an object (null is the default) with only its own keys, built by its
+owning type, each error framed "line 1: bad <section> in header:
+<reason>".
+
+Column sidecar (_sidecar).  save_dataset also writes PATH.cols beside a
+regular file PATH: the SHA-256 of the bytes written to PATH and the
+table of rows _read_records builds from them.  After the header checks,
+load_dataset gives _group_columns that table instead of the parsed rows
+when the sidecar holds the file's digest, and otherwise parses as above.
 
 Results CSV: one header line, then one row per ErrorRecord with the
 columns ``mapper,k,calib_subset,test_depth_m,n_targets,mean_error_deg,
@@ -80,6 +87,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import _sidecar
 from .eye_simulator import (
     _OPTIONAL,
     _WIDTHS,
@@ -403,14 +411,24 @@ class LoadedDataset:
 
 def _check_saved(columns: SampleColumns, role, depth):
     """Name the first record of a group that load_dataset would reject,
-    and its first bad field: one holding a NaN or infinity, in
-    number_array's words, or a pupil_pose whose norm is not 1 (within
-    _UNIT_TOLERANCE)."""
-    bad = np.array([columns.present(name)
-                    & ~np.isfinite(getattr(columns, name)).all(axis=1)
-                    for _, name in _VECTOR_FIELDS])
-    norms = dot_norms(columns.pupil_pose)
-    off_unit = np.abs(norms - 1.0) > _UNIT_TOLERANCE    # a NaN row is not
+    and its first bad field, in number_array's words: a field whose
+    column is not real numbers (a bool, complex or object column, which
+    the file cannot hold as JSON numbers), a field holding a NaN or an
+    infinity as the float the file holds, or a pupil_pose whose norm is
+    not 1 (within _UNIT_TOLERANCE)."""
+    real = [getattr(columns, name).dtype.kind in "fiu"
+            for _, name in _VECTOR_FIELDS]
+    if all(real):
+        # a longdouble beyond float range is written, and read, as inf
+        with np.errstate(over="ignore"):
+            bad = np.array([columns.present(name) & ~np.isfinite(
+                np.asarray(getattr(columns, name), float)).all(axis=1)
+                            for _, name in _VECTOR_FIELDS])
+            norms = dot_norms(columns.pupil_pose)
+        off_unit = np.abs(norms - 1.0) > _UNIT_TOLERANCE    # a NaN row is not
+    else:       # every record of such a column is bad
+        bad = np.repeat(~np.array(real)[:, None], len(columns), axis=1)
+        off_unit = np.zeros(len(columns), dtype=bool)
     if bad.any() or off_unit.any():
         i = int(np.argmax(bad.any(axis=0) | off_unit))
         where = f"cannot save {role} record {i} at depth {depth}:"
@@ -418,11 +436,14 @@ def _check_saved(columns: SampleColumns, role, depth):
             raise ValueError(f"{where} field 'pupil_pose' norm "
                              f"{norms[i]:.8g} is not unit")
         key, name = _VECTOR_FIELDS[int(np.argmax(bad[:, i]))]
+        row = getattr(columns, name)[i]
         try:
-            number_array(getattr(columns, name)[i], (_WIDTHS[name],),
-                         f"field {key!r}")
+            number_array(row, (_WIDTHS[name],), f"field {key!r}")
         except ValueError as err:
             raise ValueError(f"{where} {err}") from None
+        # an object column of numbers
+        raise ValueError(f"{where} field {key!r} must be {_WIDTHS[name]} "
+                         f"finite numbers, got an array of dtype {row.dtype}")
 
 
 def _json_rows(columns: SampleColumns, name):
@@ -469,13 +490,26 @@ def _record_text(columns: SampleColumns, role, depth):
 SOURCES = ("simulated", "recorded")
 
 
+def _blocks(saved):
+    """Each (columns, role, depth) group of `saved`, in order, as blocks
+    of at most _CHUNK_LINES rows."""
+    for columns, role, depth in saved:
+        for start in range(0, len(columns), _CHUNK_LINES):
+            yield SampleColumns(**{
+                name: getattr(columns, name)[start:start + _CHUNK_LINES]
+                for name in _WIDTHS}), role, depth
+
+
 def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     """Write a DatasetBundle in the line-delimited format above, from the
     SampleColumns of each (role, depth) group: by depth, calibration
     before test, rows in order, each record's depth_label the group's
     key.  Every group is checked (_check_saved) before the file is
     opened, so a refused bundle writes nothing; then the header line and
-    each group's record lines are written, one write per group."""
+    each group's record lines are written, _CHUNK_LINES lines at a time.
+    A regular file also gets its column sidecar (_sidecar.write)."""
+    import hashlib      # as orjson: a sweep reads and writes no dataset
+
     if source not in SOURCES:
         raise ValueError(f"unknown source {source!r}")
     rig, eye = bundle.rig, bundle.eye
@@ -498,13 +532,21 @@ def save_dataset(bundle: DatasetBundle, path, source="simulated") -> None:
     groups = (bundle.calibration, bundle.test)
     saved = [(columns, role, depth) for depth in sorted(set().union(*groups))
              for role, columns in zip(_ROLES, (g.get(depth) for g in groups))
-             if columns is not None]
+             if columns is not None and len(columns)]
     for group in saved:
         _check_saved(*group)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_line(header) + "\n")
-        for group in saved:
-            fh.write(_record_text(*group))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        # every line is ASCII: json escapes the header's other characters
+        for text in chain((_json_line(header) + "\n",),
+                          (_record_text(*block) for block in _blocks(saved))):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+        mode = os.fstat(fh.fileno()).st_mode
+    _sidecar.write(path, mode, digest.digest(),
+                   sum(len(columns) for columns, _, _ in saved),
+                   _blocks(saved))
 
 
 def _read_header(line):
@@ -557,7 +599,7 @@ def load_dataset(path, require_calibration=False) -> LoadedDataset:
     """
     with open(path, "rb") as fh:
         source, rig, eye = _read_header(fh.readline())
-        parsed = _read_records(fh)
+        parsed = _sidecar.read(path, fh) or _read_records(fh)
     calibration, test = _group_columns(*parsed)
 
     if require_calibration and not calibration:

@@ -52,6 +52,37 @@ def test_simulate_reruns_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_simulated_file_loads_from_its_sidecar_in_a_new_process(
+        tmp_path, capsys):
+    """simulate writes data.jsonl.cols beside its file; a later process
+    loads from it without importing orjson, which only parsing does; fit
+    and evaluate write no sidecar."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(gaze3d.__file__).resolve().parents[1])}
+    data = tmp_path / "data.jsonl"
+
+    def python(*argv):
+        done = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    python("-m", "gaze3d.cli", "simulate", "--depths", "1.0,1.5", "--out",
+           data)
+    load = ("import sys; from gaze3d.dataset_io import load_dataset; "
+            "loaded = load_dataset(sys.argv[1]); "
+            "print(loaded.n_records, 'orjson' in sys.modules)")
+    assert python("-c", load, data) == "82 False\n"
+    Path(f"{data}.cols").unlink()
+    assert python("-c", load, data) == "82 True\n"     # parsed
+    model = tmp_path / "model.json"
+    for argv in (("fit", data, "--mappers", "2d2d", "--out", model),
+                 ("evaluate", model, data)):
+        assert run(capsys, *argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl",
+                                                           "model.json"]
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 3, "depths": [1.0]}))

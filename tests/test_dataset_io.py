@@ -2,13 +2,17 @@
 strict experiment configuration."""
 
 import gc
+import hashlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from collections.abc import Mapping
+from dataclasses import fields, is_dataclass, replace
 from itertools import cycle, islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -61,10 +65,23 @@ def bundle():
 
 
 @pytest.fixture()
-def dataset_path(bundle, tmp_path):
+def saved_path(bundle, tmp_path):
+    """A dataset file as save_dataset leaves it: beside its sidecar."""
     path = tmp_path / "data.jsonl"
     save_dataset(bundle, path)
     return path
+
+
+@pytest.fixture()
+def dataset_path(saved_path):
+    """The dataset file the round-trip and validation tests load and
+    edit; test_dataset_io_parsed runs them again without its sidecar."""
+    return saved_path
+
+
+def sidecar(path):
+    """The sidecar save_dataset writes beside the dataset file `path`."""
+    return Path(f"{path}.cols")
 
 
 def rewrite_line(path, lineno, transform):
@@ -716,6 +733,7 @@ def test_a_file_of_cr_ended_lines_is_one_line(dataset_path):
 def test_load_leaves_the_collector_as_it_found_it(dataset_path, collecting,
                                                   edit, error):
     # the collector is off while the decoded records are held
+    sidecar(dataset_path).unlink(missing_ok=True)     # parsed
     if edit is not None:
         rewrite_line(dataset_path, 3, edit)
     was = gc.isenabled()
@@ -738,6 +756,7 @@ def test_load_turns_the_collector_back_on_after_an_error(dataset_path,
         raise RuntimeError("decode failed")
 
     monkeypatch.setattr(dataset_io, "_record_columns", fail)
+    sidecar(dataset_path).unlink(missing_ok=True)     # parsed
     assert gc.isenabled()
     with pytest.raises(RuntimeError, match="decode failed"):
         load_dataset(dataset_path)
@@ -952,11 +971,15 @@ def test_dataset_io_transient_memory_is_bounded(tmp_path):
     # file, 21.7 MB for ten times its records), and saving the whole
     # text at 11x.  Streamed, the load peaks at 0.43 MB and 2.4x the
     # arrays and the save at 1.1x; each bound leaves a margin above 2x.
+    # A load from the sidecar holds its table and the grouped arrays.
     bundle = ExperimentConfig.from_dict({"grid": {
         "calib_rows": 15, "calib_cols": 15, "test_rows": 12,
         "test_cols": 12}}).build_bundle()
     path, longer = tmp_path / "data.jsonl", tmp_path / "longer.jsonl"
     save_dataset(bundle, path)
+    assert load_dataset(path).n_records == 1845
+    assert _traced_peak(lambda: load_dataset(path)) <= 1e6
+    sidecar(path).unlink()      # parsed
     assert load_dataset(path).n_records == 1845
     assert _traced_peak(lambda: load_dataset(path)) <= 1e6
 
@@ -970,6 +993,364 @@ def test_dataset_io_transient_memory_is_bounded(tmp_path):
     assert _traced_peak(lambda: load_dataset(longer)) < 5 * arrays
     assert _traced_peak(lambda: save_dataset(loaded, tmp_path / "out")) < (
         2.5 * arrays)
+
+
+# ── column sidecar ───────────────────────────────────────────────────────
+# save_dataset writes PATH.cols beside PATH: the SHA-256 of PATH's bytes,
+# then an np.save payload of the (N, 12) float table _read_records builds
+# from them.  A load whose digest matches takes the table; any other
+# sidecar is passed over and the file parsed, with the same result or
+# error.
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The loads that parsed their file, as a list growing by one each."""
+    calls = []
+    read = dataset_io._read_records
+    monkeypatch.setattr(dataset_io, "_read_records",
+                        lambda fh: calls.append(fh.name) or read(fh))
+    return calls
+
+
+def _sidecar_oracle(path):
+    """The sidecar of the dataset file `path` as the format describes it,
+    built from the file's bytes with json.loads, one line at a time."""
+    data = path.read_bytes()
+    table = np.array([
+        [*r["pupil_px"], *(r.get("pupil_pose") or [math.nan] * 3),
+         *r["target_scene_m"], *(r.get("target_px") or [math.nan] * 2),
+         r["depth_label"], r["role"] == "test"]
+        for r in map(json.loads, data.splitlines()[1:])],
+        dtype=float).reshape(-1, 12)
+    payload = io.BytesIO()
+    np.save(payload, table, allow_pickle=False)
+    return hashlib.sha256(data).digest() + payload.getvalue()
+
+
+def _deep_bits(value):
+    """`value` as nested tuples: every dataclass by its fields, every
+    mapping in its order, every float and array by its bits."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", np.float64(value).tobytes())
+    if is_dataclass(value):
+        return (type(value).__name__, *(
+            (f.name, _deep_bits(getattr(value, f.name)))
+            for f in fields(value)))
+    if isinstance(value, Mapping):
+        return tuple((_deep_bits(k), _deep_bits(v)) for k, v in value.items())
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_deep_bits, value))
+    return (type(value).__name__, value)
+
+
+def _count(bundle):
+    return sum(len(columns) for groups in (bundle.calibration, bundle.test)
+               for columns in groups.values())
+
+
+# the unit poses of an int column
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
+# missing rows hold a quiet NaN of either sign, with a payload, or
+# float32's
+_NANS = (np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(float),
+         np.float32("nan"))
+
+
+@st.composite
+def _saved_columns(draw):
+    """A SampleColumns save_dataset accepts: every field float64,
+    float32 or int64, with edge values, and pupil_pose and target_px
+    missing in some rows."""
+    n = draw(st.integers(0, 6))
+
+    def column(width, unit=False, optional=False):
+        kind = draw(st.sampled_from(("float64", "float32", "int64")))
+        if unit and kind == "int64":
+            values = np.array(draw(st.lists(st.sampled_from(_AXES),
+                                            min_size=n, max_size=n)),
+                              dtype=np.int64).reshape(n, 3)
+        elif unit:
+            raw = np.array(draw(st.lists(st.tuples(*[st.floats(-1, 1)] * 3)
+                                         .filter(lambda v: np.linalg.norm(v)
+                                                 > 0.1),
+                                         min_size=n, max_size=n)),
+                           dtype=float).reshape(n, 3)
+            values = (raw / np.linalg.norm(raw, axis=1)[:, None]).astype(
+                kind)
+        else:
+            element = (st.integers(-2 ** 63, 2 ** 63 - 1) if kind == "int64"
+                       else st.floats(allow_nan=False, allow_infinity=False,
+                                      width=32 if kind == "float32" else 64))
+            values = np.array(draw(st.lists(element, min_size=n * width,
+                                            max_size=n * width)),
+                              dtype=kind).reshape(n, width)
+        missing = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if optional and any(missing):
+            if kind == "int64":
+                values = values.astype(float)
+            values[np.array(missing)] = draw(st.sampled_from(_NANS))
+        return values
+
+    return SampleColumns(pupil_px=column(2), pupil_pose=column(3, unit=True,
+                                                               optional=True),
+                         target=column(3), target_px=column(2, optional=True))
+
+
+_SAVED_BUNDLES = st.builds(
+    lambda calibration, test: DatasetBundle(
+        calibration=calibration, test=test, rig=SimRig(), eye=TwoSphereEye()),
+    *[st.dictionaries(st.sampled_from((1.0, 0.5, 2, np.float64(2.5), 1e-3)),
+                      _saved_columns(), max_size=3)] * 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bundle=_SAVED_BUNDLES, source=st.sampled_from(("simulated",
+                                                      "recorded")))
+def test_a_load_from_the_sidecar_equals_a_parse(tmp_path_factory, bundle,
+                                                source):
+    """For a bundle save_dataset accepts, a load that takes the sidecar
+    and one that parses the file give the same result, bit for bit: every
+    column, the groups' order and keys, the counts, the source, the rig
+    and the eye.  The sidecar is the format's bytes, and two saves write
+    the same ones."""
+    directory = tmp_path_factory.mktemp("sidecar")
+    path = directory / "data.jsonl"
+    save_dataset(bundle, path, source=source)
+    first = sidecar(path).read_bytes()
+    save_dataset(bundle, path, source=source)
+    assert sidecar(path).read_bytes() == first == _sidecar_oracle(path)
+    with mock.patch.object(dataset_io, "_read_records",
+                           side_effect=dataset_io._read_records) as parse:
+        taken = load_dataset(path)
+        assert not parse.called
+        sidecar(path).unlink()
+        parsed = load_dataset(path)
+        assert parse.call_count == 1
+    assert _deep_bits(taken) == _deep_bits(parsed)
+    assert list(directory.iterdir()) == [path]    # no temporary file left
+
+
+def test_a_fresh_save_loads_from_its_sidecar(bundle, saved_path, parses):
+    loaded = load_dataset(saved_path)
+    assert parses == []
+    assert sidecar(saved_path).read_bytes() == _sidecar_oracle(saved_path)
+    _assert_same_groups(loaded.bundle, bundle)
+
+
+def _table(path):
+    """The digest and the table of the sidecar of `path`."""
+    data = sidecar(path).read_bytes()
+    return data[:32], np.load(io.BytesIO(data[32:]), allow_pickle=False)
+
+
+def _npy(array, **kwargs):
+    out = io.BytesIO()
+    np.lib.format.write_array(out, array, **kwargs)
+    return out.getvalue()
+
+
+_BAD_SIDECARS = {
+    "empty": lambda data, digest, table: b"",
+    "digest-only": lambda data, digest, table: data[:32],
+    "cut-in-npy-header": lambda data, digest, table: data[:60],
+    "one-byte-short": lambda data, digest, table: data[:-1],
+    "one-byte-over": lambda data, digest, table: data + b"\0",
+    "garbage": lambda data, digest, table: bytes(range(256)) * 8,
+    "other-digest": lambda data, digest, table: (
+        hashlib.sha256(b"other").digest() + data[32:]),
+    "eleven-columns": lambda data, digest, table: digest + _npy(
+        np.ascontiguousarray(table[:, :11])),
+    "one-dimensional": lambda data, digest, table: digest + _npy(
+        table.ravel()),
+    "float32": lambda data, digest, table: digest + _npy(
+        table.astype(np.float32)),
+    "big-endian": lambda data, digest, table: digest + _npy(
+        table.astype(">f8")),
+    "fortran-order": lambda data, digest, table: digest + _npy(
+        np.asfortranarray(table)),
+    "npy-version-2": lambda data, digest, table: digest + _npy(
+        table, version=(2, 0)),
+    "pickled": lambda data, digest, table: digest + _npy(
+        table.astype(object), allow_pickle=True),
+}
+
+
+@pytest.mark.parametrize("make", _BAD_SIDECARS.values(), ids=_BAD_SIDECARS)
+def test_a_bad_sidecar_is_passed_over(saved_path, parses, make):
+    want = _deep_bits(load_dataset(saved_path))
+    bad = make(sidecar(saved_path).read_bytes(), *_table(saved_path))
+    sidecar(saved_path).write_bytes(bad)
+    assert _deep_bits(load_dataset(saved_path)) == want
+    assert parses == [str(saved_path)]
+    assert sidecar(saved_path).read_bytes() == bad     # left as it was
+
+
+def test_a_missing_sidecar_or_a_directory_there_is_passed_over(
+        saved_path, parses):
+    want = _deep_bits(load_dataset(saved_path))
+    sidecar(saved_path).unlink()
+    assert _deep_bits(load_dataset(saved_path)) == want
+    assert not sidecar(saved_path).exists()      # a load writes none
+    sidecar(saved_path).mkdir()
+    assert _deep_bits(load_dataset(saved_path)) == want
+    assert parses == [str(saved_path)] * 2
+
+
+def test_a_stale_sidecar_is_passed_over(bundle, saved_path, parses):
+    # the last digit of the first record's first pupil_px entry changed
+    # in place: the same length, another value
+    kept = sidecar(saved_path).read_bytes()
+    data = saved_path.read_bytes()
+    at = data.index(b",", data.index(b'"pupil_px":[')) - 1
+    data = data[:at] + (b"1" if data[at:at + 1] == b"2" else b"2") + data[
+        at + 1:]
+    saved_path.write_bytes(data)
+    loaded = load_dataset(saved_path)
+    assert parses == [str(saved_path)]
+    first = loaded.bundle.calibration[1.0].pupil_px[0, 0]
+    assert first != bundle.calibration[1.0].pupil_px[0, 0]
+    assert first == json.loads(data.splitlines()[1])["pupil_px"][0]
+    assert sidecar(saved_path).read_bytes() == kept
+    sidecar(saved_path).unlink()
+    assert _deep_bits(load_dataset(saved_path)) == _deep_bits(loaded)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda data: data.replace(b'"role":"test"', b'"role":"tezt"', 1),
+     "line 27: role must be 'calibration' or 'test', got 'tezt'"),
+    (lambda data: data.replace(b"gaze3d/1", b"gaze3d/9", 1),
+     "unsupported schema 'gaze3d/9' (this reader supports 'gaze3d/1')"),
+    (lambda data: data.split(b"\n", 1)[0] + b"\n\n",
+     "line 2: blank line inside dataset"),
+], ids=["bad-record", "bad-header", "blank-line"])
+def test_a_stale_sidecar_gives_the_parse_error(saved_path, edit, error):
+    saved_path.write_bytes(edit(saved_path.read_bytes()))
+    with pytest.raises(ValueError) as err:
+        load_dataset(saved_path)
+    assert str(err.value) == error
+
+
+def test_a_sidecar_is_only_read_beside_its_own_file(saved_path, tmp_path,
+                                                    parses):
+    # the same bytes under another name load from their own sidecar only
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(saved_path.read_bytes())
+    want = _deep_bits(load_dataset(saved_path))
+    assert _deep_bits(load_dataset(copy)) == want
+    assert parses == [str(copy)]
+
+
+@pytest.mark.parametrize("fail", ["tempfile.mkstemp", "os.replace",
+                                  "os.chmod"])
+def test_a_sidecar_that_cannot_be_written_is_left_out(bundle, saved_path,
+                                                      tmp_path, parses,
+                                                      fail):
+    # a stale sidecar from the last save stays; its digest is not the
+    # new file's
+    other = replace(bundle, test={})
+    kept = sidecar(saved_path).read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    with mock.patch(fail, refuse):
+        assert save_dataset(other, saved_path) is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.jsonl", "data.jsonl.cols"]     # no temporary file left
+    assert sidecar(saved_path).read_bytes() == kept
+    assert load_dataset(saved_path).n_records == _count(other)
+    assert parses == [str(saved_path)]
+
+
+def test_a_directory_at_the_sidecar_path_is_left_alone(bundle, tmp_path):
+    path = tmp_path / "data.jsonl"
+    sidecar(path).mkdir()
+    save_dataset(bundle, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.jsonl", "data.jsonl.cols"]
+    assert sidecar(path).is_dir() and not any(sidecar(path).iterdir())
+    assert load_dataset(path).n_records == _count(bundle)
+
+
+def test_a_file_descriptor_gets_no_sidecar(bundle, tmp_path, parses):
+    path = tmp_path / "data.jsonl"
+    save_dataset(bundle, os.open(path, os.O_WRONLY | os.O_CREAT, 0o644))
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+    save_dataset(bundle, tmp_path / "named.jsonl")
+    assert path.read_bytes() == (tmp_path / "named.jsonl").read_bytes()
+    load_dataset(os.open(path, os.O_RDONLY))
+    assert len(parses) == 1
+
+
+def test_the_sidecar_takes_the_file_mode(bundle, tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"")
+    path.chmod(0o640)
+    save_dataset(bundle, path)
+    assert stat.S_IMODE(sidecar(path).stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("field, dtype, shown", [
+    ("pupil_px", bool, r"\[True, True\]"),
+    ("target_px", complex, r"\[\(496\+0j\), \(278\.568\+0j\)\]"),
+    ("target", object, "an array of dtype object"),
+])
+def test_save_refuses_columns_that_are_not_real_numbers(bundle, tmp_path,
+                                                         field, dtype, shown):
+    # a bool column was written as [true,true], which load_dataset
+    # rejects; a complex one left a header-only file that loaded as 0
+    # records
+    group = bundle.calibration[1.0]
+    bad = replace(bundle, calibration={**bundle.calibration, 1.0: replace(
+        group, **{field: getattr(group, field).astype(dtype)})})
+    key = {"target": "target_scene_m"}.get(field, field)
+    width = 3 if field == "target" else 2
+    new, existing = tmp_path / "new.jsonl", tmp_path / "existing.jsonl"
+    save_dataset(bundle, existing)
+    before = existing.read_bytes(), sidecar(existing).read_bytes()
+    for path in (new, existing):
+        with pytest.raises(ValueError, match=rf"^cannot save calibration "
+                           rf"record 0 at depth 1\.0: field '{key}' must be "
+                           rf"{width} finite numbers, got {shown}$"):
+            save_dataset(bad, path)
+    assert not new.exists() and not sidecar(new).exists()
+    assert (existing.read_bytes(), sidecar(existing).read_bytes()) == before
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                    reason="longdouble is float here")
+def test_save_refuses_a_longdouble_beyond_float_range(bundle, tmp_path):
+    # it was written as inf, which load_dataset rejects
+    group = bundle.test[1.5]
+    target = group.target.astype(np.longdouble)
+    target[2, 1] = np.longdouble("1e400")
+    bad = replace(bundle, test={**bundle.test, 1.5: replace(group,
+                                                            target=target)})
+    with pytest.raises(ValueError, match=r"^cannot save test record 2 at "
+                       r"depth 1\.5: field 'target_scene_m' must be 3 finite "
+                       r"numbers, got "):
+        save_dataset(bad, tmp_path / "data.jsonl")
+    assert not any(tmp_path.iterdir())
+
+
+def test_saving_one_large_group_is_bounded(tmp_path):
+    # A one-group bundle of 10,000 records (a 100x100 calibration grid
+    # at 1.5 m) peaked at 7.82 MB traced for 0.80 MB of arrays (9.8x)
+    # while a whole group's text was built for one write; written and
+    # tabled _CHUNK_LINES rows at a time, it is held to the bound of
+    # test_dataset_io_transient_memory_is_bounded's save.
+    bundle = replace(ExperimentConfig.from_dict({
+        "depths": [1.5], "grid": {"calib_rows": 100, "calib_cols": 100}})
+        .build_bundle(), test={})
+    arrays = sum(getattr(bundle.calibration[1.5], f.name).nbytes
+                 for f in fields(SampleColumns))
+    assert arrays == 10000 * 10 * 8
+    path = tmp_path / "data.jsonl"
+    assert _traced_peak(lambda: save_dataset(bundle, path)) < 2.5 * arrays
+    assert load_dataset(path).n_records == 10000
+    assert sidecar(path).read_bytes() == _sidecar_oracle(path)
 
 
 # ── dataset validation ───────────────────────────────────────────────────
